@@ -23,7 +23,8 @@
 //! `BENCH_PR10.json`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use phc_core::{DetHashTable, ResizableTable, StwResizableTable, U64Key};
+use phc_bench::StwResizableTable;
+use phc_core::{DetHashTable, ResizableTable, U64Key};
 use rayon::prelude::*;
 
 const N: usize = 100_000;

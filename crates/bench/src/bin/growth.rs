@@ -18,10 +18,8 @@
 //!   freeze-free) at each thread count.
 //!
 //! With `--features obs` the envelope's counter snapshot witnesses the
-//! mechanism: nonzero `migration_helps` and `migration_blocks_claimed`,
-//! a populated `migration_stall_nanos` histogram, and `freeze_waits`
-//! pinned at zero (the counter survives for dashboards; no code path
-//! increments it).
+//! mechanism: nonzero `migration_helps` and `migration_blocks_claimed`
+//! and a populated `migration_stall_nanos` histogram.
 //!
 //! **1-core MLP caveat** (same as PRs 1/4/9): `nproc` = 1 on this VM,
 //! so T=2/T=8 rows are oversubscribed schedules on one core, not
@@ -34,8 +32,8 @@
 //! Run with `--json FILE` to dump the report envelope; CI and
 //! `BENCH_PR10.json` use `--json BENCH_PR10.json`.
 
-use phc_bench::{arg_or_env, report, Report};
-use phc_core::{DetHashTable, ResizableTable, StwResizableTable, U64Key};
+use phc_bench::{arg_or_env, report, Report, StwResizableTable};
+use phc_core::{DetHashTable, ResizableTable, U64Key};
 use phc_parutil::run_with_threads;
 use rayon::prelude::*;
 

@@ -28,10 +28,12 @@
 pub mod datasets;
 pub mod ops;
 pub mod report;
+pub mod stw;
 
 pub use datasets::{Dataset, StrDataset};
 pub use ops::{run_ops, run_serial_ops, OpResults};
 pub use report::{Report, Row};
+pub use stw::StwResizableTable;
 
 /// Reads a `--flag value` style argument or an environment default.
 pub fn arg_or_env(args: &[String], flag: &str, env: &str, default: usize) -> usize {

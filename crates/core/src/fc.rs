@@ -58,15 +58,28 @@
 //! Mid-operation states (an entry "in hand" between displacement CASes)
 //! remain observable by concurrent finds; fc promises determinism of
 //! quiescent snapshots, not of in-flight read results.
+//!
+//! ## Where this lives
+//!
+//! The probe loops are the shared engine's ([`crate::probe`]) — fc is
+//! the deterministic table's order plus the engine's **hooks**, which
+//! is where everything above happens: the windows register on the state
+//! words, `after_place` validates a placement, `after_copy_down` /
+//! `after_hole` revalidate a delete's writes, `rewalk_after_miss`
+//! re-walks a suspect miss, and `find_settled` retries a racy lookup.
+//! Each hook's quiescent side is a bare load-and-compare inlined into
+//! the engine's loop; the repair behind it is `#[cold]` and out of
+//! line, because it reaches back into the insert path and letting that
+//! call graph into the hot probe loop costs ~15% insert throughput in
+//! register spills alone.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cell::{AtomOf, CellAtomic};
+use crate::cell::CellAtomic;
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
+use crate::probe::{
+    Deleter, FindBatch, Growable, InsertTally, Inserter, Probe, ProbePolicy, ProbeTable, Reader,
 };
 
 /// One writer-start unit in the epoch half of a state word.
@@ -76,124 +89,16 @@ const ACTIVE_MASK: u64 = EPOCH_ONE - 1;
 /// Bounded retries for a find that misses while writers are active.
 const FIND_RETRIES: usize = 8;
 
-/// Debug-build witness that a speculative wide-scan hit was confirmed
-/// through a per-cell atomic re-read before use (the fc analogue of
-/// `nd.rs`'s `NdPhaseChecks`): asserts the confirmed index is a real
-/// cell and counts the confirmation.
-macro_rules! fc_spec_check {
-    ($idx:expr, $mask:expr) => {
-        debug_assert!(($idx) <= ($mask), "fc: confirm index out of range");
-        #[cfg(debug_assertions)]
-        phc_obs::probe!(count FcSpecChecks);
-    };
-}
-
-/// The fully-concurrent deterministic linear-probing hash table.
-///
-/// See the [module docs](self) for the algorithm. Like
-/// [`DetHashTable`](crate::det::DetHashTable) the table does not
-/// resize; wrap it in [`crate::resize::ResizableTable`] (it implements
-/// [`crate::resize::FlatTableCore`]) for cooperative growth.
-///
-/// ```
-/// use phc_core::{FcHashTable, U64Key};
-/// let t: FcHashTable<U64Key> = FcHashTable::new_pow2(8);
-/// // No phases: interleave freely from any thread.
-/// t.insert(U64Key::new(7));
-/// t.delete(U64Key::new(7));
-/// t.insert(U64Key::new(9));
-/// assert_eq!(t.find(U64Key::new(9)), Some(U64Key::new(9)));
-/// assert_eq!(t.find(U64Key::new(7)), None);
-/// ```
-pub struct FcHashTable<E: HashEntry> {
-    cells: Box<[AtomOf<E::Repr>]>,
-    mask: usize,
+/// The fully-concurrent table's probe policy: the two overlap state
+/// words, and the validate/repair hooks that read them.
+pub struct FcPolicy {
     /// `(insert starts << 32) | active inserts`.
     ins_state: AtomicU64,
     /// `(delete starts << 32) | active deletes`.
     del_state: AtomicU64,
-    _entry: PhantomData<E>,
 }
 
-// SAFETY: all shared mutation goes through atomic cells / state words.
-unsafe impl<E: HashEntry> Send for FcHashTable<E> {}
-unsafe impl<E: HashEntry> Sync for FcHashTable<E> {}
-
-impl<E: HashEntry> FcHashTable<E> {
-    /// Creates a table with `2^log2_size` cells, all empty.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        let n = 1usize << log2_size;
-        let cells = crate::cell::new_cells::<E::Repr>(n, E::EMPTY);
-        FcHashTable {
-            cells,
-            mask: n - 1,
-            ins_state: AtomicU64::new(0),
-            del_state: AtomicU64::new(0),
-            _entry: PhantomData,
-        }
-    }
-
-    /// Creates a table with at least `n_items / max_load` cells
-    /// (rounded up to a power of two).
-    pub fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
-        assert!(max_load > 0.0 && max_load < 1.0);
-        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
-        Self::new_pow2(want.next_power_of_two().trailing_zeros())
-    }
-
-    /// Number of cells.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Raw view of the cell array (for invariant checkers and tests).
-    pub fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        &self.cells
-    }
-
-    /// Snapshot of the raw cell contents. **Quiescent** snapshots of
-    /// two fc tables holding the same key set are equal — and equal to
-    /// a [`DetHashTable`](crate::det::DetHashTable) snapshot of that
-    /// set. Taken under concurrent writers the result is a racy read.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
-    }
-
-    #[inline]
-    fn slot(&self, hash: u64) -> usize {
-        (hash as usize) & self.mask
-    }
-
-    #[inline]
-    fn load_at(&self, virtual_idx: usize) -> u64 {
-        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn cas_at(&self, virtual_idx: usize, old: u64, new: u64) -> bool {
-        self.cells[virtual_idx & self.mask]
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Forward distance from bucket `from` to bucket `to` (both already
-    /// reduced), in `[0, capacity)`.
-    #[inline]
-    fn dist(&self, from: usize, to: usize) -> usize {
-        (to.wrapping_sub(from)) & self.mask
-    }
-
-    /// Virtual hash position of `repr` observed at virtual index `at`
-    /// (see `det.rs` on wraparound handling).
-    #[inline]
-    fn lift_hash(&self, repr: u64, at: usize) -> usize {
-        at - self.dist(self.slot(E::hash(repr)), at & self.mask)
-    }
-
+impl FcPolicy {
     /// Whether an opposite-kind writer overlapped: it was active when
     /// we snapshotted `at_start`, or has started since (epoch moved).
     #[inline]
@@ -212,917 +117,70 @@ impl<E: HashEntry> FcHashTable<E> {
     fn ins_overlapped(&self, ins0: u64) -> bool {
         Self::overlapped(self.ins_state.load(Ordering::SeqCst), ins0)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Insert
-    // ------------------------------------------------------------------
+impl<E: HashEntry> ProbePolicy<E> for FcPolicy {
+    const NAME: &'static str = "linearHash-FC";
+    const CONFIRM_READS: bool = true;
 
-    /// Inserts an entry; duplicate keys resolve through
-    /// [`HashEntry::combine`]. Callable concurrently with *any* other
-    /// operation on the table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is full, as `DetHashTable::insert` does.
-    pub fn insert(&self, e: E) {
-        self.insert_counted(e);
-    }
-
-    /// Like [`insert`](Self::insert), returning `true` iff the call
-    /// net-filled a previously empty cell (the global element-count
-    /// credit used by [`crate::resize::ResizableTable`]). Under
-    /// insert/delete overlap a repair may cancel the credit; the
-    /// returned bool reports the *net* outcome of this call.
-    pub fn insert_counted(&self, e: E) -> bool {
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let del0 = self.del_state.load(Ordering::SeqCst);
-        let r = match self.try_insert_net(e.to_repr(), del0) {
-            Ok(net) => net > 0,
-            Err(_) => {
-                self.ins_state.fetch_sub(1, Ordering::SeqCst);
-                panic!(
-                    "FcHashTable::insert: table is full (capacity {})",
-                    self.cells.len()
-                );
-            }
-        };
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-        r
-    }
-
-    /// Registered fallible insert for the growable wrapper: `Err(v)`
-    /// hands back the carried repr when the probe wraps (table full).
-    pub(crate) fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let del0 = self.del_state.load(Ordering::SeqCst);
-        let r = self.try_insert_net(v, del0);
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-        r.map(|net| net > 0)
-    }
-
-    /// Core insert; caller must be registered on `ins_state`. Returns
-    /// the net number of cells this call filled (0 or 1 at quiescence).
-    fn try_insert_net(&self, v: u64, del0: u64) -> Result<i64, u64> {
-        debug_assert_ne!(v, E::EMPTY);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.try_insert_net_wide(v, key_mask, del0);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        self.try_insert_net_scalar(v, del0)
-    }
-
-    /// Scalar insert loop: `DetHashTable::try_insert_repr` plus the
-    /// post-placement validation hook after every successful CAS.
-    fn try_insert_net_scalar(&self, mut v: u64, del0: u64) -> Result<i64, u64> {
-        let mut i = self.slot(E::hash(v));
-        let mut steps = 0usize;
-        let mut swaps = 0usize;
-        let mut net = 0i64;
-        let result = loop {
-            let c = self.cells[i].load(Ordering::Acquire);
-            if c == E::FORWARD {
-                // Defensive: the resizer's writer gate (see
-                // `quiesce_writers`) keeps migration sweeps and active
-                // fc writers disjoint, so a registered insert should
-                // never observe the sentinel; divert rather than
-                // interpret it.
-                phc_obs::probe!(count ForwardedProbes);
-                break Err(v);
-            }
-            if E::same_key(c, v) {
-                let merged = E::combine(c, v);
-                if merged == c {
-                    break Ok(net);
-                }
-                if self.cells[i]
-                    .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break Ok(net);
-                }
-                continue; // cell changed under us; re-read
-            }
-            if E::cmp_priority(c, v) == CmpOrdering::Greater {
-                i = (i + 1) & self.mask;
-                steps += 1;
-                if steps > self.cells.len() {
-                    break Err(v);
-                }
-                continue;
-            }
-            if self.cells[i]
-                .compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let filled = c == E::EMPTY;
-                if filled {
-                    net += 1;
-                }
-                net += self.after_place(v, i, del0);
-                if filled {
-                    break Ok(net);
-                }
-                swaps += 1;
-                v = c;
-                i = (i + 1) & self.mask;
-                steps += 1;
-                if steps > self.cells.len() {
-                    break Err(v);
-                }
-            }
-            // On CAS failure, retry the same cell.
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count FcDisplacements, swaps);
-        phc_obs::probe!(hist FcDisplacementChain, swaps);
-        result
-    }
-
-    /// Wide insert: `scan_le` skips outranking cells (sound because
-    /// cell priorities only rise under inserts, and a concurrent
-    /// delete lowering a cell is exactly what validation repairs), then
-    /// the candidate is confirmed by the exact per-cell CAS loop.
-    ///
-    /// The tier is resolved once here and a concrete kernel bound
-    /// inside a `#[target_feature]` body (the `det.rs` pattern), so
-    /// the probe loop pays no per-window dispatch.
-    fn try_insert_net_wide(&self, v: u64, key_mask: u64, del0: u64) -> Result<i64, u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe {
-                    self.try_insert_wide_avx2(v, key_mask, del0)
-                },
-                _ => self.try_insert_wide_sse2(v, key_mask, del0),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.try_insert_net_wide_with(v, key_mask, del0, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
+    fn new(_log2_size: u32) -> Self {
+        FcPolicy {
+            ins_state: AtomicU64::new(0),
+            del_state: AtomicU64::new(0),
         }
     }
 
-    /// AVX2 instantiation of the wide insert: the kernel closure
-    /// inlines into the probe loop.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn try_insert_wide_avx2(&self, v: u64, key_mask: u64, del0: u64) -> Result<i64, u64> {
-        self.try_insert_net_wide_with(v, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation (baseline on x86_64; no feature gate needed).
-    #[cfg(target_arch = "x86_64")]
-    fn try_insert_wide_sse2(&self, v: u64, key_mask: u64, del0: u64) -> Result<i64, u64> {
-        self.try_insert_net_wide_with(v, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide insert body, generic over the bound scan kernel.
+    // A writer registers itself *first*, then snapshots the opposite
+    // word; the snapshot is the window's token, which the ops inside
+    // the window validate against.
     #[inline(always)]
-    fn try_insert_net_wide_with(
-        &self,
-        mut v: u64,
-        key_mask: u64,
-        del0: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Result<i64, u64> {
-        let n = self.cells.len();
-        let mut i = self.slot(E::hash(v));
-        let mut steps = 0usize;
-        let mut swaps = 0usize;
-        let mut net = 0i64;
-        let result = 'outer: loop {
-            let thr = v & key_mask;
-            // Scalar peek of the cursor cell first (see det.rs).
-            let peek = self.cells[i].load(Ordering::Acquire);
-            let (j, mut c) = if peek & key_mask <= thr {
-                (i, peek)
-            } else {
-                let (hit, lanes) = scan(&self.cells, i, n, thr);
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        let (wrapped, more) = scan(&self.cells, 0, i, thr);
-                        (wrapped, lanes + more)
-                    }
-                };
-                phc_obs::probe!(count SimdLanesScanned, lanes);
-                match hit {
-                    Some(h) => h,
-                    None => {
-                        break 'outer Err(v);
-                    }
-                }
-            };
-            steps += self.dist(i, j);
-            if steps > n {
-                break 'outer Err(v);
-            }
-            i = j;
-            // Per-cell atomic confirm, seeded with the scanned value.
-            loop {
-                fc_spec_check!(i, self.mask);
-                if c == E::FORWARD {
-                    // Defensive (see the scalar loop): also covers the
-                    // CAS-failure re-read path below.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'outer Err(v);
-                }
-                if E::same_key(c, v) {
-                    let merged = E::combine(c, v);
-                    if merged == c {
-                        break 'outer Ok(net);
-                    }
-                    match self.cells[i].compare_exchange(
-                        c,
-                        merged,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break 'outer Ok(net),
-                        Err(cur) => {
-                            c = cur;
-                            continue;
-                        }
-                    }
-                }
-                if E::cmp_priority(c, v) == CmpOrdering::Greater {
-                    // Misspeculation: the cell rose after the scan.
-                    i = (i + 1) & self.mask;
-                    steps += 1;
-                    if steps > n {
-                        break 'outer Err(v);
-                    }
-                    continue 'outer;
-                }
-                match self.cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        let filled = c == E::EMPTY;
-                        if filled {
-                            net += 1;
-                        }
-                        net += self.after_place(v, i, del0);
-                        if filled {
-                            break 'outer Ok(net);
-                        }
-                        swaps += 1;
-                        v = c;
-                        i = (i + 1) & self.mask;
-                        steps += 1;
-                        if steps > n {
-                            break 'outer Err(v);
-                        }
-                        continue 'outer;
-                    }
-                    Err(cur) => c = cur,
-                }
-            }
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count FcDisplacements, swaps);
-        phc_obs::probe!(hist FcDisplacementChain, swaps);
-        result
+    fn open_insert_window(&self) -> u64 {
+        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
+        self.del_state.load(Ordering::SeqCst)
+    }
+    #[inline(always)]
+    fn close_insert_window(&self) {
+        self.ins_state.fetch_sub(1, Ordering::SeqCst);
+    }
+    #[inline(always)]
+    fn open_delete_window(&self) -> u64 {
+        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
+        self.ins_state.load(Ordering::SeqCst)
+    }
+    #[inline(always)]
+    fn close_delete_window(&self) {
+        self.del_state.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Post-placement hook: validate iff a delete overlapped. Returns
-    /// the net fill-count delta of any repair. The quiescent side of
-    /// the branch must stay a bare load-and-compare: the repair callee
-    /// reaches back into `try_insert_net`, and letting that call graph
-    /// into the hot probe loop costs ~15% insert throughput in register
-    /// spills alone (hence `#[cold]` + `#[inline(never)]` below).
+    /// Validate iff a delete overlapped.
     #[inline(always)]
-    fn after_place(&self, placed: u64, at: usize, del0: u64) -> i64 {
-        if self.del_overlapped(del0) {
-            self.validate_placement(placed, at)
+    fn after_place(t: Probe<'_, E, Self>, placed: u64, at: usize, del0: u64) -> i64 {
+        if t.policy().del_overlapped(del0) {
+            validate_placement(t, placed, at)
         } else {
             0
         }
     }
 
-    /// Re-scans `[home(x), j)` through per-cell atomic loads. A cell
-    /// that is empty, lower-priority than `x`, or a duplicate of `x`
-    /// means the placement at `j` violates the ordering invariant: pull
-    /// the copy at `j` back out and re-insert `x` from scratch (the
-    /// re-insert re-validates itself). If the copy is no longer at `j`
-    /// a concurrent displacer or deleter took responsibility for it.
-    #[cold]
-    #[inline(never)]
-    fn validate_placement(&self, x: u64, j: usize) -> i64 {
-        phc_obs::probe!(count FcRepairScans);
-        let home = self.slot(E::hash(x));
-        let mut i = home;
-        while i != j {
-            let c = self.cells[i].load(Ordering::Acquire);
-            if c == E::EMPTY || E::same_key(c, x) || E::cmp_priority(c, x) == CmpOrdering::Less {
-                let m = self.cells.len();
-                let kv = m + j;
-                if self.delete_from::<false>(kv, kv - self.dist(home, j), x, 0) {
-                    let del0 = self.del_state.load(Ordering::SeqCst);
-                    return match self.try_insert_net(x, del0) {
-                        Ok(n) => n - 1,
-                        Err(_) => panic!("FcHashTable: table full during repair"),
-                    };
-                }
-                return 0;
-            }
-            i = (i + 1) & self.mask;
-        }
-        0
-    }
-
-    /// Inserts a batch of entries with software prefetching (see
-    /// [`crate::batch`]), under a single overlap-registration bracket.
-    pub fn insert_batch(&self, entries: &[E]) {
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let del0 = self.del_state.load(Ordering::SeqCst);
-        let full = self.insert_batch_registered(entries, del0);
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-        if full {
-            panic!(
-                "FcHashTable::insert: table is full (capacity {})",
-                self.cells.len()
-            );
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
-    /// Batch body run under the caller's registration bracket. Returns
-    /// `true` if the table filled up mid-batch. Batch-level tier
-    /// dispatch, as in `DetHashTable::insert_batch`: resolve the tier
-    /// once per batch, bind the matching kernel, and run the whole
-    /// prefetching insert loop inside one `#[target_feature]` body.
-    fn insert_batch_registered(&self, entries: &[E], del0: u64) -> bool {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        #[cfg(target_arch = "x86_64")]
-        if let Some(key_mask) = E::SIMD_KEY_MASK {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    return unsafe { self.insert_batch_avx2(entries, key_mask, del0) };
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    return self.insert_batch_sse2(entries, key_mask, del0);
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..entries.len() {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            if self.try_insert_net(entries[i].to_repr(), del0).is_err() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// AVX2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn insert_batch_avx2(&self, entries: &[E], key_mask: u64, del0: u64) -> bool {
-        self.insert_batch_wide_body(entries, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    fn insert_batch_sse2(&self, entries: &[E], key_mask: u64, del0: u64) -> bool {
-        self.insert_batch_wide_body(entries, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The prefetching insert loop shared by the per-tier batch entry
-    /// points (gated lookahead — see `det.rs`).
-    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn insert_batch_wide_body(
-        &self,
-        entries: &[E],
-        key_mask: u64,
-        del0: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> bool {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..entries.len() {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            if self
-                .try_insert_net_wide_with(entries[i].to_repr(), key_mask, del0, scan)
-                .is_err()
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Parallel batched insert: grain-sized chunks through
-    /// [`insert_batch`](Self::insert_batch).
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
-    }
-
-    // ------------------------------------------------------------------
-    // Find
-    // ------------------------------------------------------------------
-
-    /// Looks up the entry with `key`'s key part. Callable concurrently
-    /// with any other operation; a lookup racing an in-flight
-    /// displacement of its key may miss (it retries a bounded number of
-    /// times when writers are active).
-    pub fn find(&self, key: E) -> Option<E> {
-        self.find_repr(key.to_repr()).map(E::from_repr)
-    }
-
-    /// Bounded-retry find wrapper: quiescent misses return after two
-    /// extra shared loads; misses that raced an active writer retry up
-    /// to [`FIND_RETRIES`] times (counted as `FcHelps`).
-    pub(crate) fn find_repr(&self, probe: u64) -> Option<u64> {
-        debug_assert_ne!(probe, E::EMPTY);
-        let mut retries = 0usize;
-        loop {
-            let ins0 = self.ins_state.load(Ordering::SeqCst);
-            let del0 = self.del_state.load(Ordering::SeqCst);
-            let r = self.find_repr_once(probe);
-            if r.is_some() {
-                return r;
-            }
-            let racy = self.ins_overlapped(ins0) || self.del_overlapped(del0);
-            if !racy || retries >= FIND_RETRIES {
-                return None;
-            }
-            retries += 1;
-            phc_obs::probe!(count FcHelps);
+    fn after_copy_down(t: Probe<'_, E, Self>, k: usize, ins0: u64) {
+        if t.policy().ins_overlapped(ins0) {
+            revalidate_lowered(t, k);
         }
     }
 
-    fn find_repr_once(&self, probe: u64) -> Option<u64> {
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.find_once_wide(probe, key_mask);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        self.find_once_scalar(probe)
-    }
-
-    /// Scalar probe — already per-cell atomic reads, so fc-safe as-is.
-    fn find_once_scalar(&self, probe: u64) -> Option<u64> {
-        let mut i = self.slot(E::hash(probe));
-        let mut steps = 0usize;
-        let result = 'scan: {
-            for _ in 0..=self.cells.len() {
-                let c = self.cells[i].load(Ordering::Acquire);
-                if c == E::EMPTY {
-                    break 'scan None;
-                }
-                if c == E::FORWARD {
-                    // Defensive: a forwarded cell means the table is
-                    // retiring; the entry (if any) lives in the
-                    // successor, so this epoch reports absence.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'scan None;
-                }
-                if E::same_key(c, probe) {
-                    break 'scan Some(c);
-                }
-                if E::cmp_priority(c, probe) == CmpOrdering::Less {
-                    break 'scan None;
-                }
-                i = (i + 1) & self.mask;
-                steps += 1;
-            }
+    #[inline(always)]
+    fn after_hole(t: Probe<'_, E, Self>, k: usize, ins0: u64) -> Option<(usize, u64)> {
+        if t.policy().ins_overlapped(ins0) {
+            recheck_hole(t, k)
+        } else {
             None
-        };
-        phc_obs::probe!(count FindProbeSteps, steps);
-        result
-    }
-
-    /// Wide find where the scan hit is only a *hint*: the stop lane is
-    /// confirmed through a per-cell atomic load (`fc_spec_check!`), and
-    /// a confirmation that reads a now-higher-priority cell resumes
-    /// scanning past it. This is the fc twist on the quiescent-phase
-    /// wide find, which uses the scanned window value directly.
-    ///
-    /// Per-op tier dispatch binding a concrete kernel, as in `det.rs`;
-    /// the batch path binds once per batch instead.
-    fn find_once_wide(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.find_once_avx2(probe, key_mask) },
-                _ => self.find_once_sse2(probe, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.find_once_wide_with(probe, key_mask, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
         }
     }
 
-    /// AVX2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_once_avx2(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        self.find_once_wide_with(probe, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_once_sse2(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        self.find_once_wide_with(probe, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide find body, generic over the bound scan kernel.
-    #[inline(always)]
-    fn find_once_wide_with(
-        &self,
-        probe: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
-        let n = self.cells.len();
-        let home = self.slot(E::hash(probe));
-        let thr = probe & key_mask;
-        let mut seg = 0usize;
-        let (mut s, mut e) = (home, n);
-        loop {
-            let (hit, lanes) = scan(&self.cells, s, e, thr);
-            phc_obs::probe!(count SimdLanesScanned, lanes);
-            if let Some((j, _scanned)) = hit {
-                let c = self.cells[j].load(Ordering::Acquire);
-                fc_spec_check!(j, self.mask);
-                if c == E::FORWARD {
-                    // Defensive: the sentinel masks to the key mask, so
-                    // a max-key probe would otherwise "match" it.
-                    phc_obs::probe!(count ForwardedProbes);
-                    return None;
-                }
-                if E::same_key(c, probe) {
-                    return Some(c);
-                }
-                if c & key_mask > thr {
-                    // The stop lane rose after the scan sampled it
-                    // (in-flight displacement): resume past it.
-                    if j + 1 < e {
-                        s = j + 1;
-                        continue;
-                    }
-                } else {
-                    // Confirmed empty-or-lower: proof of absence.
-                    return None;
-                }
-            }
-            seg += 1;
-            if seg > 1 || home == 0 {
-                return None;
-            }
-            (s, e) = (0, home);
-        }
-    }
-
-    /// Batched prefetching lookup, results in key order. Batch-level
-    /// tier dispatch, as in `DetHashTable::find_batch`: the scan kernel
-    /// is bound once and inlines into the whole prefetching loop.
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if let Some(key_mask) = E::SIMD_KEY_MASK {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.find_batch_avx2(keys, key_mask, &mut out) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.find_batch_sse2(keys, key_mask, &mut out);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(self.find_repr(keys[i].to_repr()).map(E::from_repr));
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-        out
-    }
-
-    /// AVX2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_batch_avx2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        if !self.find_batch_speculate(keys, out, |keys, out| unsafe {
-            self.find_spec_loop_avx2(keys, key_mask, out)
-        }) {
-            self.find_batch_careful_with(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-                crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-            });
-        }
-    }
-
-    /// SSE2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_batch_sse2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        if !self.find_batch_speculate(keys, out, |keys, out| {
-            self.find_spec_loop_sse2(keys, key_mask, out)
-        }) {
-            self.find_batch_careful_with(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-                crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-            });
-        }
-    }
-
-    /// Speculative quiescent fast path: if no writer is registered when
-    /// the batch starts, the whole batch runs the det-style direct scan
-    /// (trusting the kernel's already-loaded stop-lane value, no
-    /// per-cell confirmation) and then validates that *both* state
-    /// words are unchanged. Any insert or delete that could have
-    /// overlapped the scans either was registered at the start (seen as
-    /// `active > 0`) or bumped an epoch afterwards (seen by the
-    /// re-load), so unchanged words prove the reads were effectively
-    /// quiescent — torn SIMD windows need a concurrent write. On
-    /// validation failure the speculative results are discarded and the
-    /// caller must redo the batch through the careful confirming
-    /// wrapper (`false` is also returned when a writer was already
-    /// registered and no speculation was attempted).
-    ///
-    /// The scan loop itself is behind `run_loop` — an `#[inline(never)]`
-    /// per-tier function — so the state snapshots living across it
-    /// cannot bloat the loop's register allocation.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_batch_speculate(
-        &self,
-        keys: &[E],
-        out: &mut Vec<Option<E>>,
-        run_loop: impl Fn(&[E], &mut Vec<Option<E>>),
-    ) -> bool {
-        let ins0 = self.ins_state.load(Ordering::SeqCst);
-        let del0 = self.del_state.load(Ordering::SeqCst);
-        if ins0 & ACTIVE_MASK != 0 || del0 & ACTIVE_MASK != 0 {
-            return false;
-        }
-        let start = out.len();
-        run_loop(keys, out);
-        // Order the cell scans before the validation loads: the
-        // re-loads below must observe any registration whose write
-        // could have raced the scans.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.ins_state.load(Ordering::SeqCst) == ins0
-            && self.del_state.load(Ordering::SeqCst) == del0
-        {
-            return true;
-        }
-        // A writer window opened mid-batch; the speculative reads
-        // may have seen torn or mid-repair windows.
-        out.truncate(start);
-        phc_obs::probe!(count FcHelps);
-        false
-    }
-
-    /// AVX2 instantiation of the speculative scan loop. `#[inline(never)]`
-    /// so it compiles standalone: nothing but the loop lives in the
-    /// function, giving the register allocator the same free hand it
-    /// has in `DetHashTable`'s batch body.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[inline(never)]
-    unsafe fn find_spec_loop_avx2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        self.find_spec_loop_body(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the speculative scan loop.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(never)]
-    fn find_spec_loop_sse2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        self.find_spec_loop_body(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// The prefetching speculative scan loop: only sound between the
-    /// snapshot and validation loads of
-    /// [`find_batch_speculate`](Self::find_batch_speculate).
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_spec_loop_body(
-        &self,
-        keys: &[E],
-        key_mask: u64,
-        out: &mut Vec<Option<E>>,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        // Hoist the cell slice and mask into locals: with `self` live
-        // across the loop LLVM re-loads both fields every iteration
-        // (it will not CSE plain loads across the kernel's atomic
-        // loads), which is exactly the per-key overhead the standalone
-        // loop exists to avoid.
-        let cells: &[AtomOf<E::Repr>] = &self.cells;
-        let mask = self.mask;
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(cells, (E::hash(k.to_repr()) as usize) & mask);
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(cells, (E::hash(next.to_repr()) as usize) & mask);
-            }
-            out.push(
-                Self::find_quiescent_in(cells, mask, keys[i].to_repr(), key_mask, scan)
-                    .map(E::from_repr),
-            );
-        }
-    }
-
-    /// The careful (per-cell confirming, bounded-retry) batch lookup
-    /// loop — the fallback when a writer is registered or opened a
-    /// window mid-batch. `#[cold]`/`#[inline(never)]` keeps this second
-    /// loop out of the speculative fast path's function body, whose
-    /// register allocation and layout it would otherwise double.
-    #[cfg(target_arch = "x86_64")]
-    #[cold]
-    #[inline(never)]
-    fn find_batch_careful_with(
-        &self,
-        keys: &[E],
-        key_mask: u64,
-        out: &mut Vec<Option<E>>,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(
-                self.find_repr_retry_with(keys[i].to_repr(), key_mask, scan)
-                    .map(E::from_repr),
-            );
-        }
-    }
-
-    /// Quiescent-certified wide find: the det-style direct scan that
-    /// trusts the kernel's stop-lane value. Only sound inside the
-    /// validated window of
-    /// [`find_batch_speculate`](Self::find_batch_speculate).
-    /// Takes the cell slice and mask as plain arguments (not `&self`)
-    /// so the caller's loop can keep both in registers.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_quiescent_in(
-        cells: &[AtomOf<E::Repr>],
-        mask: usize,
-        probe: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
-        let n = cells.len();
-        let home = (E::hash(probe) as usize) & mask;
-        let thr = probe & key_mask;
-        let (hit, lanes) = scan(cells, home, n, thr);
-        let (hit, lanes) = match hit {
-            Some(_) => (hit, lanes),
-            None => {
-                let (wrapped, more) = scan(cells, 0, home, thr);
-                (wrapped, lanes + more)
-            }
-        };
-        phc_obs::probe!(count SimdLanesScanned, lanes);
-        match hit {
-            Some((_, c)) if E::same_key(c, probe) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// The bounded-retry wrapper of [`find_repr`](Self::find_repr),
-    /// generic over the bound scan kernel (batch paths only).
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_repr_retry_with(
-        &self,
-        probe: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
-        debug_assert_ne!(probe, E::EMPTY);
-        let mut retries = 0usize;
-        loop {
-            let ins0 = self.ins_state.load(Ordering::SeqCst);
-            let del0 = self.del_state.load(Ordering::SeqCst);
-            let r = self.find_once_wide_with(probe, key_mask, scan);
-            if r.is_some() {
-                return r;
-            }
-            let racy = self.ins_overlapped(ins0) || self.del_overlapped(del0);
-            if !racy || retries >= FIND_RETRIES {
-                return None;
-            }
-            retries += 1;
-            phc_obs::probe!(count FcHelps);
-        }
-    }
-
-    /// Parallel batched lookup, results in key order.
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Delete
-    // ------------------------------------------------------------------
-
-    /// Deletes the entry whose key equals `key`'s key part; no-op if
-    /// absent. Callable concurrently with any other operation.
-    pub fn delete(&self, key: E) {
-        self.delete_counted(key);
-    }
-
-    /// Like [`delete`](Self::delete), returning `true` iff the call
-    /// performed the final `⊥` store that shrank the table (the global
-    /// removed-element credit, mirroring `DetHashTable`).
-    pub fn delete_counted(&self, key: E) -> bool {
-        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let ins0 = self.ins_state.load(Ordering::SeqCst);
-        let r = self.delete_repr(key.to_repr(), ins0);
-        self.del_state.fetch_sub(1, Ordering::SeqCst);
-        r
-    }
-
-    /// Core delete; caller must be registered on `del_state`.
-    ///
-    /// A *miss* is only final once a full walk ran with no insert
-    /// overlap: a concurrent inserter's displacement chain holds its
-    /// displaced victim in private hands between the displacing CAS
+    /// A delete's *miss* is only final once a full walk ran with no
+    /// insert overlap: a concurrent inserter's displacement chain holds
+    /// its displaced victim in private hands between the displacing CAS
     /// and the re-placement CAS, so a scan can race past a key that is
     /// very much still a member (the lost-delete race — the inserter's
     /// own placement validation cannot see it either, because the
@@ -1131,299 +189,252 @@ impl<E: HashEntry> FcHashTable<E> {
     /// until a round observes zero active inserters and no epoch
     /// advance makes the miss sound. Waits only on in-flight inserts;
     /// inserts never wait on deletes, so there is no cycle.
-    fn delete_repr(&self, probe: u64, ins0: u64) -> bool {
-        debug_assert_ne!(probe, E::EMPTY);
-        let m = self.cells.len();
-        let i = m + self.slot(E::hash(probe));
-        let mut ins_before = ins0;
+    #[inline(always)]
+    fn rewalk_after_miss(&self, ins_before: &mut u64) -> bool {
+        let now = self.ins_state.load(Ordering::SeqCst);
+        if !Self::overlapped(now, *ins_before) {
+            return false;
+        }
+        *ins_before = now;
+        phc_obs::probe!(count FcHelps);
+        true
+    }
+
+    /// Bounded-retry lookup: quiescent misses return after two extra
+    /// shared loads; misses that raced an active writer retry up to
+    /// [`FIND_RETRIES`] times (counted as `FcHelps`).
+    #[inline(always)]
+    fn find_settled(&self, mut attempt: impl FnMut() -> Option<u64>) -> Option<u64> {
+        let mut retries = 0usize;
         loop {
-            let mut k = i;
-            // Walk forward past higher-priority cells to land at or
-            // past the last copy of the key (det.rs lines 27-29).
-            loop {
-                let c = self.load_at(k);
-                if c == E::EMPTY || E::cmp_priority(probe, c) != CmpOrdering::Less {
-                    break;
-                }
-                k += 1;
+            let ins0 = self.ins_state.load(Ordering::SeqCst);
+            let del0 = self.del_state.load(Ordering::SeqCst);
+            let r = attempt();
+            if r.is_some() {
+                return r;
             }
-            if self.delete_from::<true>(k, i, probe, ins_before) {
-                return true;
+            let racy = self.ins_overlapped(ins0) || self.del_overlapped(del0);
+            if !racy || retries >= FIND_RETRIES {
+                return None;
             }
-            let now = self.ins_state.load(Ordering::SeqCst);
-            if !Self::overlapped(now, ins_before) {
-                return false;
-            }
-            ins_before = now;
+            retries += 1;
             phc_obs::probe!(count FcHelps);
         }
     }
 
-    /// The paper's delete loop (det.rs lines 30-41) seeded at virtual
-    /// position `k` with virtual home `i`, shared by real deletes and
-    /// insert-side repair removals. With `ins0 = Some(snapshot)` each
-    /// write is revalidated when an insert overlaps:
+    /// Speculative quiescent fast path: if no writer is registered when
+    /// the batch starts, the whole batch runs the det-style direct scan
+    /// (trusting the kernel's already-loaded stop-lane value, no
+    /// per-cell confirmation, no retries) and then validates that
+    /// *both* state words are unchanged. Any insert or delete that
+    /// could have overlapped the scans either was registered at the
+    /// start (seen as `active > 0`) or bumped an epoch afterwards (seen
+    /// by the re-load), so unchanged words prove the reads were
+    /// effectively quiescent — torn SIMD windows need a concurrent
+    /// write. On validation failure the speculative results are
+    /// discarded and the batch is redone through the careful loop.
     ///
-    /// * after the final `⊥` store, `FINDREPLACEMENT` re-runs — an
-    ///   entry placed concurrently above the new hole may now legally
-    ///   back-shift into it, in which case the hole is refilled and the
-    ///   duplicate chased exactly like a normal replacement;
-    /// * after a copy-down write (which *lowers* the cell's priority),
-    ///   [`revalidate_lowered`](Self::revalidate_lowered) checks for an
-    ///   entry above that the lowered cell newly displaces.
-    ///
-    /// Repair removals pass `CHECKED = false`: their writes are
-    /// re-covered by the still-registered outer operation's own
-    /// validation. `CHECKED` is a const generic (not an `Option`) so
-    /// the real-delete instantiation's hot loop carries only the bare
-    /// load-and-compare of `ins_overlapped`, with both repair arms out
-    /// of line — the same shape that [`after_place`](Self::after_place)
-    /// needs on the insert side.
-    #[inline]
-    fn delete_from<const CHECKED: bool>(
-        &self,
-        mut k: usize,
-        mut i: usize,
-        mut v: u64,
-        ins0: u64,
-    ) -> bool {
-        let mut steps = 0usize;
-        let result = loop {
-            if k < i {
-                break false;
-            }
-            steps += 1;
-            let c = self.load_at(k);
-            if c == E::EMPTY || !E::same_key(c, v) {
-                k -= 1;
-                continue;
-            }
-            let (j, vprime) = self.find_replacement(k);
-            if self.cas_at(k, c, vprime) {
-                if vprime != E::EMPTY {
-                    if CHECKED && self.ins_overlapped(ins0) {
-                        self.revalidate_lowered(k);
-                    }
-                    // Chase the second copy of `vprime` now at `k`.
-                    v = vprime;
-                    k = j;
-                    i = self.lift_hash(vprime, j);
-                } else {
-                    if CHECKED && self.ins_overlapped(ins0) {
-                        if let Some((j2, v2)) = self.recheck_hole(k) {
-                            v = v2;
-                            k = j2;
-                            i = self.lift_hash(v2, j2);
-                            continue;
-                        }
-                    }
-                    break true;
-                }
-            } else {
-                // Cell changed under us: the copy either moved down
-                // (concurrent delete) — step back and keep looking — or
-                // was displaced up by an insert, whose carrier now owns
-                // its placement (and validates it).
-                k -= 1;
-            }
-        };
-        phc_obs::probe!(count DeleteProbeSteps, steps);
-        result
-    }
-
-    /// After the final `⊥` store, when an insert overlapped the delete:
-    /// an entry placed concurrently above the new hole may now legally
-    /// back-shift into it. Re-run `FINDREPLACEMENT` and, if a candidate
-    /// appears and the hole is still `⊥`, refill it and hand the
-    /// duplicate back to the caller to chase. `#[cold]` for the same
-    /// register-pressure reason as [`revalidate_lowered`].
-    ///
-    /// [`revalidate_lowered`]: Self::revalidate_lowered
-    #[cold]
-    #[inline(never)]
-    fn recheck_hole(&self, k: usize) -> Option<(usize, u64)> {
-        phc_obs::probe!(count FcRepairScans);
-        let (j2, v2) = self.find_replacement(k);
-        if v2 != E::EMPTY && self.cas_at(k, E::EMPTY, v2) {
-            Some((j2, v2))
-        } else {
-            None
-        }
-    }
-
-    /// After a copy-down write lowered the priority at virtual index
-    /// `k`, scan up for an entry `y` that hashes at or before `k` and
-    /// outranks the new occupant: such a `y` was legally placed while
-    /// `k` still held the higher-priority victim and now violates the
-    /// invariant. Repair by pulling `y` out and re-inserting it.
-    /// `#[cold]`: reachable from the hot copy-down loop but taken only
-    /// when an insert overlapped; keeping the repair call graph (which
-    /// reaches back into `try_insert_net`) out of line keeps the loop's
-    /// registers clean — see [`after_place`](Self::after_place).
-    #[cold]
-    #[inline(never)]
-    fn revalidate_lowered(&self, k: usize) {
-        phc_obs::probe!(count FcRepairScans);
-        for q in (k + 1)..(k + 1 + self.cells.len()) {
-            let y = self.load_at(q);
-            if y == E::EMPTY {
-                return;
-            }
-            let ck = self.load_at(k);
-            if ck == E::EMPTY {
-                // `k` was re-deleted; that delete revalidates it.
-                return;
-            }
-            if self.lift_hash(y, q) <= k && E::cmp_priority(y, ck) == CmpOrdering::Greater {
-                if self.delete_from::<false>(q, self.lift_hash(y, q), y, 0) {
-                    let del0 = self.del_state.load(Ordering::SeqCst);
-                    if self.try_insert_net(y, del0).is_err() {
-                        panic!("FcHashTable: table full during repair");
-                    }
-                }
-                return;
-            }
-        }
-    }
-
-    /// Figure 1 `FINDREPLACEMENT(i)` — identical to det.rs: wide-window
-    /// loads with a per-lane predicate, then the mandatory downward
-    /// re-scan for the lowest legal candidate.
-    fn find_replacement(&self, i: usize) -> (usize, u64) {
-        let n = self.cells.len();
-        let mut buf = [0u64; crate::simd::MAX_WINDOW];
-        let mut next = i + 1;
-        let (mut j, mut v) = 'up: loop {
-            let real = next & self.mask;
-            let k = crate::simd::load_window(
-                &self.cells,
-                real,
-                n.min(real + crate::simd::MAX_WINDOW),
-                &mut buf,
+    /// The state snapshots live here, across the call into the bound
+    /// frame, so they cannot bloat the scan loop's register allocation.
+    fn find_batch_into(table: &ProbeTable<E, Self>, keys: &[E], out: &mut Vec<Option<E>>) {
+        let p = &table.policy;
+        let ins0 = p.ins_state.load(Ordering::SeqCst);
+        let del0 = p.del_state.load(Ordering::SeqCst);
+        if ins0 & ACTIVE_MASK == 0 && del0 & ACTIVE_MASK == 0 {
+            let start = out.len();
+            crate::simd::bind(
+                table,
+                FindBatch::<E, false> {
+                    keys,
+                    out: &mut *out,
+                },
             );
-            phc_obs::probe!(count SimdLanesScanned, k);
-            for (lane, &val) in buf[..k].iter().enumerate() {
-                let jj = next + lane;
-                if val == E::EMPTY || self.lift_hash(val, jj) <= i {
-                    break 'up (jj, val);
-                }
+            // Order the cell scans before the validation loads: the
+            // re-loads below must observe any registration whose write
+            // could have raced the scans.
+            std::sync::atomic::fence(Ordering::SeqCst);
+            if p.ins_state.load(Ordering::SeqCst) == ins0
+                && p.del_state.load(Ordering::SeqCst) == del0
+            {
+                return;
             }
-            next += k;
-        };
-        let mut k = j - 1;
-        while k > i {
-            let vp = self.load_at(k);
-            if vp == E::EMPTY || self.lift_hash(vp, k) <= i {
-                v = vp;
-                j = k;
-            }
-            k -= 1;
+            // A writer window opened mid-batch; the speculative reads
+            // may have seen torn or mid-repair windows.
+            out.truncate(start);
+            phc_obs::probe!(count FcHelps);
         }
-        (j, v)
+        find_batch_careful(table, keys, out);
     }
 
-    /// Deletes a batch of keys with software prefetching, under a
-    /// single overlap-registration bracket.
-    pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        if n == 0 {
+    /// Debug-build witness that a speculative wide-scan hit was looked
+    /// at through a per-cell atomic value before use (the fc analogue
+    /// of `nd.rs`'s `NdPhaseChecks`): asserts the confirmed index is a
+    /// real cell and counts the confirmation.
+    #[inline(always)]
+    fn spec_check(at: usize, mask: usize) {
+        debug_assert!(at <= mask, "fc: confirm index out of range");
+        #[cfg(debug_assertions)]
+        phc_obs::probe!(count FcSpecChecks);
+    }
+
+    #[inline(always)]
+    fn record_insert(t: &InsertTally, wide: bool) {
+        phc_obs::probe!(count ProbeSteps, t.steps);
+        phc_obs::probe!(count FcDisplacements, t.swaps);
+        phc_obs::probe!(hist FcDisplacementChain, t.swaps);
+        if wide {
+            phc_obs::probe!(count SimdLanesScanned, t.lanes);
+        }
+    }
+
+    #[inline(always)]
+    fn record_find_wide(lanes: usize, _steps: usize) {
+        phc_obs::probe!(count SimdLanesScanned, lanes);
+    }
+}
+
+impl<E: HashEntry> Growable<E> for FcPolicy {
+    const GROW_NAME: &'static str = "linearHash-FC-grow";
+
+    fn quiesce_writers(&self) {
+        let mut spins = 0u32;
+        while self.ins_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
+            || self.del_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
+        {
+            spins += 1;
+            if spins < 64 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// The careful (per-cell confirming, bounded-retry) batch lookup — the
+/// fallback when a writer is registered or opened a window mid-batch.
+/// `#[cold]`/`#[inline(never)]` keeps it out of the speculative fast
+/// path's caller.
+#[cold]
+#[inline(never)]
+fn find_batch_careful<E: HashEntry>(
+    table: &ProbeTable<E, FcPolicy>,
+    keys: &[E],
+    out: &mut Vec<Option<E>>,
+) {
+    crate::simd::bind(table, FindBatch::<E, true> { keys, out });
+}
+
+/// Re-scans `[home(x), j)` through per-cell atomic loads. A cell that
+/// is empty, lower-priority than `x`, or a duplicate of `x` means the
+/// placement at `j` violates the ordering invariant: pull the copy at
+/// `j` back out and re-insert `x` from scratch (the re-insert
+/// re-validates itself). If the copy is no longer at `j` a concurrent
+/// displacer or deleter took responsibility for it. Returns the net
+/// fill-count delta of the repair.
+#[cold]
+#[inline(never)]
+fn validate_placement<E: HashEntry>(t: Probe<'_, E, FcPolicy>, x: u64, j: usize) -> i64 {
+    phc_obs::probe!(count FcRepairScans);
+    let home = t.home(x);
+    let mut i = home;
+    while i != j {
+        let c = t.cells[i].load(Ordering::Acquire);
+        if c == E::EMPTY || E::same_key(c, x) || E::cmp_priority(c, x) == CmpOrdering::Less {
+            let kv = t.cells.len() + j;
+            if t.delete_from::<false>(kv, kv - t.dist(home, j), x, 0) {
+                let del0 = t.policy().del_state.load(Ordering::SeqCst);
+                return match t.insert_stored(x, del0) {
+                    Ok(n) => n - 1,
+                    Err(_) => panic!("FcHashTable: table full during repair"),
+                };
+            }
+            return 0;
+        }
+        i = (i + 1) & t.mask;
+    }
+    0
+}
+
+/// After the final `⊥` store, when an insert overlapped the delete: an
+/// entry placed concurrently above the new hole may now legally
+/// back-shift into it. Re-run `FINDREPLACEMENT` and, if a candidate
+/// appears and the hole is still `⊥`, refill it and hand the duplicate
+/// back to the delete loop to chase exactly like a normal replacement.
+#[cold]
+#[inline(never)]
+fn recheck_hole<E: HashEntry>(t: Probe<'_, E, FcPolicy>, k: usize) -> Option<(usize, u64)> {
+    phc_obs::probe!(count FcRepairScans);
+    let (j2, v2) = t.find_replacement(k);
+    if v2 != E::EMPTY && t.cas_at(k, E::EMPTY, v2) {
+        Some((j2, v2))
+    } else {
+        None
+    }
+}
+
+/// After a copy-down write lowered the priority at virtual index `k`,
+/// scan up for an entry `y` that hashes at or before `k` and outranks
+/// the new occupant: such a `y` was legally placed while `k` still held
+/// the higher-priority victim and now violates the invariant. Repair by
+/// pulling `y` out and re-inserting it.
+#[cold]
+#[inline(never)]
+fn revalidate_lowered<E: HashEntry>(t: Probe<'_, E, FcPolicy>, k: usize) {
+    phc_obs::probe!(count FcRepairScans);
+    for q in (k + 1)..(k + 1 + t.cells.len()) {
+        let y = t.load_at(q);
+        if y == E::EMPTY {
             return;
         }
-        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let ins0 = self.ins_state.load(Ordering::SeqCst);
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
+        let ck = t.load_at(k);
+        if ck == E::EMPTY {
+            // `k` was re-deleted; that delete revalidates it.
+            return;
         }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
+        if t.lift_home(y, q) <= k && E::cmp_priority(y, ck) == CmpOrdering::Greater {
+            if t.delete_from::<false>(q, t.lift_home(y, q), y, 0) {
+                let del0 = t.policy().del_state.load(Ordering::SeqCst);
+                if t.insert_stored(y, del0).is_err() {
+                    panic!("FcHashTable: table full during repair");
+                }
             }
-            self.delete_repr(keys[i].to_repr(), ins0);
-        }
-        self.del_state.fetch_sub(1, Ordering::SeqCst);
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
-    /// Parallel batched delete: grain-sized chunks through
-    /// [`delete_batch`](Self::delete_batch).
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
-    }
-
-    // ------------------------------------------------------------------
-    // Bulk reads
-    // ------------------------------------------------------------------
-
-    /// Packs the non-empty cells into a vector in cell order via the
-    /// parallel mask-based prefix sum. Deterministic at quiescence.
-    pub fn elements(&self) -> Vec<E> {
-        let packed = phc_parutil::pack_with_mask(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-        );
-        phc_obs::probe!(hist PackSize, packed.len());
-        packed
-    }
-
-    /// Like [`elements`](Self::elements), packing into a caller-owned
-    /// buffer (appends; prior contents are preserved) so steady-state
-    /// readers reuse one allocation across calls. Deterministic at
-    /// quiescence.
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        let base = out.len();
-        phc_parutil::pack_with_mask_into(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-            out,
-        );
-        phc_obs::probe!(hist PackSize, out.len() - base);
-    }
-
-    /// Applies `f` to every entry in the cell range, sequentially in
-    /// cell order — the migration primitive of
-    /// [`crate::resize::ResizableTable`]. The caller must guarantee the
-    /// range is quiescent.
-    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, mut f: impl FnMut(E)) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        let mut base = start;
-        for win in self.cells[start..end].chunks(64) {
-            let mut bits = crate::simd::scan_nonempty_mask(win, E::EMPTY);
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(E::from_repr(self.cells[base + j].load(Ordering::Acquire)));
-            }
-            base += win.len();
+            return;
         }
     }
+}
 
-    /// Claims every cell in `range` (clamped) for migration: swaps
-    /// each cell to the `FORWARD` sentinel and appends the displaced
-    /// non-empty reprs to `out` in cell order (the freeze-free
-    /// resizer's sweep primitive; see `DetHashTable` for the per-cell
-    /// atomicity argument). The resizer calls
-    /// [`quiesce_writers`](Self::quiesce_writers) first, so no fc
-    /// writer protocol (displacement carry, repair scan) is in flight
-    /// over the swept cells.
-    pub fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        for cell in &self.cells[start..end] {
-            let prev = cell.swap(E::FORWARD, Ordering::AcqRel);
-            debug_assert_ne!(prev, E::FORWARD, "migration block claimed twice");
-            if prev != E::EMPTY {
-                out.push(prev);
-            }
-        }
-    }
+/// The fully-concurrent deterministic linear-probing hash table.
+///
+/// See the [module docs](self) for the algorithm, and [`ProbeTable`]
+/// for the operations — every one of them callable concurrently with
+/// any other. Like [`DetHashTable`](crate::det::DetHashTable) the table
+/// does not resize; wrap it in [`crate::resize::ResizableTable`] (it
+/// implements [`crate::resize::FlatTableCore`]) for cooperative growth.
+/// Under insert/delete overlap a repair may cancel an insert's fill
+/// credit; `insert_counted` reports the *net* outcome of the call.
+///
+/// ```
+/// use phc_core::{FcHashTable, U64Key};
+/// let t: FcHashTable<U64Key> = FcHashTable::new_pow2(8);
+/// // No phases: interleave freely from any thread.
+/// t.insert(U64Key::new(7));
+/// t.delete(U64Key::new(7));
+/// t.insert(U64Key::new(9));
+/// assert_eq!(t.find(U64Key::new(9)), Some(U64Key::new(9)));
+/// assert_eq!(t.find(U64Key::new(7)), None);
+/// ```
+pub type FcHashTable<E> = ProbeTable<E, FcPolicy>;
 
+/// Insert handle of [`FcHashTable`] for the phase API
+/// ([`crate::phase`]).
+pub type FcInserter<'t, E> = Inserter<'t, E, FcPolicy>;
+/// Delete handle of [`FcHashTable`].
+pub type FcDeleter<'t, E> = Deleter<'t, E, FcPolicy>;
+/// Read handle of [`FcHashTable`].
+pub type FcReader<'t, E> = Reader<'t, E, FcPolicy>;
+
+impl<E: HashEntry> ProbeTable<E, FcPolicy> {
     /// Spins until no insert or delete is registered on this table.
     ///
     /// The fully-concurrent protocols are *multi-cell*: a displacement
@@ -1437,234 +448,7 @@ impl<E: HashEntry> FcHashTable<E> {
     /// open-window/successor-check handshake, not by this wait, so the
     /// wait is bounded by in-flight operations only.
     pub fn quiesce_writers(&self) {
-        let mut spins = 0u32;
-        while self.ins_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
-            || self.del_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
-        {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Applies `f` to every stored entry in parallel, unspecified
-    /// order.
-    pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
-        use rayon::prelude::*;
-        self.cells.par_iter().with_min_len(4096).for_each(|c| {
-            let v = c.load(Ordering::Acquire);
-            if v != E::EMPTY {
-                f(E::from_repr(v));
-            }
-        });
-    }
-
-    /// Number of occupied cells (exact at quiescence).
-    pub fn len(&self) -> usize {
-        crate::stats::occupied_len::<E>(&self.cells)
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes every entry (parallel; requires `&mut`, hence quiescent).
-    pub fn clear(&mut self) {
-        use rayon::prelude::*;
-        self.cells
-            .par_iter()
-            .with_min_len(4096)
-            .for_each(|c| c.store(E::EMPTY, Ordering::Relaxed));
-    }
-
-    /// Prefetches `v`'s home-slot cache line (see [`crate::batch`]).
-    #[inline]
-    pub(crate) fn prefetch_repr(&self, v: u64) {
-        crate::batch::prefetch_slot(&self.cells, self.slot(E::hash(v)));
-    }
-}
-
-/// Insert handle for the phase API ([`crate::phase`]). fc needs no
-/// phase discipline — the handle exists so the uniform contract tests
-/// and benchmarks drive fc through the same trait as every other
-/// table; the span only brackets the observability timeline.
-pub struct FcInserter<'t, E: HashEntry>(&'t FcHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Delete handle (see [`FcInserter`]).
-pub struct FcDeleter<'t, E: HashEntry>(&'t FcHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Read handle (see [`FcInserter`]).
-pub struct FcReader<'t, E: HashEntry>(&'t FcHashTable<E>, #[allow(dead_code)] PhaseSpan);
-
-impl<E: HashEntry> ConcurrentInsert<E> for FcInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> FcInserter<'_, E> {
-    /// Batched prefetching insert (see [`FcHashTable::insert_batch`]).
-    pub fn insert_batch(&self, entries: &[E]) {
-        self.0.insert_batch(entries);
-    }
-    /// Parallel batched insert (see
-    /// [`FcHashTable::par_insert_batched`]).
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        self.0.par_insert_batched(entries);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for FcDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> FcDeleter<'_, E> {
-    /// Batched prefetching delete (see [`FcHashTable::delete_batch`]).
-    pub fn delete_batch(&self, keys: &[E]) {
-        self.0.delete_batch(keys);
-    }
-    /// Parallel batched delete (see
-    /// [`FcHashTable::par_delete_batched`]).
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        self.0.par_delete_batched(keys);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for FcReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry> FcReader<'_, E> {
-    /// Packs the table contents.
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
-    /// Batched prefetching lookup (see [`FcHashTable::find_batch`]).
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.find_batch(keys)
-    }
-    /// Parallel batched lookup (see [`FcHashTable::par_find_batched`]).
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.par_find_batched(keys)
-    }
-}
-
-impl<E: HashEntry> PhaseHashTable<E> for FcHashTable<E> {
-    type Inserter<'t>
-        = FcInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = FcDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = FcReader<'t, E>
-    where
-        E: 't;
-
-    const NAME: &'static str = "linearHash-FC";
-
-    fn new_pow2(log2_size: u32) -> Self {
-        FcHashTable::new_pow2(log2_size)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn begin_insert(&mut self) -> FcInserter<'_, E> {
-        FcInserter(self, PhaseSpan::begin(PhaseKind::Insert))
-    }
-
-    fn begin_delete(&mut self) -> FcDeleter<'_, E> {
-        FcDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
-    }
-
-    fn begin_read(&mut self) -> FcReader<'_, E> {
-        FcReader(self, PhaseSpan::begin(PhaseKind::Read))
-    }
-
-    fn elements(&mut self) -> Vec<E> {
-        FcHashTable::elements(self)
-    }
-}
-
-impl<E: HashEntry> crate::resize::FlatTableCore<E> for FcHashTable<E> {
-    const GROW_NAME: &'static str = "linearHash-FC-grow";
-
-    fn new_pow2(log2_size: u32) -> Self {
-        FcHashTable::new_pow2(log2_size)
-    }
-    fn capacity(&self) -> usize {
-        FcHashTable::capacity(self)
-    }
-    fn insert_counted(&self, e: E) -> bool {
-        FcHashTable::insert_counted(self, e)
-    }
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        FcHashTable::try_insert_repr(self, v)
-    }
-    fn delete_counted(&self, key: E) -> bool {
-        FcHashTable::delete_counted(self, key)
-    }
-    // The windowed hooks let the growable wrapper's batch loops pay the
-    // `SeqCst` overlap registration once per window instead of once per
-    // op; the token carries the opposite-kind state snapshot the ops
-    // inside the window validate against.
-    fn open_insert_window(&self) -> u64 {
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        self.del_state.load(Ordering::SeqCst)
-    }
-    fn close_insert_window(&self, _token: u64) {
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-    }
-    fn try_insert_repr_in(&self, v: u64, del0: u64) -> Result<bool, u64> {
-        self.try_insert_net(v, del0).map(|net| net > 0)
-    }
-    fn open_delete_window(&self) -> u64 {
-        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        self.ins_state.load(Ordering::SeqCst)
-    }
-    fn close_delete_window(&self, _token: u64) {
-        self.del_state.fetch_sub(1, Ordering::SeqCst);
-    }
-    fn delete_counted_in(&self, key: E, ins0: u64) -> bool {
-        self.delete_repr(key.to_repr(), ins0)
-    }
-    fn find(&self, key: E) -> Option<E> {
-        FcHashTable::find(self, key)
-    }
-    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        FcHashTable::find_batch(self, keys)
-    }
-    fn prefetch_repr(&self, v: u64) {
-        FcHashTable::prefetch_repr(self, v)
-    }
-    fn elements(&self) -> Vec<E> {
-        FcHashTable::elements(self)
-    }
-    fn elements_into(&self, out: &mut Vec<E>) {
-        FcHashTable::elements_into(self, out)
-    }
-    fn snapshot(&self) -> Vec<u64> {
-        FcHashTable::snapshot(self)
-    }
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        FcHashTable::raw_cells(self)
-    }
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
-        FcHashTable::for_each_in_range(self, range, f)
-    }
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        FcHashTable::claim_range_forward(self, range, out)
-    }
-    fn quiesce_writers(&self) {
-        FcHashTable::quiesce_writers(self)
+        <FcPolicy as Growable<E>>::quiesce_writers(&self.policy)
     }
 }
 
@@ -1672,7 +456,7 @@ impl<E: HashEntry> crate::resize::FlatTableCore<E> for FcHashTable<E> {
 mod tests {
     use super::*;
     use crate::det::DetHashTable;
-    use crate::entry::{KeepMin, KvPair, U64Key};
+    use crate::entry::U64Key;
     use std::collections::BTreeSet;
 
     fn det_snapshot_of(keys: &[u64], log2: u32) -> Vec<u64> {
@@ -1681,32 +465,6 @@ mod tests {
             d.insert(U64Key::new(k));
         }
         d.snapshot()
-    }
-
-    #[test]
-    fn insert_find_delete_roundtrip() {
-        let t: FcHashTable<U64Key> = FcHashTable::new_pow2(8);
-        for k in 1..=50u64 {
-            t.insert(U64Key::new(k));
-        }
-        for k in (2..=50u64).step_by(2) {
-            t.delete(U64Key::new(k));
-        }
-        for k in 1..=50u64 {
-            let expect = (k % 2 == 1).then(|| U64Key::new(k));
-            assert_eq!(t.find(U64Key::new(k)), expect, "key {k}");
-        }
-        assert_eq!(t.len(), 25);
-    }
-
-    #[test]
-    fn duplicate_insert_is_idempotent() {
-        let t: FcHashTable<U64Key> = FcHashTable::new_pow2(6);
-        for _ in 0..10 {
-            t.insert(U64Key::new(42));
-        }
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.elements(), vec![U64Key::new(42)]);
     }
 
     #[test]
@@ -1729,16 +487,6 @@ mod tests {
         let set: BTreeSet<u64> = survivors.iter().copied().collect();
         let set: Vec<u64> = set.into_iter().collect();
         assert_eq!(t.snapshot(), det_snapshot_of(&set, 10));
-    }
-
-    #[test]
-    fn kv_combine_min() {
-        let t: FcHashTable<KvPair<KeepMin>> = FcHashTable::new_pow2(6);
-        t.insert(KvPair::new(9, 50));
-        t.insert(KvPair::new(9, 20));
-        t.insert(KvPair::new(9, 90));
-        let got = t.find(KvPair::new(9, 0)).unwrap();
-        assert_eq!(got.value, 20);
     }
 
     #[test]
@@ -1819,53 +567,6 @@ mod tests {
         let snap = t.snapshot();
         crate::invariant::check_ordering_invariant::<U64Key>(&snap).unwrap();
         assert_eq!(snap, det_snapshot_of(&ins, 12));
-    }
-
-    #[test]
-    fn phase_api_contract() {
-        use crate::phase::PhaseHashTable as _;
-        let mut t: FcHashTable<U64Key> = FcHashTable::new_pow2(8);
-        {
-            let ins = t.begin_insert();
-            ins.insert_batch(&(1..=60u64).map(U64Key::new).collect::<Vec<_>>());
-        }
-        {
-            let del = t.begin_delete();
-            del.delete_batch(&(1..=30u64).map(U64Key::new).collect::<Vec<_>>());
-        }
-        let reader = t.begin_read();
-        assert_eq!(reader.find(U64Key::new(31)), Some(U64Key::new(31)));
-        assert_eq!(reader.find(U64Key::new(1)), None);
-        let found = reader.find_batch(&(1..=60u64).map(U64Key::new).collect::<Vec<_>>());
-        assert_eq!(found.iter().filter(|f| f.is_some()).count(), 30);
-    }
-
-    #[test]
-    fn batched_paths_match_per_op() {
-        let keys: Vec<U64Key> = (1..=500u64).map(U64Key::new).collect();
-        let a: FcHashTable<U64Key> = FcHashTable::new_pow2(10);
-        let b: FcHashTable<U64Key> = FcHashTable::new_pow2(10);
-        a.insert_batch(&keys);
-        for &k in &keys {
-            b.insert(k);
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
-        let dels: Vec<U64Key> = keys.iter().copied().step_by(3).collect();
-        a.delete_batch(&dels);
-        for &k in &dels {
-            b.delete(k);
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
-        assert_eq!(a.find_batch(&keys), b.find_batch(&keys));
-    }
-
-    #[test]
-    #[should_panic(expected = "full")]
-    fn insert_into_full_table_panics() {
-        let t: FcHashTable<U64Key> = FcHashTable::new_pow2(2);
-        for k in 1..=5u64 {
-            t.insert(U64Key::new(k));
-        }
     }
 
     #[test]

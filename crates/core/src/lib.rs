@@ -38,6 +38,7 @@ pub mod invariant;
 pub mod nd;
 pub mod phase;
 pub mod priority_write;
+pub mod probe;
 pub mod resize;
 pub mod robinhood;
 pub mod rooms;
@@ -61,7 +62,7 @@ pub use phase::{
 pub use priority_write::{
     write_max, write_max_u32, write_max_usize, write_min, write_min_u32, write_min_usize,
 };
-pub use resize::{FlatTableCore, ResizableTable, StwResizableTable};
+pub use resize::{FlatTableCore, ResizableTable};
 pub use robinhood::RobinHoodHashTable;
 pub use rooms::{AutoPhaseGrowTable, AutoPhaseTable, FcAutoGrowTable, FcAutoTable, Room, RoomSync};
 pub use serial::{SerialHashHD, SerialHashHI};

@@ -11,21 +11,28 @@
 //! `fetch_add` (the paper's `xadd` optimization for edge contraction);
 //! see [`NdHashTable::insert_add_value`].
 //!
-//! The ND table sits outside the resize layer: it never grows, does
-//! not implement the resizer's `FlatTableCore` claim hooks, and so
-//! never stores the all-ones `FORWARD` sentinel — its probe paths need
-//! (and have) no forwarding guards. Key constructors reject the
-//! sentinel value regardless, so an ND cell can never alias it by
-//! accident.
+//! This is the paper's baseline, the table the deterministic one is
+//! measured against, so its first-fit insert and find loops stay its
+//! own (a different stop condition — an empty cell or the key, no
+//! priority order — and a different scan kernel). Storage, the batch
+//! loops, the phase handles, the quiescent operations and the delete
+//! chase (`delete_from` / `find_replacement`, the same copy-chasing
+//! structure with hash-bucket homes) come from the shared engine
+//! ([`crate::probe`]).
+//!
+//! The ND table sits outside the resize layer: its policy is not
+//! `Growable`, so it does not implement the resizer's `FlatTableCore`,
+//! is never swept, and never stores the all-ones `FORWARD` sentinel —
+//! its own probe loops need (and have) no forwarding guards. Key
+//! constructors reject the sentinel value regardless, so an ND cell can
+//! never alias it by accident.
 
-use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 
-use crate::cell::{AtomOf, CellAtomic};
+use crate::cell::CellAtomic;
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::probe::{Deleter, Inserter, Probe, ProbePolicy, ProbeTable, Reader};
+use crate::simd::Kernel;
 
 /// Debug-build phase-discipline check shared by every ND operation:
 /// asserts the probe is a real entry (matching the deterministic
@@ -39,11 +46,311 @@ macro_rules! nd_phase_check {
     };
 }
 
+/// The first-fit table's probe policy: the engine's default layout
+/// (identity encoding, `E::hash & mask` homes) under its own insert,
+/// find and delete-walk bodies.
+pub struct NdPolicy;
+
+impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
+    const NAME: &'static str = "linearHash-ND";
+
+    fn new(_log2_size: u32) -> Self {
+        NdPolicy
+    }
+
+    #[inline(always)]
+    fn insert_with<K: Kernel>(
+        t: Probe<'_, E, Self>,
+        k: K,
+        v: u64,
+        _token: u64,
+    ) -> Result<i64, u64> {
+        nd_phase_check!(v);
+        if K::WIDE {
+            if let Some(key_mask) = E::SIMD_KEY_MASK {
+                return insert_wide(t, k, key_mask, v);
+            }
+            phc_obs::probe!(count SimdFallbacks);
+        }
+        insert_scalar(t, v)
+    }
+
+    #[inline(always)]
+    fn find_with<K: Kernel>(
+        t: Probe<'_, E, Self>,
+        k: K,
+        probe: u64,
+        _careful: bool,
+    ) -> Option<u64> {
+        nd_phase_check!(probe);
+        if K::WIDE {
+            if let Some(key_mask) = E::SIMD_KEY_MASK {
+                return find_wide(t, k, key_mask, probe);
+            }
+            phc_obs::probe!(count SimdFallbacks);
+        }
+        find_scalar(t, probe)
+    }
+
+    /// Shift-back delete (no tombstones). Concurrent-safe within a
+    /// delete-only phase: the hole is filled by CAS and the duplicated
+    /// element is then deleted recursively — the deterministic table's
+    /// copy-chasing loop, whose copy-counting proof carries over.
+    #[inline]
+    fn delete_in(t: Probe<'_, E, Self>, probe: u64, _token: u64) -> bool {
+        nd_phase_check!(probe);
+        let m = t.cells.len();
+        // Walk to the end of the cluster (first empty cell) so the
+        // downward scan starts at-or-past the rightmost copy of the
+        // key. The walk is one wide empty-scan: in a delete phase cells
+        // never go back from empty to occupied, so a racy "occupied"
+        // lane is as valid here as the scalar loop's one-shot racy
+        // read, and the downward loop revalidates every cell it acts on
+        // anyway.
+        let home = t.home(probe);
+        let i = m + home;
+        let (hit, _) = crate::simd::scan_for_empty(t.cells, home, m, E::EMPTY);
+        let hit = match hit {
+            Some(_) => hit,
+            None => crate::simd::scan_for_empty(t.cells, 0, home, E::EMPTY).0,
+        };
+        let k = match hit {
+            Some((j, _)) => i + t.dist(home, j),
+            None => i + m, // no empty cell: scan the whole wrap
+        };
+        t.delete_from::<false>(k.saturating_sub(1).max(i), i, probe, 0)
+    }
+
+    /// First entry after hole `i` (virtual) that may move back to it,
+    /// or ⊥ if the cluster ends first. The baseline's own per-cell
+    /// loop: at the loads the tables run at the candidate is almost
+    /// always in the next cell or two, where the engine's wide-window
+    /// version costs this table a third of its delete throughput (87 →
+    /// 118 TSC ticks per delete at load 1/2, EXPERIMENTS.md PR 12).
+    #[inline(always)]
+    fn find_replacement(t: Probe<'_, E, Self>, i: usize) -> (usize, u64) {
+        let mut j = i;
+        loop {
+            j += 1;
+            let x = t.load_at(j);
+            if x == E::EMPTY || t.lift_home(x, j) <= i {
+                return (j, x);
+            }
+        }
+    }
+}
+
+/// First-fit insert: the first empty cell of the probe sequence, or the
+/// cell already holding the key (merged via [`HashEntry::combine`]).
+/// `Err(v)` if the table is full.
+fn insert_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<i64, u64> {
+    let mut i = t.home(v);
+    let mut steps = 0usize;
+    let mut cas_fails = 0usize;
+    let result = loop {
+        let c = t.cells[i].load(Ordering::Acquire);
+        if c == E::EMPTY {
+            if t.cells[i]
+                .compare_exchange(E::EMPTY, v, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                break Ok(1);
+            }
+            cas_fails += 1;
+            continue; // lost the race; re-read this cell
+        }
+        if E::same_key(c, v) {
+            let merged = E::combine(c, v);
+            if merged == c
+                || t.cells[i]
+                    .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                break Ok(0);
+            }
+            cas_fails += 1;
+            continue;
+        }
+        i = (i + 1) & t.mask;
+        steps += 1;
+        if steps > t.cells.len() {
+            break Err(v);
+        }
+    };
+    phc_obs::probe!(count ProbeSteps, steps);
+    phc_obs::probe!(count InsertCasFail, cas_fails);
+    phc_obs::probe!(hist ProbeLen, steps);
+    phc_obs::probe!(hist CasRetries, cas_fails);
+    result
+}
+
+/// Wide-scan first-fit insert: the `scan_for_key` kernel skips occupied
+/// cells holding other keys in one compare per lane, then the candidate
+/// (an empty cell or this key) is confirmed by CAS against the value
+/// the scan already loaded. Skipping is sound because in an ND insert
+/// phase a cell never returns to empty and its key never changes once
+/// set; a candidate that was grabbed by a concurrent insert between
+/// scan and confirm fails its CAS (yielding the true current value) and
+/// is a counted misspeculation that re-scans from the next cell — as
+/// the scalar loop would.
+#[inline(always)]
+fn insert_wide<E: HashEntry, K: Kernel>(
+    t: Probe<'_, E, NdPolicy>,
+    k: K,
+    key_mask: u64,
+    v: u64,
+) -> Result<i64, u64> {
+    let n = t.cells.len();
+    let vm = v & key_mask;
+    let mut i = t.home(v);
+    let mut steps = 0usize;
+    let mut cas_fails = 0usize;
+    let mut lanes_total = 0usize;
+    let mut misspecs = 0usize;
+    let result = 'done: loop {
+        // Fast path: at moderate loads the cell under the cursor is
+        // usually empty or holds the key already — peek it scalar
+        // before paying for the wide-scan setup.
+        let peek = t.cells[i].load(Ordering::Acquire);
+        let (j, mut c) = if peek == E::EMPTY || (peek & key_mask) == vm {
+            lanes_total += 1;
+            (i, peek)
+        } else {
+            // SAFETY (both scans): `i < n == cells.len()`.
+            let (hit, lanes) = unsafe { k.scan_for_key(t.cells, i, n, E::EMPTY, key_mask, vm) };
+            let (hit, lanes) = match hit {
+                Some(_) => (hit, lanes),
+                None => {
+                    let (wrapped, more) =
+                        unsafe { k.scan_for_key(t.cells, 0, i, E::EMPTY, key_mask, vm) };
+                    (wrapped, lanes + more)
+                }
+            };
+            lanes_total += lanes;
+            match hit {
+                Some(hit) => hit,
+                // No empty cell and no copy of this key anywhere.
+                None => break 'done Err(v),
+            }
+        };
+        steps += t.dist(i, j);
+        if steps > n {
+            break 'done Err(v);
+        }
+        i = j;
+        // Confirm loop seeded with the value the scan observed in its
+        // loaded window: every write still goes through a CAS against
+        // the cell's true contents, and a failed CAS hands back the
+        // current value, so the cell is never re-loaded.
+        loop {
+            if c == E::EMPTY {
+                match t.cells[i].compare_exchange(E::EMPTY, v, Ordering::AcqRel, Ordering::Acquire)
+                {
+                    Ok(_) => break 'done Ok(1),
+                    Err(cur) => {
+                        cas_fails += 1;
+                        c = cur; // lost the race; retry on the fresh value
+                        continue;
+                    }
+                }
+            }
+            if E::same_key(c, v) {
+                let merged = E::combine(c, v);
+                if merged == c {
+                    break 'done Ok(0);
+                }
+                match t.cells[i].compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => break 'done Ok(0),
+                    Err(cur) => {
+                        cas_fails += 1;
+                        c = cur;
+                        continue;
+                    }
+                }
+            }
+            // Misspeculation: a concurrent insert claimed the cell for
+            // another key after the wide scan sampled it.
+            misspecs += 1;
+            i = (i + 1) & t.mask;
+            steps += 1;
+            if steps > n {
+                break 'done Err(v);
+            }
+            continue 'done;
+        }
+    };
+    phc_obs::probe!(count ProbeSteps, steps);
+    phc_obs::probe!(count InsertCasFail, cas_fails);
+    phc_obs::probe!(count SimdLanesScanned, lanes_total);
+    phc_obs::probe!(count SimdMisspeculations, misspecs);
+    phc_obs::probe!(hist ProbeLen, steps);
+    phc_obs::probe!(hist CasRetries, cas_fails);
+    phc_obs::probe!(hist SimdLanesPerProbe, lanes_total);
+    result
+}
+
+/// First-fit find: probes until the key or an empty cell (no priority
+/// early-exit: the layout is unordered).
+fn find_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, probe: u64) -> Option<u64> {
+    let mut i = t.home(probe);
+    let mut steps = 0usize;
+    let result = 'scan: {
+        for _ in 0..=t.cells.len() {
+            let c = t.cells[i].load(Ordering::Acquire);
+            if c == E::EMPTY {
+                break 'scan None;
+            }
+            if E::same_key(c, probe) {
+                break 'scan Some(c);
+            }
+            i = (i + 1) & t.mask;
+            steps += 1;
+        }
+        None
+    };
+    phc_obs::probe!(count FindProbeSteps, steps);
+    result
+}
+
+/// Wide-scan find: the first-fit probe stops at the first empty cell or
+/// copy of the key — exactly the `scan_for_key` kernel. Find phases are
+/// quiescent, so the value the kernel loaded at the stop lane equals
+/// what a re-load would return and the result is byte-identical to the
+/// scalar loop at every tier.
+#[inline(always)]
+fn find_wide<E: HashEntry, K: Kernel>(
+    t: Probe<'_, E, NdPolicy>,
+    k: K,
+    key_mask: u64,
+    probe: u64,
+) -> Option<u64> {
+    let n = t.cells.len();
+    let home = t.home(probe);
+    let pm = probe & key_mask;
+    // SAFETY (both scans): `home < n == cells.len()`.
+    let (hit, lanes) = unsafe { k.scan_for_key(t.cells, home, n, E::EMPTY, key_mask, pm) };
+    let (hit, lanes) = match hit {
+        Some(_) => (hit, lanes),
+        None => {
+            let (wrapped, more) =
+                unsafe { k.scan_for_key(t.cells, 0, home, E::EMPTY, key_mask, pm) };
+            (wrapped, lanes + more)
+        }
+    };
+    phc_obs::probe!(count SimdLanesScanned, lanes);
+    phc_obs::probe!(hist SimdLanesPerProbe, lanes);
+    // `None`: a full table without the key (the scalar guard case).
+    phc_obs::probe!(count FindProbeSteps, hit.map_or(n + 1, |(j, _)| t.dist(home, j)));
+    hit.map(|(_, c)| c).filter(|&c| c != E::EMPTY)
+}
+
 /// Non-deterministic phase-concurrent linear probing hash table.
 ///
+/// See the [module docs](self), and [`ProbeTable`] for the operations.
 /// Within a phase, inserts may run concurrently with finds (inserted
 /// entries are never displaced) — the paper notes this but still
-/// separates the phases in its experiments, as do we.
+/// separates the phases in its experiments, as do we. `snapshot()` and
+/// the order of `elements()` depend on history for this table.
 ///
 /// ```
 /// use phc_core::{NdHashTable, U64Key};
@@ -53,309 +360,16 @@ macro_rules! nd_phase_check {
 /// t.delete(U64Key::new(7));
 /// assert_eq!(t.find(U64Key::new(7)), None);
 /// ```
-pub struct NdHashTable<E: HashEntry> {
-    cells: Box<[AtomOf<E::Repr>]>,
-    mask: usize,
-    _entry: PhantomData<E>,
-}
+pub type NdHashTable<E> = ProbeTable<E, NdPolicy>;
 
-unsafe impl<E: HashEntry> Send for NdHashTable<E> {}
-unsafe impl<E: HashEntry> Sync for NdHashTable<E> {}
+/// Insert-phase handle of [`NdHashTable`] (see [`crate::phase`]).
+pub type NdInserter<'t, E> = Inserter<'t, E, NdPolicy>;
+/// Delete-phase handle of [`NdHashTable`].
+pub type NdDeleter<'t, E> = Deleter<'t, E, NdPolicy>;
+/// Read-phase handle of [`NdHashTable`].
+pub type NdReader<'t, E> = Reader<'t, E, NdPolicy>;
 
-impl<E: HashEntry> NdHashTable<E> {
-    /// Creates a table with `2^log2_size` cells.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        let n = 1usize << log2_size;
-        let cells = crate::cell::new_cells::<E::Repr>(n, E::EMPTY);
-        NdHashTable {
-            cells,
-            mask: n - 1,
-            _entry: PhantomData,
-        }
-    }
-
-    /// Number of cells.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Snapshot of the raw cell contents (quiescent use only). Unlike
-    /// the deterministic table's, this layout depends on history.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
-    }
-
-    #[inline]
-    fn slot(&self, hash: u64) -> usize {
-        (hash as usize) & self.mask
-    }
-
-    #[inline]
-    fn dist(&self, from: usize, to: usize) -> usize {
-        (to.wrapping_sub(from)) & self.mask
-    }
-
-    /// Inserts an entry at the first empty cell of its probe sequence;
-    /// duplicate keys resolve via [`HashEntry::combine`].
-    ///
-    /// # Panics
-    /// Panics if the table is full.
-    pub fn insert(&self, e: E) {
-        let v = e.to_repr();
-        nd_phase_check!(v);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.insert_wide(v, key_mask);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        let mut i = self.slot(E::hash(v));
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        'done: loop {
-            let c = self.cells[i].load(Ordering::Acquire);
-            if c == E::EMPTY {
-                if self.cells[i]
-                    .compare_exchange(E::EMPTY, v, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break 'done;
-                }
-                cas_fails += 1;
-                continue; // lost the race; re-read this cell
-            }
-            if E::same_key(c, v) {
-                let merged = E::combine(c, v);
-                if merged == c {
-                    break 'done;
-                }
-                if self.cells[i]
-                    .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break 'done;
-                }
-                cas_fails += 1;
-                continue;
-            }
-            i = (i + 1) & self.mask;
-            steps += 1;
-            assert!(
-                steps <= self.cells.len(),
-                "NdHashTable::insert: table is full"
-            );
-        }
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-    }
-
-    /// Wide-scan first-fit insert: [`crate::simd::scan_for_key`] skips
-    /// occupied cells holding other keys in one compare per lane, then
-    /// the candidate (an empty cell or this key) is confirmed by CAS
-    /// against the value the scan already loaded. Skipping is sound
-    /// because in an ND insert phase a cell never returns to empty and
-    /// its key never changes once set; a candidate that was grabbed by
-    /// a concurrent insert between scan and confirm fails its CAS
-    /// (yielding the true current value) and is a counted
-    /// misspeculation that re-scans from the next cell — as the scalar
-    /// loop would. The dispatch tier is bound **once per operation**
-    /// here; the probe loop itself runs inside one `#[target_feature]`
-    /// body with the kernel statically selected.
-    fn insert_wide(&self, v: u64, key_mask: u64) {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => unsafe { self.insert_wide_avx2(v, key_mask) },
-                _ => self.insert_wide_sse2(v, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.insert_wide_body(
-            v,
-            key_mask,
-            &|cells: &[AtomOf<E::Repr>], start: usize, end: usize| {
-                crate::simd::scan_for_key(cells, start, end, E::EMPTY, key_mask, v)
-            },
-        );
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn insert_wide_avx2(&self, v: u64, key_mask: u64) {
-        self.insert_wide_body(
-            v,
-            key_mask,
-            &|cells: &[AtomOf<E::Repr>], start: usize, end: usize| {
-                // SAFETY: AVX2 was verified by the dispatch site binding
-                // this kernel; range is in bounds (see `crate::simd::x86`).
-                unsafe {
-                    crate::simd::scan_for_key_avx2_w(
-                        cells,
-                        start,
-                        end,
-                        E::EMPTY,
-                        key_mask,
-                        v & key_mask,
-                    )
-                }
-            },
-        );
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn insert_wide_sse2(&self, v: u64, key_mask: u64) {
-        self.insert_wide_body(
-            v,
-            key_mask,
-            &|cells: &[AtomOf<E::Repr>], start: usize, end: usize| {
-                // SAFETY: SSE2 is the x86-64 baseline; range is in bounds.
-                unsafe {
-                    crate::simd::scan_for_key_sse2_w(
-                        cells,
-                        start,
-                        end,
-                        E::EMPTY,
-                        key_mask,
-                        v & key_mask,
-                    )
-                }
-            },
-        );
-    }
-
-    /// The wide insert probe loop, generic over the bound scan kernel.
-    #[inline(always)]
-    fn insert_wide_body(
-        &self,
-        v: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize) -> crate::simd::ScanHit,
-    ) {
-        let n = self.cells.len();
-        let mut i = self.slot(E::hash(v));
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        let mut lanes_total = 0usize;
-        let mut misspecs = 0usize;
-        'done: loop {
-            // Fast path: at moderate loads the cell under the cursor
-            // is usually empty or holds the key already — peek it
-            // scalar before paying for the wide-scan setup.
-            let peek = self.cells[i].load(Ordering::Acquire);
-            let (j, mut c) = if peek == E::EMPTY || (peek & key_mask) == (v & key_mask) {
-                lanes_total += 1;
-                (i, peek)
-            } else {
-                let (hit, lanes) = scan(&self.cells, i, n);
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        let (wrapped, more) = scan(&self.cells, 0, i);
-                        (wrapped, lanes + more)
-                    }
-                };
-                lanes_total += lanes;
-                match hit {
-                    Some(hit) => hit,
-                    None => {
-                        // No empty cell and no copy of this key anywhere.
-                        panic!("NdHashTable::insert: table is full");
-                    }
-                }
-            };
-            steps += self.dist(i, j);
-            assert!(steps <= n, "NdHashTable::insert: table is full");
-            i = j;
-            // Confirm loop seeded with the value the scan observed in
-            // its loaded window: every write still goes through a CAS
-            // against the cell's true contents, and a failed CAS hands
-            // back the current value, so the cell is never re-loaded.
-            loop {
-                if c == E::EMPTY {
-                    match self.cells[i].compare_exchange(
-                        E::EMPTY,
-                        v,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break 'done,
-                        Err(cur) => {
-                            cas_fails += 1;
-                            c = cur; // lost the race; retry on the fresh value
-                            continue;
-                        }
-                    }
-                }
-                if E::same_key(c, v) {
-                    let merged = E::combine(c, v);
-                    if merged == c {
-                        break 'done;
-                    }
-                    match self.cells[i].compare_exchange(
-                        c,
-                        merged,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break 'done,
-                        Err(cur) => {
-                            cas_fails += 1;
-                            c = cur;
-                            continue;
-                        }
-                    }
-                }
-                // Misspeculation: a concurrent insert claimed the cell
-                // for another key after the wide scan sampled it.
-                misspecs += 1;
-                i = (i + 1) & self.mask;
-                steps += 1;
-                assert!(steps <= n, "NdHashTable::insert: table is full");
-                continue 'done;
-            }
-        }
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(count SimdLanesScanned, lanes_total);
-        phc_obs::probe!(count SimdMisspeculations, misspecs);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes_total);
-    }
-
-    /// Inserts a batch of entries with software prefetching of
-    /// upcoming home slots (see [`crate::batch`]); semantically
-    /// identical to inserting the entries one by one in slice order.
-    pub fn insert_batch(&self, entries: &[E]) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        // Writers dirty the lines they prefetch, so the insert pipeline
-        // is shallower when the pool runs more than one worker (see
-        // `crate::batch::insert_prefetch_ahead`).
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            self.insert(entries[i]);
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
+impl<E: HashEntry> ProbeTable<E, NdPolicy> {
     /// Inserts a key-value entry, accumulating the value field with a
     /// hardware `fetch_add` when the key is already present — valid in
     /// this table because entries never move once inserted (the paper's
@@ -370,7 +384,7 @@ impl<E: HashEntry> NdHashTable<E> {
         );
         let v = e.to_repr();
         nd_phase_check!(v);
-        let mut i = self.slot(E::hash(v));
+        let mut i = self.probe().home(v);
         let mut steps = 0usize;
         'done: loop {
             let c = self.cells[i].load(Ordering::Acquire);
@@ -398,404 +412,6 @@ impl<E: HashEntry> NdHashTable<E> {
         }
         phc_obs::probe!(count ProbeSteps, steps);
         phc_obs::probe!(hist ProbeLen, steps);
-    }
-
-    /// Looks up the entry with `key`'s key part. Probes until an empty
-    /// cell (no priority early-exit: the layout is unordered).
-    pub fn find(&self, key: E) -> Option<E> {
-        let probe = key.to_repr();
-        nd_phase_check!(probe);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.find_wide(probe, key_mask);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        let mut i = self.slot(E::hash(probe));
-        let mut steps = 0usize;
-        let result = 'scan: {
-            for _ in 0..=self.cells.len() {
-                let c = self.cells[i].load(Ordering::Acquire);
-                if c == E::EMPTY {
-                    break 'scan None;
-                }
-                if E::same_key(c, probe) {
-                    break 'scan Some(E::from_repr(c));
-                }
-                i = (i + 1) & self.mask;
-                steps += 1;
-            }
-            None
-        };
-        phc_obs::probe!(count FindProbeSteps, steps);
-        result
-    }
-
-    /// Wide-scan find: the first-fit probe stops at the first empty
-    /// cell or copy of the key — exactly [`crate::simd::scan_for_key`].
-    /// Find phases are quiescent, so the result is byte-identical to
-    /// the scalar loop at every tier. The dispatch tier is bound once
-    /// per operation, mirroring [`Self::insert_wide`].
-    fn find_wide(&self, probe: u64, key_mask: u64) -> Option<E> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => unsafe { self.find_wide_avx2(probe, key_mask) },
-                _ => self.find_wide_sse2(probe, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.find_wide_body(probe, &|cells: &[AtomOf<E::Repr>],
-                                     start: usize,
-                                     end: usize| {
-            crate::simd::scan_for_key(cells, start, end, E::EMPTY, key_mask, probe)
-        })
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_wide_avx2(&self, probe: u64, key_mask: u64) -> Option<E> {
-        self.find_wide_body(probe, &|cells: &[AtomOf<E::Repr>],
-                                     start: usize,
-                                     end: usize| {
-            // SAFETY: AVX2 verified by the dispatch site; in-bounds range.
-            unsafe {
-                crate::simd::scan_for_key_avx2_w(
-                    cells,
-                    start,
-                    end,
-                    E::EMPTY,
-                    key_mask,
-                    probe & key_mask,
-                )
-            }
-        })
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn find_wide_sse2(&self, probe: u64, key_mask: u64) -> Option<E> {
-        self.find_wide_body(probe, &|cells: &[AtomOf<E::Repr>],
-                                     start: usize,
-                                     end: usize| {
-            // SAFETY: SSE2 is the x86-64 baseline; in-bounds range.
-            unsafe {
-                crate::simd::scan_for_key_sse2_w(
-                    cells,
-                    start,
-                    end,
-                    E::EMPTY,
-                    key_mask,
-                    probe & key_mask,
-                )
-            }
-        })
-    }
-
-    /// The wide find probe, generic over the bound scan kernel.
-    #[inline(always)]
-    fn find_wide_body(
-        &self,
-        probe: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize) -> crate::simd::ScanHit,
-    ) -> Option<E> {
-        let n = self.cells.len();
-        let home = self.slot(E::hash(probe));
-        let (hit, lanes) = scan(&self.cells, home, n);
-        let (hit, lanes) = match hit {
-            Some(_) => (hit, lanes),
-            None => {
-                let (wrapped, more) = scan(&self.cells, 0, home);
-                (wrapped, lanes + more)
-            }
-        };
-        phc_obs::probe!(count SimdLanesScanned, lanes);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes);
-        match hit {
-            Some((j, c)) => {
-                phc_obs::probe!(count FindProbeSteps, self.dist(home, j));
-                // Find phases are quiescent, so the value the kernel
-                // loaded at the stop lane equals what a re-load would
-                // return — use it directly.
-                if c == E::EMPTY {
-                    None
-                } else {
-                    Some(E::from_repr(c))
-                }
-            }
-            None => {
-                // Full table without the key (the scalar guard case).
-                phc_obs::probe!(count FindProbeSteps, n + 1);
-                None
-            }
-        }
-    }
-
-    /// Looks up a batch of keys with software prefetching, returning
-    /// results in key order: `out[i] == self.find(keys[i])`.
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(self.find(keys[i]));
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-        out
-    }
-
-    /// Deletes the entry with `key`'s key part, shifting a following
-    /// cluster member back into the hole (no tombstones).
-    ///
-    /// Concurrent-safe within a delete-only phase: the hole is filled
-    /// by CAS and the duplicated element is then deleted recursively,
-    /// mirroring the deterministic table's copy-chasing argument.
-    pub fn delete(&self, key: E) {
-        let probe = key.to_repr();
-        nd_phase_check!(probe);
-        let m = self.cells.len();
-        // Walk to the end of the cluster (first empty cell) so the
-        // downward scan starts at-or-past the rightmost copy of the key
-        // — the same structure as the deterministic table's delete,
-        // whose copy-counting proof carries over. The walk is one wide
-        // empty-scan: in a delete phase cells never go back from empty
-        // to occupied, so a racy "occupied" lane is as valid here as
-        // the scalar loop's one-shot racy read, and the downward loop
-        // revalidates every cell it acts on anyway.
-        let home = self.slot(E::hash(probe));
-        let mut i = m + home;
-        let (hit, _) = crate::simd::scan_for_empty(&self.cells, home, m, E::EMPTY);
-        let hit = match hit {
-            Some(_) => hit,
-            None => crate::simd::scan_for_empty(&self.cells, 0, home, E::EMPTY).0,
-        };
-        let mut k = match hit {
-            Some((j, _)) => i + self.dist(home, j),
-            None => i + m, // no empty cell: scan the whole wrap
-        };
-        k = k.saturating_sub(1).max(i);
-        let mut v = probe;
-        let mut steps = 0usize;
-        'done: while k >= i {
-            steps += 1;
-            let c = self.load_at(k);
-            if c == E::EMPTY || !E::same_key(c, v) {
-                k -= 1;
-                continue;
-            }
-            let (j, replacement) = self.find_replacement(k);
-            if self.cas_at(k, c, replacement) {
-                if replacement == E::EMPTY {
-                    break 'done;
-                }
-                // A second copy of `replacement` now exists at `k`; we
-                // are responsible for deleting the one at `j`.
-                v = replacement;
-                k = j;
-                i = self.lift_hash(replacement, j);
-            } else {
-                // The cell changed; the copy we chase can only be lower.
-                k -= 1;
-            }
-        }
-        phc_obs::probe!(count DeleteProbeSteps, steps);
-    }
-
-    /// Deletes a batch of keys with software prefetching of upcoming
-    /// home slots — the delete analogue of
-    /// [`insert_batch`](Self::insert_batch). Semantically identical to
-    /// deleting the keys one by one in slice order.
-    pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        if n == 0 {
-            return;
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            self.delete(keys[i]);
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
-    /// Deletes a slice in parallel through the batched prefetching
-    /// path (cf. [`DetHashTable::par_delete_batched`](crate::DetHashTable::par_delete_batched)).
-    /// Unlike the deterministic table's, the surviving *layout* depends
-    /// on delete interleaving; the surviving *key set* does not.
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
-    }
-
-    #[inline]
-    fn load_at(&self, virtual_idx: usize) -> u64 {
-        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn cas_at(&self, virtual_idx: usize, old: u64, new: u64) -> bool {
-        self.cells[virtual_idx & self.mask]
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    #[inline]
-    fn lift_hash(&self, repr: u64, at: usize) -> usize {
-        at - self.dist(self.slot(E::hash(repr)), at & self.mask)
-    }
-
-    /// First entry after hole `i` (virtual) that may move back to it,
-    /// or ⊥ if the cluster ends first.
-    fn find_replacement(&self, i: usize) -> (usize, u64) {
-        let mut j = i;
-        loop {
-            j += 1;
-            let x = self.load_at(j);
-            if x == E::EMPTY || self.lift_hash(x, j) <= i {
-                return (j, x);
-            }
-        }
-    }
-
-    /// Packs the non-empty cells in cell order (parallel). The order is
-    /// *not* history-independent for this table.
-    pub fn elements(&self) -> Vec<E> {
-        // Mask-based pack (see
-        // [`DetHashTable::elements`](crate::DetHashTable::elements)).
-        phc_parutil::pack_with_mask(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-        )
-    }
-
-    /// [`elements`](Self::elements) into a caller-provided buffer
-    /// (appends; prior contents are preserved and the allocation is
-    /// reused — see
-    /// [`DetHashTable::elements_into`](crate::DetHashTable::elements_into)).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        phc_parutil::pack_with_mask_into(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-            out,
-        );
-    }
-
-    /// Applies `f` to every stored entry in parallel without packing
-    /// (see [`DetHashTable::for_each_entry`](crate::DetHashTable::for_each_entry)).
-    pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
-        use rayon::prelude::*;
-        self.cells.par_iter().with_min_len(4096).for_each(|c| {
-            let v = c.load(Ordering::Acquire);
-            if v != E::EMPTY {
-                f(E::from_repr(v));
-            }
-        });
-    }
-
-    /// Number of occupied cells.
-    pub fn len(&self) -> usize {
-        crate::stats::occupied_len::<E>(&self.cells)
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Insert-phase handle.
-pub struct NdInserter<'t, E: HashEntry>(&'t NdHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Delete-phase handle.
-pub struct NdDeleter<'t, E: HashEntry>(&'t NdHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Read-phase handle.
-pub struct NdReader<'t, E: HashEntry>(&'t NdHashTable<E>, #[allow(dead_code)] PhaseSpan);
-
-impl<E: HashEntry> ConcurrentInsert<E> for NdInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for NdDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> NdDeleter<'_, E> {
-    /// Batched prefetching delete (see [`NdHashTable::delete_batch`]).
-    pub fn delete_batch(&self, keys: &[E]) {
-        self.0.delete_batch(keys);
-    }
-    /// Parallel batched delete (see [`NdHashTable::par_delete_batched`]).
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        self.0.par_delete_batched(keys);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for NdReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-
-impl<E: HashEntry> PhaseHashTable<E> for NdHashTable<E> {
-    type Inserter<'t>
-        = NdInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = NdDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = NdReader<'t, E>
-    where
-        E: 't;
-
-    const NAME: &'static str = "linearHash-ND";
-
-    fn new_pow2(log2_size: u32) -> Self {
-        NdHashTable::new_pow2(log2_size)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn begin_insert(&mut self) -> NdInserter<'_, E> {
-        NdInserter(self, PhaseSpan::begin(PhaseKind::Insert))
-    }
-
-    fn begin_delete(&mut self) -> NdDeleter<'_, E> {
-        NdDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
-    }
-
-    fn begin_read(&mut self) -> NdReader<'_, E> {
-        NdReader(self, PhaseSpan::begin(PhaseKind::Read))
-    }
-
-    fn elements(&mut self) -> Vec<E> {
-        NdHashTable::elements(self)
     }
 }
 

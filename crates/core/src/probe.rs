@@ -1,0 +1,1989 @@
+//! The prioritized-probe engine: one `INSERT` / `FIND` / `DELETE` /
+//! `FINDREPLACEMENT` (paper Figure 1) for every linear-probing table in
+//! this crate.
+//!
+//! [`ProbeTable<E, P>`] is a cell array, an index mask and a policy
+//! `P`. The deterministic table ([`crate::det`]), the Robin Hood table
+//! ([`crate::robinhood`]) and the fully-concurrent table
+//! ([`crate::fc`]) are type aliases of it; they differ only in what
+//! their policy fills in:
+//!
+//! * the **order** — how a repr is stored (`stored` / `unstored`), where
+//!   it homes (`home`), what the forwarding marker looks like in stored
+//!   form (`forward`), when two stored words carry the same key
+//!   (`same_key`) and when one outranks the other (`outranks`). det and
+//!   fc take every default (identity encoding, `E::hash & mask`,
+//!   `E::cmp_priority`); Robin Hood stores a bijectively mixed key field
+//!   and reads home and rank off the mixed bits.
+//! * the **hooks** — what runs after a placement, after a delete's
+//!   copy-down or final hole, after a delete that found nothing, and
+//!   around a lookup. All are no-ops except for fc, which validates and
+//!   repairs its writes there when an opposite-kind writer overlapped.
+//!
+//! The policy is a type parameter: every call is monomorphised, there
+//! is no `dyn`, no function pointer, and no probe loop branches on
+//! which table it serves.
+//!
+//! Each operation has one **scalar** body — the Figure 1 loop over
+//! per-cell atomic loads, which serves entry types without a
+//! [`SIMD_KEY_MASK`](HashEntry::SIMD_KEY_MASK) and is the reference the
+//! differential suites compare the tiers against — and, for insert and
+//! find, one **wide** body generic over a tier's scan kernels
+//! (`simd::Kernel`). The tier binder in [`crate::simd`] resolves the
+//! tier once per operation or batch and runs the body (a
+//! `simd::TierBody`) inside that tier's frame.
+//!
+//! The first-fit table ([`crate::nd`]) is the paper's baseline: it
+//! keeps its own insert and find loops (a different stop condition and
+//! kernel) by overriding the policy's body entry points, and takes
+//! everything else — storage, the delete chase, the batch loops, the
+//! phase handles, the quiescent operations — from here.
+//!
+//! ## Where the forwarding marker is checked
+//!
+//! A migration sweep ([`ProbeTable::claim_range_forward`]) swaps every
+//! cell of a block to `policy.forward()`. The marker is not an entry —
+//! pointer entries would dereference it — so every loop below tests a
+//! loaded cell against it **before** any key interpretation:
+//!
+//! | loop | on the marker |
+//! |---|---|
+//! | scalar / wide insert (also after a failed CAS re-read) | `Err(carry)`: the caller re-homes the repr in the successor |
+//! | scalar / wide find | absent here; the epoch chain falls through |
+//! | delete walk-up | stop the walk |
+//! | delete chase (`delete_from`) | step past it |
+//! | `find_replacement`, both directions | neither a candidate nor a cluster end |
+//!
+//! The wide kernels need no marker mask of their own: all-ones is the
+//! maximum rank, so a forwarded lane is skipped like any outranking
+//! lane and a lane nominated as a stop is re-checked here.
+
+use std::marker::PhantomData;
+use std::sync::atomic::Ordering;
+
+use crate::batch::{insert_prefetch_ahead, prefetch_slot, PREFETCH_AHEAD};
+use crate::cell::{AtomOf, CellAtomic};
+use crate::entry::HashEntry;
+use crate::phase::{
+    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
+};
+use crate::simd::{self, Kernel, TierBody};
+
+pub(crate) use policy::{Growable, InsertTally, Probe, ProbePolicy};
+
+/// The policy traits, and the types in their signatures, live in a
+/// private module: they are `pub` so the public aliases can name them
+/// as bounds, but unreachable from outside the crate — callers name
+/// tables, not policies.
+mod policy {
+    use crate::cell::AtomOf;
+    use crate::entry::HashEntry;
+    use crate::simd::{self, Kernel};
+    use std::cmp::Ordering as CmpOrdering;
+
+    /// What one insert did, for the policy's `record_insert`.
+    #[derive(Default)]
+    pub struct InsertTally {
+        /// Cells advanced past the home bucket.
+        pub steps: usize,
+        /// Failed CASes.
+        pub cas_fails: usize,
+        /// Entries displaced and carried onward.
+        pub swaps: usize,
+        /// Cell lanes examined by peeks and wide scans.
+        pub lanes: usize,
+        /// Wide-scan candidates that rose before the confirm.
+        pub misspecs: usize,
+    }
+
+    /// A table's working set by value: the cell slice and the index mask,
+    /// copied out of the table, and the table itself (for its policy, and
+    /// so a repair can re-enter an operation). Every probe body runs on
+    /// one of these rather than on `&ProbeTable`, so a batch loop holds
+    /// the slice and mask in registers across iterations even for a policy
+    /// with interior atomics (through `&self` the compiler would have to
+    /// re-load both fields after every atomic access).
+    ///
+    /// Four words, so it crosses a call boundary in memory: built inside
+    /// the frame that uses it (see the `TierBody` impls below), never
+    /// handed to one.
+    pub struct Probe<'a, E: HashEntry, P: ProbePolicy<E>> {
+        pub cells: &'a [AtomOf<E::Repr>],
+        pub mask: usize,
+        pub table: &'a super::ProbeTable<E, P>,
+    }
+
+    impl<E: HashEntry, P: ProbePolicy<E>> Clone for Probe<'_, E, P> {
+        fn clone(&self) -> Self {
+            *self
+        }
+    }
+    impl<E: HashEntry, P: ProbePolicy<E>> Copy for Probe<'_, E, P> {}
+
+    impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
+        /// The table's policy state.
+        #[inline(always)]
+        pub fn policy(self) -> &'a P {
+            &self.table.policy
+        }
+    }
+
+    /// What a table over the probe engine supplies. Every method has
+    /// the deterministic table's behaviour as its default.
+    pub trait ProbePolicy<E: HashEntry>: Sized + Send + Sync + 'static {
+        /// `PhaseHashTable::NAME` of the table.
+        const NAME: &'static str;
+        /// Whether a careful wide find re-reads its stop lane through a
+        /// per-cell atomic load before trusting it (tables whose finds
+        /// may race writers).
+        const CONFIRM_READS: bool = false;
+        /// The counter displacement swaps are reported under.
+        const SWAPS: phc_obs::Counter = phc_obs::Counter::PrioritySwap;
+
+        /// Policy state for a table of `2^log2_size` cells; panics if
+        /// `E` does not meet the table's entry requirements.
+        fn new(log2_size: u32) -> Self;
+
+        // ---- order ----
+
+        /// Encodes a repr into the form the cells hold.
+        #[inline(always)]
+        fn stored(&self, repr: u64) -> u64 {
+            repr
+        }
+        /// Inverse of [`stored`](Self::stored).
+        #[inline(always)]
+        fn unstored(&self, cell: u64) -> u64 {
+            cell
+        }
+        /// Decodes the cell a lookup of `probe_repr` matched. Same
+        /// result as `unstored(cell)`; policies with a costly inverse
+        /// rebuild the key bits from the probe instead.
+        #[inline(always)]
+        fn recover(&self, probe_repr: u64, cell: u64) -> u64 {
+            let _ = probe_repr;
+            self.unstored(cell)
+        }
+        /// Home bucket of a stored word.
+        #[inline(always)]
+        fn home(&self, stored: u64, mask: usize) -> usize {
+            (E::hash(stored) as usize) & mask
+        }
+        /// The forwarding marker in stored form.
+        #[inline(always)]
+        fn forward(&self) -> u64 {
+            E::FORWARD
+        }
+        /// Whether two stored words carry the same key (`c` may be ⊥).
+        #[inline(always)]
+        fn same_key(&self, c: u64, v: u64) -> bool {
+            E::same_key(c, v)
+        }
+        /// Whether cell `c` has strictly higher priority than `v` (⊥
+        /// outranks nothing).
+        #[inline(always)]
+        fn outranks(&self, c: u64, v: u64) -> bool {
+            E::cmp_priority(c, v) == CmpOrdering::Greater
+        }
+        /// The mask under which `same_key` / `outranks` are masked
+        /// equality / unsigned compare, if any: what makes the wide
+        /// bodies applicable.
+        #[inline(always)]
+        fn key_mask(&self) -> Option<u64> {
+            E::SIMD_KEY_MASK
+        }
+
+        // ---- hooks ----
+
+        /// Opens an insert window; the token reaches every hook of the
+        /// inserts inside it.
+        #[inline(always)]
+        fn open_insert_window(&self) -> u64 {
+            0
+        }
+        /// Closes an insert window.
+        #[inline(always)]
+        fn close_insert_window(&self) {}
+        /// Opens a delete window (see
+        /// [`open_insert_window`](Self::open_insert_window)).
+        #[inline(always)]
+        fn open_delete_window(&self) -> u64 {
+            0
+        }
+        /// Closes a delete window.
+        #[inline(always)]
+        fn close_delete_window(&self) {}
+        /// After an insert's CAS placed `placed` at cell `at`: returns
+        /// the fill-count delta of any repair.
+        #[inline(always)]
+        fn after_place(t: Probe<'_, E, Self>, placed: u64, at: usize, token: u64) -> i64 {
+            let _ = (t, placed, at, token);
+            0
+        }
+        /// After a delete's copy-down lowered the priority at virtual
+        /// index `k`.
+        #[inline(always)]
+        fn after_copy_down(t: Probe<'_, E, Self>, k: usize, token: u64) {
+            let _ = (t, k, token);
+        }
+        /// After a delete stored ⊥ at virtual index `k`: `Some((j, v))`
+        /// if the hole was refilled with `v`, whose other copy at `j`
+        /// the delete must now chase.
+        #[inline(always)]
+        fn after_hole(t: Probe<'_, E, Self>, k: usize, token: u64) -> Option<(usize, u64)> {
+            let _ = (t, k, token);
+            None
+        }
+        /// After a delete walk found nothing: whether to walk again
+        /// (updating the token to what the next walk validates against).
+        #[inline(always)]
+        fn rewalk_after_miss(&self, token: &mut u64) -> bool {
+            let _ = token;
+            false
+        }
+        /// Runs one careful lookup; `attempt` is a single probe.
+        #[inline(always)]
+        fn find_settled(&self, mut attempt: impl FnMut() -> Option<u64>) -> Option<u64> {
+            attempt()
+        }
+        /// Looks up `keys`, appending one result per key to `out`.
+        #[inline(always)]
+        fn find_batch_into(
+            table: &super::ProbeTable<E, Self>,
+            keys: &[E],
+            out: &mut Vec<Option<E>>,
+        ) {
+            simd::bind(table, super::FindBatch::<E, true> { keys, out });
+        }
+        /// Debug witness that the wide insert's confirm loop looked at
+        /// cell `at` through a per-cell atomic value.
+        #[inline(always)]
+        fn spec_check(at: usize, mask: usize) {
+            let _ = (at, mask);
+        }
+        /// Reports one insert's tallies under the table's instrument
+        /// names; `wide` says whether the wide body ran.
+        #[inline(always)]
+        fn record_insert(t: &InsertTally, wide: bool) {
+            phc_obs::probe!(count ProbeSteps, t.steps);
+            phc_obs::probe!(count InsertCasFail, t.cas_fails);
+            phc_obs::Recorder::global().count(Self::SWAPS, t.swaps as u64);
+            phc_obs::probe!(hist ProbeLen, t.steps);
+            phc_obs::probe!(hist CasRetries, t.cas_fails);
+            if wide {
+                phc_obs::probe!(count SimdLanesScanned, t.lanes);
+                phc_obs::probe!(count SimdMisspeculations, t.misspecs);
+                phc_obs::probe!(hist SimdLanesPerProbe, t.lanes);
+            }
+        }
+        /// Reports one wide find: lanes examined and cells advanced.
+        #[inline(always)]
+        fn record_find_wide(lanes: usize, steps: usize) {
+            phc_obs::probe!(count SimdLanesScanned, lanes);
+            phc_obs::probe!(hist SimdLanesPerProbe, lanes);
+            phc_obs::probe!(count FindProbeSteps, steps);
+        }
+
+        // ---- bodies ----
+        //
+        // The prioritized probe of Figure 1. Only the first-fit
+        // baseline overrides these, with its own loops.
+
+        /// Inserts stored word `v`: `Ok(net cells filled)` or
+        /// `Err(carried stored word)` when the probe wrapped the array
+        /// or met a forwarded cell.
+        #[inline(always)]
+        fn insert_with<K: Kernel>(
+            t: Probe<'_, E, Self>,
+            k: K,
+            v: u64,
+            token: u64,
+        ) -> Result<i64, u64> {
+            t.prioritized_insert(k, v, token)
+        }
+        /// Looks up stored word `probe`, returning the matching cell.
+        #[inline(always)]
+        fn find_with<K: Kernel>(
+            t: Probe<'_, E, Self>,
+            k: K,
+            probe: u64,
+            careful: bool,
+        ) -> Option<u64> {
+            t.prioritized_find(k, probe, careful)
+        }
+        /// Deletes stored word `probe`'s key; `true` iff this call
+        /// stored the final ⊥.
+        #[inline(always)]
+        fn delete_in(t: Probe<'_, E, Self>, probe: u64, token: u64) -> bool {
+            t.prioritized_delete(probe, token)
+        }
+        /// Figure 1 `FINDREPLACEMENT(i)` for the delete chase: `(j, v')`
+        /// where `v'` is the entry that may legally fill the hole at
+        /// virtual index `i` (or ⊥) and `j` its virtual location.
+        #[inline(always)]
+        fn find_replacement(t: Probe<'_, E, Self>, i: usize) -> (usize, u64) {
+            t.find_replacement(i)
+        }
+    }
+
+    /// Policies whose every probe path checks the forwarding marker —
+    /// the ones [`crate::resize::ResizableTable`] may wrap.
+    pub trait Growable<E: HashEntry>: ProbePolicy<E> {
+        /// `FlatTableCore::GROW_NAME` of the table.
+        const GROW_NAME: &'static str;
+        /// See `FlatTableCore::quiesce_writers`.
+        fn quiesce_writers(&self) {}
+    }
+}
+
+/// A linear-probing table over the probe engine: the cell array, the
+/// index mask, and the policy's state.
+///
+/// Not named directly — use the aliases
+/// [`DetHashTable`](crate::DetHashTable),
+/// [`RobinHoodHashTable`](crate::RobinHoodHashTable),
+/// [`FcHashTable`](crate::FcHashTable) and
+/// [`NdHashTable`](crate::NdHashTable), whose module docs give each
+/// table's algorithm and guarantees. The table does not resize; size it
+/// so the load factor stays below ~0.9 (the paper's experiments run at
+/// loads up to 1/3 by default), or wrap it in
+/// [`crate::resize::ResizableTable`].
+pub struct ProbeTable<E: HashEntry, P: ProbePolicy<E>> {
+    pub(crate) cells: Box<[AtomOf<E::Repr>]>,
+    pub(crate) mask: usize,
+    pub(crate) policy: P,
+    _entry: PhantomData<E>,
+}
+
+impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
+    /// Creates a table with `2^log2_size` cells, all empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `E` does not meet the table's entry requirements (see
+    /// the alias's module docs; only the Robin Hood table has any).
+    pub fn new_pow2(log2_size: u32) -> Self {
+        let policy = P::new(log2_size);
+        let n = 1usize << log2_size;
+        ProbeTable {
+            cells: crate::cell::new_cells::<E::Repr>(n, E::EMPTY),
+            mask: n - 1,
+            policy,
+            _entry: PhantomData,
+        }
+    }
+
+    /// Creates a table with at least `n_items / max_load` cells
+    /// (rounded up to a power of two).
+    pub fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
+        assert!(max_load > 0.0 && max_load < 1.0);
+        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
+        Self::new_pow2(want.next_power_of_two().trailing_zeros())
+    }
+
+    /// Number of cells.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Raw view of the cell array (for invariant checkers and tests).
+    /// Cell width follows the entry type's `Repr`; cells hold *stored*
+    /// words (the Robin Hood table's have a mixed key field).
+    pub fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
+        &self.cells
+    }
+
+    /// Snapshot of the raw cell contents. Two history-independent
+    /// tables of one kind and capacity built from the same key set have
+    /// equal snapshots — the strongest form of the guarantee (for entry
+    /// types whose reprs are canonical; pointer entries are
+    /// deterministic at the payload level instead). For the
+    /// fully-concurrent table this holds for **quiescent** snapshots;
+    /// the first-fit table's layout depends on history.
+    pub fn snapshot(&self) -> Vec<u64> {
+        self.cells
+            .iter()
+            .map(|c| c.load(Ordering::Acquire))
+            .collect()
+    }
+
+    /// The borrowed working set the probe bodies run on.
+    #[inline(always)]
+    pub(crate) fn probe(&self) -> Probe<'_, E, P> {
+        Probe {
+            cells: &self.cells,
+            mask: self.mask,
+            table: self,
+        }
+    }
+
+    #[cold]
+    fn full(&self) -> ! {
+        panic!(
+            "{}::insert: table is full (capacity {})",
+            P::NAME,
+            self.cells.len()
+        )
+    }
+
+    /// Inserts an entry (Figure 1, `INSERT`). Safe to call from any
+    /// number of threads during an insert phase (at any time for the
+    /// fully-concurrent table).
+    ///
+    /// Duplicate keys are resolved with [`HashEntry::combine`] — a
+    /// commutative rule, so concurrent duplicate inserts still commute.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is full (the probe wrapped all the way
+    /// around), matching the paper's precondition that
+    /// `|contents ∪ inserts| < |M|`.
+    pub fn insert(&self, e: E) {
+        self.insert_counted(e);
+    }
+
+    /// Like [`insert`](Self::insert), but returns `true` iff the call
+    /// filled a previously empty cell. Under concurrent displacement
+    /// the credit may be earned while carrying *another* thread's
+    /// entry, so the return value is a **global** net-new-element count
+    /// credit (exactly one `true` per element added across all
+    /// threads), not a statement about this particular key. Used by
+    /// [`crate::resize::ResizableTable`] for exact load accounting.
+    pub fn insert_counted(&self, e: E) -> bool {
+        match self.try_insert_repr(e.to_repr()) {
+            Ok(filled) => filled,
+            Err(_) => self.full(),
+        }
+    }
+
+    /// Like [`insert_counted`](Self::insert_counted) on a repr, but
+    /// reports a full table instead of panicking: `Err(carried)` hands
+    /// back the repr still looking for a home once the probe has
+    /// wrapped the whole array or met a forwarded cell. Any
+    /// displacements performed before that stand — the carried entry is
+    /// no longer stored anywhere, so the caller must re-home it (the
+    /// cooperative resizer routes it to the successor table).
+    pub(crate) fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
+        let token = self.policy.open_insert_window();
+        let r = self.try_insert_repr_in(v, token);
+        self.policy.close_insert_window();
+        r
+    }
+
+    /// [`try_insert_repr`](Self::try_insert_repr) inside an open insert
+    /// window.
+    pub(crate) fn try_insert_repr_in(&self, v: u64, token: u64) -> Result<bool, u64> {
+        debug_assert_ne!(v, E::EMPTY);
+        debug_assert_ne!(v, E::FORWARD, "the forwarding sentinel is not insertable");
+        let t = self.probe();
+        t.insert_stored(t.policy().stored(v), token)
+            .map(|net| net > 0)
+            .map_err(|carried| t.policy().unstored(carried))
+    }
+
+    /// Inserts a batch of entries with software prefetching: before
+    /// probing entry `i`, the home slot of entry `i + PREFETCH_AHEAD`
+    /// is prefetched (see [`crate::batch`]), keeping several cache
+    /// misses in flight instead of serializing them. The scan kernels
+    /// are bound once for the whole batch. Semantically identical to
+    /// inserting the entries one by one in slice order — and for the
+    /// history-independent tables, to *any* insertion of the same set.
+    pub fn insert_batch(&self, entries: &[E]) {
+        let n = entries.len();
+        if n == 0 {
+            return;
+        }
+        let token = self.policy.open_insert_window();
+        let full = simd::bind(self, InsertBatch { entries, token });
+        self.policy.close_insert_window();
+        if full {
+            self.full();
+        }
+        phc_obs::probe!(count PrefetchBatches);
+        phc_obs::probe!(hist BatchSize, n);
+    }
+
+    /// Inserts a slice in parallel through the batched prefetching
+    /// path: scheduler chunks of [`phc_parutil::grain`] entries, each
+    /// processed by [`insert_batch`](Self::insert_batch).
+    pub fn par_insert_batched(&self, entries: &[E]) {
+        use rayon::prelude::*;
+        entries
+            .par_chunks(phc_parutil::grain())
+            .for_each(|chunk| self.insert_batch(chunk));
+    }
+
+    /// Looks up the entry with `key`'s key part (Figure 1, `FIND`).
+    /// Safe to call concurrently with other finds and `elements`. On
+    /// the fully-concurrent table also with writers: a lookup racing an
+    /// in-flight displacement of its key may miss, and retries a
+    /// bounded number of times while writers are active.
+    pub fn find(&self, key: E) -> Option<E> {
+        let r = key.to_repr();
+        debug_assert_ne!(r, E::EMPTY);
+        let probe = self.policy.stored(r);
+        simd::bind(self, FindOne { probe }).map(|c| E::from_repr(self.policy.recover(r, c)))
+    }
+
+    /// Prefetches `v`'s home-slot cache line (see [`crate::batch`]) so
+    /// external batch loops — the growable wrapper's threshold-counting
+    /// insert, for one — can pipeline their misses like the in-core
+    /// batch loops do.
+    #[inline]
+    pub(crate) fn prefetch_repr(&self, v: u64) {
+        let t = self.probe();
+        t.prefetch(t.policy().stored(v));
+    }
+
+    /// Looks up a batch of keys with software prefetching (the read
+    /// analogue of [`insert_batch`](Self::insert_batch)), returning
+    /// results in key order: `out[i] == self.find(keys[i])`.
+    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        let n = keys.len();
+        let mut out = Vec::with_capacity(n);
+        if n == 0 {
+            return out;
+        }
+        P::find_batch_into(self, keys, &mut out);
+        phc_obs::probe!(count PrefetchBatches);
+        phc_obs::probe!(hist BatchSize, n);
+        out
+    }
+
+    /// Parallel batched lookup: results in key order, computed in
+    /// grain-sized prefetching chunks on the scheduler.
+    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
+        use rayon::prelude::*;
+        keys.par_chunks(phc_parutil::grain())
+            .flat_map_iter(|chunk| self.find_batch(chunk))
+            .collect()
+    }
+
+    /// Deletes the entry whose key equals `key`'s key part (Figure 1,
+    /// `DELETE`). A no-op if absent. Safe to call from any number of
+    /// threads during a delete phase (at any time for the
+    /// fully-concurrent table).
+    pub fn delete(&self, key: E) {
+        self.delete_counted(key);
+    }
+
+    /// Like [`delete`](Self::delete), but returns `true` iff the call
+    /// performed the final store of `⊥` that shrank the table — a
+    /// global net-removed-element credit (one `true` per element
+    /// removed across all threads), mirroring
+    /// [`insert_counted`](Self::insert_counted).
+    pub fn delete_counted(&self, key: E) -> bool {
+        let token = self.policy.open_delete_window();
+        let r = self.delete_counted_in(key, token);
+        self.policy.close_delete_window();
+        r
+    }
+
+    /// [`delete_counted`](Self::delete_counted) inside an open delete
+    /// window.
+    pub(crate) fn delete_counted_in(&self, key: E, token: u64) -> bool {
+        let r = key.to_repr();
+        debug_assert_ne!(r, E::EMPTY);
+        let t = self.probe();
+        P::delete_in(t, t.policy().stored(r), token)
+    }
+
+    /// Deletes a batch of keys with software prefetching of upcoming
+    /// home slots, under one delete window — the delete analogue of
+    /// [`insert_batch`](Self::insert_batch) /
+    /// [`find_batch`](Self::find_batch). Semantically identical to
+    /// deleting the keys one by one in slice order.
+    pub fn delete_batch(&self, keys: &[E]) {
+        let n = keys.len();
+        if n == 0 {
+            return;
+        }
+        let t = self.probe();
+        let token = self.policy.open_delete_window();
+        t.pipelined(keys, PREFETCH_AHEAD, |_, stored| {
+            P::delete_in(t, stored, token);
+            true
+        });
+        self.policy.close_delete_window();
+        phc_obs::probe!(count PrefetchBatches);
+        phc_obs::probe!(hist BatchSize, n);
+    }
+
+    /// Deletes a slice in parallel through the batched prefetching
+    /// path: scheduler chunks of [`phc_parutil::grain`] keys, each
+    /// processed by [`delete_batch`](Self::delete_batch). For the
+    /// history-independent tables the final layout equals that of any
+    /// other deletion of the same set; for the first-fit table only the
+    /// surviving key set does.
+    pub fn par_delete_batched(&self, keys: &[E]) {
+        use rayon::prelude::*;
+        keys.par_chunks(phc_parutil::grain())
+            .for_each(|chunk| self.delete_batch(chunk));
+    }
+
+    /// Packs the non-empty cells into a vector in cell order (paper §4,
+    /// `ELEMENTS`). Runs in parallel via a prefix sum, so the output is
+    /// deterministic for a given layout. Safe to call concurrently with
+    /// finds.
+    pub fn elements(&self) -> Vec<E> {
+        let mut out = Vec::new();
+        self.elements_into(&mut out);
+        out
+    }
+
+    /// [`elements`](Self::elements) into a caller-provided buffer:
+    /// **appends** to `out` (prior contents are preserved), reusing its
+    /// allocation. Repeated packers (the KV server's export loop) call
+    /// this once per batch with a retained buffer instead of allocating
+    /// a fresh `Vec` each time. The appended suffix is identical to
+    /// what `elements()` returns.
+    pub fn elements_into(&self, out: &mut Vec<E>) {
+        // Mask-based pack: the count pass popcounts wide-scan occupancy
+        // masks instead of testing cells one by one, and only the
+        // surviving cells are decoded. The offsets come from the same
+        // deterministic prefix sum at every dispatch tier.
+        let base = out.len();
+        phc_parutil::pack_with_mask_into(
+            &self.cells,
+            |win| simd::scan_nonempty_mask(win, E::EMPTY),
+            |c| E::from_repr(self.policy.unstored(c.load(Ordering::Acquire))),
+            out,
+        );
+        phc_obs::probe!(hist PackSize, out.len() - base);
+    }
+
+    /// Applies `f` to every stored entry, in parallel, without
+    /// materializing the packed array (paper §6: the applications
+    /// "require either returning the elements of the hash table or
+    /// mapping over the elements"). Iteration order is unspecified;
+    /// use [`elements`](Self::elements) when a deterministic sequence
+    /// matters.
+    pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
+        use rayon::prelude::*;
+        self.cells.par_iter().with_min_len(4096).for_each(|c| {
+            let v = c.load(Ordering::Acquire);
+            if v != E::EMPTY {
+                f(E::from_repr(self.policy.unstored(v)));
+            }
+        });
+    }
+
+    /// Number of occupied cells (exact at quiescence).
+    pub fn len(&self) -> usize {
+        crate::stats::occupied_len::<E>(&self.cells)
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Removes every entry (parallel).
+    pub fn clear(&mut self) {
+        use rayon::prelude::*;
+        self.cells
+            .par_iter()
+            .with_min_len(4096)
+            .for_each(|c| c.store(E::EMPTY, Ordering::Relaxed));
+    }
+}
+
+impl<E: HashEntry, P: Growable<E>> ProbeTable<E, P> {
+    /// Applies `f` to every entry stored in the cell range (clamped to
+    /// the capacity), sequentially and in cell order. The caller must
+    /// guarantee no concurrent mutation of the scanned cells; with that
+    /// guarantee the visit is exact.
+    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, mut f: impl FnMut(E)) {
+        let end = range.end.min(self.cells.len());
+        let start = range.start.min(end);
+        // Wide occupancy mask per 64-cell window, then visit only the
+        // set bits (ascending, preserving cell order).
+        let mut base = start;
+        for win in self.cells[start..end].chunks(64) {
+            let mut bits = simd::scan_nonempty_mask(win, E::EMPTY);
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let c = self.cells[base + j].load(Ordering::Acquire);
+                f(E::from_repr(self.policy.unstored(c)));
+            }
+            base += win.len();
+        }
+    }
+
+    /// Claims every cell in `range` (clamped to the capacity) for
+    /// migration: atomically swaps each cell to the stored form of the
+    /// [`FORWARD`](HashEntry::FORWARD) sentinel and appends the
+    /// displaced non-empty reprs, decoded, to `out`, in cell order.
+    ///
+    /// This is the sweep primitive of the freeze-free resizer
+    /// ([`crate::resize::ResizableTable`]). Per-cell atomicity of the
+    /// swap is what makes the sweep safe under concurrent inserts: a
+    /// racing insert CAS either lands *before* the claim (the entry is
+    /// carried out here) or fails against the sentinel, re-reads it,
+    /// and diverts to the successor — no entry is lost or duplicated.
+    /// Empty cells are claimed too, so a late insert can never land
+    /// *behind* the sweep in already-claimed territory. (The resizer
+    /// first drains the fully-concurrent table's multi-cell writer
+    /// protocols through `quiesce_writers`.)
+    pub fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
+        let marker = self.policy.forward();
+        let end = range.end.min(self.cells.len());
+        let start = range.start.min(end);
+        for cell in &self.cells[start..end] {
+            let prev = cell.swap(marker, Ordering::AcqRel);
+            debug_assert_ne!(prev, marker, "migration block claimed twice");
+            if prev != E::EMPTY {
+                out.push(self.policy.unstored(prev));
+            }
+        }
+    }
+}
+
+impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
+    #[inline(always)]
+    pub(crate) fn load_at(self, virtual_idx: usize) -> u64 {
+        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
+    }
+
+    #[inline(always)]
+    pub(crate) fn cas_at(self, virtual_idx: usize, old: u64, new: u64) -> bool {
+        self.cells[virtual_idx & self.mask]
+            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    /// Forward distance from bucket `from` to bucket `to` (both already
+    /// reduced), in `[0, capacity)`.
+    #[inline(always)]
+    pub(crate) fn dist(self, from: usize, to: usize) -> usize {
+        (to.wrapping_sub(from)) & self.mask
+    }
+
+    #[inline(always)]
+    pub(crate) fn home(self, stored: u64) -> usize {
+        self.policy().home(stored, self.mask)
+    }
+
+    /// The virtual home position of the stored word observed at virtual
+    /// index `at`: the largest virtual index ≤ `at` congruent to its
+    /// home bucket (see "Wraparound" in [`crate::det`]). Exact whenever
+    /// the entry lies inside its cluster — always, while the table is
+    /// not full.
+    #[inline(always)]
+    pub(crate) fn lift_home(self, stored: u64, at: usize) -> usize {
+        at - self.dist(self.home(stored), at & self.mask)
+    }
+
+    #[inline(always)]
+    pub(crate) fn prefetch(self, stored: u64) {
+        prefetch_slot(self.cells, self.home(stored));
+    }
+
+    /// The key mask the wide bodies run under, or `None` to take the
+    /// scalar body: at the scalar tier, and for entry types without a
+    /// maskable key (pointer entries), which only the scalar probe
+    /// understands.
+    #[inline(always)]
+    fn wide_mask<K: Kernel>(self) -> Option<u64> {
+        if K::WIDE {
+            let mask = self.policy().key_mask();
+            if mask.is_none() {
+                phc_obs::probe!(count SimdFallbacks);
+            }
+            mask
+        } else {
+            None
+        }
+    }
+
+    /// Per-operation insert of a stored word: binds the tier, then runs
+    /// the policy's insert body.
+    #[inline]
+    pub(crate) fn insert_stored(self, v: u64, token: u64) -> Result<i64, u64> {
+        simd::bind(self.table, InsertOne { v, token })
+    }
+
+    #[inline(always)]
+    pub(crate) fn prioritized_insert<K: Kernel>(
+        self,
+        k: K,
+        v: u64,
+        token: u64,
+    ) -> Result<i64, u64> {
+        match self.wide_mask::<K>() {
+            Some(key_mask) => self.insert_wide(k, key_mask, v, token),
+            None => self.insert_scalar(v, token),
+        }
+    }
+
+    /// Figure 1 `INSERT`: walk past the cells that outrank `v`, swap
+    /// into the first that does not, and carry the displaced entry
+    /// onward.
+    #[inline]
+    fn insert_scalar(self, mut v: u64, token: u64) -> Result<i64, u64> {
+        let p = self.policy();
+        let n = self.cells.len();
+        let fwd = p.forward();
+        let mut i = self.home(v);
+        let mut t = InsertTally::default();
+        let mut net = 0i64;
+        let result = loop {
+            let c = self.cells[i].load(Ordering::Acquire);
+            if c == fwd {
+                // Claimed by a migration sweep: the epoch is retiring
+                // and the entry (if any) now lives in the successor.
+                // Hand the carried word back so the caller re-homes it
+                // there.
+                phc_obs::probe!(count ForwardedProbes);
+                break Err(v);
+            }
+            if p.same_key(c, v) {
+                // Duplicate key: converge on the combined value.
+                let merged = E::combine(c, v);
+                if merged == c
+                    || self.cells[i]
+                        .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+                {
+                    break Ok(net);
+                }
+                t.cas_fails += 1;
+                continue; // cell changed under us; re-read
+            }
+            if p.outranks(c, v) {
+                i = (i + 1) & self.mask;
+                t.steps += 1;
+                if t.steps > n {
+                    break Err(v);
+                }
+            } else if self.cells[i]
+                .compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                // `c` has strictly lower priority than `v` (possibly
+                // ⊥): the cell is ours and `c` is carried onward.
+                let filled = c == E::EMPTY;
+                if filled {
+                    net += 1;
+                }
+                net += P::after_place(self, v, i, token);
+                if filled {
+                    break Ok(net);
+                }
+                t.swaps += 1;
+                v = c;
+                i = (i + 1) & self.mask;
+                t.steps += 1;
+                if t.steps > n {
+                    break Err(v);
+                }
+            } else {
+                // On CAS failure, retry the same cell: its priority can
+                // only have increased, so the comparison re-runs.
+                t.cas_fails += 1;
+            }
+        };
+        P::record_insert(&t, false);
+        result
+    }
+
+    /// Wide insert: a speculative `scan_le` skips the cells that
+    /// outrank `v` in one compare per lane, then the candidate is
+    /// confirmed with the exact per-cell atomic loop of the scalar
+    /// body. Skipping on a racy wide load is sound because cell
+    /// priorities only *rise* while inserts run (an insert CAS replaces
+    /// a cell with a higher-priority key; `combine` keeps the key), so
+    /// "this lane outranks `v`" can never be invalidated — and where a
+    /// concurrent delete may lower a cell (the fully-concurrent table),
+    /// that is exactly what the `after_place` validation repairs. The
+    /// converse can happen: a candidate whose priority rose after the
+    /// scan sampled it is a counted misspeculation that re-scans one
+    /// cell further on — which is also what the scalar loop would do on
+    /// its next look at that cell.
+    #[inline(always)]
+    fn insert_wide<K: Kernel>(
+        self,
+        k: K,
+        key_mask: u64,
+        mut v: u64,
+        token: u64,
+    ) -> Result<i64, u64> {
+        let p = self.policy();
+        let n = self.cells.len();
+        let fwd = p.forward();
+        let mut i = self.home(v);
+        let mut t = InsertTally::default();
+        let mut net = 0i64;
+        let result = 'outer: loop {
+            let thr = v & key_mask;
+            // Fast path: at moderate loads the cell under the cursor
+            // usually decides the insert by itself (empty, same key, or
+            // lower priority), so peek it scalar before paying for the
+            // wide-scan setup. The peek is also what makes the
+            // post-displacement `continue 'outer` cheap.
+            let peek = self.cells[i].load(Ordering::Acquire);
+            let (j, mut c) = if peek & key_mask <= thr {
+                t.lanes += 1;
+                (i, peek)
+            } else {
+                // SAFETY: `i < n == cells.len()`.
+                let (hit, lanes) = unsafe { k.scan_le(self.cells, i, n, key_mask, thr) };
+                let (hit, lanes) = match hit {
+                    Some(_) => (hit, lanes),
+                    None => {
+                        // SAFETY: as above.
+                        let (wrapped, more) = unsafe { k.scan_le(self.cells, 0, i, key_mask, thr) };
+                        (wrapped, lanes + more)
+                    }
+                };
+                t.lanes += lanes;
+                match hit {
+                    Some(h) => h,
+                    None => {
+                        // Every cell outranks `v`: the table is full of
+                        // higher-priority keys.
+                        t.steps = n + 1;
+                        break 'outer Err(v);
+                    }
+                }
+            };
+            t.steps += self.dist(i, j);
+            if t.steps > n {
+                break 'outer Err(v);
+            }
+            i = j;
+            // Per-cell atomic confirm — the scalar probe body pinned at
+            // the candidate cell, seeded with the value the scan already
+            // observed there: the first CAS attempt reuses the loaded
+            // window instead of re-loading the cell, and a failed CAS
+            // hands back the current value, so the loop never issues a
+            // separate re-load either.
+            loop {
+                P::spec_check(i, self.mask);
+                if c == fwd {
+                    // Also reachable via the CAS-failure re-read below.
+                    // Must precede `same_key`: the marker masks to the
+                    // key mask, so a max-key probe would otherwise
+                    // "match" it.
+                    phc_obs::probe!(count ForwardedProbes);
+                    break 'outer Err(v);
+                }
+                if p.same_key(c, v) {
+                    let merged = E::combine(c, v);
+                    if merged == c {
+                        break 'outer Ok(net);
+                    }
+                    match self.cells[i].compare_exchange(
+                        c,
+                        merged,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
+                        Ok(_) => break 'outer Ok(net),
+                        Err(cur) => {
+                            t.cas_fails += 1;
+                            c = cur; // cell changed under us; re-check
+                            continue;
+                        }
+                    }
+                }
+                if p.outranks(c, v) {
+                    // Misspeculation: a concurrent insert raised this
+                    // cell above `v` after the wide scan sampled it.
+                    t.misspecs += 1;
+                    i = (i + 1) & self.mask;
+                    t.steps += 1;
+                    if t.steps > n {
+                        break 'outer Err(v);
+                    }
+                    continue 'outer;
+                }
+                match self.cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => {
+                        let filled = c == E::EMPTY;
+                        if filled {
+                            net += 1;
+                        }
+                        net += P::after_place(self, v, i, token);
+                        if filled {
+                            break 'outer Ok(net);
+                        }
+                        t.swaps += 1;
+                        v = c;
+                        i = (i + 1) & self.mask;
+                        t.steps += 1;
+                        if t.steps > n {
+                            break 'outer Err(v);
+                        }
+                        continue 'outer;
+                    }
+                    Err(cur) => {
+                        t.cas_fails += 1;
+                        c = cur;
+                    }
+                }
+            }
+        };
+        P::record_insert(&t, true);
+        result
+    }
+
+    /// The batch-prefetch loop: before running `op` on item `i`, the
+    /// home slot of item `i + ahead` is prefetched (see
+    /// [`crate::batch`]), keeping several cache misses in flight instead
+    /// of serializing them. `op` gets the item's repr and stored word and
+    /// returns `false` to stop the batch; the loop returns whether it ran
+    /// to the end. Callers inside a bound tier frame mark their closure
+    /// `#[inline(always)]`, so the probe it runs compiles in that frame.
+    #[inline(always)]
+    fn pipelined(self, items: &[E], ahead: usize, mut op: impl FnMut(u64, u64) -> bool) -> bool {
+        let p = self.policy();
+        for e in items.iter().take(ahead) {
+            self.prefetch(p.stored(e.to_repr()));
+        }
+        for i in 0..items.len() {
+            if let Some(next) = items.get(i + ahead) {
+                self.prefetch(p.stored(next.to_repr()));
+            }
+            let r = items[i].to_repr();
+            if !op(r, p.stored(r)) {
+                return false;
+            }
+        }
+        true
+    }
+
+    #[inline(always)]
+    pub(crate) fn prioritized_find<K: Kernel>(
+        self,
+        k: K,
+        probe: u64,
+        careful: bool,
+    ) -> Option<u64> {
+        if careful {
+            // The closure must inline with the rest of the body: as a
+            // function of its own it would compile outside the bound
+            // tier's frame, and every scan would be a call.
+            self.policy().find_settled(
+                #[inline(always)]
+                || self.find_once(k, probe, true),
+            )
+        } else {
+            self.find_once(k, probe, false)
+        }
+    }
+
+    /// One probe for `probe`, wide or scalar.
+    #[inline(always)]
+    fn find_once<K: Kernel>(self, k: K, probe: u64, careful: bool) -> Option<u64> {
+        match self.wide_mask::<K>() {
+            Some(key_mask) => self.find_wide(k, key_mask, probe, P::CONFIRM_READS && careful),
+            None => self.find_scalar(probe),
+        }
+    }
+
+    /// Figure 1 `FIND`: walk the probe path until the key, ⊥, or the
+    /// first cell of lower priority — keys on the path are
+    /// priority-sorted, so `probe` cannot be further on.
+    #[inline]
+    fn find_scalar(self, probe: u64) -> Option<u64> {
+        let p = self.policy();
+        let fwd = p.forward();
+        let mut i = self.home(probe);
+        let mut steps = 0usize;
+        let result = 'scan: {
+            // Guard against a (mis-used) full table of higher-priority
+            // keys.
+            for _ in 0..=self.cells.len() {
+                let c = self.cells[i].load(Ordering::Acquire);
+                if c == E::EMPTY {
+                    break 'scan None;
+                }
+                if c == fwd {
+                    // The table is retiring; the entry (if any) lives
+                    // in the successor, so this epoch reports absence.
+                    phc_obs::probe!(count ForwardedProbes);
+                    break 'scan None;
+                }
+                if p.same_key(c, probe) {
+                    break 'scan Some(c);
+                }
+                if !p.outranks(c, probe) {
+                    break 'scan None;
+                }
+                i = (i + 1) & self.mask;
+                steps += 1;
+            }
+            None
+        };
+        phc_obs::probe!(count FindProbeSteps, steps);
+        result
+    }
+
+    /// Wide find. Under the
+    /// [`SIMD_KEY_MASK`](HashEntry::SIMD_KEY_MASK) contract the whole
+    /// prioritized stop condition collapses to one unsigned compare:
+    /// the first cell whose masked word is `<=` the probe's is either an
+    /// exact key match (equal) or proof of absence (empty or lower
+    /// priority) — exactly where the scalar loop stops.
+    ///
+    /// With `confirm` off the stop lane's value is taken from the
+    /// kernel's already-loaded window: the reads are quiescent (a read
+    /// phase, or a validated speculation window), so it equals what a
+    /// re-load would return and the result is byte-identical to the
+    /// scalar path. With `confirm` on the hit is only a *hint*: the
+    /// lane is re-read through a per-cell atomic load, and one that
+    /// rose above the probe after the scan sampled it (an in-flight
+    /// displacement) resumes the scan past it.
+    #[inline(always)]
+    fn find_wide<K: Kernel>(self, k: K, key_mask: u64, probe: u64, confirm: bool) -> Option<u64> {
+        let p = self.policy();
+        let n = self.cells.len();
+        let fwd = p.forward();
+        let home = self.home(probe);
+        let thr = probe & key_mask;
+        let mut lanes = 0usize;
+        let mut stop = None;
+        // The probe path is `[home, n)` and then, wrapped, `[0, home)`.
+        // Running off both is a (mis-used) full table of
+        // higher-priority keys, the scalar guard case.
+        'legs: for (mut s, e) in [(home, n), (0, home)] {
+            while s < e {
+                // SAFETY: `s < e <= n == cells.len()`.
+                let (hit, more) = unsafe { k.scan_le(self.cells, s, e, key_mask, thr) };
+                lanes += more;
+                let Some((j, scanned)) = hit else { break };
+                if !confirm {
+                    stop = Some((j, scanned));
+                    break 'legs;
+                }
+                let c = self.cells[j].load(Ordering::Acquire);
+                P::spec_check(j, self.mask);
+                if c == fwd || c & key_mask <= thr {
+                    stop = Some((j, c));
+                    break 'legs;
+                }
+                // Rose above the probe after the scan sampled it.
+                s = j + 1;
+            }
+        }
+        P::record_find_wide(lanes, stop.map_or(n + 1, |(j, _)| self.dist(home, j)));
+        match stop {
+            Some((_, c)) if c == fwd => {
+                // The marker masks to the key mask, so a max-key probe
+                // can stop on it — never interpret it as an entry.
+                phc_obs::probe!(count ForwardedProbes);
+                None
+            }
+            Some((_, c)) if p.same_key(c, probe) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Figure 1 `DELETE`, lines 27-29, then the chase. A walk that
+    /// finds nothing is final unless the policy asks for another.
+    ///
+    /// Deliberately without an inline hint: inlined into the batch loops
+    /// the chase costs ~6% of delete throughput in register pressure
+    /// (EXPERIMENTS.md PR 12); a call per delete is the cheaper shape.
+    pub(crate) fn prioritized_delete(self, probe: u64, mut token: u64) -> bool {
+        let p = self.policy();
+        let fwd = p.forward();
+        // Virtual indices: base the walk at `capacity + bucket` so `k`
+        // can step below `i` without underflow.
+        let i = self.cells.len() + self.home(probe);
+        loop {
+            // Walk forward past higher-priority cells to land at or
+            // past the last copy of the key.
+            let mut k = i;
+            loop {
+                let c = self.load_at(k);
+                if c == fwd {
+                    // The resizer gates migration sweeps on delete
+                    // quiescence, so a delete never races a sweep; but
+                    // `delete` and `claim_range_forward` are both
+                    // public, and the marker outranks every probe — an
+                    // unguarded walk over a forwarded table never ends.
+                    phc_obs::probe!(count ForwardedProbes);
+                    break;
+                }
+                if c == E::EMPTY || !p.outranks(c, probe) {
+                    break;
+                }
+                k += 1;
+            }
+            if self.delete_from::<true>(k, i, probe, token) {
+                return true;
+            }
+            if !p.rewalk_after_miss(&mut token) {
+                return false;
+            }
+        }
+    }
+
+    /// Figure 1 `DELETE`, lines 30-41, seeded at virtual position `k`
+    /// with virtual home `i`: walk down to the copy of `v`'s key, fill
+    /// its cell with the replacement, and chase the replacement's other
+    /// copy. `v` is the word we are currently responsible for deleting
+    /// (the paper carries keys; carrying full words is equivalent
+    /// because a key occupies at most one distinct cell value, and the
+    /// CAS needs the exact loaded word anyway).
+    ///
+    /// With `CHECKED` the policy's `after_copy_down` / `after_hole`
+    /// hooks run after each write. Repair removals pass `false`: their
+    /// writes are re-covered by the still-registered outer operation's
+    /// own validation. A const generic (not a flag) so the checked
+    /// instantiation's loop carries only the hooks' inlined fast checks.
+    #[inline]
+    pub(crate) fn delete_from<const CHECKED: bool>(
+        self,
+        mut k: usize,
+        mut i: usize,
+        mut v: u64,
+        token: u64,
+    ) -> bool {
+        let p = self.policy();
+        let fwd = p.forward();
+        let mut steps = 0usize;
+        let result = loop {
+            if k < i {
+                break false;
+            }
+            steps += 1;
+            let c = self.load_at(k);
+            if c == fwd {
+                // Never a valid key (see the walk-up loop).
+                phc_obs::probe!(count ForwardedProbes);
+                k -= 1;
+                continue;
+            }
+            if c == E::EMPTY || !p.same_key(c, v) {
+                k -= 1;
+                continue;
+            }
+            let (j, vprime) = P::find_replacement(self, k);
+            if self.cas_at(k, c, vprime) {
+                if vprime != E::EMPTY {
+                    if CHECKED {
+                        P::after_copy_down(self, k, token);
+                    }
+                    // A second copy of `vprime` now exists at `k`; we
+                    // are responsible for deleting the one at `j`.
+                    v = vprime;
+                    k = j;
+                    i = self.lift_home(vprime, j);
+                } else {
+                    if CHECKED {
+                        if let Some((j2, v2)) = P::after_hole(self, k, token) {
+                            v = v2;
+                            k = j2;
+                            i = self.lift_home(v2, j2);
+                            continue;
+                        }
+                    }
+                    break true;
+                }
+            } else {
+                // Someone else changed the cell: the copy we were
+                // chasing either moved to a lower index (deletes move
+                // entries down) — step back and keep looking — or, on
+                // the fully-concurrent table, was displaced up by an
+                // insert whose carrier now owns its placement.
+                k -= 1;
+            }
+        };
+        phc_obs::probe!(count DeleteProbeSteps, steps);
+        result
+    }
+
+    /// Figure 1, `FINDREPLACEMENT(i)`: returns `(j, v')` where `v'` is
+    /// the entry that may legally fill the hole at virtual index `i`
+    /// (or ⊥), and `j` is its (virtual) location.
+    pub(crate) fn find_replacement(self, i: usize) -> (usize, u64) {
+        // Scan up past entries that home strictly after `i` (those may
+        // not move back to `i`). The per-cell predicate hashes the
+        // entry, so it cannot be a vector compare; instead the loads
+        // come in wide windows ([`simd::load_window`]) and the
+        // predicate runs on the buffered lanes. Each lane is a valid
+        // (non-torn) cell value, which is all this scan ever relied on:
+        // concurrent deletes can move the candidate down after *any*
+        // load, wide or scalar, and the downward re-scan below plus the
+        // caller's CAS already recover from that.
+        let n = self.cells.len();
+        let fwd = self.policy().forward();
+        // A forwarded cell may neither fill the hole nor prove one
+        // cannot exist (and is not a hashable entry): skipped.
+        let fits =
+            |val: u64, at: usize| val == E::EMPTY || (val != fwd && self.lift_home(val, at) <= i);
+        let mut buf = [0u64; simd::MAX_WINDOW];
+        let mut next = i + 1;
+        let (mut j, mut v) = 'up: loop {
+            let real = next & self.mask;
+            let k = simd::load_window(self.cells, real, n.min(real + simd::MAX_WINDOW), &mut buf);
+            phc_obs::probe!(count SimdLanesScanned, k);
+            for (lane, &val) in buf[..k].iter().enumerate() {
+                if fits(val, next + lane) {
+                    break 'up (next + lane, val);
+                }
+            }
+            next += k;
+        };
+        // The candidate may have been shifted down by a concurrent
+        // delete while we scanned; walk back down to find its current
+        // position. (The paper notes this second, downward loop is
+        // essential.)
+        let mut k = j - 1;
+        while k > i {
+            let vp = self.load_at(k);
+            if fits(vp, k) {
+                v = vp;
+                j = k;
+            }
+            k -= 1;
+        }
+        (j, v)
+    }
+}
+
+// The bodies handed to `simd::bind`, each run on the table it is bound
+// with. A body holds only the operation's operands and builds its
+// `Probe` inside `run`, in the bound frame: handed in ready-made, the
+// four-word `Probe` would cross the call in memory, and an AVX2 frame
+// copies it out with one 32-byte load — which cannot forward from the
+// four 8-byte stores the caller just made, a ~13-tick stall per call
+// (measured on the per-op insert, EXPERIMENTS.md PR 12).
+
+/// One insert of a stored word, awaiting its kernels.
+struct InsertOne {
+    v: u64,
+    token: u64,
+}
+
+impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for InsertOne {
+    type Out = Result<i64, u64>;
+    #[inline(always)]
+    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
+        P::insert_with(table.probe(), k, self.v, self.token)
+    }
+}
+
+/// One careful lookup of a stored word, awaiting its kernels.
+struct FindOne {
+    probe: u64,
+}
+
+impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for FindOne {
+    type Out = Option<u64>;
+    #[inline(always)]
+    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
+        P::find_with(table.probe(), k, self.probe, true)
+    }
+}
+
+/// A whole prefetching insert loop, awaiting its kernels; yields `true`
+/// if the table filled up mid-batch.
+struct InsertBatch<'a, E> {
+    entries: &'a [E],
+    token: u64,
+}
+
+impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for InsertBatch<'_, E> {
+    type Out = bool;
+    #[inline(always)]
+    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> bool {
+        let (t, token) = (table.probe(), self.token);
+        // The *gated* insert prefetch distance: on a multi-worker pool,
+        // deep write-side prefetch pipelines fight both the hardware
+        // prefetcher and other writers' in-flight lines (the slots are
+        // about to be dirtied), so the lookahead shrinks when more than
+        // one pool worker is active.
+        !t.pipelined(
+            self.entries,
+            insert_prefetch_ahead(),
+            #[inline(always)]
+            |_, stored| P::insert_with(t, k, stored, token).is_ok(),
+        )
+    }
+}
+
+/// A whole prefetching lookup loop, awaiting its kernels. `CAREFUL`
+/// off trusts the scanned values and skips the policy's `find_settled`
+/// — for callers that certify quiescence themselves. A const, so the
+/// frame the loop is bound in holds only the one variant.
+pub(crate) struct FindBatch<'a, E, const CAREFUL: bool> {
+    pub(crate) keys: &'a [E],
+    pub(crate) out: &'a mut Vec<Option<E>>,
+}
+
+impl<E: HashEntry, P: ProbePolicy<E>, const CAREFUL: bool> TierBody<ProbeTable<E, P>>
+    for FindBatch<'_, E, CAREFUL>
+{
+    type Out = ();
+    #[inline(always)]
+    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) {
+        let (t, out) = (table.probe(), self.out);
+        t.pipelined(
+            self.keys,
+            PREFETCH_AHEAD,
+            #[inline(always)]
+            |r, stored| {
+                out.push(
+                    P::find_with(t, k, stored, CAREFUL)
+                        .map(|c| E::from_repr(t.policy().recover(r, c))),
+                );
+                true
+            },
+        );
+    }
+}
+
+/// Insert-phase handle (see [`crate::phase`]). The embedded
+/// [`PhaseSpan`] brackets the phase on the observability timeline. (The
+/// fully-concurrent table needs no phase discipline; its handles exist
+/// so the uniform contract tests and benchmarks drive it through the
+/// same trait as every other table.)
+pub struct Inserter<'t, E: HashEntry, P: ProbePolicy<E>>(
+    &'t ProbeTable<E, P>,
+    #[allow(dead_code)] PhaseSpan,
+);
+/// Delete-phase handle (see [`Inserter`]).
+pub struct Deleter<'t, E: HashEntry, P: ProbePolicy<E>>(
+    &'t ProbeTable<E, P>,
+    #[allow(dead_code)] PhaseSpan,
+);
+/// Read-phase handle (see [`Inserter`]).
+pub struct Reader<'t, E: HashEntry, P: ProbePolicy<E>>(
+    &'t ProbeTable<E, P>,
+    #[allow(dead_code)] PhaseSpan,
+);
+
+impl<E: HashEntry, P: ProbePolicy<E>> ConcurrentInsert<E> for Inserter<'_, E, P> {
+    #[inline]
+    fn insert(&self, e: E) {
+        self.0.insert(e);
+    }
+}
+impl<E: HashEntry, P: ProbePolicy<E>> Inserter<'_, E, P> {
+    /// Batched prefetching insert (see [`ProbeTable::insert_batch`]).
+    pub fn insert_batch(&self, entries: &[E]) {
+        self.0.insert_batch(entries);
+    }
+    /// Parallel batched insert (see [`ProbeTable::par_insert_batched`]).
+    pub fn par_insert_batched(&self, entries: &[E]) {
+        self.0.par_insert_batched(entries);
+    }
+}
+impl<E: HashEntry, P: ProbePolicy<E>> ConcurrentDelete<E> for Deleter<'_, E, P> {
+    #[inline]
+    fn delete(&self, key: E) {
+        self.0.delete(key);
+    }
+}
+impl<E: HashEntry, P: ProbePolicy<E>> Deleter<'_, E, P> {
+    /// Batched prefetching delete (see [`ProbeTable::delete_batch`]).
+    pub fn delete_batch(&self, keys: &[E]) {
+        self.0.delete_batch(keys);
+    }
+    /// Parallel batched delete (see [`ProbeTable::par_delete_batched`]).
+    pub fn par_delete_batched(&self, keys: &[E]) {
+        self.0.par_delete_batched(keys);
+    }
+}
+impl<E: HashEntry, P: ProbePolicy<E>> ConcurrentRead<E> for Reader<'_, E, P> {
+    #[inline]
+    fn find(&self, key: E) -> Option<E> {
+        self.0.find(key)
+    }
+}
+impl<E: HashEntry, P: ProbePolicy<E>> Reader<'_, E, P> {
+    /// Packs the table contents (allowed in the read phase).
+    pub fn elements(&self) -> Vec<E> {
+        self.0.elements()
+    }
+    /// Batched prefetching lookup (see [`ProbeTable::find_batch`]).
+    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        self.0.find_batch(keys)
+    }
+    /// Parallel batched lookup (see [`ProbeTable::par_find_batched`]).
+    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
+        self.0.par_find_batched(keys)
+    }
+}
+
+impl<E: HashEntry, P: ProbePolicy<E>> PhaseHashTable<E> for ProbeTable<E, P> {
+    type Inserter<'t>
+        = Inserter<'t, E, P>
+    where
+        E: 't;
+    type Deleter<'t>
+        = Deleter<'t, E, P>
+    where
+        E: 't;
+    type Reader<'t>
+        = Reader<'t, E, P>
+    where
+        E: 't;
+
+    const NAME: &'static str = P::NAME;
+
+    fn new_pow2(log2_size: u32) -> Self {
+        ProbeTable::new_pow2(log2_size)
+    }
+
+    fn capacity(&self) -> usize {
+        self.capacity()
+    }
+
+    fn begin_insert(&mut self) -> Inserter<'_, E, P> {
+        Inserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    }
+
+    fn begin_delete(&mut self) -> Deleter<'_, E, P> {
+        Deleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    }
+
+    fn begin_read(&mut self) -> Reader<'_, E, P> {
+        Reader(self, PhaseSpan::begin(PhaseKind::Read))
+    }
+
+    fn elements(&mut self) -> Vec<E> {
+        ProbeTable::elements(self)
+    }
+}
+
+impl<E: HashEntry, P: Growable<E>> crate::resize::FlatTableCore<E> for ProbeTable<E, P> {
+    const GROW_NAME: &'static str = P::GROW_NAME;
+
+    fn new_pow2(log2_size: u32) -> Self {
+        ProbeTable::new_pow2(log2_size)
+    }
+    fn capacity(&self) -> usize {
+        ProbeTable::capacity(self)
+    }
+    fn insert_counted(&self, e: E) -> bool {
+        ProbeTable::insert_counted(self, e)
+    }
+    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
+        ProbeTable::try_insert_repr(self, v)
+    }
+    fn delete_counted(&self, key: E) -> bool {
+        ProbeTable::delete_counted(self, key)
+    }
+    // The windowed forms let the growable wrapper's batch loops open a
+    // policy window once per chunk instead of once per op (the
+    // fully-concurrent table's `SeqCst` overlap registration).
+    fn open_insert_window(&self) -> u64 {
+        self.policy.open_insert_window()
+    }
+    fn close_insert_window(&self, _token: u64) {
+        self.policy.close_insert_window()
+    }
+    fn try_insert_repr_in(&self, v: u64, token: u64) -> Result<bool, u64> {
+        ProbeTable::try_insert_repr_in(self, v, token)
+    }
+    fn open_delete_window(&self) -> u64 {
+        self.policy.open_delete_window()
+    }
+    fn close_delete_window(&self, _token: u64) {
+        self.policy.close_delete_window()
+    }
+    fn delete_counted_in(&self, key: E, token: u64) -> bool {
+        ProbeTable::delete_counted_in(self, key, token)
+    }
+    fn find(&self, key: E) -> Option<E> {
+        ProbeTable::find(self, key)
+    }
+    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        ProbeTable::find_batch(self, keys)
+    }
+    fn prefetch_repr(&self, v: u64) {
+        ProbeTable::prefetch_repr(self, v)
+    }
+    fn elements(&self) -> Vec<E> {
+        ProbeTable::elements(self)
+    }
+    fn elements_into(&self, out: &mut Vec<E>) {
+        ProbeTable::elements_into(self, out)
+    }
+    fn snapshot(&self) -> Vec<u64> {
+        ProbeTable::snapshot(self)
+    }
+    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
+        ProbeTable::raw_cells(self)
+    }
+    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
+        ProbeTable::for_each_in_range(self, range, f)
+    }
+    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
+        ProbeTable::claim_range_forward(self, range, out)
+    }
+    fn quiesce_writers(&self) {
+        self.policy.quiesce_writers()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The behaviours every table over the prioritized engine shares,
+    /// instantiated once per policy. Table-specific tests (the Robin
+    /// Hood mixer and invariant, fc's mixed-concurrency repairs, the
+    /// first-fit table) live beside their policy.
+    macro_rules! policy_suite {
+        ($name:ident, $table:ident) => {
+            mod $name {
+                use crate::entry::{KeepMin, KvPair, U64Key};
+                use crate::phase::*;
+                use crate::probe::ProbePolicy;
+                use std::collections::BTreeSet;
+
+                type Table<E> = crate::$table<E>;
+
+                fn hashed_keys(n: u64) -> Vec<U64Key> {
+                    (1..=n)
+                        .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
+                        .collect()
+                }
+
+                #[test]
+                fn insert_then_find() {
+                    let t: Table<U64Key> = Table::new_pow2(8);
+                    for k in [1u64, 2, 3, 100, 200] {
+                        t.insert(U64Key::new(k));
+                    }
+                    for k in [1u64, 2, 3, 100, 200] {
+                        assert_eq!(t.find(U64Key::new(k)), Some(U64Key::new(k)));
+                    }
+                    assert_eq!(t.find(U64Key::new(4)), None);
+                    assert_eq!(t.len(), 5);
+                }
+
+                #[test]
+                fn duplicate_insert_is_idempotent() {
+                    let t: Table<U64Key> = Table::new_pow2(6);
+                    for _ in 0..10 {
+                        t.insert(U64Key::new(42));
+                    }
+                    assert_eq!(t.len(), 1);
+                    assert_eq!(t.elements(), vec![U64Key::new(42)]);
+                }
+
+                #[test]
+                fn delete_removes_only_target() {
+                    let t: Table<U64Key> = Table::new_pow2(8);
+                    for k in 1..=50u64 {
+                        t.insert(U64Key::new(k));
+                    }
+                    for k in (1..=50u64).filter(|k| k % 2 == 0) {
+                        t.delete(U64Key::new(k));
+                    }
+                    for k in 1..=50u64 {
+                        let expect = (k % 2 == 1).then(|| U64Key::new(k));
+                        assert_eq!(t.find(U64Key::new(k)), expect, "key {k}");
+                    }
+                    assert_eq!(t.len(), 25);
+                }
+
+                #[test]
+                fn delete_absent_is_noop() {
+                    let t: Table<U64Key> = Table::new_pow2(6);
+                    t.insert(U64Key::new(5));
+                    t.delete(U64Key::new(6));
+                    t.delete(U64Key::new(5));
+                    t.delete(U64Key::new(5));
+                    assert_eq!(t.len(), 0);
+                }
+
+                #[test]
+                fn history_independence_of_snapshot() {
+                    // Insert the same set in three very different
+                    // orders; the raw array must be identical (Def. 2
+                    // gives unique representation).
+                    let set: Vec<u64> = (1..=200).map(|i| i * 17 % 1009 + 1).collect();
+                    let mut orders = vec![set.clone()];
+                    let mut rev = set.clone();
+                    rev.reverse();
+                    orders.push(rev);
+                    let mut shuffled = set.clone();
+                    // Deterministic shuffle.
+                    for i in (1..shuffled.len()).rev() {
+                        let j = (phc_parutil::hash64(i as u64) as usize) % (i + 1);
+                        shuffled.swap(i, j);
+                    }
+                    orders.push(shuffled);
+
+                    let mut snaps = Vec::new();
+                    for order in &orders {
+                        let t: Table<U64Key> = Table::new_pow2(9);
+                        for &k in order {
+                            t.insert(U64Key::new(k));
+                        }
+                        snaps.push(t.snapshot());
+                    }
+                    assert_eq!(snaps[0], snaps[1]);
+                    assert_eq!(snaps[0], snaps[2]);
+                }
+
+                #[test]
+                fn history_independence_after_deletes() {
+                    // {insert A∪B; delete B} in varying orders must
+                    // equal {insert A}.
+                    let a: Vec<u64> = (1..=100).map(|i| i * 13 + 7).collect();
+                    let b: Vec<u64> = (1..=60).map(|i| i * 29 + 11).collect();
+
+                    let direct: Table<U64Key> = Table::new_pow2(9);
+                    let aset: BTreeSet<u64> = a.iter().copied().collect();
+                    let bset: BTreeSet<u64> = b.iter().copied().collect();
+                    for &k in aset.difference(&bset) {
+                        direct.insert(U64Key::new(k));
+                    }
+
+                    let t: Table<U64Key> = Table::new_pow2(9);
+                    for &k in a.iter().chain(&b) {
+                        t.insert(U64Key::new(k));
+                    }
+                    for &k in b.iter().rev() {
+                        t.delete(U64Key::new(k));
+                    }
+                    assert_eq!(t.snapshot(), direct.snapshot());
+                }
+
+                #[test]
+                fn elements_sorted_by_cell_order_is_deterministic() {
+                    let t1: Table<U64Key> = Table::new_pow2(8);
+                    let t2: Table<U64Key> = Table::new_pow2(8);
+                    for k in 1..=100u64 {
+                        t1.insert(U64Key::new(k));
+                    }
+                    for k in (1..=100u64).rev() {
+                        t2.insert(U64Key::new(k));
+                    }
+                    assert_eq!(t1.elements(), t2.elements());
+                    let mut sorted: Vec<u64> = t1.elements().iter().map(|k| k.0).collect();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, (1..=100u64).collect::<Vec<_>>());
+                }
+
+                #[test]
+                fn elements_recover_original_keys() {
+                    let t: Table<U64Key> = Table::new_pow2(10);
+                    for k in 1..=500u64 {
+                        t.insert(U64Key::new(k));
+                    }
+                    let mut got: Vec<u64> = t.elements().iter().map(|k| k.0).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, (1..=500u64).collect::<Vec<_>>());
+                    // `elements_into` appends the same sequence.
+                    let mut buf = vec![U64Key::new(9999)];
+                    t.elements_into(&mut buf);
+                    assert_eq!(buf[0], U64Key::new(9999));
+                    assert_eq!(buf[1..], t.elements()[..]);
+                }
+
+                #[test]
+                fn kv_combine_min_under_duplicates() {
+                    let t: Table<KvPair<KeepMin>> = Table::new_pow2(8);
+                    t.insert(KvPair::new(7, 30));
+                    t.insert(KvPair::new(7, 10));
+                    t.insert(KvPair::new(7, 20));
+                    let got = t.find(KvPair::new(7, 0)).unwrap();
+                    assert_eq!(got.value, 10);
+                    assert_eq!(t.len(), 1);
+                }
+
+                #[test]
+                fn wraparound_cluster() {
+                    // Force keys whose home lands in the last buckets
+                    // of a tiny table so clusters wrap.
+                    let t: Table<U64Key> = Table::new_pow2(3); // 8 cells
+                    let view = t.probe();
+                    let mut picked = Vec::new();
+                    let mut k = 1u64;
+                    while picked.len() < 5 {
+                        if view.home(ProbePolicy::<U64Key>::stored(view.policy(), k)) >= 6 {
+                            picked.push(k);
+                        }
+                        k += 1;
+                    }
+                    for &k in &picked {
+                        t.insert(U64Key::new(k));
+                    }
+                    for &k in &picked {
+                        assert_eq!(t.find(U64Key::new(k)), Some(U64Key::new(k)), "key {k}");
+                    }
+                    // Delete them all through the wrapped cluster.
+                    for &k in &picked {
+                        t.delete(U64Key::new(k));
+                        assert_eq!(t.find(U64Key::new(k)), None);
+                    }
+                    assert_eq!(t.len(), 0);
+                }
+
+                #[test]
+                #[should_panic(expected = "full")]
+                fn insert_into_full_table_panics() {
+                    let t: Table<U64Key> = Table::new_pow2(2); // 4 cells
+                    for k in 1..=5u64 {
+                        t.insert(U64Key::new(k));
+                    }
+                }
+
+                #[test]
+                fn batched_insert_matches_per_element_snapshot() {
+                    let keys = hashed_keys(4000);
+                    let seq: Table<U64Key> = Table::new_pow2(13);
+                    for &k in &keys {
+                        seq.insert(k);
+                    }
+                    let batched: Table<U64Key> = Table::new_pow2(13);
+                    batched.insert_batch(&keys);
+                    assert_eq!(batched.snapshot(), seq.snapshot());
+                    let par: Table<U64Key> = Table::new_pow2(13);
+                    par.par_insert_batched(&keys);
+                    assert_eq!(par.snapshot(), seq.snapshot());
+                }
+
+                #[test]
+                fn batched_find_matches_per_element() {
+                    let t: Table<U64Key> = Table::new_pow2(13);
+                    t.insert_batch(&hashed_keys(4000));
+                    // Probe a mix of present and absent keys.
+                    let probes = hashed_keys(8000);
+                    let expect: Vec<Option<U64Key>> = probes.iter().map(|&k| t.find(k)).collect();
+                    assert_eq!(expect.iter().filter(|f| f.is_some()).count(), 4000);
+                    assert_eq!(t.find_batch(&probes), expect);
+                    assert_eq!(t.par_find_batched(&probes), expect);
+                }
+
+                #[test]
+                fn batched_delete_matches_per_element_snapshot() {
+                    let keys = hashed_keys(4000);
+                    let (dels, _) = keys.split_at(2500);
+                    let expect: Table<U64Key> = Table::new_pow2(13);
+                    expect.insert_batch(&keys);
+                    for &k in dels {
+                        expect.delete(k);
+                    }
+                    let batched: Table<U64Key> = Table::new_pow2(13);
+                    batched.insert_batch(&keys);
+                    batched.delete_batch(dels);
+                    assert_eq!(batched.snapshot(), expect.snapshot());
+                    let par: Table<U64Key> = Table::new_pow2(13);
+                    par.insert_batch(&keys);
+                    par.par_delete_batched(dels);
+                    assert_eq!(par.snapshot(), expect.snapshot());
+                }
+
+                #[test]
+                fn batched_paths_match_per_op_on_dense_keys() {
+                    let keys: Vec<U64Key> = (1..=500u64).map(U64Key::new).collect();
+                    let a: Table<U64Key> = Table::new_pow2(10);
+                    let b: Table<U64Key> = Table::new_pow2(10);
+                    a.insert_batch(&keys);
+                    for &k in &keys {
+                        b.insert(k);
+                    }
+                    assert_eq!(a.snapshot(), b.snapshot());
+                    let dels: Vec<U64Key> = keys.iter().copied().step_by(3).collect();
+                    a.delete_batch(&dels);
+                    for &k in &dels {
+                        b.delete(k);
+                    }
+                    assert_eq!(a.snapshot(), b.snapshot());
+                    assert_eq!(a.find_batch(&keys), b.find_batch(&keys));
+                }
+
+                #[test]
+                fn parallel_insert_matches_sequential_snapshot() {
+                    use rayon::prelude::*;
+                    let keys = hashed_keys(4000);
+                    let seq: Table<U64Key> = Table::new_pow2(13);
+                    for &k in &keys {
+                        seq.insert(k);
+                    }
+                    for _ in 0..4 {
+                        let par: Table<U64Key> = Table::new_pow2(13);
+                        keys.par_iter().for_each(|&k| par.insert(k));
+                        assert_eq!(par.snapshot(), seq.snapshot());
+                    }
+                }
+
+                #[test]
+                fn parallel_delete_matches_sequential_snapshot() {
+                    use rayon::prelude::*;
+                    let keys = hashed_keys(4000);
+                    let (dels, keeps) = keys.split_at(2500);
+                    let expect: Table<U64Key> = Table::new_pow2(13);
+                    for &k in keeps {
+                        expect.insert(k);
+                    }
+                    for _ in 0..4 {
+                        // Sequential build, parallel delete ...
+                        let t: Table<U64Key> = Table::new_pow2(13);
+                        for &k in &keys {
+                            t.insert(k);
+                        }
+                        dels.par_iter().for_each(|&k| t.delete(k));
+                        assert_eq!(t.snapshot(), expect.snapshot());
+                        // ... and parallel build, parallel delete.
+                        let t: Table<U64Key> = Table::new_pow2(13);
+                        keys.par_iter().for_each(|&k| t.insert(k));
+                        dels.par_iter().for_each(|&k| t.delete(k));
+                        assert_eq!(t.snapshot(), expect.snapshot());
+                    }
+                }
+
+                #[test]
+                fn for_each_entry_visits_exactly_the_contents() {
+                    use std::sync::atomic::{AtomicU64, Ordering};
+                    let t: Table<U64Key> = Table::new_pow2(10);
+                    for k in 1..=500u64 {
+                        t.insert(U64Key::new(k));
+                    }
+                    let sum = AtomicU64::new(0);
+                    let count = AtomicU64::new(0);
+                    t.for_each_entry(|e| {
+                        sum.fetch_add(e.0, Ordering::Relaxed);
+                        count.fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(count.load(Ordering::Relaxed), 500);
+                    assert_eq!(sum.load(Ordering::Relaxed), 500 * 501 / 2);
+                }
+
+                #[test]
+                fn phase_api_compiles_and_works() {
+                    let mut t: Table<U64Key> = PhaseHashTable::new_pow2(8);
+                    {
+                        let ins = t.begin_insert();
+                        ins.insert(U64Key::new(9));
+                    }
+                    {
+                        let del = t.begin_delete();
+                        del.delete(U64Key::new(9));
+                    }
+                    let reader = t.begin_read();
+                    assert_eq!(reader.find(U64Key::new(9)), None);
+                }
+
+                #[test]
+                fn phase_api_batch_handles() {
+                    let all: Vec<U64Key> = (1..=60u64).map(U64Key::new).collect();
+                    let mut t: Table<U64Key> = Table::new_pow2(8);
+                    t.begin_insert().insert_batch(&all);
+                    t.begin_delete().delete_batch(&all[..30]);
+                    let reader = t.begin_read();
+                    assert_eq!(reader.find(U64Key::new(31)), Some(U64Key::new(31)));
+                    assert_eq!(reader.find(U64Key::new(1)), None);
+                    let found = reader.find_batch(&all);
+                    assert_eq!(found.iter().filter(|f| f.is_some()).count(), 30);
+                    assert_eq!(reader.elements().len(), 30);
+                }
+            }
+        };
+    }
+
+    policy_suite!(det, DetHashTable);
+    policy_suite!(robinhood, RobinHoodHashTable);
+    policy_suite!(fc, FcHashTable);
+}

@@ -17,8 +17,8 @@
 //! successor, and then proceeds against the live tail. Migration cost
 //! is spread across all operating threads with a hard per-op bound —
 //! there is no freeze wait, no exclusive lock, and no stop-the-world
-//! rebuild (the original `RwLock` implementation is preserved as
-//! [`StwResizableTable`] for the `resize` benchmark ablation).
+//! rebuild (the original `RwLock` implementation lives on in
+//! `phc-bench` as the `resize` benchmark's ablation baseline).
 //!
 //! ## Forwarding invariant
 //!
@@ -94,7 +94,7 @@
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use crate::cell::AtomOf;
 use crate::det::DetHashTable;
@@ -231,53 +231,6 @@ pub trait FlatTableCore<E: HashEntry>: Send + Sync {
     /// pointer after opening their window), so the wait is bounded by
     /// one in-flight window per thread.
     fn quiesce_writers(&self) {}
-}
-
-impl<E: HashEntry> FlatTableCore<E> for DetHashTable<E> {
-    const GROW_NAME: &'static str = "linearHash-D-grow";
-
-    fn new_pow2(log2_size: u32) -> Self {
-        DetHashTable::new_pow2(log2_size)
-    }
-    fn capacity(&self) -> usize {
-        DetHashTable::capacity(self)
-    }
-    fn insert_counted(&self, e: E) -> bool {
-        DetHashTable::insert_counted(self, e)
-    }
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        DetHashTable::try_insert_repr(self, v)
-    }
-    fn delete_counted(&self, key: E) -> bool {
-        DetHashTable::delete_counted(self, key)
-    }
-    fn find(&self, key: E) -> Option<E> {
-        DetHashTable::find(self, key)
-    }
-    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        DetHashTable::find_batch(self, keys)
-    }
-    fn prefetch_repr(&self, v: u64) {
-        DetHashTable::prefetch_repr(self, v)
-    }
-    fn elements(&self) -> Vec<E> {
-        DetHashTable::elements(self)
-    }
-    fn elements_into(&self, out: &mut Vec<E>) {
-        DetHashTable::elements_into(self, out)
-    }
-    fn snapshot(&self) -> Vec<u64> {
-        DetHashTable::snapshot(self)
-    }
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        DetHashTable::raw_cells(self)
-    }
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
-        DetHashTable::for_each_in_range(self, range, f)
-    }
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        DetHashTable::claim_range_forward(self, range, out)
-    }
 }
 
 /// Grow when `items * DEN >= capacity * NUM` (keeps load < 3/4).
@@ -895,7 +848,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         ep.table.quiesce_writers();
         // Timeline marker: the migrator passed the writer gate and may
         // now claim blocks (the freeze-era meaning — "all writers
-        // drained into a handshake" — is retired; see `FreezeWaits`).
+        // drained into a handshake" — is retired).
         phc_obs::probe!(phase EpochFreeze);
     }
 
@@ -1175,111 +1128,6 @@ impl<E: HashEntry, T: FlatTableCore<E>> PhaseHashTable<E> for ResizableTable<E, 
     }
 }
 
-/// The previous, stop-the-world growable table: inserts share a read
-/// lock; the thread that sees the threshold takes the write lock and
-/// rebuilds into a doubled table while every other inserter blocks.
-///
-/// Kept as the baseline arm of the `resize` benchmark ablation; new
-/// code should use [`ResizableTable`]. Generic over the same
-/// [`FlatTableCore`] as the cooperative resizer.
-pub struct StwResizableTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
-    inner: RwLock<T>,
-    items: AtomicUsize,
-    _entry: PhantomData<E>,
-}
-
-impl<E: HashEntry, T: FlatTableCore<E>> StwResizableTable<E, T> {
-    /// Creates a table with `2^log2_size` initial cells.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        StwResizableTable {
-            inner: RwLock::new(T::new_pow2(log2_size)),
-            items: AtomicUsize::new(0),
-            _entry: PhantomData,
-        }
-    }
-
-    /// Current capacity (cells).
-    pub fn capacity(&self) -> usize {
-        self.inner.read().expect("table lock poisoned").capacity()
-    }
-
-    /// Number of stored entries (exact).
-    pub fn len(&self) -> usize {
-        self.items.load(Ordering::Acquire)
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Runs an insert phase and normalizes the capacity afterwards.
-    pub fn insert_phase<R>(&mut self, f: impl FnOnce(&Self) -> R) -> R {
-        let r = f(self);
-        while self.len() * MAX_LOAD_DEN >= self.capacity() * MAX_LOAD_NUM {
-            self.grow();
-        }
-        r
-    }
-
-    /// Inserts an entry, growing (stop-the-world) at the threshold.
-    pub fn insert(&self, e: E) {
-        loop {
-            let guard = self.inner.read().expect("table lock poisoned");
-            if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN >= guard.capacity() * MAX_LOAD_NUM
-            {
-                drop(guard);
-                self.grow();
-                continue;
-            }
-            if guard.insert_counted(e) {
-                self.items.fetch_add(1, Ordering::AcqRel);
-            }
-            return;
-        }
-    }
-
-    /// Deletes by key.
-    pub fn delete(&self, key: E) {
-        let guard = self.inner.read().expect("table lock poisoned");
-        if guard.delete_counted(key) {
-            self.items.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Looks up a key.
-    pub fn find(&self, key: E) -> Option<E> {
-        self.inner.read().expect("table lock poisoned").find(key)
-    }
-
-    /// Packs the contents.
-    pub fn elements(&self) -> Vec<E> {
-        self.inner.read().expect("table lock poisoned").elements()
-    }
-
-    /// Raw snapshot of the current backing array.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.inner.read().expect("table lock poisoned").snapshot()
-    }
-
-    #[cold]
-    fn grow(&self) {
-        use rayon::prelude::*;
-        let mut w = self.inner.write().expect("table lock poisoned");
-        // Another thread may have grown while we waited.
-        if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN < w.capacity() * MAX_LOAD_NUM {
-            return;
-        }
-        let log2 = w.capacity().trailing_zeros() + 1;
-        let bigger = T::new_pow2(log2);
-        let elems = w.elements();
-        elems.par_iter().with_min_len(1024).for_each(|&e| {
-            bigger.insert_counted(e);
-        });
-        *w = bigger;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1394,27 +1242,6 @@ mod tests {
         // And the capacity is canonical for the key count: growth
         // fired exactly when required, with no overshoot.
         crate::invariant::check_canonical_capacity::<U64Key>(&snap, 16).unwrap();
-    }
-
-    #[test]
-    fn cooperative_matches_stop_the_world() {
-        // Same key set, same seed capacity: after normalization both
-        // growth strategies must land on the identical array.
-        let keys: Vec<u64> = (1..=2000).map(|i| phc_parutil::hash64(i) | 1).collect();
-        let mut coop: ResizableTable<U64Key> = ResizableTable::new_pow2(4);
-        coop.insert_phase(|t| {
-            for &k in &keys {
-                t.insert(U64Key::new(k));
-            }
-        });
-        let mut stw: StwResizableTable<U64Key> = StwResizableTable::new_pow2(4);
-        stw.insert_phase(|t| {
-            for &k in &keys {
-                t.insert(U64Key::new(k));
-            }
-        });
-        assert_eq!(coop.capacity(), stw.capacity());
-        assert_eq!(coop.snapshot(), stw.snapshot());
     }
 
     #[test]

@@ -60,15 +60,14 @@
 //! [`snapshot`](RobinHoodHashTable::snapshot) returns the raw
 //! (transformed) cells: still canonical per key set, so snapshot
 //! equality remains the strongest determinism check.
+//!
+//! The probe loops are the shared engine's ([`crate::probe`]): this
+//! module supplies the *order* — the mixer, the home rule and the
+//! masked compares — and nothing else.
 
-use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
-
-use crate::cell::{AtomOf, CellAtomic, CellWord};
+use crate::cell::CellWord;
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::probe::{Deleter, Growable, Inserter, ProbePolicy, ProbeTable, Reader};
 
 /// Multiplicative inverse of an odd `c` modulo 2^64 (Newton iteration:
 /// each step doubles the number of correct low bits, starting from the
@@ -178,52 +177,29 @@ impl Mixer {
     }
 }
 
-/// The phase-concurrent Robin Hood hash table.
-///
-/// See the [module docs](self) for the layout rule and guarantees.
-/// Same phase discipline and concurrency contract as
-/// [`DetHashTable`](crate::det::DetHashTable): any number of threads
-/// may run the *same* operation type concurrently; the layout (and
-/// therefore [`snapshot`](Self::snapshot)) is a pure function of the
-/// stored key set.
-///
-/// ```
-/// use phc_core::{RobinHoodHashTable, U64Key};
-/// let a: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(8);
-/// let b: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(8);
-/// for k in 1..=100u64 {
-///     a.insert(U64Key::new(k));            // ascending
-///     b.insert(U64Key::new(101 - k));      // descending
-/// }
-/// // History independence: identical layout from any insertion order.
-/// assert_eq!(a.snapshot(), b.snapshot());
-/// ```
-pub struct RobinHoodHashTable<E: HashEntry> {
-    cells: Box<[AtomOf<E::Repr>]>,
-    mask: usize,
+/// The Robin Hood table's probe policy: the order read off the mixed
+/// key field. Built (and its entry-type requirements checked) by
+/// [`RobinHoodHashTable::new_pow2`].
+pub struct RhPolicy {
     /// `E::SIMD_KEY_MASK`, cached (construction proves it exists).
     key_mask: u64,
     /// `Repr::BITS - log2(capacity)`: the home bucket is
     /// `(!t & key_mask) >> home_shift`.
     home_shift: u32,
     mixer: Mixer,
-    _entry: PhantomData<E>,
+    /// The stored-form forwarding marker, `stored(E::FORWARD)`.
+    forward: u64,
 }
 
-// SAFETY: all shared mutation goes through atomic cells.
-unsafe impl<E: HashEntry> Send for RobinHoodHashTable<E> {}
-unsafe impl<E: HashEntry> Sync for RobinHoodHashTable<E> {}
+impl<E: HashEntry> ProbePolicy<E> for RhPolicy {
+    const NAME: &'static str = "robinHood";
+    const SWAPS: phc_obs::Counter = phc_obs::Counter::RobinHoodShifts;
 
-impl<E: HashEntry> RobinHoodHashTable<E> {
-    /// Creates a table with `2^log2_size` cells, all empty.
-    ///
-    /// # Panics
-    ///
     /// Panics if `E` does not meet the Robin Hood entry requirements
     /// (see the [module docs](self)): a top-aligned contiguous
     /// `SIMD_KEY_MASK`, a zero `EMPTY` sentinel, and
     /// `1 <= log2_size <=` the mask width.
-    pub fn new_pow2(log2_size: u32) -> Self {
+    fn new(log2_size: u32) -> Self {
         let key_mask = E::SIMD_KEY_MASK
             .expect("RobinHoodHashTable requires a maskable key field (SIMD_KEY_MASK)");
         let bits = <E::Repr as CellWord>::BITS;
@@ -243,53 +219,19 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
             log2_size >= 1 && log2_size <= width,
             "RobinHoodHashTable requires 1 <= log2_size ({log2_size}) <= key width ({width})"
         );
-        let n = 1usize << log2_size;
-        let cells = crate::cell::new_cells::<E::Repr>(n, E::EMPTY);
-        RobinHoodHashTable {
-            cells,
-            mask: n - 1,
+        let mut policy = RhPolicy {
             key_mask,
             home_shift: bits - log2_size,
             mixer: Mixer::for_key_mask(key_mask, bits),
-            _entry: PhantomData,
-        }
-    }
-
-    /// Creates a table with at least `capacity / max_load` cells
-    /// (rounded up to a power of two).
-    pub fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
-        assert!(max_load > 0.0 && max_load < 1.0);
-        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
-        Self::new_pow2(want.next_power_of_two().trailing_zeros())
-    }
-
-    /// Number of cells.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Raw view of the cell array (for invariant checkers and tests).
-    /// Cells hold *transformed* reprs (mixed key field).
-    pub fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        &self.cells
-    }
-
-    /// Snapshot of the raw (transformed) cell contents. Two Robin Hood
-    /// tables of the same capacity built from the same key set have
-    /// equal snapshots — the strongest form of the history-independence
-    /// guarantee. The mixer depends only on the entry type, never the
-    /// history, so the transform does not weaken the check.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
+            forward: 0,
+        };
+        policy.forward = <Self as ProbePolicy<E>>::stored(&policy, E::FORWARD);
+        policy
     }
 
     /// Mixes the key field of an original repr into its stored form.
-    #[inline]
-    fn transform(&self, repr: u64) -> u64 {
+    #[inline(always)]
+    fn stored(&self, repr: u64) -> u64 {
         let m = &self.mixer;
         if m.full {
             // Full-width key field: the recombine is the identity.
@@ -298,963 +240,104 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
         (m.mix(repr >> m.tz) << m.tz) | (repr & !self.key_mask)
     }
 
-    /// Inverse of [`transform`](Self::transform): recovers the original
-    /// repr from a stored cell value.
-    #[inline]
-    fn untransform(&self, t: u64) -> u64 {
+    #[inline(always)]
+    fn unstored(&self, t: u64) -> u64 {
         let m = &self.mixer;
         (m.unmix(t >> m.tz) << m.tz) | (t & !self.key_mask)
     }
 
-    /// The *stored-form* forwarding marker: `transform(E::FORWARD)`.
-    /// Cells hold mixed key fields, so the raw all-ones word is not the
-    /// right sentinel here — the mixer could legitimately map some key
-    /// to it. The transform is a bijection on the whole cell word and
-    /// valid entries never have repr `E::FORWARD`, so this is the
-    /// unique stored word no live entry can occupy; it is also nonzero
-    /// (only 0 mixes to 0), so it can never be mistaken for ⊥.
-    #[inline]
-    fn forward_marker(&self) -> u64 {
-        self.transform(E::FORWARD)
-    }
-
-    /// Home bucket of a transformed repr: the top `log2(capacity)` bits
-    /// of the complement of its masked value, taken within the cell
-    /// width (`!t & key_mask` confines the complement to the key field,
-    /// so the shift is exact for sub-word reprs too). Monotone
-    /// non-increasing in `t & key_mask`, which is what couples the
-    /// priority order to the Robin Hood displacement rule (see the
-    /// module docs).
-    #[inline]
-    fn slot(&self, t: u64) -> usize {
-        ((!t & self.key_mask) >> self.home_shift) as usize
-    }
-
-    #[inline]
-    fn load_at(&self, virtual_idx: usize) -> u64 {
-        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn cas_at(&self, virtual_idx: usize, old: u64, new: u64) -> bool {
-        self.cells[virtual_idx & self.mask]
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Forward distance from bucket `from` to bucket `to` (both already
-    /// reduced), in `[0, capacity)`.
-    #[inline]
-    fn dist(&self, from: usize, to: usize) -> usize {
-        (to.wrapping_sub(from)) & self.mask
-    }
-
-    /// The virtual home position of the transformed entry `t` observed
-    /// at virtual index `at` (cf. `DetHashTable::lift_hash`; exact
-    /// while the table is not full).
-    #[inline]
-    fn lift_home(&self, t: u64, at: usize) -> usize {
-        at - self.dist(self.slot(t), at & self.mask)
-    }
-
-    /// Inserts an entry. Safe to call from any number of threads during
-    /// an insert phase. Duplicate keys are resolved with
-    /// [`HashEntry::combine`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is full (the probe wrapped all the way
-    /// around).
-    pub fn insert(&self, e: E) {
-        self.insert_repr(e.to_repr());
-    }
-
-    /// Like [`insert`](Self::insert), but returns `true` iff the call
-    /// filled a previously empty cell — a global net-new-element credit
-    /// (exactly one `true` per element added across all threads), as in
-    /// `DetHashTable::insert_counted`. Used by the cooperative resizer
-    /// for exact load accounting.
-    pub fn insert_counted(&self, e: E) -> bool {
-        self.insert_repr(e.to_repr())
-    }
-
-    fn insert_repr(&self, v: u64) -> bool {
-        match self.try_insert_t(self.transform(v)) {
-            Ok(filled) => filled,
-            Err(_) => panic!(
-                "RobinHoodHashTable::insert: table is full (capacity {})",
-                self.cells.len()
-            ),
-        }
-    }
-
-    /// Fallible insert on an *original* repr: `Err(carried)` hands back
-    /// the (untransformed) repr still looking for a home once the probe
-    /// has wrapped the whole array. The cooperative resizer routes the
-    /// carry to the successor table; the mixer is capacity-independent,
-    /// so re-transforming there is exact.
-    pub(crate) fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        self.try_insert_t(self.transform(v))
-            .map_err(|t| self.untransform(t))
-    }
-
-    /// Prioritized insert on a transformed repr. Identical control flow
-    /// to `DetHashTable::try_insert_repr`, with the priority order and
-    /// key identity both read off the masked bits (the `SIMD_KEY_MASK`
-    /// contract collapses `same_key` / `cmp_priority` to masked
-    /// equality / unsigned masked compare; the mixer's bijectivity
-    /// keeps distinct keys distinct). Displacement swaps are counted as
-    /// `robinhood_shifts`.
-    fn try_insert_t(&self, mut v: u64) -> Result<bool, u64> {
-        debug_assert_ne!(v & self.key_mask, 0);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            return self.try_insert_t_wide(v);
-        }
-        let key_mask = self.key_mask;
-        let fwd = self.forward_marker();
-        let mut i = self.slot(v);
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        let mut shifts = 0usize;
-        let result = loop {
-            let thr = v & key_mask;
-            let c = self.cells[i].load(Ordering::Acquire);
-            if c == fwd {
-                // Forwarded cell: this region is being migrated. The
-                // marker's mixed bits carry no rank, so neither the
-                // displacement rule nor `combine` may touch it — hand
-                // the carry back for the successor table.
-                phc_obs::probe!(count ForwardedProbes);
-                break Err(v);
-            }
-            let cm = c & key_mask;
-            if cm == thr {
-                // Same key (`thr != 0` rules out empty): converge on
-                // the combined value.
-                let merged = E::combine(c, v);
-                if merged == c {
-                    break Ok(false);
-                }
-                if self.cells[i]
-                    .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break Ok(false);
-                }
-                cas_fails += 1;
-                continue; // cell changed under us; re-read
-            }
-            if cm > thr {
-                // The cell's entry is at least as close to its home as
-                // we are to ours (richer or home-tied-higher): probe on.
-                i = (i + 1) & self.mask;
-                steps += 1;
-                if steps > self.cells.len() {
-                    break Err(v);
-                }
-            } else {
-                // Strictly poorer (or empty): steal the slot and carry
-                // the displaced entry onward — the Robin Hood swap.
-                if self.cells[i]
-                    .compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    if c == E::EMPTY {
-                        break Ok(true);
-                    }
-                    shifts += 1;
-                    v = c;
-                    i = (i + 1) & self.mask;
-                    steps += 1;
-                    if steps > self.cells.len() {
-                        break Err(v);
-                    }
-                } else {
-                    // On CAS failure, retry the same cell: its masked
-                    // value can only have risen, so the comparison
-                    // re-runs.
-                    cas_fails += 1;
-                }
-            }
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(count RobinHoodShifts, shifts);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-        result
-    }
-
-    /// Wide-scan insert: one `scan_le` per window finds the first cell
-    /// no richer than `v`, then the candidate is confirmed with the
-    /// exact per-cell atomic loop. The tier is resolved once here and a
-    /// concrete kernel bound inside a `#[target_feature]` body, as in
-    /// the deterministic table's insert fast path. The speculation is
-    /// sound for the same reason as there: masked cell values only
-    /// *rise* during an insert phase, so "this lane outranks `v`" can
-    /// never be invalidated, and a candidate that rose after the scan
-    /// sampled it is a counted misspeculation that re-scans one cell
-    /// further on.
-    fn try_insert_t_wide(&self, v: u64) -> Result<bool, u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        let key_mask = self.key_mask;
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.try_insert_wide_avx2(v, key_mask) },
-                _ => self.try_insert_wide_sse2(v, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.try_insert_t_wide_with(v, key_mask, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the wide insert.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn try_insert_wide_avx2(&self, v: u64, key_mask: u64) -> Result<bool, u64> {
-        self.try_insert_t_wide_with(v, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation (baseline on x86_64; no feature gate needed).
-    #[cfg(target_arch = "x86_64")]
-    fn try_insert_wide_sse2(&self, v: u64, key_mask: u64) -> Result<bool, u64> {
-        self.try_insert_t_wide_with(v, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide insert body, generic over the bound scan kernel (the
-    /// Robin Hood analogue of
-    /// `DetHashTable::try_insert_repr_wide_with`; the confirm loop is
-    /// seeded with the value the scan observed, so no cell is re-loaded
-    /// between scan and first CAS).
+    /// The match proves the key fields coincide (the mixer is bijective
+    /// on the key field), and the value bits pass through the transform
+    /// untouched — so the result is the probe's own key bits plus the
+    /// cell's value bits, with no unmixing on the lookup fast path.
     #[inline(always)]
-    fn try_insert_t_wide_with(
-        &self,
-        mut v: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Result<bool, u64> {
-        let n = self.cells.len();
-        let fwd = self.forward_marker();
-        let mut i = self.slot(v);
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        let mut shifts = 0usize;
-        let mut lanes_total = 0usize;
-        let mut misspecs = 0usize;
-        let result = 'outer: loop {
-            let thr = v & key_mask;
-            // Scalar peek of the cursor cell first: at moderate loads it
-            // usually decides the insert by itself and makes the
-            // post-displacement `continue 'outer` cheap.
-            let peek = self.cells[i].load(Ordering::Acquire);
-            let (j, mut c) = if peek & key_mask <= thr {
-                lanes_total += 1;
-                (i, peek)
-            } else {
-                let (hit, lanes) = scan(&self.cells, i, n, thr);
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        let (wrapped, more) = scan(&self.cells, 0, i, thr);
-                        (wrapped, lanes + more)
-                    }
-                };
-                lanes_total += lanes;
-                match hit {
-                    Some(h) => h,
-                    None => {
-                        // Every cell outranks `v`: the table is full of
-                        // richer keys.
-                        steps = n + 1;
-                        break 'outer Err(v);
-                    }
-                }
-            };
-            steps += self.dist(i, j);
-            if steps > n {
-                break 'outer Err(v);
-            }
-            i = j;
-            loop {
-                // Checked at the loop top so the CAS-failure re-read
-                // path (`c = cur`) is covered too: a forwarded cell
-                // must never be combined with or displaced.
-                if c == fwd {
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'outer Err(v);
-                }
-                let cm = c & key_mask;
-                if cm == thr {
-                    let merged = E::combine(c, v);
-                    if merged == c {
-                        break 'outer Ok(false);
-                    }
-                    match self.cells[i].compare_exchange(
-                        c,
-                        merged,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break 'outer Ok(false),
-                        Err(cur) => {
-                            cas_fails += 1;
-                            c = cur; // cell changed under us; re-check
-                            continue;
-                        }
-                    }
-                }
-                if cm > thr {
-                    // Misspeculation: a concurrent insert enriched this
-                    // cell after the wide scan sampled it.
-                    misspecs += 1;
-                    i = (i + 1) & self.mask;
-                    steps += 1;
-                    if steps > n {
-                        break 'outer Err(v);
-                    }
-                    continue 'outer;
-                }
-                match self.cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        if c == E::EMPTY {
-                            break 'outer Ok(true);
-                        }
-                        shifts += 1;
-                        v = c;
-                        i = (i + 1) & self.mask;
-                        steps += 1;
-                        if steps > n {
-                            break 'outer Err(v);
-                        }
-                        continue 'outer;
-                    }
-                    Err(cur) => {
-                        cas_fails += 1;
-                        c = cur;
-                    }
-                }
-            }
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(count RobinHoodShifts, shifts);
-        phc_obs::probe!(count SimdLanesScanned, lanes_total);
-        phc_obs::probe!(count SimdMisspeculations, misspecs);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes_total);
-        result
-    }
-
-    /// Inserts a batch of entries with software prefetching and
-    /// batch-level tier dispatch (cf. `DetHashTable::insert_batch`).
-    /// Semantically identical to inserting the entries one by one — and
-    /// by history independence, to *any* insertion of the same set.
-    pub fn insert_batch(&self, entries: &[E]) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.insert_batch_avx2(entries) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.insert_batch_sse2(entries);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(self.transform(e.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            self.insert_repr(entries[i].to_repr());
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
-    /// AVX2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn insert_batch_avx2(&self, entries: &[E]) {
-        let key_mask = self.key_mask;
-        self.insert_batch_wide_body(entries, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    fn insert_batch_sse2(&self, entries: &[E]) {
-        let key_mask = self.key_mask;
-        self.insert_batch_wide_body(entries, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// The prefetching insert loop shared by the per-tier batch entry
-    /// points. Uses the gated insert prefetch distance (shallow when
-    /// more than one pool worker is active; see [`crate::batch`]).
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn insert_batch_wide_body(
-        &self,
-        entries: &[E],
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(self.transform(e.to_repr())));
-        }
-        for i in 0..entries.len() {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            let t = self.transform(entries[i].to_repr());
-            if self.try_insert_t_wide_with(t, self.key_mask, scan).is_err() {
-                panic!(
-                    "RobinHoodHashTable::insert: table is full (capacity {})",
-                    self.cells.len()
-                );
-            }
-        }
-    }
-
-    /// Inserts a slice in parallel through the batched prefetching
-    /// path. The final layout equals that of any other insertion of the
-    /// same set.
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
-    }
-
-    /// Reconstructs an original repr from a probe repr and the stored
-    /// (transformed) cell that matched it: the match proves the key
-    /// fields coincide (the mixer is bijective on the key field), and
-    /// the value bits pass through the transform untouched — so the
-    /// result is the probe's own key bits plus the cell's value bits,
-    /// with no unmixing on the lookup fast path.
-    #[inline]
     fn recover(&self, probe_repr: u64, cell: u64) -> u64 {
         (probe_repr & self.key_mask) | (cell & !self.key_mask)
     }
 
-    /// Looks up the entry with `key`'s key part. Safe to call
-    /// concurrently with other finds and `elements`.
-    pub fn find(&self, key: E) -> Option<E> {
-        let r = key.to_repr();
-        self.find_t(self.transform(r))
-            .map(|c| E::from_repr(self.recover(r, c)))
-    }
-
-    /// Prefetches `v`'s home-slot cache line (see [`crate::batch`])
-    /// for external batch loops (the growable wrapper's
-    /// threshold-counting insert).
-    #[inline]
-    pub(crate) fn prefetch_repr(&self, v: u64) {
-        crate::batch::prefetch_slot(&self.cells, self.slot(self.transform(v)));
-    }
-
-    /// Looks up a batch of keys with software prefetching and
-    /// batch-level tier dispatch, returning results in key order:
-    /// `out[i] == self.find(keys[i])`.
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.find_batch_avx2(keys, &mut out) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.find_batch_sse2(keys, &mut out);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(self.transform(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            out.push(self.find(keys[i]));
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-        out
-    }
-
-    /// AVX2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_batch_avx2(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        let key_mask = self.key_mask;
-        self.find_batch_wide_body(keys, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_batch_sse2(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        let key_mask = self.key_mask;
-        self.find_batch_wide_body(keys, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// The prefetching lookup loop shared by the per-tier batch entry
-    /// points, generic over the bound scan kernel.
-    #[cfg(target_arch = "x86_64")]
+    /// The top `log2(capacity)` bits of the complement of the masked
+    /// value, taken within the cell width (`!t & key_mask` confines the
+    /// complement to the key field, so the shift is exact for sub-word
+    /// reprs too). Monotone non-increasing in `t & key_mask`, which is
+    /// what couples the priority order to the Robin Hood displacement
+    /// rule (see the module docs).
     #[inline(always)]
-    fn find_batch_wide_body(
-        &self,
-        keys: &[E],
-        out: &mut Vec<Option<E>>,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(self.transform(k.to_repr())));
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            let r = keys[i].to_repr();
-            let t = self.transform(r);
-            out.push(
-                self.find_t_wide_with(t, scan)
-                    .map(|hit| E::from_repr(self.recover(r, hit))),
-            );
-        }
+    fn home(&self, t: u64, _mask: usize) -> usize {
+        ((!t & self.key_mask) >> self.home_shift) as usize
     }
 
-    /// Parallel batched lookup: results in key order.
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
-    }
-
-    /// Lookup on a transformed repr, returning the stored (transformed)
-    /// cell value.
-    fn find_t(&self, t: u64) -> Option<u64> {
-        debug_assert_ne!(t & self.key_mask, 0);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            return self.find_t_wide(t);
-        }
-        let key_mask = self.key_mask;
-        let fwd = self.forward_marker();
-        let thr = t & key_mask;
-        let mut i = self.slot(t);
-        let mut steps = 0usize;
-        let result = 'scan: {
-            // Guard against a (mis-used) full table of richer keys.
-            for _ in 0..=self.cells.len() {
-                let c = self.cells[i].load(Ordering::Acquire);
-                if c == fwd {
-                    // Forwarded: the key, if present, lives in the
-                    // successor table. Report absence here and let the
-                    // epoch chain fall through.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'scan None;
-                }
-                let cm = c & key_mask;
-                if cm == thr {
-                    break 'scan Some(c);
-                }
-                if cm < thr {
-                    // First cell no richer than the probe (possibly
-                    // empty): by the Robin Hood layout, `t` cannot be
-                    // further on.
-                    break 'scan None;
-                }
-                i = (i + 1) & self.mask;
-                steps += 1;
-            }
-            None
-        };
-        phc_obs::probe!(count FindProbeSteps, steps);
-        result
-    }
-
-    /// Wide-scan find: the whole Robin Hood stop condition is one
-    /// unsigned masked compare, so the first `scan_le` hit is either
-    /// the key (equal) or proof of absence (empty or poorer). Read
-    /// phases are quiescent, so the wide loads race with nothing.
-    fn find_t_wide(&self, t: u64) -> Option<u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.find_wide_avx2(t) },
-                _ => self.find_wide_sse2(t),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let key_mask = self.key_mask;
-            self.find_t_wide_with(t, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_wide_avx2(&self, t: u64) -> Option<u64> {
-        let key_mask = self.key_mask;
-        self.find_t_wide_with(t, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_wide_sse2(&self, t: u64) -> Option<u64> {
-        let key_mask = self.key_mask;
-        self.find_t_wide_with(t, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide find body, generic over the bound scan kernel. The hit
-    /// value comes from the kernel's already-loaded window (read phases
-    /// are quiescent, so it equals what a re-load would return).
+    /// `stored(E::FORWARD)`. Cells hold mixed key fields, so the raw
+    /// all-ones word is not the right sentinel here — the mixer could
+    /// legitimately map some key to it. The transform is a bijection on
+    /// the whole cell word and valid entries never have repr
+    /// `E::FORWARD`, so this is the unique stored word no live entry
+    /// can occupy; it is also nonzero (only 0 mixes to 0), so it can
+    /// never be mistaken for ⊥.
     #[inline(always)]
-    fn find_t_wide_with(
-        &self,
-        t: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
-        let n = self.cells.len();
-        let home = self.slot(t);
-        let thr = t & self.key_mask;
-        let (hit, lanes) = scan(&self.cells, home, n, thr);
-        let (hit, lanes) = match hit {
-            Some(_) => (hit, lanes),
-            None => {
-                let (wrapped, more) = scan(&self.cells, 0, home, thr);
-                (wrapped, lanes + more)
-            }
-        };
-        phc_obs::probe!(count SimdLanesScanned, lanes);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes);
-        match hit {
-            Some((j, c)) => {
-                phc_obs::probe!(count FindProbeSteps, self.dist(home, j));
-                if c == self.forward_marker() {
-                    // Forwarded cell: defer to the successor table.
-                    phc_obs::probe!(count ForwardedProbes);
-                    None
-                } else if c & self.key_mask == thr {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
-            None => {
-                phc_obs::probe!(count FindProbeSteps, n + 1);
-                None
-            }
-        }
+    fn forward(&self) -> u64 {
+        self.forward
     }
 
-    /// Deletes the entry whose key equals `key`'s key part. A no-op if
-    /// absent. Safe to call from any number of threads during a delete
-    /// phase.
-    pub fn delete(&self, key: E) {
-        self.delete_t(self.transform(key.to_repr()));
+    // The `SIMD_KEY_MASK` contract collapses `same_key` /
+    // `cmp_priority` to masked equality / unsigned masked compare, and
+    // the mixer's bijectivity keeps distinct keys distinct. `v` is a
+    // stored entry, so its masked value is nonzero and ⊥ never matches.
+    #[inline(always)]
+    fn same_key(&self, c: u64, v: u64) -> bool {
+        c & self.key_mask == v & self.key_mask
     }
 
-    /// Like [`delete`](Self::delete), but returns `true` iff the call
-    /// performed the final store of ⊥ that shrank the table — a global
-    /// net-removed-element credit, mirroring
-    /// [`insert_counted`](Self::insert_counted).
-    pub fn delete_counted(&self, key: E) -> bool {
-        self.delete_t(self.transform(key.to_repr()))
+    /// The cell's entry is at least as close to its home as `v` is to
+    /// its own (richer, or home-tied with the higher mixed value).
+    #[inline(always)]
+    fn outranks(&self, c: u64, v: u64) -> bool {
+        c & self.key_mask > v & self.key_mask
     }
 
-    /// Backward-replacement delete on a transformed repr — the
-    /// deterministic table's delete verbatim, with home buckets and key
-    /// identity read off the masked mixed bits.
-    fn delete_t(&self, probe: u64) -> bool {
-        debug_assert_ne!(probe & self.key_mask, 0);
-        let m = self.cells.len();
-        let key_mask = self.key_mask;
-        let fwd = self.forward_marker();
-        let thr = probe & key_mask;
-        // Virtual indices: base the walk at `m + bucket` so `k` can
-        // step below `i` without underflow.
-        let mut i = m + self.slot(probe);
-        let mut k = i;
-        // Walk forward past richer cells to land at or past the last
-        // possible position of the key.
-        loop {
-            let c = self.load_at(k);
-            if c == fwd {
-                // Forwarded cell: the migration claim has passed this
-                // point, so the key (if it existed here) now lives in
-                // the successor. Stop the walk; deletes never race
-                // migration (the resizer gates them), so this is a
-                // defensive bound, not a hot branch.
-                phc_obs::probe!(count ForwardedProbes);
-                break;
-            }
-            if c == E::EMPTY || thr >= c & key_mask {
-                break;
-            }
-            k += 1;
-        }
-        // `vm` is the masked value we are currently responsible for
-        // deleting (a key occupies at most one distinct masked value).
-        let mut vm = thr;
-        let mut steps = 0usize;
-        let result = loop {
-            if k < i {
-                break false;
-            }
-            steps += 1;
-            let c = self.load_at(k);
-            if c == fwd {
-                // Never combine the forwarding marker's mixed bits
-                // with a key comparison; skip past it.
-                phc_obs::probe!(count ForwardedProbes);
-                k -= 1;
-                continue;
-            }
-            if c & key_mask != vm {
-                // Empty or a different key: keep walking down.
-                k -= 1;
-                continue;
-            }
-            let (j, vprime) = self.find_replacement(k);
-            if self.cas_at(k, c, vprime) {
-                if vprime != E::EMPTY {
-                    // A second copy of `vprime` now exists at `k`; we
-                    // are responsible for deleting the one at `j`.
-                    vm = vprime & key_mask;
-                    k = j;
-                    i = self.lift_home(vprime, j);
-                } else {
-                    break true;
-                }
-            } else {
-                // Someone else changed the cell: the copy we were
-                // chasing can only have moved to a lower index (deletes
-                // move entries down). Step back and keep looking.
-                k -= 1;
-            }
-        };
-        phc_obs::probe!(count DeleteProbeSteps, steps);
-        result
+    #[inline(always)]
+    fn key_mask(&self) -> Option<u64> {
+        Some(self.key_mask)
     }
+}
 
-    /// Returns `(j, v')` where `v'` is the entry that may legally fill
-    /// the hole at virtual index `i` (or ⊥), and `j` is its (virtual)
-    /// location — `DetHashTable::find_replacement` with the Robin Hood
-    /// home rule.
-    fn find_replacement(&self, i: usize) -> (usize, u64) {
-        let n = self.cells.len();
-        let fwd = self.forward_marker();
-        let mut buf = [0u64; crate::simd::MAX_WINDOW];
-        let mut next = i + 1;
-        // Scan up past entries that home strictly after `i` (those may
-        // not move back); wide-window loads, per-lane predicate.
-        let (mut j, mut v) = 'up: loop {
-            let real = next & self.mask;
-            let k = crate::simd::load_window(
-                &self.cells,
-                real,
-                n.min(real + crate::simd::MAX_WINDOW),
-                &mut buf,
-            );
-            phc_obs::probe!(count SimdLanesScanned, k);
-            for (lane, &val) in buf[..k].iter().enumerate() {
-                let jj = next + lane;
-                // `lift_home` on the forwarding marker is garbage; a
-                // forwarded cell may neither fill the hole nor prove
-                // one can't exist, so it is skipped like a stayer.
-                if val == E::EMPTY || (val != fwd && self.lift_home(val, jj) <= i) {
-                    break 'up (jj, val);
-                }
-            }
-            next += k;
-        };
-        // The candidate may have been shifted down by a concurrent
-        // delete while we scanned; walk back down to its current
-        // position.
-        let mut k = j - 1;
-        while k > i {
-            let vp = self.load_at(k);
-            if vp == E::EMPTY || (vp != fwd && self.lift_home(vp, k) <= i) {
-                v = vp;
-                j = k;
-            }
-            k -= 1;
-        }
-        (j, v)
-    }
+impl<E: HashEntry> Growable<E> for RhPolicy {
+    const GROW_NAME: &'static str = "robinHood-grow";
+}
 
-    /// Packs the stored entries into a vector in cell order via the
-    /// parallel mask-based pack — deterministic output. Entries are
-    /// un-mixed on the way out, so callers see original reprs.
-    pub fn elements(&self) -> Vec<E> {
-        let packed = phc_parutil::pack_with_mask(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(self.untransform(c.load(Ordering::Acquire))),
-        );
-        phc_obs::probe!(hist PackSize, packed.len());
-        packed
-    }
+/// The phase-concurrent Robin Hood hash table.
+///
+/// See the [module docs](self) for the layout rule and guarantees, and
+/// [`ProbeTable`] for the operations. Same phase discipline and
+/// concurrency contract as [`DetHashTable`](crate::det::DetHashTable):
+/// any number of threads may run the *same* operation type
+/// concurrently; the layout (and therefore `snapshot()`, which returns
+/// the raw *transformed* cells — the mixer depends only on the entry
+/// type, never the history, so the transform does not weaken the check)
+/// is a pure function of the stored key set. Entries are un-mixed on
+/// the way out of `find`, `elements` and migration, so callers only
+/// ever see original reprs.
+///
+/// ```
+/// use phc_core::{RobinHoodHashTable, U64Key};
+/// let a: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(8);
+/// let b: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(8);
+/// for k in 1..=100u64 {
+///     a.insert(U64Key::new(k));            // ascending
+///     b.insert(U64Key::new(101 - k));      // descending
+/// }
+/// // History independence: identical layout from any insertion order.
+/// assert_eq!(a.snapshot(), b.snapshot());
+/// ```
+pub type RobinHoodHashTable<E> = ProbeTable<E, RhPolicy>;
 
-    /// Like [`elements`](Self::elements), packing into a caller-owned
-    /// buffer (appends; prior contents are preserved) so steady-state
-    /// readers reuse one allocation across calls. Entries are un-mixed
-    /// on the way out.
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        let base = out.len();
-        phc_parutil::pack_with_mask_into(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(self.untransform(c.load(Ordering::Acquire))),
-            out,
-        );
-        phc_obs::probe!(hist PackSize, out.len() - base);
-    }
+/// Insert-phase handle of [`RobinHoodHashTable`] (see [`crate::phase`]).
+pub type RobinHoodInserter<'t, E> = Inserter<'t, E, RhPolicy>;
+/// Delete-phase handle of [`RobinHoodHashTable`].
+pub type RobinHoodDeleter<'t, E> = Deleter<'t, E, RhPolicy>;
+/// Read-phase handle of [`RobinHoodHashTable`].
+pub type RobinHoodReader<'t, E> = Reader<'t, E, RhPolicy>;
 
-    /// Applies `f` to every entry stored in the cell range (clamped to
-    /// the capacity), sequentially and in cell order — the migration
-    /// primitive of the cooperative resizer. The caller must guarantee
-    /// no concurrent mutation of the scanned cells. Entries are
-    /// un-mixed before `f` sees them.
-    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, mut f: impl FnMut(E)) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        let mut base = start;
-        for win in self.cells[start..end].chunks(64) {
-            let mut bits = crate::simd::scan_nonempty_mask(win, E::EMPTY);
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(E::from_repr(self.untransform(
-                    self.cells[base + j].load(Ordering::Acquire),
-                )));
-            }
-            base += win.len();
-        }
-    }
-
-    /// Atomically claims every cell in the range for migration: each
-    /// cell is swapped to the stored-form forwarding marker
-    /// ([`forward_marker`](Self::forward_marker)) and its prior
-    /// occupant, *un-mixed* back to an original repr, is appended to
-    /// `out` in cell order. See `DetHashTable::claim_range_forward`
-    /// for the conservation argument; the swap/CAS race is identical
-    /// here because every Robin Hood displacement step is a single-
-    /// cell CAS against a concretely observed old value.
-    pub fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        let marker = self.forward_marker();
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        for cell in &self.cells[start..end] {
-            let prev = cell.swap(marker, Ordering::AcqRel);
-            debug_assert_ne!(prev, marker, "migration block claimed twice");
-            if prev != E::EMPTY {
-                out.push(self.untransform(prev));
-            }
-        }
-    }
-
-    /// Applies `f` to every stored entry, in parallel, without
-    /// materializing the packed array. Iteration order is unspecified;
-    /// use [`elements`](Self::elements) when a deterministic sequence
-    /// matters.
-    pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
-        use rayon::prelude::*;
-        self.cells.par_iter().with_min_len(4096).for_each(|c| {
-            let v = c.load(Ordering::Acquire);
-            if v != E::EMPTY {
-                f(E::from_repr(self.untransform(v)));
-            }
-        });
-    }
-
-    /// Number of occupied cells.
-    pub fn len(&self) -> usize {
-        crate::stats::occupied_len::<E>(&self.cells)
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes every entry (parallel).
-    pub fn clear(&mut self) {
-        use rayon::prelude::*;
-        self.cells
-            .par_iter()
-            .with_min_len(4096)
-            .for_each(|c| c.store(E::EMPTY, Ordering::Relaxed));
-    }
-
+impl<E: HashEntry> ProbeTable<E, RhPolicy> {
     /// Displacement distribution of a quiescent snapshot under the
     /// Robin Hood home rule (distance from each entry's complement-of-
     /// mixed-key bucket). The hash-based
@@ -1262,13 +345,8 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// this table never consults `E::hash`.
     pub fn displacement_stats(&self) -> crate::stats::ProbeStats {
         let snap = self.snapshot();
-        let key_mask = self.key_mask;
-        let shift = self.home_shift;
-        crate::stats::probe_stats_with(
-            &snap,
-            |c| c != E::EMPTY,
-            |c| ((!c & key_mask) >> shift) as usize,
-        )
+        let t = self.probe();
+        crate::stats::probe_stats_with(&snap, |c| c != E::EMPTY, |c| t.home(c))
     }
 
     /// Like [`displacement_stats`](Self::displacement_stats), but also
@@ -1288,184 +366,10 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     }
 }
 
-/// Insert-phase handle (see [`crate::phase`]). The embedded
-/// [`PhaseSpan`] brackets the phase on the observability timeline.
-pub struct RobinHoodInserter<'t, E: HashEntry>(
-    &'t RobinHoodHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Delete-phase handle.
-pub struct RobinHoodDeleter<'t, E: HashEntry>(
-    &'t RobinHoodHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Read-phase handle.
-pub struct RobinHoodReader<'t, E: HashEntry>(
-    &'t RobinHoodHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-
-impl<E: HashEntry> ConcurrentInsert<E> for RobinHoodInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> RobinHoodInserter<'_, E> {
-    /// Batched prefetching insert (see
-    /// [`RobinHoodHashTable::insert_batch`]).
-    pub fn insert_batch(&self, entries: &[E]) {
-        self.0.insert_batch(entries);
-    }
-    /// Parallel batched insert (see
-    /// [`RobinHoodHashTable::par_insert_batched`]).
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        self.0.par_insert_batched(entries);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for RobinHoodDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> RobinHoodDeleter<'_, E> {
-    /// Batched prefetching delete.
-    pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let t = self.0;
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&t.cells, t.slot(t.transform(k.to_repr())));
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&t.cells, t.slot(t.transform(next.to_repr())));
-            }
-            t.delete(keys[i]);
-        }
-    }
-    /// Parallel batched delete.
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for RobinHoodReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry> RobinHoodReader<'_, E> {
-    /// Packs the table contents (allowed in the read phase).
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
-    /// Batched prefetching lookup (see
-    /// [`RobinHoodHashTable::find_batch`]).
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.find_batch(keys)
-    }
-    /// Parallel batched lookup.
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.par_find_batched(keys)
-    }
-}
-
-impl<E: HashEntry> PhaseHashTable<E> for RobinHoodHashTable<E> {
-    type Inserter<'t>
-        = RobinHoodInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = RobinHoodDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = RobinHoodReader<'t, E>
-    where
-        E: 't;
-
-    const NAME: &'static str = "robinHood";
-
-    fn new_pow2(log2_size: u32) -> Self {
-        RobinHoodHashTable::new_pow2(log2_size)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn begin_insert(&mut self) -> RobinHoodInserter<'_, E> {
-        RobinHoodInserter(self, PhaseSpan::begin(PhaseKind::Insert))
-    }
-
-    fn begin_delete(&mut self) -> RobinHoodDeleter<'_, E> {
-        RobinHoodDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
-    }
-
-    fn begin_read(&mut self) -> RobinHoodReader<'_, E> {
-        RobinHoodReader(self, PhaseSpan::begin(PhaseKind::Read))
-    }
-
-    fn elements(&mut self) -> Vec<E> {
-        RobinHoodHashTable::elements(self)
-    }
-}
-
-impl<E: HashEntry> crate::resize::FlatTableCore<E> for RobinHoodHashTable<E> {
-    const GROW_NAME: &'static str = "robinHood-grow";
-
-    fn new_pow2(log2_size: u32) -> Self {
-        RobinHoodHashTable::new_pow2(log2_size)
-    }
-    fn capacity(&self) -> usize {
-        RobinHoodHashTable::capacity(self)
-    }
-    fn insert_counted(&self, e: E) -> bool {
-        RobinHoodHashTable::insert_counted(self, e)
-    }
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        RobinHoodHashTable::try_insert_repr(self, v)
-    }
-    fn delete_counted(&self, key: E) -> bool {
-        RobinHoodHashTable::delete_counted(self, key)
-    }
-    fn find(&self, key: E) -> Option<E> {
-        RobinHoodHashTable::find(self, key)
-    }
-    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        RobinHoodHashTable::find_batch(self, keys)
-    }
-    fn prefetch_repr(&self, v: u64) {
-        RobinHoodHashTable::prefetch_repr(self, v)
-    }
-    fn elements(&self) -> Vec<E> {
-        RobinHoodHashTable::elements(self)
-    }
-    fn elements_into(&self, out: &mut Vec<E>) {
-        RobinHoodHashTable::elements_into(self, out)
-    }
-    fn snapshot(&self) -> Vec<u64> {
-        RobinHoodHashTable::snapshot(self)
-    }
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        RobinHoodHashTable::raw_cells(self)
-    }
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
-        RobinHoodHashTable::for_each_in_range(self, range, f)
-    }
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        RobinHoodHashTable::claim_range_forward(self, range, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entry::{KeepMin, KvPair, U64Key};
-    use std::collections::BTreeSet;
 
     #[test]
     fn mixer_roundtrip_full_width() {
@@ -1495,98 +399,11 @@ mod tests {
         let t: RobinHoodHashTable<KvPair<KeepMin>> = RobinHoodHashTable::new_pow2(6);
         for i in 1..500u64 {
             let repr = KvPair::<KeepMin>::new(i as u32, (i * 7) as u32).to_repr();
-            let tr = t.transform(repr);
-            assert_eq!(tr & !t.key_mask, repr & !t.key_mask, "value bits move");
-            assert_eq!(t.untransform(tr), repr);
+            let p = &t.policy;
+            let tr = ProbePolicy::<KvPair<KeepMin>>::stored(p, repr);
+            assert_eq!(tr & !p.key_mask, repr & !p.key_mask, "value bits move");
+            assert_eq!(ProbePolicy::<KvPair<KeepMin>>::unstored(p, tr), repr);
         }
-    }
-
-    #[test]
-    fn insert_then_find() {
-        let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(8);
-        for k in [1u64, 2, 3, 100, 200] {
-            t.insert(U64Key::new(k));
-        }
-        for k in [1u64, 2, 3, 100, 200] {
-            assert_eq!(t.find(U64Key::new(k)), Some(U64Key::new(k)));
-        }
-        assert_eq!(t.find(U64Key::new(4)), None);
-        assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn duplicate_insert_is_idempotent() {
-        let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(6);
-        for _ in 0..10 {
-            t.insert(U64Key::new(42));
-        }
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.elements(), vec![U64Key::new(42)]);
-    }
-
-    #[test]
-    fn delete_removes_only_target() {
-        let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(8);
-        for k in 1..=50u64 {
-            t.insert(U64Key::new(k));
-        }
-        for k in (1..=50u64).filter(|k| k % 2 == 0) {
-            t.delete(U64Key::new(k));
-        }
-        for k in 1..=50u64 {
-            let expect = (k % 2 == 1).then(|| U64Key::new(k));
-            assert_eq!(t.find(U64Key::new(k)), expect, "key {k}");
-        }
-        assert_eq!(t.len(), 25);
-    }
-
-    #[test]
-    fn history_independence_of_snapshot() {
-        let set: Vec<u64> = (1..=200).map(|i| i * 17 % 1009 + 1).collect();
-        let mut orders = vec![set.clone()];
-        let mut rev = set.clone();
-        rev.reverse();
-        orders.push(rev);
-        let mut shuffled = set.clone();
-        for i in (1..shuffled.len()).rev() {
-            let j = (phc_parutil::hash64(i as u64) as usize) % (i + 1);
-            shuffled.swap(i, j);
-        }
-        orders.push(shuffled);
-
-        let mut snaps = Vec::new();
-        for order in &orders {
-            let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(9);
-            for &k in order {
-                t.insert(U64Key::new(k));
-            }
-            snaps.push(t.snapshot());
-        }
-        assert_eq!(snaps[0], snaps[1]);
-        assert_eq!(snaps[0], snaps[2]);
-    }
-
-    #[test]
-    fn history_independence_after_deletes() {
-        // {insert A∪B; delete B} in varying orders must equal {insert A}.
-        let a: Vec<u64> = (1..=100).map(|i| i * 13 + 7).collect();
-        let b: Vec<u64> = (1..=60).map(|i| i * 29 + 11).collect();
-
-        let direct: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(9);
-        let aset: BTreeSet<u64> = a.iter().copied().collect();
-        let bset: BTreeSet<u64> = b.iter().copied().collect();
-        for &k in aset.difference(&bset) {
-            direct.insert(U64Key::new(k));
-        }
-
-        let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(9);
-        for &k in a.iter().chain(&b) {
-            t.insert(U64Key::new(k));
-        }
-        for &k in b.iter().rev() {
-            t.delete(U64Key::new(k));
-        }
-        assert_eq!(t.snapshot(), direct.snapshot());
     }
 
     /// The defining Robin Hood layout property, checked directly on a
@@ -1600,12 +417,12 @@ mod tests {
             if c == 0 {
                 continue;
             }
-            let home = t.slot(c);
+            let home = t.probe().home(c);
             let mut i = home;
             while i != j {
                 let on_path = snap[i];
                 assert!(
-                    on_path != 0 && (on_path & t.key_mask) > (c & t.key_mask),
+                    on_path != 0 && (on_path & t.policy.key_mask) > (c & t.policy.key_mask),
                     "cell {j} (home {home}) has a poorer or empty cell at {i}"
                 );
                 i = (i + 1) & (n - 1);
@@ -1628,103 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn kv_combine_min_under_duplicates() {
-        let t: RobinHoodHashTable<KvPair<KeepMin>> = RobinHoodHashTable::new_pow2(8);
-        t.insert(KvPair::new(7, 30));
-        t.insert(KvPair::new(7, 10));
-        t.insert(KvPair::new(7, 20));
-        let got = t.find(KvPair::new(7, 0)).unwrap();
-        assert_eq!(got.value, 10);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn wraparound_cluster() {
-        // Force keys whose Robin Hood home lands in the last buckets of
-        // a tiny table so clusters wrap.
-        let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(3); // 8 cells
-        let mut picked = Vec::new();
-        let mut k = 1u64;
-        while picked.len() < 5 {
-            if t.slot(t.transform(k)) >= 6 {
-                picked.push(k);
-            }
-            k += 1;
-        }
-        for &k in &picked {
-            t.insert(U64Key::new(k));
-        }
-        for &k in &picked {
-            assert_eq!(t.find(U64Key::new(k)), Some(U64Key::new(k)), "key {k}");
-        }
-        for &k in &picked {
-            t.delete(U64Key::new(k));
-        }
-        assert_eq!(t.len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "full")]
-    fn insert_into_full_table_panics() {
-        let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(2); // 4 cells
-        for k in 1..=5u64 {
-            t.insert(U64Key::new(k));
-        }
-    }
-
-    #[test]
-    fn batched_paths_match_per_element() {
-        let keys: Vec<U64Key> = (1..=4000u64)
-            .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
-            .collect();
-        let seq: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(13);
-        for &k in &keys {
-            seq.insert(k);
-        }
-        let batched: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(13);
-        batched.insert_batch(&keys);
-        assert_eq!(batched.snapshot(), seq.snapshot());
-        let par: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(13);
-        par.par_insert_batched(&keys);
-        assert_eq!(par.snapshot(), seq.snapshot());
-
-        let probes: Vec<U64Key> = (1..=8000u64)
-            .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
-            .collect();
-        let expect: Vec<Option<U64Key>> = probes.iter().map(|&k| seq.find(k)).collect();
-        assert_eq!(seq.find_batch(&probes), expect);
-        assert_eq!(seq.par_find_batched(&probes), expect);
-    }
-
-    #[test]
-    fn parallel_insert_and_delete_match_sequential_snapshot() {
-        use rayon::prelude::*;
-        let keys: Vec<u64> = (1..=4000u64).map(|i| phc_parutil::hash64(i) | 1).collect();
-        let (dels, keeps) = keys.split_at(2500);
-        let expect: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(13);
-        for &k in keeps {
-            expect.insert(U64Key::new(k));
-        }
-        for _ in 0..4 {
-            let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(13);
-            keys.par_iter().for_each(|&k| t.insert(U64Key::new(k)));
-            dels.par_iter().for_each(|&k| t.delete(U64Key::new(k)));
-            assert_eq!(t.snapshot(), expect.snapshot());
-        }
-    }
-
-    #[test]
-    fn elements_recover_original_keys() {
-        let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(10);
-        for k in 1..=500u64 {
-            t.insert(U64Key::new(k));
-        }
-        let mut got: Vec<u64> = t.elements().iter().map(|k| k.0).collect();
-        got.sort_unstable();
-        assert_eq!(got, (1..=500u64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn displacement_stats_count_all_entries() {
         let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(12);
         let n = (1usize << 12) * 3 / 4;
@@ -1736,22 +456,6 @@ mod tests {
         assert_eq!(s.histogram.iter().sum::<usize>(), s.entries);
         // At load 3/4 a healthy mixer keeps a solid fraction at home.
         assert!(s.home_fraction() > 0.2, "home {}", s.home_fraction());
-    }
-
-    #[test]
-    fn phase_api_compiles_and_works() {
-        use crate::phase::*;
-        let mut t: RobinHoodHashTable<U64Key> = PhaseHashTable::new_pow2(8);
-        {
-            let ins = t.begin_insert();
-            ins.insert(U64Key::new(9));
-        }
-        {
-            let del = t.begin_delete();
-            del.delete(U64Key::new(9));
-        }
-        let reader = t.begin_read();
-        assert_eq!(reader.find(U64Key::new(9)), None);
     }
 
     #[test]

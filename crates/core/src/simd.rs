@@ -63,12 +63,25 @@
 //! | `sse2` | 128-bit | 2 (64-bit compares synthesized from 32-bit ops) | 4 (native `epi32` ops) |
 //! | `scalar` | — | 1 (per-cell atomic loads; the reference semantics) | 1 |
 //!
-//! Every kernel is instantiated per cell width (see [`crate::cell`]):
-//! the public scans are generic over the atomic cell type, dispatch on
-//! `A::BITS` (a constant, so the branch folds away), and always speak
-//! zero-extended `u64` values to callers. Sub-word cells double the
-//! lanes per vector *and* halve the bytes per examined cell — the two
-//! compounding wins of the compact-entry layout.
+//! Every kernel is written once per (tier, scan) over a small lane
+//! trait and instantiated per cell width (see [`crate::cell`]): the
+//! scans are generic over the atomic cell type, fold on `A::BITS` (a
+//! constant, so the branch disappears), and always speak zero-extended
+//! `u64` values to callers. Sub-word cells double the lanes per vector
+//! *and* halve the bytes per examined cell — the two compounding wins
+//! of the compact-entry layout.
+//!
+//! ## One binder
+//!
+//! A tier is a zero-sized kernel value (`Scalar`, `Sse2`, `Avx2`). The
+//! probe engine ([`crate::probe`]) writes each operation as a body
+//! generic over the kernel type and hands it to `bind`, which reads
+//! [`tier`] once and runs the body with that tier's kernels — inside a
+//! `#[target_feature(enable = "avx2")]` frame for the AVX2 tier, so the
+//! kernels inline into the body's loops. That is the only place a tier
+//! is turned into code and the only AVX2 frame outside the kernels;
+//! the free functions [`scan_le`] / [`scan_for_key`] resolve the tier
+//! on every call and are for callers that scan once.
 //!
 //! SSE2 is the x86-64 baseline, so the `sse2` tier is always available
 //! there; `avx2` is used when `is_x86_feature_detected!` reports it (or
@@ -186,7 +199,258 @@ pub fn set_tier(tier: Option<SimdTier>) {
 pub type ScanHit = (Option<(usize, u64)>, usize);
 
 // ---------------------------------------------------------------------
-// Dispatch wrappers
+// Tier-bound kernels and the binder
+// ---------------------------------------------------------------------
+
+pub(crate) use kernel::Kernel;
+
+/// `pub` in a private module: nameable as a bound by the (equally
+/// unreachable) probe-policy traits, but not from outside the crate.
+mod kernel {
+    use super::ScanHit;
+    use crate::cell::CellAtomic;
+
+    /// The stop-scan kernels of one dispatch tier, as a zero-sized value.
+    /// A probe body generic over `K: Kernel` has its kernels selected at
+    /// compile time; [`bind`](super::bind) is what picks the `K`. The two
+    /// methods have the contracts of the free functions
+    /// [`scan_le`](super::scan_le) / [`scan_for_key`](super::scan_for_key)
+    /// (the latter with the probe already masked); the cell width folds on
+    /// `A::BITS` inside each, and 32-bit instantiations feed the
+    /// `Simd32LanesScanned` counter here, so every caller of the sub-word
+    /// kernels is counted without touching the call sites.
+    pub trait Kernel: Copy {
+        /// Whether this tier scans with vector loads. `false` only for
+        /// [`Scalar`](super::Scalar): its callers run the per-cell reference loops instead
+        /// of a wide body.
+        const WIDE: bool;
+
+        /// See [`scan_le`](super::scan_le).
+        ///
+        /// # Safety
+        ///
+        /// `start <= end <= cells.len()` (see the module docs for the
+        /// wide-load race argument).
+        unsafe fn scan_le<A: CellAtomic>(
+            self,
+            cells: &[A],
+            start: usize,
+            end: usize,
+            key_mask: u64,
+            threshold: u64,
+        ) -> ScanHit;
+
+        /// See [`scan_for_key`](super::scan_for_key); `probe_masked` is
+        /// `probe & key_mask`.
+        ///
+        /// # Safety
+        ///
+        /// `start <= end <= cells.len()`.
+        unsafe fn scan_for_key<A: CellAtomic>(
+            self,
+            cells: &[A],
+            start: usize,
+            end: usize,
+            empty: u64,
+            key_mask: u64,
+            probe_masked: u64,
+        ) -> ScanHit;
+    }
+}
+
+/// The per-cell atomic-load tier — the reference semantics.
+#[derive(Clone, Copy)]
+pub(crate) struct Scalar;
+
+impl Kernel for Scalar {
+    const WIDE: bool = false;
+
+    #[inline(always)]
+    unsafe fn scan_le<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        key_mask: u64,
+        threshold: u64,
+    ) -> ScanHit {
+        for (lane, cell) in cells[start..end].iter().enumerate() {
+            let c = cell.load(Ordering::Acquire);
+            if c & key_mask <= threshold {
+                return (Some((start + lane, c)), lane + 1);
+            }
+        }
+        (None, end - start)
+    }
+
+    #[inline(always)]
+    unsafe fn scan_for_key<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        empty: u64,
+        key_mask: u64,
+        probe_masked: u64,
+    ) -> ScanHit {
+        for (lane, cell) in cells[start..end].iter().enumerate() {
+            let c = cell.load(Ordering::Acquire);
+            if c == empty || c & key_mask == probe_masked {
+                return (Some((start + lane, c)), lane + 1);
+            }
+        }
+        (None, end - start)
+    }
+}
+
+/// Implements [`Kernel`] for an x86 tier type over the lane-generic
+/// bodies in [`x86`]. A macro only because the two tiers differ in
+/// nothing but the function names.
+#[cfg(target_arch = "x86_64")]
+macro_rules! x86_kernel {
+    ($tier:ident, $scan_le:ident, $scan_for_key:ident) => {
+        impl Kernel for $tier {
+            const WIDE: bool = true;
+
+            #[inline(always)]
+            unsafe fn scan_le<A: CellAtomic>(
+                self,
+                cells: &[A],
+                start: usize,
+                end: usize,
+                key_mask: u64,
+                threshold: u64,
+            ) -> ScanHit {
+                debug_assert!(start <= end && end <= cells.len());
+                // SAFETY: the range is in bounds per this method's
+                // contract, and a value of the tier type exists only
+                // after `tier()` reported the tier as runnable.
+                let hit = unsafe {
+                    if A::BITS == 32 {
+                        x86::$scan_le::<u32>(cells.as_ptr().cast(), start, end, key_mask, threshold)
+                    } else {
+                        x86::$scan_le::<u64>(cells.as_ptr().cast(), start, end, key_mask, threshold)
+                    }
+                };
+                if A::BITS == 32 {
+                    phc_obs::probe!(count Simd32LanesScanned, hit.1);
+                }
+                hit
+            }
+
+            #[inline(always)]
+            unsafe fn scan_for_key<A: CellAtomic>(
+                self,
+                cells: &[A],
+                start: usize,
+                end: usize,
+                empty: u64,
+                key_mask: u64,
+                probe_masked: u64,
+            ) -> ScanHit {
+                debug_assert!(start <= end && end <= cells.len());
+                // SAFETY: as in `scan_le`.
+                let hit = unsafe {
+                    if A::BITS == 32 {
+                        let ptr = cells.as_ptr().cast();
+                        x86::$scan_for_key::<u32>(ptr, start, end, empty, key_mask, probe_masked)
+                    } else {
+                        let ptr = cells.as_ptr().cast();
+                        x86::$scan_for_key::<u64>(ptr, start, end, empty, key_mask, probe_masked)
+                    }
+                };
+                if A::BITS == 32 {
+                    phc_obs::probe!(count Simd32LanesScanned, hit.1);
+                }
+                hit
+            }
+        }
+    };
+}
+
+/// The 128-bit tier (x86-64 baseline). Constructed only by this
+/// module's dispatch sites.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Sse2(());
+#[cfg(target_arch = "x86_64")]
+x86_kernel!(Sse2, scan_le_sse2, scan_for_key_sse2);
+
+/// The 256-bit tier. A value is proof that the CPU supports AVX2: this
+/// module constructs one only after [`tier`] reported `Avx2`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Avx2(());
+#[cfg(target_arch = "x86_64")]
+x86_kernel!(Avx2, scan_le_avx2, scan_for_key_avx2);
+
+/// An operation that still needs its scan kernels: a probe, or a whole
+/// prefetching batch loop, over a context `C` (the table). The context
+/// travels beside the body, not inside it, so it reaches the tier's
+/// frame as a reference *parameter* — which is what lets the compiler
+/// keep a table's loop-invariant fields (a policy's mixer constants,
+/// say) in registers across the loop's stores; a reference loaded out
+/// of the body carries no such guarantee. Implementations mark `run`
+/// `#[inline(always)]`, so the body — and through it the kernels it
+/// calls — inlines into the frame [`bind`] runs it in.
+pub(crate) trait TierBody<C: ?Sized> {
+    /// What the body returns.
+    type Out;
+    /// Runs the body on `ctx` with `kernel`'s scans.
+    fn run<K: Kernel>(self, ctx: &C, kernel: K) -> Self::Out;
+}
+
+/// Resolves the dispatch tier **once** and runs `body` on `ctx` with that
+/// tier's kernels — the only place that turns [`tier`] into a kernel,
+/// and the only place that enters an AVX2 frame. Hot loops hand their
+/// whole loop in as one body, so they pay this once per operation or
+/// batch rather than once per probe window; `SimdRedispatches` counts
+/// the resolutions that bound a wide tier.
+///
+/// Each tier's frame is a function of its own, so this is a tier load
+/// and one call: with a body inlined here, every caller would carry
+/// that tier's copy of the whole loop and pay its prologue on the way
+/// to the AVX2 frame.
+#[inline(always)]
+pub(crate) fn bind<C: ?Sized, B: TierBody<C>>(ctx: &C, body: B) -> B::Out {
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => {
+            phc_obs::probe!(count SimdRedispatches);
+            // SAFETY: `tier()` reports Avx2 only when the CPU supports
+            // it.
+            unsafe { run_avx2(ctx, body) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Sse2 => {
+            phc_obs::probe!(count SimdRedispatches);
+            run(ctx, body, Sse2(()))
+        }
+        _ => run(ctx, body, Scalar),
+    }
+}
+
+/// The AVX2 frame: `body.run` is `#[inline(always)]`, so the body is
+/// compiled here with the feature enabled and the AVX2 kernels inline
+/// into its loops.
+///
+/// # Safety
+///
+/// AVX2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<C: ?Sized, B: TierBody<C>>(ctx: &C, body: B) -> B::Out {
+    body.run(ctx, Avx2(()))
+}
+
+/// The frame of a tier that needs no target feature.
+#[inline(never)]
+fn run<C: ?Sized, B: TierBody<C>, K: Kernel>(ctx: &C, body: B, kernel: K) -> B::Out {
+    body.run(ctx, kernel)
+}
+
+// ---------------------------------------------------------------------
+// Dispatching scans
 // ---------------------------------------------------------------------
 
 /// First index `i` in `[start, end)` with
@@ -196,6 +460,14 @@ pub type ScanHit = (Option<(usize, u64)>, usize);
 /// [`SIMD_KEY_MASK`](crate::entry::HashEntry::SIMD_KEY_MASK) contract a
 /// stop lane is an exact key match iff its masked value *equals*
 /// `threshold`; anything below is empty or lower priority.
+///
+/// Each call resolves the tier at runtime (counted as a
+/// `SimdRedispatches`); hot loops bind their kernels once per
+/// operation or batch instead (see [`crate::probe`]).
+///
+/// # Panics
+///
+/// Panics unless `start <= end <= cells.len()`.
 #[inline]
 pub fn scan_le<A: CellAtomic>(
     cells: &[A],
@@ -204,22 +476,28 @@ pub fn scan_le<A: CellAtomic>(
     key_mask: u64,
     threshold: u64,
 ) -> ScanHit {
-    debug_assert!(start <= end && end <= cells.len());
-    // Each call resolves the tier at runtime; hot loops should bind a
-    // kernel once per operation/batch instead (see `det::find_batch`).
+    assert!(start <= end && end <= cells.len());
     phc_obs::probe!(count SimdRedispatches);
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { scan_le_avx2_w(cells, start, end, key_mask, threshold) },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => unsafe { scan_le_sse2_w(cells, start, end, key_mask, threshold) },
-        _ => scan_le_scalar(cells, start, end, key_mask, threshold),
+    // SAFETY (all arms): the range was just checked; `tier()` reports a
+    // tier only when the CPU can run it.
+    unsafe {
+        match tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => Avx2(()).scan_le(cells, start, end, key_mask, threshold),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Sse2 => Sse2(()).scan_le(cells, start, end, key_mask, threshold),
+            _ => Scalar.scan_le(cells, start, end, key_mask, threshold),
+        }
     }
 }
 
 /// First index `i` in `[start, end)` with `cells[i] == empty` or
 /// `cells[i] & key_mask == probe & key_mask`: the stop condition of the
 /// ND table's first-fit probe (an empty slot or the probe's own key).
+///
+/// # Panics
+///
+/// Panics unless `start <= end <= cells.len()`.
 #[inline]
 pub fn scan_for_key<A: CellAtomic>(
     cells: &[A],
@@ -229,18 +507,18 @@ pub fn scan_for_key<A: CellAtomic>(
     key_mask: u64,
     probe: u64,
 ) -> ScanHit {
-    debug_assert!(start <= end && end <= cells.len());
+    assert!(start <= end && end <= cells.len());
     phc_obs::probe!(count SimdRedispatches);
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe {
-            scan_for_key_avx2_w(cells, start, end, empty, key_mask, probe & key_mask)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => unsafe {
-            scan_for_key_sse2_w(cells, start, end, empty, key_mask, probe & key_mask)
-        },
-        _ => scan_for_key_scalar(cells, start, end, empty, key_mask, probe & key_mask),
+    let pm = probe & key_mask;
+    // SAFETY (all arms): as in `scan_le`.
+    unsafe {
+        match tier() {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => Avx2(()).scan_for_key(cells, start, end, empty, key_mask, pm),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Sse2 => Sse2(()).scan_for_key(cells, start, end, empty, key_mask, pm),
+            _ => Scalar.scan_for_key(cells, start, end, empty, key_mask, pm),
+        }
     }
 }
 
@@ -267,7 +545,11 @@ pub const MAX_WINDOW: usize = 4;
 /// cannot be vectorized (e.g. it must hash the entry, as in
 /// `find_replacement`): the win is batched cache traffic, with each
 /// lane still an individually valid (non-torn) cell value.
-#[inline]
+///
+/// Always inlined: out of line, every window costs a call here on top
+/// of the call into the tier's (target-feature) load — ~4% of delete
+/// throughput through `find_replacement` (EXPERIMENTS.md PR 12).
+#[inline(always)]
 pub fn load_window<A: CellAtomic>(
     cells: &[A],
     start: usize,
@@ -327,206 +609,32 @@ pub fn load_window<A: CellAtomic>(
 #[inline]
 pub fn scan_nonempty_mask<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
     debug_assert!(window.len() <= 64);
+    let (ptr, len) = (window.as_ptr(), window.len());
     match tier() {
+        // SAFETY (both arms): the window is a live slice, so `len`
+        // lanes from `ptr` are in bounds; `tier()` reports Avx2 only
+        // when the CPU supports it.
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe {
             if A::BITS == 32 {
-                x86::nonempty_mask_avx2_u32(window.as_ptr().cast(), window.len(), empty)
+                x86::nonempty_mask_avx2::<u32>(ptr.cast(), len, empty)
             } else {
-                nonempty_mask_avx2(window.as_ptr().cast(), window.len(), empty)
+                x86::nonempty_mask_avx2::<u64>(ptr.cast(), len, empty)
             }
         },
         #[cfg(target_arch = "x86_64")]
         SimdTier::Sse2 => unsafe {
             if A::BITS == 32 {
-                x86::nonempty_mask_sse2_u32(window.as_ptr().cast(), window.len(), empty)
+                x86::nonempty_mask_sse2::<u32>(ptr.cast(), len, empty)
             } else {
-                nonempty_mask_sse2(window.as_ptr().cast(), window.len(), empty)
+                x86::nonempty_mask_sse2::<u64>(ptr.cast(), len, empty)
             }
         },
         _ => nonempty_mask_scalar(window, empty),
     }
 }
 
-// ---------------------------------------------------------------------
-// Width-dispatched per-tier kernels
-// ---------------------------------------------------------------------
-//
-// The batch paths bind one of these per operation/batch inside their
-// own `#[target_feature]` bodies (see `det::find_batch`): the width
-// branch folds on `A::BITS`, and — both wrapper and kernel carrying the
-// same feature gate — the intrinsics inline straight into the bound
-// probe loop. 32-bit instantiations feed the `Simd32LanesScanned`
-// counter here, so every caller of the sub-word kernels is counted
-// without touching the call sites.
-
-/// AVX2 `scan_le` over either cell width.
-///
-/// # Safety
-///
-/// AVX2 must be available, and `[start, end)` must be in bounds of
-/// `cells` (see the module docs for the wide-load race argument).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub unsafe fn scan_le_avx2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    key_mask: u64,
-    threshold: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_le_avx2_u32(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    } else {
-        x86::scan_le_avx2(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
-}
-
-/// SSE2 `scan_le` over either cell width.
-///
-/// # Safety
-///
-/// `[start, end)` must be in bounds of `cells`.
-#[cfg(target_arch = "x86_64")]
-pub unsafe fn scan_le_sse2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    key_mask: u64,
-    threshold: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_le_sse2_u32(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    } else {
-        x86::scan_le_sse2(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
-}
-
-/// AVX2 key-or-empty scan over either cell width.
-///
-/// # Safety
-///
-/// AVX2 must be available, and `[start, end)` must be in bounds of
-/// `cells`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub unsafe fn scan_for_key_avx2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    empty: u64,
-    key_mask: u64,
-    probe_masked: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_for_key_avx2_u32(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    } else {
-        x86::scan_for_key_avx2(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
-}
-
-/// SSE2 key-or-empty scan over either cell width.
-///
-/// # Safety
-///
-/// `[start, end)` must be in bounds of `cells`.
-#[cfg(target_arch = "x86_64")]
-pub unsafe fn scan_for_key_sse2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    empty: u64,
-    key_mask: u64,
-    probe_masked: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_for_key_sse2_u32(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    } else {
-        x86::scan_for_key_sse2(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
-}
-
-// ---------------------------------------------------------------------
-// Scalar kernels (reference semantics, atomic loads)
-// ---------------------------------------------------------------------
-
-fn scan_le_scalar<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    key_mask: u64,
-    threshold: u64,
-) -> ScanHit {
-    for (i, cell) in cells.iter().enumerate().take(end).skip(start) {
-        let c = cell.load(Ordering::Acquire);
-        if c & key_mask <= threshold {
-            return (Some((i, c)), i - start + 1);
-        }
-    }
-    (None, end - start)
-}
-
-fn scan_for_key_scalar<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    empty: u64,
-    key_mask: u64,
-    probe_masked: u64,
-) -> ScanHit {
-    for (i, cell) in cells.iter().enumerate().take(end).skip(start) {
-        let c = cell.load(Ordering::Acquire);
-        if c == empty || c & key_mask == probe_masked {
-            return (Some((i, c)), i - start + 1);
-        }
-    }
-    (None, end - start)
-}
-
+/// Scalar-tier [`scan_nonempty_mask`]: per-cell atomic loads.
 fn nonempty_mask_scalar<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
     let mut mask = 0u64;
     for (j, c) in window.iter().enumerate() {
@@ -542,197 +650,316 @@ fn nonempty_mask_scalar<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
 // ---------------------------------------------------------------------
 //
 // SAFETY (all kernels below): callers pass a pointer/range inside one
-// live `[AtomicU64]` allocation, so every load is in bounds and 8-byte
-// aligned. The loads are unsynchronized; see the module docs for why
-// the phase discipline (quiescence or monotonicity + atomic confirm)
-// makes that acceptable, and note that each 8-byte lane of an x86
-// vector load is individually non-tearing.
+// live cell allocation, so every load is in bounds and lane-aligned.
+// The loads are unsynchronized; see the module docs for why the phase
+// discipline (quiescence or monotonicity + atomic confirm) makes that
+// acceptable, and note that each naturally aligned 8- or 4-byte lane
+// of an x86 vector load is individually non-tearing.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::ScanHit;
     use core::arch::x86_64::*;
 
-    /// Sign-bit bias turning unsigned 64-bit order into signed order.
-    const BIAS: i64 = i64::MIN;
+    /// A cell width as the vector kernels see it: the per-lane compare,
+    /// broadcast and mask-extraction ops of one lane size, at both
+    /// vector widths. Every scan below is written once per tier over
+    /// this trait. Masks, thresholds and sentinels arrive as widened
+    /// `u64`s and truncate losslessly at the narrow width (sub-word
+    /// reprs are `< 2^32`; the widened `u64::MAX` mask truncates to the
+    /// all-ones 32-bit mask).
+    ///
+    /// The 256-bit methods carry no `target_feature` of their own: they
+    /// are `#[inline(always)]` and only ever called from the AVX2
+    /// kernels, whose frame they compile in.
+    pub trait Lane: Copy {
+        /// Lanes per 128-bit vector (2 or 4); a 256-bit vector holds
+        /// twice as many.
+        const PER_128: usize;
+        /// Zero-extends one lane.
+        fn widen(self) -> u64;
+        unsafe fn splat128(v: u64) -> __m128i;
+        /// Per-lane `a == b`, all-ones where true.
+        unsafe fn eq128(a: __m128i, b: __m128i) -> __m128i;
+        /// Per-lane **unsigned** `a > b`.
+        unsafe fn ugt128(a: __m128i, b: __m128i) -> __m128i;
+        /// One bit per lane of a compare result, lane 0 lowest.
+        unsafe fn bits128(m: __m128i) -> u32;
+        unsafe fn splat256(v: u64) -> __m256i;
+        unsafe fn eq256(a: __m256i, b: __m256i) -> __m256i;
+        unsafe fn ugt256(a: __m256i, b: __m256i) -> __m256i;
+        unsafe fn bits256(m: __m256i) -> u32;
+    }
+
+    impl Lane for u64 {
+        const PER_128: usize = 2;
+        #[inline(always)]
+        fn widen(self) -> u64 {
+            self
+        }
+        #[inline(always)]
+        unsafe fn splat128(v: u64) -> __m128i {
+            _mm_set1_epi64x(v as i64)
+        }
+        /// SSE2 has no `cmpeq_epi64`: compare the 32-bit halves, swap
+        /// them within each 64-bit lane and AND — a lane is all-ones
+        /// iff both its halves matched.
+        #[inline(always)]
+        unsafe fn eq128(a: __m128i, b: __m128i) -> __m128i {
+            let eq32 = _mm_cmpeq_epi32(a, b);
+            _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0xB1))
+        }
+        /// SSE2 has no 64-bit compare either: compare the biased 32-bit
+        /// halves, then `hi_gt | (hi_eq & lo_gt)`.
+        #[inline(always)]
+        unsafe fn ugt128(a: __m128i, b: __m128i) -> __m128i {
+            let bias32 = _mm_set1_epi32(i32::MIN);
+            let gt32 = _mm_cmpgt_epi32(_mm_xor_si128(a, bias32), _mm_xor_si128(b, bias32));
+            let eq32 = _mm_cmpeq_epi32(a, b);
+            let hi_gt = _mm_shuffle_epi32(gt32, 0xF5); // hi results → both halves
+            let lo_gt = _mm_shuffle_epi32(gt32, 0xA0); // lo results → both halves
+            let hi_eq = _mm_shuffle_epi32(eq32, 0xF5);
+            _mm_or_si128(hi_gt, _mm_and_si128(hi_eq, lo_gt))
+        }
+        #[inline(always)]
+        unsafe fn bits128(m: __m128i) -> u32 {
+            _mm_movemask_pd(_mm_castsi128_pd(m)) as u32
+        }
+        #[inline(always)]
+        unsafe fn splat256(v: u64) -> __m256i {
+            _mm256_set1_epi64x(v as i64)
+        }
+        #[inline(always)]
+        unsafe fn eq256(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_cmpeq_epi64(a, b)
+        }
+        /// The sign-bit bias turns unsigned order into the signed order
+        /// `cmpgt` implements.
+        #[inline(always)]
+        unsafe fn ugt256(a: __m256i, b: __m256i) -> __m256i {
+            let bias = _mm256_set1_epi64x(i64::MIN);
+            _mm256_cmpgt_epi64(_mm256_xor_si256(a, bias), _mm256_xor_si256(b, bias))
+        }
+        #[inline(always)]
+        unsafe fn bits256(m: __m256i) -> u32 {
+            _mm256_movemask_pd(_mm256_castsi256_pd(m)) as u32
+        }
+    }
+
+    /// Twice the lanes per vector, and the compare ops are *native* at
+    /// this width at both tiers (`cmpeq_epi32` / `cmpgt_epi32`), so the
+    /// SSE2 tier stops paying the shuffle tax it pays on 64-bit cells.
+    impl Lane for u32 {
+        const PER_128: usize = 4;
+        #[inline(always)]
+        fn widen(self) -> u64 {
+            self as u64
+        }
+        #[inline(always)]
+        unsafe fn splat128(v: u64) -> __m128i {
+            _mm_set1_epi32(v as u32 as i32)
+        }
+        #[inline(always)]
+        unsafe fn eq128(a: __m128i, b: __m128i) -> __m128i {
+            _mm_cmpeq_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn ugt128(a: __m128i, b: __m128i) -> __m128i {
+            let bias = _mm_set1_epi32(i32::MIN);
+            _mm_cmpgt_epi32(_mm_xor_si128(a, bias), _mm_xor_si128(b, bias))
+        }
+        #[inline(always)]
+        unsafe fn bits128(m: __m128i) -> u32 {
+            _mm_movemask_ps(_mm_castsi128_ps(m)) as u32
+        }
+        #[inline(always)]
+        unsafe fn splat256(v: u64) -> __m256i {
+            _mm256_set1_epi32(v as u32 as i32)
+        }
+        #[inline(always)]
+        unsafe fn eq256(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_cmpeq_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn ugt256(a: __m256i, b: __m256i) -> __m256i {
+            let bias = _mm256_set1_epi32(i32::MIN);
+            _mm256_cmpgt_epi32(_mm256_xor_si256(a, bias), _mm256_xor_si256(b, bias))
+        }
+        #[inline(always)]
+        unsafe fn bits256(m: __m256i) -> u32 {
+            _mm256_movemask_ps(_mm256_castsi256_ps(m)) as u32
+        }
+    }
+
+    /// The stop lane of a 256-bit window, read back out of the loaded
+    /// vector (not re-loaded from memory: the value handed to the
+    /// caller is the one the compare saw).
+    #[inline(always)]
+    unsafe fn lane_of_256<L: Lane>(w: __m256i, lane: usize) -> u64 {
+        let mut buf = [0u64; 4];
+        _mm256_storeu_si256(buf.as_mut_ptr().cast(), w);
+        buf.as_ptr().cast::<L>().add(lane).read().widen()
+    }
+
+    /// [`lane_of_256`] for a 128-bit window.
+    #[inline(always)]
+    unsafe fn lane_of_128<L: Lane>(w: __m128i, lane: usize) -> u64 {
+        let mut buf = [0u64; 2];
+        _mm_storeu_si128(buf.as_mut_ptr().cast(), w);
+        buf.as_ptr().cast::<L>().add(lane).read().widen()
+    }
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_le_avx2(
-        ptr: *const u64,
+    pub unsafe fn scan_le_avx2<L: Lane>(
+        ptr: *const L,
         start: usize,
         end: usize,
         key_mask: u64,
         threshold: u64,
     ) -> ScanHit {
-        let maskv = _mm256_set1_epi64x(key_mask as i64);
-        let biasv = _mm256_set1_epi64x(BIAS);
-        let thr = _mm256_xor_si256(_mm256_set1_epi64x(threshold as i64), biasv);
+        let step = 2 * L::PER_128;
+        let maskv = L::splat256(key_mask);
+        let thr = L::splat256(threshold);
         let mut i = start;
-        while i + 4 <= end {
+        while i + step <= end {
             let w = _mm256_loadu_si256(ptr.add(i).cast());
-            let m = _mm256_xor_si256(_mm256_and_si256(w, maskv), biasv);
-            let gt = _mm256_cmpgt_epi64(m, thr);
-            let le = !(_mm256_movemask_pd(_mm256_castsi256_pd(gt)) as u32) & 0xF;
+            let gt = L::ugt256(_mm256_and_si256(w, maskv), thr);
+            let le = !L::bits256(gt) & ((1 << step) - 1);
             if le != 0 {
                 let lane = le.trailing_zeros() as usize;
-                let mut lanes = [0u64; 4];
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane])), i + 4 - start);
+                return (
+                    Some((i + lane, lane_of_256::<L>(w, lane))),
+                    i + step - start,
+                );
             }
-            i += 4;
+            i += step;
         }
         tail_le(ptr, i, start, end, key_mask, threshold)
     }
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_for_key_avx2(
-        ptr: *const u64,
+    pub unsafe fn scan_for_key_avx2<L: Lane>(
+        ptr: *const L,
         start: usize,
         end: usize,
         empty: u64,
         key_mask: u64,
         probe_masked: u64,
     ) -> ScanHit {
-        let maskv = _mm256_set1_epi64x(key_mask as i64);
-        let emptyv = _mm256_set1_epi64x(empty as i64);
-        let probev = _mm256_set1_epi64x(probe_masked as i64);
+        let step = 2 * L::PER_128;
+        let maskv = L::splat256(key_mask);
+        let emptyv = L::splat256(empty);
+        let probev = L::splat256(probe_masked);
         let mut i = start;
-        while i + 4 <= end {
+        while i + step <= end {
             let w = _mm256_loadu_si256(ptr.add(i).cast());
             let stop = _mm256_or_si256(
-                _mm256_cmpeq_epi64(w, emptyv),
-                _mm256_cmpeq_epi64(_mm256_and_si256(w, maskv), probev),
+                L::eq256(w, emptyv),
+                L::eq256(_mm256_and_si256(w, maskv), probev),
             );
-            let bits = _mm256_movemask_pd(_mm256_castsi256_pd(stop)) as u32;
+            let bits = L::bits256(stop);
             if bits != 0 {
                 let lane = bits.trailing_zeros() as usize;
-                let mut lanes = [0u64; 4];
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane])), i + 4 - start);
+                return (
+                    Some((i + lane, lane_of_256::<L>(w, lane))),
+                    i + step - start,
+                );
             }
-            i += 4;
+            i += step;
         }
         tail_key(ptr, i, start, end, empty, key_mask, probe_masked)
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn nonempty_mask_avx2(ptr: *const u64, len: usize, empty: u64) -> u64 {
-        let emptyv = _mm256_set1_epi64x(empty as i64);
+    pub unsafe fn nonempty_mask_avx2<L: Lane>(ptr: *const L, len: usize, empty: u64) -> u64 {
+        let step = 2 * L::PER_128;
+        let emptyv = L::splat256(empty);
         let mut mask = 0u64;
         let mut j = 0;
-        while j + 4 <= len {
+        while j + step <= len {
             let w = _mm256_loadu_si256(ptr.add(j).cast());
-            let eq = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(w, emptyv))) as u64;
-            mask |= (!eq & 0xF) << j;
-            j += 4;
+            let eq = L::bits256(L::eq256(w, emptyv)) as u64;
+            mask |= (!eq & ((1 << step) - 1)) << j;
+            j += step;
         }
-        while j < len {
-            if ptr.add(j).read() != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
-        }
-        mask
-    }
-
-    /// Per-64-bit-lane `a == b` using only SSE2 (no `cmpeq_epi64`).
-    #[inline(always)]
-    unsafe fn eq64_sse2(a: __m128i, b: __m128i) -> __m128i {
-        let eq32 = _mm_cmpeq_epi32(a, b);
-        // Swap the 32-bit halves within each 64-bit lane and AND: a
-        // lane is all-ones iff both its halves matched.
-        _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0xB1))
-    }
-
-    /// Per-64-bit-lane unsigned `a > b` using only SSE2: compare the
-    /// biased 32-bit halves, then `hi_gt | (hi_eq & lo_gt)`.
-    #[inline(always)]
-    unsafe fn ugt64_sse2(a: __m128i, b: __m128i) -> __m128i {
-        let bias32 = _mm_set1_epi32(i32::MIN);
-        let gt32 = _mm_cmpgt_epi32(_mm_xor_si128(a, bias32), _mm_xor_si128(b, bias32));
-        let eq32 = _mm_cmpeq_epi32(a, b);
-        let hi_gt = _mm_shuffle_epi32(gt32, 0xF5); // hi results → both halves
-        let lo_gt = _mm_shuffle_epi32(gt32, 0xA0); // lo results → both halves
-        let hi_eq = _mm_shuffle_epi32(eq32, 0xF5);
-        _mm_or_si128(hi_gt, _mm_and_si128(hi_eq, lo_gt))
+        mask | tail_nonempty(ptr, j, len, empty)
     }
 
     #[inline]
-    pub unsafe fn scan_le_sse2(
-        ptr: *const u64,
+    pub unsafe fn scan_le_sse2<L: Lane>(
+        ptr: *const L,
         start: usize,
         end: usize,
         key_mask: u64,
         threshold: u64,
     ) -> ScanHit {
-        let maskv = _mm_set1_epi64x(key_mask as i64);
-        let thr = _mm_set1_epi64x(threshold as i64);
+        let step = L::PER_128;
+        let maskv = L::splat128(key_mask);
+        let thr = L::splat128(threshold);
         let mut i = start;
-        while i + 2 <= end {
+        while i + step <= end {
             let w = _mm_loadu_si128(ptr.add(i).cast());
-            let gt = ugt64_sse2(_mm_and_si128(w, maskv), thr);
-            let le = !(_mm_movemask_pd(_mm_castsi128_pd(gt)) as u32) & 0x3;
+            let gt = L::ugt128(_mm_and_si128(w, maskv), thr);
+            let le = !L::bits128(gt) & ((1 << step) - 1);
             if le != 0 {
                 let lane = le.trailing_zeros() as usize;
-                let mut lanes = [0u64; 2];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane])), i + 2 - start);
+                return (
+                    Some((i + lane, lane_of_128::<L>(w, lane))),
+                    i + step - start,
+                );
             }
-            i += 2;
+            i += step;
         }
         tail_le(ptr, i, start, end, key_mask, threshold)
     }
 
     #[inline]
-    pub unsafe fn scan_for_key_sse2(
-        ptr: *const u64,
+    pub unsafe fn scan_for_key_sse2<L: Lane>(
+        ptr: *const L,
         start: usize,
         end: usize,
         empty: u64,
         key_mask: u64,
         probe_masked: u64,
     ) -> ScanHit {
-        let maskv = _mm_set1_epi64x(key_mask as i64);
-        let emptyv = _mm_set1_epi64x(empty as i64);
-        let probev = _mm_set1_epi64x(probe_masked as i64);
+        let step = L::PER_128;
+        let maskv = L::splat128(key_mask);
+        let emptyv = L::splat128(empty);
+        let probev = L::splat128(probe_masked);
         let mut i = start;
-        while i + 2 <= end {
+        while i + step <= end {
             let w = _mm_loadu_si128(ptr.add(i).cast());
             let stop = _mm_or_si128(
-                eq64_sse2(w, emptyv),
-                eq64_sse2(_mm_and_si128(w, maskv), probev),
+                L::eq128(w, emptyv),
+                L::eq128(_mm_and_si128(w, maskv), probev),
             );
-            let bits = _mm_movemask_pd(_mm_castsi128_pd(stop)) as u32;
+            let bits = L::bits128(stop);
             if bits != 0 {
                 let lane = bits.trailing_zeros() as usize;
-                let mut lanes = [0u64; 2];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane])), i + 2 - start);
+                return (
+                    Some((i + lane, lane_of_128::<L>(w, lane))),
+                    i + step - start,
+                );
             }
-            i += 2;
+            i += step;
         }
         tail_key(ptr, i, start, end, empty, key_mask, probe_masked)
     }
 
-    pub unsafe fn nonempty_mask_sse2(ptr: *const u64, len: usize, empty: u64) -> u64 {
-        let emptyv = _mm_set1_epi64x(empty as i64);
+    pub unsafe fn nonempty_mask_sse2<L: Lane>(ptr: *const L, len: usize, empty: u64) -> u64 {
+        let step = L::PER_128;
+        let emptyv = L::splat128(empty);
         let mut mask = 0u64;
         let mut j = 0;
-        while j + 2 <= len {
+        while j + step <= len {
             let w = _mm_loadu_si128(ptr.add(j).cast());
-            let eq = _mm_movemask_pd(_mm_castsi128_pd(eq64_sse2(w, emptyv))) as u64;
-            mask |= (!eq & 0x3) << j;
-            j += 2;
+            let eq = L::bits128(L::eq128(w, emptyv)) as u64;
+            mask |= (!eq & ((1 << step) - 1)) << j;
+            j += step;
         }
-        while j < len {
-            if ptr.add(j).read() != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
-        }
-        mask
+        mask | tail_nonempty(ptr, j, len, empty)
     }
 
     #[target_feature(enable = "avx2")]
@@ -744,185 +971,6 @@ pub(crate) mod x86 {
         _mm_storeu_si128(dst.cast(), _mm_loadu_si128(src.cast()));
     }
 
-    // -----------------------------------------------------------------
-    // 32-bit-cell kernels
-    // -----------------------------------------------------------------
-    //
-    // Same scans over `u32` cells: twice the lanes per vector, and the
-    // compare ops are *native* at this width (AVX2/SSE2 both have
-    // `cmpeq_epi32`/`cmpgt_epi32`, so no 64-bit synthesis is needed —
-    // the SSE2 tier stops paying the shuffle tax it pays on 64-bit
-    // cells). Masks/thresholds/sentinels arrive as widened `u64`s and
-    // truncate losslessly (sub-word reprs are `< 2^32`; the widened
-    // `u64::MAX` mask truncates to the all-ones 32-bit mask). Each
-    // 4-byte lane of an x86 vector load is individually non-tearing,
-    // exactly as for the 8-byte lanes.
-
-    /// 32-bit-cell [`scan_le_avx2`]: 8 lanes per 256-bit vector.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_le_avx2_u32(
-        ptr: *const u32,
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        let maskv = _mm256_set1_epi32(key_mask as u32 as i32);
-        let biasv = _mm256_set1_epi32(i32::MIN);
-        let thr = _mm256_xor_si256(_mm256_set1_epi32(threshold as u32 as i32), biasv);
-        let mut i = start;
-        while i + 8 <= end {
-            let w = _mm256_loadu_si256(ptr.add(i).cast());
-            let m = _mm256_xor_si256(_mm256_and_si256(w, maskv), biasv);
-            let gt = _mm256_cmpgt_epi32(m, thr);
-            let le = !(_mm256_movemask_ps(_mm256_castsi256_ps(gt)) as u32) & 0xFF;
-            if le != 0 {
-                let lane = le.trailing_zeros() as usize;
-                let mut lanes = [0u32; 8];
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane] as u64)), i + 8 - start);
-            }
-            i += 8;
-        }
-        tail_le_u32(ptr, i, start, end, key_mask, threshold)
-    }
-
-    /// 32-bit-cell [`scan_le_sse2`]: 4 lanes, native `epi32` compares.
-    #[inline]
-    pub unsafe fn scan_le_sse2_u32(
-        ptr: *const u32,
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        let maskv = _mm_set1_epi32(key_mask as u32 as i32);
-        let biasv = _mm_set1_epi32(i32::MIN);
-        let thr = _mm_xor_si128(_mm_set1_epi32(threshold as u32 as i32), biasv);
-        let mut i = start;
-        while i + 4 <= end {
-            let w = _mm_loadu_si128(ptr.add(i).cast());
-            let m = _mm_xor_si128(_mm_and_si128(w, maskv), biasv);
-            let gt = _mm_cmpgt_epi32(m, thr);
-            let le = !(_mm_movemask_ps(_mm_castsi128_ps(gt)) as u32) & 0xF;
-            if le != 0 {
-                let lane = le.trailing_zeros() as usize;
-                let mut lanes = [0u32; 4];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane] as u64)), i + 4 - start);
-            }
-            i += 4;
-        }
-        tail_le_u32(ptr, i, start, end, key_mask, threshold)
-    }
-
-    /// 32-bit-cell [`scan_for_key_avx2`]: 8 lanes per vector.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_for_key_avx2_u32(
-        ptr: *const u32,
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        let maskv = _mm256_set1_epi32(key_mask as u32 as i32);
-        let emptyv = _mm256_set1_epi32(empty as u32 as i32);
-        let probev = _mm256_set1_epi32(probe_masked as u32 as i32);
-        let mut i = start;
-        while i + 8 <= end {
-            let w = _mm256_loadu_si256(ptr.add(i).cast());
-            let stop = _mm256_or_si256(
-                _mm256_cmpeq_epi32(w, emptyv),
-                _mm256_cmpeq_epi32(_mm256_and_si256(w, maskv), probev),
-            );
-            let bits = _mm256_movemask_ps(_mm256_castsi256_ps(stop)) as u32;
-            if bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                let mut lanes = [0u32; 8];
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane] as u64)), i + 8 - start);
-            }
-            i += 8;
-        }
-        tail_key_u32(ptr, i, start, end, empty, key_mask, probe_masked)
-    }
-
-    /// 32-bit-cell [`scan_for_key_sse2`]: 4 lanes, native compares.
-    #[inline]
-    pub unsafe fn scan_for_key_sse2_u32(
-        ptr: *const u32,
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        let maskv = _mm_set1_epi32(key_mask as u32 as i32);
-        let emptyv = _mm_set1_epi32(empty as u32 as i32);
-        let probev = _mm_set1_epi32(probe_masked as u32 as i32);
-        let mut i = start;
-        while i + 4 <= end {
-            let w = _mm_loadu_si128(ptr.add(i).cast());
-            let stop = _mm_or_si128(
-                _mm_cmpeq_epi32(w, emptyv),
-                _mm_cmpeq_epi32(_mm_and_si128(w, maskv), probev),
-            );
-            let bits = _mm_movemask_ps(_mm_castsi128_ps(stop)) as u32;
-            if bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                let mut lanes = [0u32; 4];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane] as u64)), i + 4 - start);
-            }
-            i += 4;
-        }
-        tail_key_u32(ptr, i, start, end, empty, key_mask, probe_masked)
-    }
-
-    /// 32-bit-cell occupancy mask: 8 lanes per AVX2 vector.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn nonempty_mask_avx2_u32(ptr: *const u32, len: usize, empty: u64) -> u64 {
-        let emptyv = _mm256_set1_epi32(empty as u32 as i32);
-        let mut mask = 0u64;
-        let mut j = 0;
-        while j + 8 <= len {
-            let w = _mm256_loadu_si256(ptr.add(j).cast());
-            let eq = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(w, emptyv))) as u64;
-            mask |= (!eq & 0xFF) << j;
-            j += 8;
-        }
-        while j < len {
-            if ptr.add(j).read() as u64 != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
-        }
-        mask
-    }
-
-    /// 32-bit-cell occupancy mask: 4 lanes per SSE2 vector.
-    pub unsafe fn nonempty_mask_sse2_u32(ptr: *const u32, len: usize, empty: u64) -> u64 {
-        let emptyv = _mm_set1_epi32(empty as u32 as i32);
-        let mut mask = 0u64;
-        let mut j = 0;
-        while j + 4 <= len {
-            let w = _mm_loadu_si128(ptr.add(j).cast());
-            let eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(w, emptyv))) as u64;
-            mask |= (!eq & 0xF) << j;
-            j += 4;
-        }
-        while j < len {
-            if ptr.add(j).read() as u64 != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
-        }
-        mask
-    }
-
     /// Loads 4 consecutive 32-bit cells and zero-extends them into 4
     /// `u64` window lanes (one 128-bit load + two unpacks).
     pub unsafe fn load4_u32_sse2(src: *const u32, dst: *mut u64) {
@@ -932,52 +980,11 @@ pub(crate) mod x86 {
         _mm_storeu_si128(dst.add(2).cast(), _mm_unpackhi_epi32(w, z));
     }
 
-    /// Scalar tail of the 32-bit `<=` scan (widened compares).
-    #[inline(always)]
-    unsafe fn tail_le_u32(
-        ptr: *const u32,
-        mut i: usize,
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        while i < end {
-            let c = ptr.add(i).read() as u64;
-            if c & key_mask <= threshold {
-                return (Some((i, c)), i - start + 1);
-            }
-            i += 1;
-        }
-        (None, end - start)
-    }
-
-    /// Scalar tail of the 32-bit key-or-empty scan.
-    #[inline(always)]
-    unsafe fn tail_key_u32(
-        ptr: *const u32,
-        mut i: usize,
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        while i < end {
-            let c = ptr.add(i).read() as u64;
-            if c == empty || c & key_mask == probe_masked {
-                return (Some((i, c)), i - start + 1);
-            }
-            i += 1;
-        }
-        (None, end - start)
-    }
-
     /// Scalar tail of the `<=` scan over `[i, end)` (raw loads — same
-    /// lanes the vector body would have examined).
+    /// lanes the vector body would have examined, widened compares).
     #[inline(always)]
-    unsafe fn tail_le(
-        ptr: *const u64,
+    unsafe fn tail_le<L: Lane>(
+        ptr: *const L,
         mut i: usize,
         start: usize,
         end: usize,
@@ -985,7 +992,7 @@ pub(crate) mod x86 {
         threshold: u64,
     ) -> ScanHit {
         while i < end {
-            let c = ptr.add(i).read();
+            let c = ptr.add(i).read().widen();
             if c & key_mask <= threshold {
                 return (Some((i, c)), i - start + 1);
             }
@@ -996,8 +1003,8 @@ pub(crate) mod x86 {
 
     /// Scalar tail of the key-or-empty scan over `[i, end)`.
     #[inline(always)]
-    unsafe fn tail_key(
-        ptr: *const u64,
+    unsafe fn tail_key<L: Lane>(
+        ptr: *const L,
         mut i: usize,
         start: usize,
         end: usize,
@@ -1006,7 +1013,7 @@ pub(crate) mod x86 {
         probe_masked: u64,
     ) -> ScanHit {
         while i < end {
-            let c = ptr.add(i).read();
+            let c = ptr.add(i).read().widen();
             if c == empty || c & key_mask == probe_masked {
                 return (Some((i, c)), i - start + 1);
             }
@@ -1014,22 +1021,34 @@ pub(crate) mod x86 {
         }
         (None, end - start)
     }
-}
 
-#[cfg(target_arch = "x86_64")]
-use x86::{nonempty_mask_avx2, nonempty_mask_sse2};
+    /// Scalar tail of the occupancy mask over `[j, len)`.
+    #[inline(always)]
+    unsafe fn tail_nonempty<L: Lane>(ptr: *const L, mut j: usize, len: usize, empty: u64) -> u64 {
+        let mut mask = 0u64;
+        while j < len {
+            if ptr.add(j).read().widen() != empty {
+                mask |= 1 << j;
+            }
+            j += 1;
+        }
+        mask
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, AtomicU64};
 
+    /// Held by every test that sets or asserts on the process-wide tier
+    /// override, so they do not fight over it when run concurrently.
+    static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Runs `f` under every tier this machine can execute, restoring
-    /// the default afterwards. Serialized so concurrently running tier
-    /// tests do not fight over the process-wide override.
+    /// the default afterwards.
     fn for_each_tier(f: impl Fn(SimdTier)) {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TIER_LOCK.lock().unwrap();
         for t in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
             set_tier(Some(t));
             f(tier());
@@ -1324,6 +1343,7 @@ mod tests {
 
     #[test]
     fn env_default_is_clamped_and_stable() {
+        let _guard = TIER_LOCK.lock().unwrap();
         let a = tier();
         let b = tier();
         assert_eq!(a, b);
@@ -1333,8 +1353,7 @@ mod tests {
 
     #[test]
     fn set_tier_round_trips() {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
+        let _guard = TIER_LOCK.lock().unwrap();
         set_tier(Some(SimdTier::Scalar));
         assert_eq!(tier(), SimdTier::Scalar);
         set_tier(None);

@@ -510,6 +510,7 @@ mod claim_core {
     }
     impl_claim_core!(DetHashTable);
     impl_claim_core!(RobinHoodHashTable);
+    impl_claim_core!(FcHashTable);
 }
 
 /// Builds a core, claims every block (as a migrator would), and checks
@@ -584,6 +585,20 @@ fn claim_sweep_drains_exact_content_and_deletes_in_window_are_noops() {
             );
             check_claim::<KvPair, RobinHoodHashTable<KvPair>>(
                 "rh64",
+                &pairs,
+                |k, v| KvPair::new(k as u32, v as u32),
+                kv64,
+                tier,
+            );
+            check_claim::<KvPair32, FcHashTable<KvPair32>>(
+                "fc32",
+                &pairs,
+                KvPair32::new,
+                kv32,
+                tier,
+            );
+            check_claim::<KvPair, FcHashTable<KvPair>>(
+                "fc64",
                 &pairs,
                 |k, v| KvPair::new(k as u32, v as u32),
                 kv64,

@@ -78,11 +78,6 @@ define_ids! {
         DeleteProbeSteps => "delete_probe_steps",
         /// Migration blocks claimed from a retiring epoch's cursor.
         MigrationBlocksClaimed => "migration_blocks_claimed",
-        /// Freeze handshakes that actually had to wait for a writer.
-        /// Retired by the freeze-free resizer (PR 10): kept registered
-        /// for dashboard/JSON stability but never incremented — the
-        /// obs integration suite asserts it stays 0.
-        FreezeWaits => "freeze_waits",
         /// Successor epochs published by the cooperative resizer.
         EpochsPublished => "epochs_published",
         /// Cuckoo eviction steps (entries displaced to their other cell).
