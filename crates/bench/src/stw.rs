@@ -39,7 +39,11 @@ impl<E: HashEntry, T: FlatTableCore<E>> StwResizableTable<E, T> {
 
     /// Current capacity (cells).
     pub fn capacity(&self) -> usize {
-        self.inner.read().expect("table lock poisoned").capacity()
+        self.inner
+            .read()
+            .expect("table lock poisoned")
+            .engine()
+            .capacity()
     }
 
     /// Number of stored entries (exact).
@@ -65,13 +69,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> StwResizableTable<E, T> {
     pub fn insert(&self, e: E) {
         loop {
             let guard = self.inner.read().expect("table lock poisoned");
-            if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN >= guard.capacity() * MAX_LOAD_NUM
+            if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN
+                >= guard.engine().capacity() * MAX_LOAD_NUM
             {
                 drop(guard);
                 self.grow();
                 continue;
             }
-            if guard.insert_counted(e) {
+            if guard.engine().insert_counted(e) {
                 self.items.fetch_add(1, Ordering::AcqRel);
             }
             return;
@@ -81,24 +86,36 @@ impl<E: HashEntry, T: FlatTableCore<E>> StwResizableTable<E, T> {
     /// Deletes by key.
     pub fn delete(&self, key: E) {
         let guard = self.inner.read().expect("table lock poisoned");
-        if guard.delete_counted(key) {
+        if guard.engine().delete_counted(key) {
             self.items.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
     /// Looks up a key.
     pub fn find(&self, key: E) -> Option<E> {
-        self.inner.read().expect("table lock poisoned").find(key)
+        self.inner
+            .read()
+            .expect("table lock poisoned")
+            .engine()
+            .find(key)
     }
 
     /// Packs the contents.
     pub fn elements(&self) -> Vec<E> {
-        self.inner.read().expect("table lock poisoned").elements()
+        self.inner
+            .read()
+            .expect("table lock poisoned")
+            .engine()
+            .elements()
     }
 
     /// Raw snapshot of the current backing array.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.inner.read().expect("table lock poisoned").snapshot()
+        self.inner
+            .read()
+            .expect("table lock poisoned")
+            .engine()
+            .snapshot()
     }
 
     #[cold]
@@ -106,14 +123,15 @@ impl<E: HashEntry, T: FlatTableCore<E>> StwResizableTable<E, T> {
         use rayon::prelude::*;
         let mut w = self.inner.write().expect("table lock poisoned");
         // Another thread may have grown while we waited.
-        if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN < w.capacity() * MAX_LOAD_NUM {
+        if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN < w.engine().capacity() * MAX_LOAD_NUM
+        {
             return;
         }
-        let log2 = w.capacity().trailing_zeros() + 1;
+        let log2 = w.engine().capacity().trailing_zeros() + 1;
         let bigger = T::new_pow2(log2);
-        let elems = w.elements();
+        let elems = w.engine().elements();
         elems.par_iter().with_min_len(1024).for_each(|&e| {
-            bigger.insert_counted(e);
+            bigger.engine().insert_counted(e);
         });
         *w = bigger;
     }

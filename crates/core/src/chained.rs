@@ -27,9 +27,7 @@ use std::sync::Mutex;
 use phc_parutil::Arena;
 
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::{Deleter, Inserter, Reader, TableOps};
 
 /// A linked-list node. `repr` is atomic so CR-mode duplicate combining
 /// can CAS values without the stripe lock.
@@ -366,71 +364,31 @@ impl<E: HashEntry> ChainedHashTable<E> {
 }
 
 /// Insert-phase handle.
-pub struct ChainedInserter<'t, E: HashEntry>(
-    &'t ChainedHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
+pub type ChainedInserter<'t, E> = Inserter<'t, ChainedHashTable<E>>;
 /// Delete-phase handle.
-pub struct ChainedDeleter<'t, E: HashEntry>(&'t ChainedHashTable<E>, #[allow(dead_code)] PhaseSpan);
+pub type ChainedDeleter<'t, E> = Deleter<'t, ChainedHashTable<E>>;
 /// Read-phase handle.
-pub struct ChainedReader<'t, E: HashEntry>(&'t ChainedHashTable<E>, #[allow(dead_code)] PhaseSpan);
+pub type ChainedReader<'t, E> = Reader<'t, ChainedHashTable<E>>;
 
-impl<E: HashEntry> ConcurrentInsert<E> for ChainedInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for ChainedDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for ChainedReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-
-impl<E: HashEntry> PhaseHashTable<E> for ChainedHashTable<E> {
-    type Inserter<'t>
-        = ChainedInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = ChainedDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = ChainedReader<'t, E>
-    where
-        E: 't;
-
+impl<E: HashEntry> TableOps<E> for ChainedHashTable<E> {
     const NAME: &'static str = "chainedHash";
 
     fn new_pow2(log2_size: u32) -> Self {
         ChainedHashTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
-        self.capacity()
+        ChainedHashTable::capacity(self)
     }
-
-    fn begin_insert(&mut self) -> ChainedInserter<'_, E> {
-        ChainedInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        ChainedHashTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> ChainedDeleter<'_, E> {
-        ChainedDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        ChainedHashTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> ChainedReader<'_, E> {
-        ChainedReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        ChainedHashTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
+    fn elements(&self) -> Vec<E> {
         ChainedHashTable::elements(self)
     }
 }

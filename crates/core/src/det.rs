@@ -37,7 +37,8 @@
 //! `E::cmp_priority` order, no hooks.
 
 use crate::entry::HashEntry;
-use crate::probe::{Deleter, Growable, Inserter, ProbePolicy, ProbeTable, Reader};
+use crate::phase::{Deleter, Inserter, Reader};
+use crate::probe::{Growable, ProbePolicy, ProbeTable};
 
 /// The deterministic table's probe policy: every default of the engine.
 pub struct DetPolicy;
@@ -52,6 +53,7 @@ impl<E: HashEntry> ProbePolicy<E> for DetPolicy {
 
 impl<E: HashEntry> Growable<E> for DetPolicy {
     const GROW_NAME: &'static str = "linearHash-D-grow";
+    type Gate = crate::rooms::RoomSync;
 }
 
 /// The deterministic phase-concurrent linear-probing hash table.
@@ -76,8 +78,8 @@ impl<E: HashEntry> Growable<E> for DetPolicy {
 pub type DetHashTable<E> = ProbeTable<E, DetPolicy>;
 
 /// Insert-phase handle of [`DetHashTable`] (see [`crate::phase`]).
-pub type DetInserter<'t, E> = Inserter<'t, E, DetPolicy>;
+pub type DetInserter<'t, E> = Inserter<'t, DetHashTable<E>>;
 /// Delete-phase handle of [`DetHashTable`].
-pub type DetDeleter<'t, E> = Deleter<'t, E, DetPolicy>;
+pub type DetDeleter<'t, E> = Deleter<'t, DetHashTable<E>>;
 /// Read-phase handle of [`DetHashTable`].
-pub type DetReader<'t, E> = Reader<'t, E, DetPolicy>;
+pub type DetReader<'t, E> = Reader<'t, DetHashTable<E>>;

@@ -78,9 +78,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cell::CellAtomic;
 use crate::entry::HashEntry;
-use crate::probe::{
-    Deleter, FindBatch, Growable, InsertTally, Inserter, Probe, ProbePolicy, ProbeTable, Reader,
-};
+use crate::phase::{Deleter, Inserter, Reader};
+use crate::probe::{FindBatch, Growable, InsertTally, Probe, ProbePolicy, ProbeTable};
 
 /// One writer-start unit in the epoch half of a state word.
 const EPOCH_ONE: u64 = 1 << 32;
@@ -295,18 +294,20 @@ impl<E: HashEntry> ProbePolicy<E> for FcPolicy {
 
 impl<E: HashEntry> Growable<E> for FcPolicy {
     const GROW_NAME: &'static str = "linearHash-FC-grow";
+    /// Every operation may overlap every other: nothing to keep apart.
+    type Gate = crate::rooms::NoRooms;
 
+    /// Spins until no insert or delete is registered. The protocols
+    /// here are *multi-cell* (a displacement carries an evicted entry
+    /// onward; a repair scan may pull a placed entry out and re-insert
+    /// it) and repairs have no divert route — `validate_placement`
+    /// panics on a full table — so no sweep may start mid-protocol.
     fn quiesce_writers(&self) {
         let mut spins = 0u32;
         while self.ins_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
             || self.del_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
         {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            crate::resize::spin_wait(&mut spins);
         }
     }
 }
@@ -428,29 +429,11 @@ pub type FcHashTable<E> = ProbeTable<E, FcPolicy>;
 
 /// Insert handle of [`FcHashTable`] for the phase API
 /// ([`crate::phase`]).
-pub type FcInserter<'t, E> = Inserter<'t, E, FcPolicy>;
+pub type FcInserter<'t, E> = Inserter<'t, FcHashTable<E>>;
 /// Delete handle of [`FcHashTable`].
-pub type FcDeleter<'t, E> = Deleter<'t, E, FcPolicy>;
+pub type FcDeleter<'t, E> = Deleter<'t, FcHashTable<E>>;
 /// Read handle of [`FcHashTable`].
-pub type FcReader<'t, E> = Reader<'t, E, FcPolicy>;
-
-impl<E: HashEntry> ProbeTable<E, FcPolicy> {
-    /// Spins until no insert or delete is registered on this table.
-    ///
-    /// The fully-concurrent protocols are *multi-cell*: a displacement
-    /// carries an evicted entry toward its new cell, and a repair scan
-    /// may pull a placed entry back out and re-insert it. A migration
-    /// sweep racing those mid-protocol could strand the carried entry
-    /// (its CAS diverts, but the repair path has no divert route —
-    /// `validate_placement` panics on a full table). The freeze-free
-    /// resizer therefore waits out registered fc writers before
-    /// claiming blocks; new writers are excluded by the
-    /// open-window/successor-check handshake, not by this wait, so the
-    /// wait is bounded by in-flight operations only.
-    pub fn quiesce_writers(&self) {
-        <FcPolicy as Growable<E>>::quiesce_writers(&self.policy)
-    }
-}
+pub type FcReader<'t, E> = Reader<'t, FcHashTable<E>>;
 
 #[cfg(test)]
 mod tests {

@@ -31,7 +31,8 @@ use std::sync::atomic::Ordering;
 
 use crate::cell::CellAtomic;
 use crate::entry::HashEntry;
-use crate::probe::{Deleter, Inserter, Probe, ProbePolicy, ProbeTable, Reader};
+use crate::phase::{Deleter, Inserter, Reader};
+use crate::probe::{Probe, ProbePolicy, ProbeTable};
 use crate::simd::Kernel;
 
 /// Debug-build phase-discipline check shared by every ND operation:
@@ -363,11 +364,11 @@ fn find_wide<E: HashEntry, K: Kernel>(
 pub type NdHashTable<E> = ProbeTable<E, NdPolicy>;
 
 /// Insert-phase handle of [`NdHashTable`] (see [`crate::phase`]).
-pub type NdInserter<'t, E> = Inserter<'t, E, NdPolicy>;
+pub type NdInserter<'t, E> = Inserter<'t, NdHashTable<E>>;
 /// Delete-phase handle of [`NdHashTable`].
-pub type NdDeleter<'t, E> = Deleter<'t, E, NdPolicy>;
+pub type NdDeleter<'t, E> = Deleter<'t, NdHashTable<E>>;
 /// Read-phase handle of [`NdHashTable`].
-pub type NdReader<'t, E> = Reader<'t, E, NdPolicy>;
+pub type NdReader<'t, E> = Reader<'t, NdHashTable<E>>;
 
 impl<E: HashEntry> ProbeTable<E, NdPolicy> {
     /// Inserts a key-value entry, accumulating the value field with a

@@ -84,8 +84,78 @@ pub trait ConcurrentRead<E: HashEntry>: Sync {
     fn find(&self, key: E) -> Option<E>;
 }
 
+/// The `&self` operations a table offers, from which the phase API is
+/// built: implement this and the table is a [`PhaseHashTable`] whose
+/// handles are the generic [`Inserter`] / [`Deleter`] / [`Reader`].
+///
+/// Phase discipline is the caller's here — these are the table's own
+/// methods under the names the handles forward to. Go through
+/// [`PhaseHashTable`] to have the borrow checker keep the phases apart.
+pub trait TableOps<E: HashEntry>: Send + Sync + Sized {
+    /// Short name used by the benchmark harnesses (matches the paper's
+    /// labels, e.g. `"linearHash-D"`).
+    const NAME: &'static str;
+
+    /// Creates a table with `2^log2_size` cells.
+    fn new_pow2(log2_size: u32) -> Self;
+    /// Number of cells.
+    fn capacity(&self) -> usize;
+    /// Inserts `e` (insert phase).
+    fn insert(&self, e: E);
+    /// Deletes the entry with `key`'s key part (delete phase).
+    fn delete(&self, key: E);
+    /// Looks up the entry with `key`'s key part (read phase).
+    fn find(&self, key: E) -> Option<E>;
+    /// Packs the contents in cell order (read phase).
+    fn elements(&self) -> Vec<E>;
+    /// Runs at every phase boundary — each `begin_*` and
+    /// [`PhaseHashTable::elements`] — while the table is exclusively
+    /// borrowed. The growable table lands on its canonical capacity
+    /// here; fixed-capacity tables need nothing.
+    fn before_phase(&self) {}
+}
+
+/// Insert-phase handle of table `T`. The embedded [`PhaseSpan`]
+/// brackets the phase on the observability timeline. A handle exposes
+/// only its own phase's operations — it does not dereference to the
+/// table, so a `Deleter` cannot reach `insert`.
+pub struct Inserter<'t, T>(pub(crate) &'t T, #[allow(dead_code)] PhaseSpan);
+/// Delete-phase handle of table `T` (see [`Inserter`]).
+pub struct Deleter<'t, T>(pub(crate) &'t T, #[allow(dead_code)] PhaseSpan);
+/// Read-phase handle of table `T` (see [`Inserter`]).
+pub struct Reader<'t, T>(pub(crate) &'t T, #[allow(dead_code)] PhaseSpan);
+
+impl<E: HashEntry, T: TableOps<E>> ConcurrentInsert<E> for Inserter<'_, T> {
+    #[inline]
+    fn insert(&self, e: E) {
+        self.0.insert(e);
+    }
+}
+impl<E: HashEntry, T: TableOps<E>> ConcurrentDelete<E> for Deleter<'_, T> {
+    #[inline]
+    fn delete(&self, key: E) {
+        self.0.delete(key);
+    }
+}
+impl<E: HashEntry, T: TableOps<E>> ConcurrentRead<E> for Reader<'_, T> {
+    #[inline]
+    fn find(&self, key: E) -> Option<E> {
+        self.0.find(key)
+    }
+}
+impl<T> Reader<'_, T> {
+    /// Packs the table contents (allowed in the read phase).
+    pub fn elements<E: HashEntry>(&self) -> Vec<E>
+    where
+        T: TableOps<E>,
+    {
+        self.0.elements()
+    }
+}
+
 /// A phase-concurrent hash table: one operation type at a time, any
-/// number of threads within a phase.
+/// number of threads within a phase. Implemented for every
+/// [`TableOps`] table.
 ///
 /// `elements()` (paper §4) packs the table contents into a vector; for
 /// the deterministic table the result is independent of the order in
@@ -132,5 +202,50 @@ pub trait PhaseHashTable<E: HashEntry>: Send + Sized {
     /// load accounting, not hot paths).
     fn count(&mut self) -> usize {
         self.elements().len()
+    }
+}
+
+impl<E: HashEntry, T: TableOps<E>> PhaseHashTable<E> for T {
+    type Inserter<'t>
+        = Inserter<'t, T>
+    where
+        T: 't;
+    type Deleter<'t>
+        = Deleter<'t, T>
+    where
+        T: 't;
+    type Reader<'t>
+        = Reader<'t, T>
+    where
+        T: 't;
+
+    const NAME: &'static str = T::NAME;
+
+    fn new_pow2(log2_size: u32) -> Self {
+        TableOps::new_pow2(log2_size)
+    }
+
+    fn capacity(&self) -> usize {
+        TableOps::capacity(self)
+    }
+
+    fn begin_insert(&mut self) -> Inserter<'_, T> {
+        self.before_phase();
+        Inserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    }
+
+    fn begin_delete(&mut self) -> Deleter<'_, T> {
+        self.before_phase();
+        Deleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    }
+
+    fn begin_read(&mut self) -> Reader<'_, T> {
+        self.before_phase();
+        Reader(self, PhaseSpan::begin(PhaseKind::Read))
+    }
+
+    fn elements(&mut self) -> Vec<E> {
+        self.before_phase();
+        TableOps::elements(self)
     }
 }

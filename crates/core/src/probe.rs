@@ -37,7 +37,7 @@
 //! keeps its own insert and find loops (a different stop condition and
 //! kernel) by overriding the policy's body entry points, and takes
 //! everything else — storage, the delete chase, the batch loops, the
-//! phase handles, the quiescent operations — from here.
+//! quiescent operations — from here.
 //!
 //! ## Where the forwarding marker is checked
 //!
@@ -64,12 +64,10 @@ use std::sync::atomic::Ordering;
 use crate::batch::{insert_prefetch_ahead, prefetch_slot, PREFETCH_AHEAD};
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::{Deleter, Inserter, Reader, TableOps};
 use crate::simd::{self, Kernel, TierBody};
 
-pub(crate) use policy::{Growable, InsertTally, Probe, ProbePolicy};
+pub(crate) use policy::{AsRepr, Growable, InsertTally, Probe, ProbePolicy};
 
 /// The policy traits, and the types in their signatures, live in a
 /// private module: they are `pub` so the public aliases can name them
@@ -331,8 +329,36 @@ mod policy {
     pub trait Growable<E: HashEntry>: ProbePolicy<E> {
         /// `FlatTableCore::GROW_NAME` of the table.
         const GROW_NAME: &'static str;
-        /// See `FlatTableCore::quiesce_writers`.
+        /// What keeps the table's phases apart when callers do not (see
+        /// [`crate::rooms`]): a room synchronizer, or nothing.
+        type Gate: crate::rooms::Gate;
+        /// Blocks until the table has no in-flight *multi-cell* write
+        /// protocol that a concurrent `claim_range_forward` could tear.
+        /// Tables whose every mutation is a single-cell CAS need
+        /// nothing: the per-cell conservation argument covers them.
+        /// New writers are excluded by the resizer's publish handshake
+        /// (a writer re-checks the epoch's successor after opening its
+        /// window), so the wait is bounded by one window per thread.
         fn quiesce_writers(&self) {}
+    }
+
+    /// An item of an insert run: an entry, or a raw repr (what a
+    /// migration sweep claims out of a retiring table).
+    pub trait AsRepr<E>: Copy {
+        /// The item in `HashEntry::to_repr` form.
+        fn repr(self) -> u64;
+    }
+    impl<E: HashEntry> AsRepr<E> for E {
+        #[inline(always)]
+        fn repr(self) -> u64 {
+            self.to_repr()
+        }
+    }
+    impl<E: HashEntry> AsRepr<E> for u64 {
+        #[inline(always)]
+        fn repr(self) -> u64 {
+            self
+        }
     }
 }
 
@@ -448,38 +474,53 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// the credit may be earned while carrying *another* thread's
     /// entry, so the return value is a **global** net-new-element count
     /// credit (exactly one `true` per element added across all
-    /// threads), not a statement about this particular key. Used by
-    /// [`crate::resize::ResizableTable`] for exact load accounting.
+    /// threads), not a statement about this particular key — the
+    /// credit [`crate::resize::ResizableTable`]'s exact load accounting
+    /// counts.
     pub fn insert_counted(&self, e: E) -> bool {
-        match self.try_insert_repr(e.to_repr()) {
-            Ok(filled) => filled,
+        let v = e.to_repr();
+        debug_assert_ne!(v, E::EMPTY);
+        debug_assert_ne!(v, E::FORWARD, "the forwarding sentinel is not insertable");
+        let token = self.policy.open_insert_window();
+        let r = self.probe().insert_stored(self.policy.stored(v), token);
+        self.policy.close_insert_window();
+        match r {
+            Ok(net) => net > 0,
             Err(_) => self.full(),
         }
     }
 
-    /// Like [`insert_counted`](Self::insert_counted) on a repr, but
-    /// reports a full table instead of panicking: `Err(carried)` hands
-    /// back the repr still looking for a home once the probe has
-    /// wrapped the whole array or met a forwarded cell. Any
-    /// displacements performed before that stand — the carried entry is
-    /// no longer stored anywhere, so the caller must re-home it (the
-    /// cooperative resizer routes it to the successor table).
-    pub(crate) fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        let token = self.policy.open_insert_window();
-        let r = self.try_insert_repr_in(v, token);
-        self.policy.close_insert_window();
-        r
-    }
-
-    /// [`try_insert_repr`](Self::try_insert_repr) inside an open insert
-    /// window.
-    pub(crate) fn try_insert_repr_in(&self, v: u64, token: u64) -> Result<bool, u64> {
-        debug_assert_ne!(v, E::EMPTY);
-        debug_assert_ne!(v, E::FORWARD, "the forwarding sentinel is not insertable");
-        let t = self.probe();
-        t.insert_stored(t.policy().stored(v), token)
-            .map(|net| net > 0)
-            .map_err(|carried| t.policy().unstored(carried))
+    /// The batch insert loop, for a caller that holds an insert window
+    /// open (`token`): inserts `carry` — a repr an earlier run handed
+    /// back — and then `items` in slice order, with the scan kernels
+    /// bound **once** for the whole run and upcoming home slots
+    /// prefetched (see [`crate::batch`]). The one loop behind
+    /// [`insert_batch`](Self::insert_batch) and behind every window of
+    /// the growable wrapper ([`crate::resize`]), migration included.
+    ///
+    /// The run stops once `fill_budget` of its inserts have filled an
+    /// empty cell, and at the first insert whose probe wrapped the
+    /// whole array or met a forwarded cell: any displacements that
+    /// insert performed stand, and the repr it was left carrying is
+    /// stored nowhere. Returns `(consumed, fills, carry)`: how many of
+    /// `items` were taken, how many inserts earned a fill credit (see
+    /// [`insert_counted`](Self::insert_counted)), and that homeless
+    /// repr, which the caller must re-home. An incoming `carry` that
+    /// could not be placed comes back with `consumed == 0`.
+    pub(crate) fn insert_run<I: AsRepr<E>>(
+        &self,
+        carry: Option<u64>,
+        items: &[I],
+        token: u64,
+        fill_budget: usize,
+    ) -> (usize, usize, Option<u64>) {
+        let run = InsertRun {
+            carry,
+            items,
+            token,
+            fill_budget,
+        };
+        simd::bind(self, run)
     }
 
     /// Inserts a batch of entries with software prefetching: before
@@ -495,9 +536,9 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
             return;
         }
         let token = self.policy.open_insert_window();
-        let full = simd::bind(self, InsertBatch { entries, token });
+        let (_, _, carry) = self.insert_run(None, entries, token, usize::MAX);
         self.policy.close_insert_window();
-        if full {
+        if carry.is_some() {
             self.full();
         }
         phc_obs::probe!(count PrefetchBatches);
@@ -506,12 +547,10 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
 
     /// Inserts a slice in parallel through the batched prefetching
     /// path: scheduler chunks of [`phc_parutil::grain`] entries, each
-    /// processed by [`insert_batch`](Self::insert_batch).
+    /// processed by [`insert_batch`](Self::insert_batch). A slice of at
+    /// most one grain runs on the calling thread.
     pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
+        phc_parutil::for_each_grain(entries, |chunk| self.insert_batch(chunk));
     }
 
     /// Looks up the entry with `key`'s key part (Figure 1, `FIND`).
@@ -524,16 +563,6 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         debug_assert_ne!(r, E::EMPTY);
         let probe = self.policy.stored(r);
         simd::bind(self, FindOne { probe }).map(|c| E::from_repr(self.policy.recover(r, c)))
-    }
-
-    /// Prefetches `v`'s home-slot cache line (see [`crate::batch`]) so
-    /// external batch loops — the growable wrapper's threshold-counting
-    /// insert, for one — can pipeline their misses like the in-core
-    /// batch loops do.
-    #[inline]
-    pub(crate) fn prefetch_repr(&self, v: u64) {
-        let t = self.probe();
-        t.prefetch(t.policy().stored(v));
     }
 
     /// Looks up a batch of keys with software prefetching (the read
@@ -552,12 +581,10 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     }
 
     /// Parallel batched lookup: results in key order, computed in
-    /// grain-sized prefetching chunks on the scheduler.
+    /// grain-sized prefetching chunks on the scheduler (on the calling
+    /// thread for at most one grain of keys).
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
+        phc_parutil::flat_map_grain(keys, |chunk| self.find_batch(chunk))
     }
 
     /// Deletes the entry whose key equals `key`'s key part (Figure 1,
@@ -574,19 +601,29 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// removed across all threads), mirroring
     /// [`insert_counted`](Self::insert_counted).
     pub fn delete_counted(&self, key: E) -> bool {
-        let token = self.policy.open_delete_window();
-        let r = self.delete_counted_in(key, token);
-        self.policy.close_delete_window();
-        r
-    }
-
-    /// [`delete_counted`](Self::delete_counted) inside an open delete
-    /// window.
-    pub(crate) fn delete_counted_in(&self, key: E, token: u64) -> bool {
         let r = key.to_repr();
         debug_assert_ne!(r, E::EMPTY);
+        let token = self.policy.open_delete_window();
         let t = self.probe();
-        P::delete_in(t, t.policy().stored(r), token)
+        let removed = P::delete_in(t, t.policy().stored(r), token);
+        self.policy.close_delete_window();
+        removed
+    }
+
+    /// The batch delete loop, for a caller that holds a delete window
+    /// open (`token`): deletes `keys` in slice order, prefetching
+    /// upcoming home slots, and returns how many of the deletes earned
+    /// a removal credit (see [`delete_counted`](Self::delete_counted)).
+    /// The one loop behind [`delete_batch`](Self::delete_batch) and the
+    /// growable wrapper's.
+    pub(crate) fn delete_run(&self, keys: &[E], token: u64) -> usize {
+        let t = self.probe();
+        let mut removed = 0usize;
+        t.pipelined(keys, PREFETCH_AHEAD, |_, stored| {
+            removed += P::delete_in(t, stored, token) as usize;
+            true
+        });
+        removed
     }
 
     /// Deletes a batch of keys with software prefetching of upcoming
@@ -599,12 +636,8 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         if n == 0 {
             return;
         }
-        let t = self.probe();
         let token = self.policy.open_delete_window();
-        t.pipelined(keys, PREFETCH_AHEAD, |_, stored| {
-            P::delete_in(t, stored, token);
-            true
-        });
+        self.delete_run(keys, token);
         self.policy.close_delete_window();
         phc_obs::probe!(count PrefetchBatches);
         phc_obs::probe!(hist BatchSize, n);
@@ -617,9 +650,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// other deletion of the same set; for the first-fit table only the
     /// surviving key set does.
     pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
+        phc_parutil::for_each_grain(keys, |chunk| self.delete_batch(chunk));
     }
 
     /// Packs the non-empty cells into a vector in cell order (paper §4,
@@ -690,28 +721,6 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
 }
 
 impl<E: HashEntry, P: Growable<E>> ProbeTable<E, P> {
-    /// Applies `f` to every entry stored in the cell range (clamped to
-    /// the capacity), sequentially and in cell order. The caller must
-    /// guarantee no concurrent mutation of the scanned cells; with that
-    /// guarantee the visit is exact.
-    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, mut f: impl FnMut(E)) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        // Wide occupancy mask per 64-cell window, then visit only the
-        // set bits (ascending, preserving cell order).
-        let mut base = start;
-        for win in self.cells[start..end].chunks(64) {
-            let mut bits = simd::scan_nonempty_mask(win, E::EMPTY);
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let c = self.cells[base + j].load(Ordering::Acquire);
-                f(E::from_repr(self.policy.unstored(c)));
-            }
-            base += win.len();
-        }
-    }
-
     /// Claims every cell in `range` (clamped to the capacity) for
     /// migration: atomically swaps each cell to the stored form of the
     /// [`FORWARD`](HashEntry::FORWARD) sentinel and appends the
@@ -1038,16 +1047,21 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     /// to the end. Callers inside a bound tier frame mark their closure
     /// `#[inline(always)]`, so the probe it runs compiles in that frame.
     #[inline(always)]
-    fn pipelined(self, items: &[E], ahead: usize, mut op: impl FnMut(u64, u64) -> bool) -> bool {
+    fn pipelined<I: AsRepr<E>>(
+        self,
+        items: &[I],
+        ahead: usize,
+        mut op: impl FnMut(u64, u64) -> bool,
+    ) -> bool {
         let p = self.policy();
         for e in items.iter().take(ahead) {
-            self.prefetch(p.stored(e.to_repr()));
+            self.prefetch(p.stored(e.repr()));
         }
         for i in 0..items.len() {
             if let Some(next) = items.get(i + ahead) {
-                self.prefetch(p.stored(next.to_repr()));
+                self.prefetch(p.stored(next.repr()));
             }
-            let r = items[i].to_repr();
+            let r = items[i].repr();
             if !op(r, p.stored(r)) {
                 return false;
             }
@@ -1382,29 +1396,63 @@ impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for FindOne {
     }
 }
 
-/// A whole prefetching insert loop, awaiting its kernels; yields `true`
-/// if the table filled up mid-batch.
-struct InsertBatch<'a, E> {
-    entries: &'a [E],
+/// A whole prefetching insert loop ([`ProbeTable::insert_run`]),
+/// awaiting its kernels.
+struct InsertRun<'a, I> {
+    carry: Option<u64>,
+    items: &'a [I],
     token: u64,
+    fill_budget: usize,
 }
 
-impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for InsertBatch<'_, E> {
-    type Out = bool;
+impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
+    for InsertRun<'_, I>
+{
+    type Out = (usize, usize, Option<u64>);
     #[inline(always)]
-    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> bool {
-        let (t, token) = (table.probe(), self.token);
+    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
+        let (t, token, budget) = (table.probe(), self.token, self.fill_budget);
+        let p = t.policy();
+        let mut fills = 0usize;
+        if let Some(c) = self.carry {
+            if budget == 0 {
+                return (0, 0, self.carry);
+            }
+            match P::insert_with(t, k, p.stored(c), token) {
+                Ok(net) => fills += (net > 0) as usize,
+                Err(homeless) => return (0, 0, Some(p.unstored(homeless))),
+            }
+        }
+        let (mut consumed, mut carry) = (0usize, None);
         // The *gated* insert prefetch distance: on a multi-worker pool,
         // deep write-side prefetch pipelines fight both the hardware
         // prefetcher and other writers' in-flight lines (the slots are
         // about to be dirtied), so the lookahead shrinks when more than
         // one pool worker is active.
-        !t.pipelined(
-            self.entries,
+        t.pipelined(
+            self.items,
             insert_prefetch_ahead(),
             #[inline(always)]
-            |_, stored| P::insert_with(t, k, stored, token).is_ok(),
-        )
+            |r, stored| {
+                debug_assert_ne!(r, E::EMPTY);
+                debug_assert_ne!(r, E::FORWARD, "the forwarding sentinel is not insertable");
+                if fills >= budget {
+                    return false;
+                }
+                consumed += 1;
+                match P::insert_with(t, k, stored, token) {
+                    Ok(net) => {
+                        fills += (net > 0) as usize;
+                        true
+                    }
+                    Err(homeless) => {
+                        carry = Some(p.unstored(homeless));
+                        false
+                    }
+                }
+            },
+        );
+        (consumed, fills, carry)
     }
 }
 
@@ -1439,33 +1487,13 @@ impl<E: HashEntry, P: ProbePolicy<E>, const CAREFUL: bool> TierBody<ProbeTable<E
     }
 }
 
-/// Insert-phase handle (see [`crate::phase`]). The embedded
-/// [`PhaseSpan`] brackets the phase on the observability timeline. (The
-/// fully-concurrent table needs no phase discipline; its handles exist
-/// so the uniform contract tests and benchmarks drive it through the
-/// same trait as every other table.)
-pub struct Inserter<'t, E: HashEntry, P: ProbePolicy<E>>(
-    &'t ProbeTable<E, P>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Delete-phase handle (see [`Inserter`]).
-pub struct Deleter<'t, E: HashEntry, P: ProbePolicy<E>>(
-    &'t ProbeTable<E, P>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Read-phase handle (see [`Inserter`]).
-pub struct Reader<'t, E: HashEntry, P: ProbePolicy<E>>(
-    &'t ProbeTable<E, P>,
-    #[allow(dead_code)] PhaseSpan,
-);
+// The engine's batch operations on the phase handles (see
+// [`crate::phase`]; the per-op `insert` / `delete` / `find` come with
+// the handle). The fully-concurrent table needs no phase discipline;
+// its handles exist so the uniform contract tests and benchmarks drive
+// it through the same trait as every other table.
 
-impl<E: HashEntry, P: ProbePolicy<E>> ConcurrentInsert<E> for Inserter<'_, E, P> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry, P: ProbePolicy<E>> Inserter<'_, E, P> {
+impl<E: HashEntry, P: ProbePolicy<E>> Inserter<'_, ProbeTable<E, P>> {
     /// Batched prefetching insert (see [`ProbeTable::insert_batch`]).
     pub fn insert_batch(&self, entries: &[E]) {
         self.0.insert_batch(entries);
@@ -1475,13 +1503,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> Inserter<'_, E, P> {
         self.0.par_insert_batched(entries);
     }
 }
-impl<E: HashEntry, P: ProbePolicy<E>> ConcurrentDelete<E> for Deleter<'_, E, P> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry, P: ProbePolicy<E>> Deleter<'_, E, P> {
+impl<E: HashEntry, P: ProbePolicy<E>> Deleter<'_, ProbeTable<E, P>> {
     /// Batched prefetching delete (see [`ProbeTable::delete_batch`]).
     pub fn delete_batch(&self, keys: &[E]) {
         self.0.delete_batch(keys);
@@ -1491,17 +1513,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> Deleter<'_, E, P> {
         self.0.par_delete_batched(keys);
     }
 }
-impl<E: HashEntry, P: ProbePolicy<E>> ConcurrentRead<E> for Reader<'_, E, P> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry, P: ProbePolicy<E>> Reader<'_, E, P> {
-    /// Packs the table contents (allowed in the read phase).
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
+impl<E: HashEntry, P: ProbePolicy<E>> Reader<'_, ProbeTable<E, P>> {
     /// Batched prefetching lookup (see [`ProbeTable::find_batch`]).
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
         self.0.find_batch(keys)
@@ -1512,49 +1524,8 @@ impl<E: HashEntry, P: ProbePolicy<E>> Reader<'_, E, P> {
     }
 }
 
-impl<E: HashEntry, P: ProbePolicy<E>> PhaseHashTable<E> for ProbeTable<E, P> {
-    type Inserter<'t>
-        = Inserter<'t, E, P>
-    where
-        E: 't;
-    type Deleter<'t>
-        = Deleter<'t, E, P>
-    where
-        E: 't;
-    type Reader<'t>
-        = Reader<'t, E, P>
-    where
-        E: 't;
-
+impl<E: HashEntry, P: ProbePolicy<E>> TableOps<E> for ProbeTable<E, P> {
     const NAME: &'static str = P::NAME;
-
-    fn new_pow2(log2_size: u32) -> Self {
-        ProbeTable::new_pow2(log2_size)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn begin_insert(&mut self) -> Inserter<'_, E, P> {
-        Inserter(self, PhaseSpan::begin(PhaseKind::Insert))
-    }
-
-    fn begin_delete(&mut self) -> Deleter<'_, E, P> {
-        Deleter(self, PhaseSpan::begin(PhaseKind::Delete))
-    }
-
-    fn begin_read(&mut self) -> Reader<'_, E, P> {
-        Reader(self, PhaseSpan::begin(PhaseKind::Read))
-    }
-
-    fn elements(&mut self) -> Vec<E> {
-        ProbeTable::elements(self)
-    }
-}
-
-impl<E: HashEntry, P: Growable<E>> crate::resize::FlatTableCore<E> for ProbeTable<E, P> {
-    const GROW_NAME: &'static str = P::GROW_NAME;
 
     fn new_pow2(log2_size: u32) -> Self {
         ProbeTable::new_pow2(log2_size)
@@ -1562,65 +1533,29 @@ impl<E: HashEntry, P: Growable<E>> crate::resize::FlatTableCore<E> for ProbeTabl
     fn capacity(&self) -> usize {
         ProbeTable::capacity(self)
     }
-    fn insert_counted(&self, e: E) -> bool {
-        ProbeTable::insert_counted(self, e)
+    fn insert(&self, e: E) {
+        ProbeTable::insert(self, e)
     }
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        ProbeTable::try_insert_repr(self, v)
-    }
-    fn delete_counted(&self, key: E) -> bool {
-        ProbeTable::delete_counted(self, key)
-    }
-    // The windowed forms let the growable wrapper's batch loops open a
-    // policy window once per chunk instead of once per op (the
-    // fully-concurrent table's `SeqCst` overlap registration).
-    fn open_insert_window(&self) -> u64 {
-        self.policy.open_insert_window()
-    }
-    fn close_insert_window(&self, _token: u64) {
-        self.policy.close_insert_window()
-    }
-    fn try_insert_repr_in(&self, v: u64, token: u64) -> Result<bool, u64> {
-        ProbeTable::try_insert_repr_in(self, v, token)
-    }
-    fn open_delete_window(&self) -> u64 {
-        self.policy.open_delete_window()
-    }
-    fn close_delete_window(&self, _token: u64) {
-        self.policy.close_delete_window()
-    }
-    fn delete_counted_in(&self, key: E, token: u64) -> bool {
-        ProbeTable::delete_counted_in(self, key, token)
+    fn delete(&self, key: E) {
+        ProbeTable::delete(self, key)
     }
     fn find(&self, key: E) -> Option<E> {
         ProbeTable::find(self, key)
     }
-    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        ProbeTable::find_batch(self, keys)
-    }
-    fn prefetch_repr(&self, v: u64) {
-        ProbeTable::prefetch_repr(self, v)
-    }
     fn elements(&self) -> Vec<E> {
         ProbeTable::elements(self)
     }
-    fn elements_into(&self, out: &mut Vec<E>) {
-        ProbeTable::elements_into(self, out)
+}
+
+impl<E: HashEntry, P: Growable<E>> crate::resize::FlatTableCore<E> for ProbeTable<E, P> {
+    type Policy = P;
+    const GROW_NAME: &'static str = P::GROW_NAME;
+
+    fn new_pow2(log2_size: u32) -> Self {
+        ProbeTable::new_pow2(log2_size)
     }
-    fn snapshot(&self) -> Vec<u64> {
-        ProbeTable::snapshot(self)
-    }
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        ProbeTable::raw_cells(self)
-    }
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
-        ProbeTable::for_each_in_range(self, range, f)
-    }
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        ProbeTable::claim_range_forward(self, range, out)
-    }
-    fn quiesce_writers(&self) {
-        self.policy.quiesce_writers()
+    fn engine(&self) -> &ProbeTable<E, P> {
+        self
     }
 }
 

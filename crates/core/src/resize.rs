@@ -1,12 +1,13 @@
-//! Growable wrapper over the deterministic table (paper §4,
+//! Growable wrapper over the flat probe-engine tables (paper §4,
 //! "Resizing").
 //!
 //! The paper outlines a lock-free scheme in which inserts detect an
 //! overfull table, link a new table of twice the size, and
 //! cooperatively migrate elements. [`ResizableTable`] implements that
-//! scheme with **freeze-free incremental migration**: the backing
-//! store is a chain of **epochs**, each owning one fixed-size
-//! [`DetHashTable`]. An inserter that observes its epoch's load at the
+//! scheme with **incremental migration**: the backing store is a chain
+//! of **epochs**, each owning one fixed-size core table (any
+//! [`FlatTableCore`]: the deterministic, Robin Hood or fully-concurrent
+//! table). An inserter whose fill credits bring its epoch's load to the
 //! 3/4 threshold publishes a doubled successor epoch with a single
 //! CAS — and nothing drains into a handshake. Every operation that
 //! subsequently notices the pending migration pays one bounded *block
@@ -16,9 +17,13 @@
 //! ([`HashEntry::FORWARD`]), re-inserts the claimed entries into the
 //! successor, and then proceeds against the live tail. Migration cost
 //! is spread across all operating threads with a hard per-op bound —
-//! there is no freeze wait, no exclusive lock, and no stop-the-world
-//! rebuild (the original `RwLock` implementation lives on in
-//! `phc-bench` as the `resize` benchmark's ablation baseline).
+//! there is no table-wide wait, no exclusive lock, and no
+//! stop-the-world rebuild (the original `RwLock` implementation lives
+//! on in `phc-bench` as the `resize` benchmark's ablation baseline).
+//!
+//! Every core insert this module performs — per-op, batched, or a
+//! migration re-insert — is one call of `fill_window`, which runs the
+//! engine's own batch insert loop under a window it opens and closes.
 //!
 //! ## Forwarding invariant
 //!
@@ -42,12 +47,11 @@
 //! claiming first waits for registered *delete* writers to retire
 //! (deletes move entries between cells, so a concurrent claim could
 //! otherwise see an entry twice or not at all), and then asks the core
-//! to drain multi-cell write protocols
-//! ([`FlatTableCore::quiesce_writers`] — a no-op for the single-CAS
-//! det/Robin Hood cores; the fc core waits out its open displacement
-//! windows). Non-resizing inserts pay no handshake at all: one
-//! `Acquire` epoch load, the probe itself, and a single fill-credit
-//! RMW when a new cell is filled.
+//! to drain multi-cell write protocols (`quiesce_writers` — a no-op for
+//! the single-CAS det/Robin Hood cores; the fc core waits out its open
+//! displacement windows). Non-resizing inserts pay no handshake at
+//! all: one `Acquire` epoch load, the probe itself, and a single
+//! fill-credit RMW per window that filled a cell.
 //!
 //! ## Determinism
 //!
@@ -99,138 +103,37 @@ use std::sync::Mutex;
 use crate::cell::AtomOf;
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::{Deleter, Inserter, Reader, TableOps};
+use crate::probe::{AsRepr, Growable, ProbePolicy, ProbeTable};
 
-/// The fixed-capacity flat-table surface the growth machinery builds
-/// on: everything an [`Epoch`] (cooperative migration), the
-/// stop-the-world rebuilder, and the room wrappers
-/// ([`crate::rooms::AutoPhaseTable`]) need from a backing table. Both
-/// phase-concurrent open-addressing cores — the deterministic
-/// linear-probing table and the Robin Hood table
-/// ([`crate::robinhood::RobinHoodHashTable`]) — implement it, so every
-/// wrapper in this crate is generic over the core (with
-/// `DetHashTable` as the default type parameter everywhere, keeping
-/// existing code source-compatible).
+/// The fixed-capacity tables the growth machinery builds on: the
+/// probe-engine tables whose every probe path checks the forwarding
+/// marker — [`DetHashTable`], [`crate::RobinHoodHashTable`] and
+/// [`crate::FcHashTable`]. An `Epoch` (cooperative migration), the
+/// stop-the-world rebuilder in `phc-bench`, and the room wrappers
+/// ([`crate::rooms`]) are generic over it, with `DetHashTable` as the
+/// default type parameter everywhere.
 ///
-/// Reprs cross this boundary **untransformed** (`HashEntry::to_repr`
-/// form): a core that stores an internal encoding (the Robin Hood
-/// table mixes the key field) must decode on the way out — including
-/// the `Err` carry of [`try_insert_repr`](Self::try_insert_repr) —
-/// because migration re-inserts reprs into a *different* table
+/// Implemented for [`ProbeTable`] over a growable policy — a trait
+/// private to this crate, so any other implementor can only wrap one of
+/// those — and [`engine`](Self::engine) is the whole interface: callers
+/// use the engine's own methods (`insert_counted`, `find_batch`, …).
+/// Reprs cross the engine's surface **untransformed**
+/// (`HashEntry::to_repr` form) even for a core that stores an internal
+/// encoding, because migration re-inserts them into a *different* table
 /// instance.
-pub trait FlatTableCore<E: HashEntry>: Send + Sync {
+pub trait FlatTableCore<E: HashEntry>: Send + Sync + Sized {
+    /// The engine policy behind the table (not nameable outside this
+    /// crate).
+    type Policy: Growable<E>;
     /// `PhaseHashTable::NAME` for the growable wrapper over this core
     /// (e.g. `"linearHash-D-grow"`).
     const GROW_NAME: &'static str;
 
     /// Creates a table with `2^log2_size` cells, all empty.
     fn new_pow2(log2_size: u32) -> Self;
-    /// Number of cells.
-    fn capacity(&self) -> usize;
-    /// Inserts, returning the global net-new-element fill credit (see
-    /// `DetHashTable::insert_counted`). Panics if the table is full.
-    fn insert_counted(&self, e: E) -> bool;
-    /// Fallible insert of a repr: `Ok(filled)` as in
-    /// [`insert_counted`](Self::insert_counted), or `Err(carried)`
-    /// handing back the (untransformed) repr left homeless by a
-    /// hard-full probe; displacements performed before the wrap stand.
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64>;
-    /// Deletes, returning the global net-removed-element credit.
-    fn delete_counted(&self, key: E) -> bool;
-    /// Opens a bulk-insert window, returning an opaque token for
-    /// [`try_insert_repr_in`](Self::try_insert_repr_in). Cores that
-    /// track live writer overlap (the fc core) register once per
-    /// window here instead of once per insert — the per-op `SeqCst`
-    /// register/retire pair would otherwise dominate batched inserts.
-    /// Phase-disciplined cores need nothing and keep the no-op
-    /// default.
-    fn open_insert_window(&self) -> u64 {
-        0
-    }
-    /// Closes a window opened by
-    /// [`open_insert_window`](Self::open_insert_window).
-    fn close_insert_window(&self, token: u64) {
-        let _ = token;
-    }
-    /// [`try_insert_repr`](Self::try_insert_repr) inside an open
-    /// insert window (the default ignores the token).
-    fn try_insert_repr_in(&self, v: u64, token: u64) -> Result<bool, u64> {
-        let _ = token;
-        self.try_insert_repr(v)
-    }
-    /// Opens a bulk-delete window (the delete analogue of
-    /// [`open_insert_window`](Self::open_insert_window)).
-    fn open_delete_window(&self) -> u64 {
-        0
-    }
-    /// Closes a bulk-delete window.
-    fn close_delete_window(&self, token: u64) {
-        let _ = token;
-    }
-    /// [`delete_counted`](Self::delete_counted) inside an open delete
-    /// window (the default ignores the token).
-    fn delete_counted_in(&self, key: E, token: u64) -> bool {
-        let _ = token;
-        self.delete_counted(key)
-    }
-    /// Looks up the entry with `key`'s key part.
-    fn find(&self, key: E) -> Option<E>;
-    /// Batched lookup, one result per key in key order. The default is
-    /// a per-key loop; the flat cores override it with their
-    /// prefetching, tier-bound batch kernels so growable wrappers and
-    /// the server's shards get the same lookup fast path as the
-    /// fixed-capacity tables.
-    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        keys.iter().map(|&k| self.find(k)).collect()
-    }
-    /// Hints the memory system to pull `v`'s home-slot cache line in
-    /// ahead of a probe (see [`crate::batch`]). A pure performance
-    /// hint — the default is a no-op; the flat cores prefetch their
-    /// cell arrays so the growable batch loops get the same
-    /// miss-overlapping pipeline as the fixed-capacity batch kernels.
-    fn prefetch_repr(&self, v: u64) {
-        let _ = v;
-    }
-    /// Packs the stored entries in cell order (deterministic).
-    fn elements(&self) -> Vec<E>;
-    /// [`elements`](Self::elements) into a caller-supplied buffer:
-    /// appends the packed entries to `out` without allocating a fresh
-    /// `Vec` per call, so steady-state callers (the server's shard
-    /// loop) reuse one buffer's high-water capacity across batches.
-    fn elements_into(&self, out: &mut Vec<E>) {
-        out.extend(self.elements());
-    }
-    /// Raw snapshot of the cell array (the core's canonical layout).
-    fn snapshot(&self) -> Vec<u64>;
-    /// Raw view of the cell array (width follows the entry's `Repr`).
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>];
-    /// Applies `f` to every entry in the (quiescent) cell range, in
-    /// cell order — the migration primitive.
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E));
-    /// Atomically claims every cell in the range for migration: swaps
-    /// each cell (occupied *and* empty) to the core's stored form of
-    /// the forwarding marker [`HashEntry::FORWARD`] and appends each
-    /// prior occupant, decoded back to an untransformed repr, to `out`
-    /// in cell order — the freeze-free migration primitive. After the
-    /// claim, any probe landing in the range sees the marker and falls
-    /// through to the successor; any in-flight single-cell CAS either
-    /// landed before the swap (its value is in `out`) or fails against
-    /// the marker (its owner re-routes the carry).
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>);
-    /// Blocks until the core has no in-flight *multi-cell* write
-    /// protocol that a concurrent
-    /// [`claim_range_forward`](Self::claim_range_forward) could tear
-    /// (e.g. the fc core's
-    /// displacement-repair scan, which panics if a cell changes
-    /// beneath it). Cores whose every mutation is a single-cell CAS
-    /// need nothing — the per-cell conservation argument covers them —
-    /// and keep this no-op default. New writers are excluded by the
-    /// publish handshake (writers re-check the epoch's successor
-    /// pointer after opening their window), so the wait is bounded by
-    /// one in-flight window per thread.
-    fn quiesce_writers(&self) {}
+    /// The table as the probe engine it is.
+    fn engine(&self) -> &ProbeTable<E, Self::Policy>;
 }
 
 /// Grow when `items * DEN >= capacity * NUM` (keeps load < 3/4).
@@ -248,7 +151,7 @@ const SHRINK_FACTOR: usize = 8;
 /// common case, but when cores are oversubscribed the thread being
 /// waited on needs the CPU to make progress — pure spinning can burn a
 /// whole scheduler quantum per waiter.
-fn spin_wait(spins: &mut u32) {
+pub(crate) fn spin_wait(spins: &mut u32) {
     *spins += 1;
     if *spins < 64 {
         std::hint::spin_loop();
@@ -323,20 +226,26 @@ impl<E: HashEntry, T: FlatTableCore<E>> Epoch<E, T> {
         }
     }
 
+    /// The epoch's table, as the probe engine it is.
+    fn core(&self) -> &ProbeTable<E, T::Policy> {
+        self.table.engine()
+    }
+
+    fn capacity(&self) -> usize {
+        self.core().capacity()
+    }
+
     fn blocks(&self) -> usize {
-        self.table.capacity().div_ceil(MIGRATION_BLOCK)
+        self.capacity().div_ceil(MIGRATION_BLOCK)
     }
 
     fn items(&self) -> usize {
         self.state.load(Ordering::Acquire) & ITEMS_MASK
     }
 
-    fn over_threshold(&self) -> bool {
-        self.items() * MAX_LOAD_DEN >= self.table.capacity() * MAX_LOAD_NUM
-    }
-
-    fn items_over_threshold(items: usize, capacity: usize) -> bool {
-        items * MAX_LOAD_DEN >= capacity * MAX_LOAD_NUM
+    /// The item count at which the epoch publishes a doubled successor.
+    fn grow_at(&self) -> usize {
+        (self.capacity() * MAX_LOAD_NUM).div_ceil(MAX_LOAD_DEN)
     }
 
     fn items_under_shrink(items: usize, capacity: usize, floor: usize) -> bool {
@@ -351,17 +260,20 @@ impl<E: HashEntry, T: FlatTableCore<E>> Epoch<E, T> {
 ///
 /// Generic over the fixed-capacity core `T` (default: the
 /// deterministic linear-probing table); `ResizableTable<E,
-/// RobinHoodHashTable<E>>` is the growable Robin Hood table. The
-/// growth machinery only talks to the core through [`FlatTableCore`],
-/// so every determinism argument in the module docs applies verbatim
-/// to any core whose fixed-capacity layout is a pure function of its
+/// RobinHoodHashTable<E>>` is the growable Robin Hood table. Every
+/// determinism argument in the module docs applies verbatim to any
+/// core whose fixed-capacity layout is a pure function of its
 /// contents.
 pub struct ResizableTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     /// Oldest epoch that may still hold entries; advances as epochs
     /// drain. Its `next` chain ends at the live tail.
     current: AtomicPtr<Epoch<E, T>>,
-    /// Every epoch ever published, freed in `Drop`. Chain memory is at
-    /// most 2x the tail table (capacities are geometric).
+    /// Every epoch ever published. Retired epochs are kept — cell
+    /// arrays included — until `Drop`, so the memory owned is the sum
+    /// over the table's whole history, not a multiple of the tail: a
+    /// 1 Ki-cell table taken through 11 doublings and back down through
+    /// 11 halvings still owns about three times its *peak* array.
+    /// Releasing drained epochs early is ROADMAP item 3.
     allocated: Mutex<Vec<*mut Epoch<E, T>>>,
     /// Seed capacity exponent: shrinking never goes below `2^min_log2`,
     /// which keeps the quiescent capacity a pure function of the phase
@@ -407,7 +319,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// Current capacity (cells) — of the tail table once quiescent.
     pub fn capacity(&self) -> usize {
         self.quiesce();
-        self.current_epoch().table.capacity()
+        self.current_epoch().capacity()
     }
 
     /// Number of stored entries (exact at phase quiescence).
@@ -448,12 +360,12 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         loop {
             self.quiesce();
             let ep = self.current_epoch();
-            if ep.over_threshold() {
+            if ep.items() >= ep.grow_at() {
                 self.publish_successor(ep);
                 self.help_migrate(ep);
                 continue;
             }
-            let (items, cap) = (ep.items(), ep.table.capacity());
+            let (items, cap) = (ep.items(), ep.capacity());
             if Epoch::<E, T>::items_under_shrink(items, cap, self.floor_capacity()) {
                 self.publish_shrunk(ep);
                 self.help_migrate(ep);
@@ -478,6 +390,58 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         }
     }
 
+    /// Runs one insert window on `ep`, which the caller found without a
+    /// successor: the only place this module inserts into a core.
+    /// Opens the core's insert window and re-checks `ep.next` — if a
+    /// successor was published in between, nothing is inserted and the
+    /// caller re-routes (the `SeqCst` window/successor pair is what lets
+    /// `quiesce_writers` exclude late writers). Otherwise `carry` and
+    /// `items` go to the engine's insert run, budgeted with the fills
+    /// left below the growth threshold, and the run's fill credits are
+    /// posted with a single `AcqRel` RMW. A successor is published —
+    /// publish only; helping is paid by the operations that follow, one
+    /// quota each — when the posted count reached the threshold, or
+    /// when the run handed back a homeless repr: its probe met a
+    /// forwarding marker (migration started under it) or the table
+    /// hard-filled below the canonical capacity (tiny seed tables under
+    /// heavy concurrency).
+    ///
+    /// Returns how many of `items` the run took and the repr still to
+    /// be re-homed, which goes first into the caller's next window.
+    ///
+    /// The budget comes from an `Acquire` read of the credits before the
+    /// window (exact for this thread, approximate across threads), which
+    /// only shifts *when* growth triggers mid-phase, never the canonical
+    /// capacity. Credits land in the epoch the entries went into; if
+    /// that epoch is retired later its credits go with it and the
+    /// migration re-credits the entries at their next home, so the
+    /// tail's count stays exact (see module docs).
+    fn fill_window<I: AsRepr<E>>(
+        &self,
+        ep: &Epoch<E, T>,
+        carry: Option<u64>,
+        items: &[I],
+    ) -> (usize, Option<u64>) {
+        let (core, grow_at) = (ep.core(), ep.grow_at());
+        let start_items = ep.items();
+        let token = core.policy.open_insert_window();
+        if !ep.next.load(Ordering::SeqCst).is_null() {
+            core.policy.close_insert_window();
+            return (0, carry);
+        }
+        let budget = grow_at.saturating_sub(start_items);
+        let (consumed, fills, carry) = core.insert_run(carry, items, token, budget);
+        core.policy.close_insert_window();
+        let items_now = match fills {
+            0 => start_items,
+            _ => (ep.state.fetch_add(fills, Ordering::AcqRel) & ITEMS_MASK) + fills,
+        };
+        if (carry.is_some() || items_now >= grow_at) && ep.next.load(Ordering::SeqCst).is_null() {
+            self.publish_successor(ep);
+        }
+        (consumed, carry)
+    }
+
     /// Inserts an entry, publishing a doubled successor when the load
     /// threshold is hit. Callable from any number of threads during an
     /// insert phase. When a migration is pending the insert pays one
@@ -485,156 +449,47 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// never waits for other threads' blocks, so the worst-case stall
     /// is `HELP_QUOTA_BLOCKS` blocks regardless of table size.
     pub fn insert(&self, e: E) {
-        let v = e.to_repr();
-        debug_assert_ne!(v, E::FORWARD, "the forwarding sentinel is not insertable");
-        loop {
-            let ep = self.current_epoch();
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                // Migration pending: help a little, then insert into
-                // the live tail directly — probes there are safe by
-                // the forwarding invariant.
-                self.help_quota(ep);
-                self.insert_batch_into_chain(ep, &[v]);
-                return;
-            }
-            let tok = ep.table.open_insert_window();
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                // Published between the null-check and the window
-                // open; re-route (the `SeqCst` window/successor pair
-                // is what lets `quiesce_writers` exclude us).
-                ep.table.close_insert_window(tok);
-                continue;
-            }
-            match ep.table.try_insert_repr_in(v, tok) {
-                Ok(filled) => {
-                    ep.table.close_insert_window(tok);
-                    if filled {
-                        let prev = ep.state.fetch_add(1, Ordering::AcqRel);
-                        let items = (prev & ITEMS_MASK) + 1;
-                        if Epoch::<E, T>::items_over_threshold(items, ep.table.capacity())
-                            && ep.next.load(Ordering::SeqCst).is_null()
-                        {
-                            // Publish only — helping is paid by the
-                            // operations that follow, one quota each.
-                            self.publish_successor(ep);
-                        }
-                    }
-                    return;
-                }
-                Err(carried) => {
-                    // The probe met a forwarding marker (migration
-                    // started under us) or the table hard-filled below
-                    // the canonical capacity (tiny seed tables under
-                    // heavy concurrency). Either way the carry re-homes
-                    // down the chain.
-                    ep.table.close_insert_window(tok);
-                    if ep.next.load(Ordering::SeqCst).is_null() {
-                        self.publish_successor(ep);
-                    }
-                    self.help_quota(ep);
-                    self.insert_batch_into_chain(ep, &[carried]);
-                    return;
-                }
-            }
-        }
+        self.insert_batch(&[e]);
     }
 
     /// Inserts a batch of entries through bounded insert windows of
     /// `WINDOW_CHUNK` entries. A window pays the fill credits with a
-    /// single `AcqRel` RMW (instead of one per entry) and bounds how
-    /// long a core-side insert window stays open, so a migrator's
+    /// single RMW (instead of one per entry) and bounds how long a
+    /// core-side insert window stays open, so a migrator's
     /// `quiesce_writers` never waits on a whole batch. When a
-    /// migration is pending the batch pays one help quota per chunk
-    /// and routes the chunk straight to the live tail.
+    /// migration is pending the batch pays one help quota per window
+    /// and routes the window straight to the live tail — probes there
+    /// are safe by the forwarding invariant.
     ///
-    /// The threshold check inside a window uses an `Acquire` read plus
-    /// local fills (exact for this thread, approximate across
-    /// threads), which only shifts *when* growth triggers mid-phase,
-    /// never the canonical capacity — callers that rely on snapshot
-    /// determinism normalize at phase end exactly as with per-op
-    /// [`insert`](Self::insert).
+    /// Callers that rely on snapshot determinism normalize at phase
+    /// end, exactly as with per-op [`insert`](Self::insert).
     pub fn insert_batch(&self, entries: &[E]) {
-        let mut i = 0;
+        let mut rest = entries;
         // A repr displaced by a hard-full insert or bounced off a
-        // forwarding marker; takes precedence over `entries[i]` until
-        // it lands.
+        // forwarding marker; goes in ahead of `rest`.
         let mut carry: Option<u64> = None;
-        let mut chunk: Vec<u64> = Vec::new();
-        while i < entries.len() || carry.is_some() {
+        while !rest.is_empty() || carry.is_some() {
             let ep = self.current_epoch();
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                // Migration pending: help a little, then route a chunk
-                // of the batch directly to the live tail.
+            let window = &rest[..rest.len().min(WINDOW_CHUNK)];
+            let consumed = if ep.next.load(Ordering::SeqCst).is_null() {
+                let (consumed, homeless) = self.fill_window(ep, carry, window);
+                carry = homeless;
+                consumed
+            } else {
                 self.help_quota(ep);
-                chunk.clear();
-                chunk.extend(carry.take());
-                while chunk.len() < WINDOW_CHUNK && i < entries.len() {
-                    chunk.push(entries[i].to_repr());
-                    i += 1;
-                }
-                self.insert_batch_into_chain(ep, &chunk);
-                continue;
-            }
-            let cap = ep.table.capacity();
-            let start_items = ep.state.load(Ordering::Acquire) & ITEMS_MASK;
-            let mut fills = 0usize;
-            let mut publish = false;
-            let ahead = crate::batch::insert_prefetch_ahead();
-            let tok = ep.table.open_insert_window();
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                ep.table.close_insert_window(tok);
-                continue;
-            }
-            for e in entries.iter().skip(i).take(ahead) {
-                ep.table.prefetch_repr(e.to_repr());
-            }
-            let window_end = (i + WINDOW_CHUNK).min(entries.len());
-            while i < window_end || carry.is_some() {
-                if Epoch::<E, T>::items_over_threshold(start_items + fills, cap) {
-                    publish = true;
-                    break;
-                }
-                if let Some(next) = entries.get(i + ahead) {
-                    ep.table.prefetch_repr(next.to_repr());
-                }
-                let v = carry.unwrap_or_else(|| entries[i].to_repr());
-                match ep.table.try_insert_repr_in(v, tok) {
-                    Ok(filled) => {
-                        fills += filled as usize;
-                        if carry.take().is_none() {
-                            i += 1;
-                        }
-                    }
-                    Err(displaced) => {
-                        carry = Some(displaced);
-                        publish = true;
-                        break;
-                    }
-                }
-            }
-            ep.table.close_insert_window(tok);
-            if fills > 0 {
-                ep.state.fetch_add(fills, Ordering::AcqRel);
-            }
-            if publish && ep.next.load(Ordering::SeqCst).is_null() {
-                self.publish_successor(ep);
-            }
+                self.insert_batch_into_chain(ep, carry.take(), window);
+                window.len()
+            };
+            rest = &rest[consumed..];
         }
     }
 
     /// Parallel batched insert: chunks by [`phc_parutil::grain`] and
-    /// drives [`insert_batch`](Self::insert_batch) per chunk.
+    /// drives [`insert_batch`](Self::insert_batch) per chunk (on the
+    /// calling thread for at most one grain — the server's per-shard
+    /// sub-batches are usually well under one).
     pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        // A single-chunk batch gains nothing from the pool; skip the
-        // dispatch (the server's per-shard sub-batches are usually
-        // well under one grain).
-        if entries.len() <= phc_parutil::grain() {
-            return self.insert_batch(entries);
-        }
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
+        phc_parutil::for_each_grain(entries, |chunk| self.insert_batch(chunk));
     }
 
     /// Registers the caller as an epoch writer for a delete, draining
@@ -674,19 +529,15 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// side's cooperative growth (see the module docs on why mid-phase
     /// triggers preserve the canonical quiescent capacity).
     pub fn delete(&self, key: E) {
-        let ep = self.register_for_delete();
-        let removed = ep.table.delete_counted(key) as usize;
-        // Retire and debit the removal in a single RMW; the returned
-        // word carries the item count for the shrink check for free.
-        let prev = ep.state.fetch_sub(ACTIVE_ONE + removed, Ordering::SeqCst);
-        self.maybe_shrink(ep, (prev & ITEMS_MASK) - removed);
+        self.delete_batch(&[key]);
     }
 
     /// Publishes and helps migrate a halved successor when `items`
     /// leaves `ep` under the shrink threshold. Called after the caller
-    /// has retired from the epoch (publishing freezes it).
+    /// has retired from the epoch (a registered delete blocks the
+    /// claims its own help would make).
     fn maybe_shrink(&self, ep: &Epoch<E, T>, items: usize) {
-        if Epoch::<E, T>::items_under_shrink(items, ep.table.capacity(), self.floor_capacity())
+        if Epoch::<E, T>::items_under_shrink(items, ep.capacity(), self.floor_capacity())
             && ep.next.load(Ordering::SeqCst).is_null()
         {
             self.publish_shrunk(ep);
@@ -694,30 +545,22 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         }
     }
 
-    /// Deletes a batch of keys, crediting the removals with a single
-    /// RMW per `WINDOW_CHUNK` keys instead of one per key. The
-    /// chunking bounds how long one batch keeps the epoch's delete
-    /// registration held — a registered delete blocks block claiming
-    /// (`gate_writers`), so an unbounded batch would stall every
-    /// migration helper for the whole batch; re-registering per chunk
-    /// also lets the shrink check (and a racing grow publish) land
-    /// between chunks.
+    /// Deletes a batch of keys through the engine's delete loop, one
+    /// delete window and one retire-and-debit RMW per `WINDOW_CHUNK`
+    /// keys (the returned word carries the item count for the shrink
+    /// check for free). The chunking bounds how long one batch keeps
+    /// the epoch's delete registration held — a registered delete
+    /// blocks block claiming (`gate_writers`), so an unbounded batch
+    /// would stall every migration helper for the whole batch;
+    /// re-registering per chunk also lets the shrink check (and a
+    /// racing grow publish) land between chunks.
     pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::PREFETCH_AHEAD;
         for chunk in keys.chunks(WINDOW_CHUNK) {
             let ep = self.register_for_delete();
-            let mut removed = 0usize;
-            let tok = ep.table.open_delete_window();
-            for k in chunk.iter().take(PREFETCH_AHEAD) {
-                ep.table.prefetch_repr(k.to_repr());
-            }
-            for (i, &k) in chunk.iter().enumerate() {
-                if let Some(next) = chunk.get(i + PREFETCH_AHEAD) {
-                    ep.table.prefetch_repr(next.to_repr());
-                }
-                removed += ep.table.delete_counted_in(k, tok) as usize;
-            }
-            ep.table.close_delete_window(tok);
+            let core = ep.core();
+            let token = core.policy.open_delete_window();
+            let removed = core.delete_run(chunk, token);
+            core.policy.close_delete_window();
             let prev = ep.state.fetch_sub(ACTIVE_ONE + removed, Ordering::SeqCst);
             self.maybe_shrink(ep, (prev & ITEMS_MASK) - removed);
         }
@@ -725,46 +568,32 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
 
     /// Parallel batched delete: chunks by [`phc_parutil::grain`].
     pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        if keys.len() <= phc_parutil::grain() {
-            return self.delete_batch(keys);
-        }
-        self.quiesce();
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
+        phc_parutil::for_each_grain(keys, |chunk| self.delete_batch(chunk));
     }
 
     /// Looks up a key (find/elements phase).
     pub fn find(&self, key: E) -> Option<E> {
         self.quiesce();
-        self.current_epoch().table.find(key)
+        self.current_epoch().core().find(key)
     }
 
     /// Batched lookup through the core's prefetching batch kernel
     /// (one result per key, in key order).
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
         self.quiesce();
-        self.current_epoch().table.find_batch(keys)
+        self.current_epoch().core().find_batch(keys)
     }
 
     /// Parallel batched lookup: chunks by [`phc_parutil::grain`];
-    /// results stay in key order (`flat_map_iter` over ordered
-    /// chunks).
+    /// results stay in key order.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        if keys.len() <= phc_parutil::grain() {
-            return self.find_batch(keys);
-        }
-        self.quiesce();
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
+        phc_parutil::flat_map_grain(keys, |chunk| self.find_batch(chunk))
     }
 
     /// Packs the contents (deterministic sequence).
     pub fn elements(&self) -> Vec<E> {
         self.quiesce();
-        self.current_epoch().table.elements()
+        self.current_epoch().core().elements()
     }
 
     /// [`elements`](Self::elements) into a caller-supplied buffer
@@ -773,26 +602,26 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// `Vec` per pack.
     pub fn elements_into(&self, out: &mut Vec<E>) {
         self.quiesce();
-        self.current_epoch().table.elements_into(out)
+        self.current_epoch().core().elements_into(out)
     }
 
     /// Raw snapshot of the current backing array.
     pub fn snapshot(&self) -> Vec<u64> {
         self.quiesce();
-        self.current_epoch().table.snapshot()
+        self.current_epoch().core().snapshot()
     }
 
     /// Raw view of the live cell array (for invariant checkers).
     pub fn with_raw_cells<R>(&self, f: impl FnOnce(&[AtomOf<E::Repr>]) -> R) -> R {
         self.quiesce();
-        f(self.current_epoch().table.raw_cells())
+        f(self.current_epoch().core().raw_cells())
     }
 
     /// Publishes a doubled successor for `ep` (freezing it) unless one
     /// already exists.
     #[cold]
     fn publish_successor(&self, ep: &Epoch<E, T>) {
-        self.publish_successor_log2(ep, ep.table.capacity().trailing_zeros() + 1);
+        self.publish_successor_log2(ep, ep.capacity().trailing_zeros() + 1);
     }
 
     /// Publishes a *halved* successor for `ep` — the downward epoch of
@@ -800,8 +629,8 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// growth; only the target capacity differs.
     #[cold]
     fn publish_shrunk(&self, ep: &Epoch<E, T>) {
-        debug_assert!(ep.table.capacity() > self.floor_capacity());
-        self.publish_successor_log2(ep, ep.table.capacity().trailing_zeros() - 1);
+        debug_assert!(ep.capacity() > self.floor_capacity());
+        self.publish_successor_log2(ep, ep.capacity().trailing_zeros() - 1);
     }
 
     /// Publishes a successor of `2^log2` cells for `ep` (freezing it)
@@ -821,7 +650,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         {
             Ok(_) => {
                 phc_obs::probe!(count EpochsPublished);
-                if (1usize << log2) < ep.table.capacity() {
+                if (1usize << log2) < ep.capacity() {
                     phc_obs::probe!(count ShrinkEpochs);
                 }
                 phc_obs::probe!(phase EpochPublish);
@@ -836,7 +665,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// Waits until `ep` admits block claiming: registered delete
     /// writers must retire (they move entries between cells) and the
     /// core must drain any multi-cell write protocol
-    /// ([`FlatTableCore::quiesce_writers`]). Inserts on single-CAS
+    /// (`quiesce_writers`). Inserts on single-CAS
     /// cores are *not* waited on — the forwarding invariant covers
     /// them — so on the det/Robin Hood cores this returns immediately
     /// whenever no delete is in flight.
@@ -845,7 +674,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         while ep.state.load(Ordering::SeqCst) >= ACTIVE_ONE {
             spin_wait(&mut spins);
         }
-        ep.table.quiesce_writers();
+        ep.core().policy.quiesce_writers();
         // Timeline marker: the migrator passed the writer gate and may
         // now claim blocks (the freeze-era meaning — "all writers
         // drained into a handshake" — is retired).
@@ -861,7 +690,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// last block advances `current`.
     fn claim_blocks(&self, ep: &Epoch<E, T>, next: &Epoch<E, T>, max_blocks: usize) {
         let nblocks = ep.blocks();
-        let shrinking = next.table.capacity() < ep.table.capacity();
+        let shrinking = next.capacity() < ep.capacity();
         let mut batch: Vec<u64> = Vec::with_capacity(MIGRATION_BLOCK);
         let mut claimed = 0usize;
         while claimed < max_blocks {
@@ -873,12 +702,12 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
             phc_obs::probe!(count MigrationBlocksClaimed);
             batch.clear();
             let lo = b * MIGRATION_BLOCK;
-            let hi = (lo + MIGRATION_BLOCK).min(ep.table.capacity());
-            ep.table.claim_range_forward(lo..hi, &mut batch);
+            let hi = (lo + MIGRATION_BLOCK).min(ep.capacity());
+            ep.core().claim_range_forward(lo..hi, &mut batch);
             if shrinking {
                 phc_obs::probe!(count ShrinkMigrations, batch.len());
             }
-            self.insert_batch_into_chain(next, &batch);
+            self.insert_batch_into_chain(next, None, &batch);
             if ep.done.fetch_add(1, Ordering::Release) + 1 == nblocks {
                 self.advance_current();
             }
@@ -934,71 +763,30 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         }
     }
 
-    /// Re-inserts a slice of reprs into the live tail of the chain
-    /// starting at `start`, publishing successors on threshold/full as
-    /// usual but **without** helping or claiming — migration
-    /// re-inserts must not recurse into block draining (unbounded
-    /// chains would overflow the stack; claims are owned by
-    /// `claim_blocks` callers). Fill credits for a window accumulate
-    /// locally and post with one `AcqRel` RMW per `WINDOW_CHUNK`
-    /// entries: a per-entry credit RMW would dominate the copy cost,
-    /// while an unbounded window would hold the core's insert window
-    /// open (and the threshold estimate stale) for a whole block.
-    ///
-    /// Credits always land in the epoch the entries went into: if that
-    /// epoch is itself retired later, its credits are discarded with
-    /// it and the migration re-credits the entries at their next home,
-    /// so the tail's count stays exact (see module docs).
-    fn insert_batch_into_chain(&self, start: &Epoch<E, T>, batch: &[u64]) {
-        let mut i = 0;
-        // A repr displaced by a hard-full insert or bounced off a
-        // forwarding marker; takes precedence over `batch[i]` until it
-        // lands.
-        let mut carry: Option<u64> = None;
-        while i < batch.len() || carry.is_some() {
+    /// Inserts `carry` and `items` into the live tail of the chain
+    /// starting at `start`, one [`fill_window`](Self::fill_window) of
+    /// `WINDOW_CHUNK` items at a time, publishing successors on
+    /// threshold/full as usual but **without** helping or claiming —
+    /// migration re-inserts must not recurse into block draining
+    /// (unbounded chains would overflow the stack; claims are owned by
+    /// `claim_blocks` callers). A window that finds its epoch retiring
+    /// (published between the tail walk and the window open) takes
+    /// nothing, and the walk starts over from the new tail.
+    fn insert_batch_into_chain<I: AsRepr<E>>(
+        &self,
+        start: &Epoch<E, T>,
+        mut carry: Option<u64>,
+        mut items: &[I],
+    ) {
+        while !items.is_empty() || carry.is_some() {
             let mut ep = start;
             while let Some(n) = self.next_of(ep) {
                 ep = n;
             }
-            let cap = ep.table.capacity();
-            let start_items = ep.state.load(Ordering::Acquire) & ITEMS_MASK;
-            let mut fills = 0usize;
-            let mut publish = false;
-            let tok = ep.table.open_insert_window();
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                // Published between the tail walk and the window open;
-                // walk again from the new tail.
-                ep.table.close_insert_window(tok);
-                continue;
-            }
-            let window_end = (i + WINDOW_CHUNK).min(batch.len());
-            while i < window_end || carry.is_some() {
-                if Epoch::<E, T>::items_over_threshold(start_items + fills, cap) {
-                    publish = true;
-                    break;
-                }
-                let v = carry.unwrap_or_else(|| batch[i]);
-                match ep.table.try_insert_repr_in(v, tok) {
-                    Ok(filled) => {
-                        fills += filled as usize;
-                        if carry.take().is_none() {
-                            i += 1;
-                        }
-                    }
-                    Err(displaced) => {
-                        carry = Some(displaced);
-                        publish = true;
-                        break;
-                    }
-                }
-            }
-            ep.table.close_insert_window(tok);
-            if fills > 0 {
-                ep.state.fetch_add(fills, Ordering::AcqRel);
-            }
-            if publish && ep.next.load(Ordering::SeqCst).is_null() {
-                self.publish_successor(ep);
-            }
+            let window = &items[..items.len().min(WINDOW_CHUNK)];
+            let (consumed, homeless) = self.fill_window(ep, carry, window);
+            carry = homeless;
+            items = &items[consumed..];
         }
     }
 
@@ -1037,94 +825,40 @@ impl<E: HashEntry, T: FlatTableCore<E>> Drop for ResizableTable<E, T> {
 }
 
 /// Insert-phase handle for [`ResizableTable`] (see [`crate::phase`]).
-pub struct ResizableInserter<'t, E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>>(
-    &'t ResizableTable<E, T>,
-    #[allow(dead_code)] PhaseSpan,
-);
+pub type ResizableInserter<'t, E, T = DetHashTable<E>> = Inserter<'t, ResizableTable<E, T>>;
 /// Delete-phase handle.
-pub struct ResizableDeleter<'t, E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>>(
-    &'t ResizableTable<E, T>,
-    #[allow(dead_code)] PhaseSpan,
-);
+pub type ResizableDeleter<'t, E, T = DetHashTable<E>> = Deleter<'t, ResizableTable<E, T>>;
 /// Read-phase handle.
-pub struct ResizableReader<'t, E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>>(
-    &'t ResizableTable<E, T>,
-    #[allow(dead_code)] PhaseSpan,
-);
+pub type ResizableReader<'t, E, T = DetHashTable<E>> = Reader<'t, ResizableTable<E, T>>;
 
-impl<E: HashEntry, T: FlatTableCore<E>> ConcurrentInsert<E> for ResizableInserter<'_, E, T> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry, T: FlatTableCore<E>> ConcurrentDelete<E> for ResizableDeleter<'_, E, T> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry, T: FlatTableCore<E>> ConcurrentRead<E> for ResizableReader<'_, E, T> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry, T: FlatTableCore<E>> ResizableReader<'_, E, T> {
-    /// Packs the table contents (allowed in the read phase).
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
-}
-
-impl<E: HashEntry, T: FlatTableCore<E>> PhaseHashTable<E> for ResizableTable<E, T> {
-    type Inserter<'t>
-        = ResizableInserter<'t, E, T>
-    where
-        E: 't,
-        T: 't;
-    type Deleter<'t>
-        = ResizableDeleter<'t, E, T>
-    where
-        E: 't,
-        T: 't;
-    type Reader<'t>
-        = ResizableReader<'t, E, T>
-    where
-        E: 't,
-        T: 't;
-
+impl<E: HashEntry, T: FlatTableCore<E>> TableOps<E> for ResizableTable<E, T> {
     const NAME: &'static str = T::GROW_NAME;
 
     fn new_pow2(log2_size: u32) -> Self {
         ResizableTable::new_pow2(log2_size)
     }
-
+    /// Cells of the oldest live epoch; unlike the inherent
+    /// [`capacity`](ResizableTable::capacity), drains no migration.
     fn capacity(&self) -> usize {
-        self.current_epoch().table.capacity()
+        self.current_epoch().capacity()
     }
-
-    // Every phase transition normalizes: leaving an insert phase
-    // through `begin_*`/`elements` lands on the canonical capacity, so
-    // generic phase-discipline code sees deterministic snapshots.
-    fn begin_insert(&mut self) -> ResizableInserter<'_, E, T> {
-        self.normalize();
-        ResizableInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        ResizableTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> ResizableDeleter<'_, E, T> {
-        self.normalize();
-        ResizableDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        ResizableTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> ResizableReader<'_, E, T> {
-        self.normalize();
-        ResizableReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        ResizableTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
-        self.normalize();
+    fn elements(&self) -> Vec<E> {
         ResizableTable::elements(self)
+    }
+    /// Every phase transition normalizes: leaving an insert phase
+    /// through `begin_*`/`elements` lands on the canonical capacity, so
+    /// generic phase-discipline code sees deterministic snapshots.
+    fn before_phase(&self) {
+        self.normalize();
     }
 }
 
@@ -1247,7 +981,8 @@ mod tests {
     #[test]
     fn claim_range_forward_drains_every_entry() {
         fn run<T: FlatTableCore<U64Key>>() {
-            let t = T::new_pow2(6);
+            let table = T::new_pow2(6);
+            let t = table.engine();
             for k in 1..=40u64 {
                 assert!(t.insert_counted(U64Key::new(k)));
             }
@@ -1266,11 +1001,47 @@ mod tests {
             // A fully forwarded table bounces inserts with a carry and
             // reports every probe as absent (the chain falls through).
             let v = U64Key::new(777).to_repr();
-            assert_eq!(t.try_insert_repr(v), Err(v));
+            assert_eq!(t.insert_run(None, &[v], 0, usize::MAX), (1, 0, Some(v)));
             assert_eq!(t.find(U64Key::new(7)), None);
         }
         run::<DetHashTable<U64Key>>();
         run::<crate::robinhood::RobinHoodHashTable<U64Key>>();
+    }
+
+    #[test]
+    fn every_insert_route_crosses_the_threshold_alike() {
+        // Exactly 3/4 of a 2^k-cell seed: the insert that posts the
+        // crossing credit publishes the doubled successor in that same
+        // call, whichever route carried it — per-op, one batch, or the
+        // chain route behind a successor that already exists.
+        fn run<T: FlatTableCore<U64Key>>() {
+            const K: u32 = 7;
+            let keys: Vec<U64Key> = (1..=3u64 << (K - 2))
+                .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
+                .collect();
+            let per_op: ResizableTable<U64Key, T> = ResizableTable::new_pow2(K);
+            for &k in &keys {
+                per_op.insert(k);
+            }
+            let batch: ResizableTable<U64Key, T> = ResizableTable::new_pow2(K);
+            batch.insert_batch(&keys);
+            // The chain route: a half-size seed whose successor (2^K
+            // cells) is force-published first, so every key travels
+            // `insert_batch_into_chain` into that 2^K-cell tail.
+            let chain: ResizableTable<U64Key, T> = ResizableTable::new_pow2(K - 1);
+            chain.publish_successor(chain.current_epoch());
+            chain.insert_batch(&keys);
+            for t in [&per_op, &batch, &chain] {
+                assert_eq!(t.capacity(), 2 << K, "{}", T::GROW_NAME);
+                assert_eq!(t.len(), keys.len(), "{}", T::GROW_NAME);
+                t.normalize();
+            }
+            assert_eq!(per_op.snapshot(), batch.snapshot(), "{}", T::GROW_NAME);
+            assert_eq!(per_op.snapshot(), chain.snapshot(), "{}", T::GROW_NAME);
+        }
+        run::<DetHashTable<U64Key>>();
+        run::<crate::robinhood::RobinHoodHashTable<U64Key>>();
+        run::<crate::fc::FcHashTable<U64Key>>();
     }
 
     #[test]

@@ -67,7 +67,8 @@
 
 use crate::cell::CellWord;
 use crate::entry::HashEntry;
-use crate::probe::{Deleter, Growable, Inserter, ProbePolicy, ProbeTable, Reader};
+use crate::phase::{Deleter, Inserter, Reader};
+use crate::probe::{Growable, ProbePolicy, ProbeTable};
 
 /// Multiplicative inverse of an odd `c` modulo 2^64 (Newton iteration:
 /// each step doubles the number of correct low bits, starting from the
@@ -302,6 +303,7 @@ impl<E: HashEntry> ProbePolicy<E> for RhPolicy {
 
 impl<E: HashEntry> Growable<E> for RhPolicy {
     const GROW_NAME: &'static str = "robinHood-grow";
+    type Gate = crate::rooms::RoomSync;
 }
 
 /// The phase-concurrent Robin Hood hash table.
@@ -331,11 +333,11 @@ impl<E: HashEntry> Growable<E> for RhPolicy {
 pub type RobinHoodHashTable<E> = ProbeTable<E, RhPolicy>;
 
 /// Insert-phase handle of [`RobinHoodHashTable`] (see [`crate::phase`]).
-pub type RobinHoodInserter<'t, E> = Inserter<'t, E, RhPolicy>;
+pub type RobinHoodInserter<'t, E> = Inserter<'t, RobinHoodHashTable<E>>;
 /// Delete-phase handle of [`RobinHoodHashTable`].
-pub type RobinHoodDeleter<'t, E> = Deleter<'t, E, RhPolicy>;
+pub type RobinHoodDeleter<'t, E> = Deleter<'t, RobinHoodHashTable<E>>;
 /// Read-phase handle of [`RobinHoodHashTable`].
-pub type RobinHoodReader<'t, E> = Reader<'t, E, RhPolicy>;
+pub type RobinHoodReader<'t, E> = Reader<'t, RobinHoodHashTable<E>>;
 
 impl<E: HashEntry> ProbeTable<E, RhPolicy> {
     /// Displacement distribution of a quiescent snapshot under the

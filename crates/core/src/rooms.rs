@@ -19,12 +19,22 @@
 //! word packs the active room and its occupancy count; entry CASes the
 //! count up if the room matches or the table is idle, otherwise spins
 //! (with exponential backoff parking) until the room drains.
+//!
+//! Whether a table needs rooms at all is a property of its core, so the
+//! two wrappers here ([`AutoPhaseTable`], fixed; [`AutoGrowTable`],
+//! growable) take their [`Gate`] from it: the phase-concurrent cores
+//! bring a [`RoomSync`]; the fully-concurrent core ([`crate::fc`]),
+//! whose overlap detection and online repair replace the synchronizer,
+//! brings the zero-sized [`NoRooms`]. The gate cannot be chosen apart
+//! from the core, so a phase-concurrent table without rooms cannot be
+//! built.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
 use crate::fc::FcHashTable;
+use crate::probe::Growable;
 use crate::resize::{FlatTableCore, ResizableTable};
 
 /// The three rooms of a phase-concurrent hash table.
@@ -43,6 +53,7 @@ pub enum Room {
 ///
 /// State word: high 8 bits = active room id (0 = idle), low 56 bits =
 /// occupancy count.
+#[derive(Default)]
 pub struct RoomSync {
     state: AtomicU64,
     /// Id of the last room to hold the synchronizer (0 before any
@@ -53,19 +64,10 @@ pub struct RoomSync {
 
 const COUNT_MASK: u64 = (1 << 56) - 1;
 
-impl Default for RoomSync {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RoomSync {
     /// Creates an idle synchronizer.
     pub fn new() -> Self {
-        RoomSync {
-            state: AtomicU64::new(0),
-            last: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Enters `room`, waiting until no other room is occupied.
@@ -142,14 +144,6 @@ impl RoomSync {
         }
     }
 
-    /// Runs `f` inside `room`.
-    pub fn with<R>(&self, room: Room, f: impl FnOnce() -> R) -> R {
-        self.enter(room);
-        let r = f();
-        self.exit(room);
-        r
-    }
-
     /// The currently active room, if any (racy; for tests/telemetry).
     pub fn active_room(&self) -> Option<Room> {
         match self.state.load(Ordering::Acquire) >> 56 {
@@ -161,9 +155,44 @@ impl RoomSync {
     }
 }
 
+/// What keeps a table's operation kinds apart when its callers do not:
+/// [`RoomSync`] or [`NoRooms`], as the core names (not a parameter of
+/// the wrappers; neither carries anything a caller can set).
+pub trait Gate: Default + Send + Sync {
+    /// Short label of the discipline, for benches and logs.
+    const MODE: &'static str;
+    /// Runs `f` as an operation of kind `room`.
+    fn with<R>(&self, room: Room, f: impl FnOnce() -> R) -> R;
+}
+
+impl Gate for RoomSync {
+    const MODE: &'static str = "rooms";
+    fn with<R>(&self, room: Room, f: impl FnOnce() -> R) -> R {
+        self.enter(room);
+        let r = f();
+        self.exit(room);
+        r
+    }
+}
+
+/// The gate of a core whose operations may all overlap: no state.
+#[derive(Default)]
+pub struct NoRooms;
+
+impl Gate for NoRooms {
+    const MODE: &'static str = "fc";
+    fn with<R>(&self, _room: Room, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+/// The gate core `T` brings.
+type GateOf<E, T> = <<T as FlatTableCore<E>>::Policy as Growable<E>>::Gate;
+
 /// A deterministic hash table with automatic phase separation: any
-/// thread may call any operation at any time; the room synchronizer
-/// serializes *operation types*, not operations.
+/// thread may call any operation at any time; the core's gate
+/// serializes *operation types*, not operations (and for the
+/// fully-concurrent core, nothing).
 ///
 /// Note the weaker guarantee versus the phased API: the table layout
 /// is always a valid history-independent layout of its contents, but
@@ -175,54 +204,57 @@ impl RoomSync {
 /// RobinHoodHashTable<E>>` is the room-synchronized Robin Hood table.
 pub struct AutoPhaseTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     table: T,
-    rooms: RoomSync,
-    _entry: std::marker::PhantomData<E>,
+    gate: GateOf<E, T>,
 }
+
+/// [`AutoPhaseTable`] over the fully-concurrent table: the same drop-in
+/// API with no room entries. A lookup racing an in-flight displacement
+/// of its key may transiently miss (see [`crate::fc`]); contents are
+/// deterministic at quiescence.
+pub type FcAutoTable<E> = AutoPhaseTable<E, FcHashTable<E>>;
 
 impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
     /// Creates a table with `2^log2_size` cells.
     pub fn new_pow2(log2_size: u32) -> Self {
         AutoPhaseTable {
             table: T::new_pow2(log2_size),
-            rooms: RoomSync::new(),
-            _entry: std::marker::PhantomData,
+            gate: Default::default(),
         }
     }
 
     /// Number of cells.
     pub fn capacity(&self) -> usize {
-        self.table.capacity()
+        self.table.engine().capacity()
     }
 
     /// Inserts an entry (enters the insert room).
     pub fn insert(&self, e: E) {
-        self.rooms.with(Room::Insert, || {
-            self.table.insert_counted(e);
-        });
+        self.gate
+            .with(Room::Insert, || self.table.engine().insert(e));
     }
 
     /// Deletes by key (enters the delete room).
     pub fn delete(&self, key: E) {
-        self.rooms.with(Room::Delete, || {
-            self.table.delete_counted(key);
-        });
+        self.gate
+            .with(Room::Delete, || self.table.engine().delete(key));
     }
 
     /// Looks up a key (enters the read room).
     pub fn find(&self, key: E) -> Option<E> {
-        self.rooms.with(Room::Read, || self.table.find(key))
+        self.gate.with(Room::Read, || self.table.engine().find(key))
     }
 
     /// Packs the contents (enters the read room).
     pub fn elements(&self) -> Vec<E> {
-        self.rooms.with(Room::Read, || self.table.elements())
+        self.gate
+            .with(Room::Read, || self.table.engine().elements())
     }
 
     /// Packs the contents into a caller-supplied buffer (enters the
     /// read room; appends without allocating a fresh `Vec`).
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.rooms
-            .with(Room::Read, || self.table.elements_into(out));
+        self.gate
+            .with(Room::Read, || self.table.engine().elements_into(out));
     }
 
     /// Grants direct phased access when the caller has `&mut`
@@ -232,35 +264,50 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
     }
 }
 
-/// [`AutoPhaseTable`]'s growable sibling: room synchronization over a
-/// [`ResizableTable`].
+/// [`AutoPhaseTable`]'s growable sibling: the core's gate over a
+/// [`ResizableTable`]. Named through its aliases [`AutoPhaseGrowTable`]
+/// (a phase-concurrent core behind rooms) and [`FcAutoGrowTable`] (the
+/// fully-concurrent core, no rooms: there the resize layer's delete
+/// registration and window/successor handshake are what let migration
+/// compose with overlapping inserts and deletes).
 ///
-/// Freeze-free migration composes with room synchronization even more
-/// directly than the freeze-era scheme did: a room switch needs **no
-/// migration quiescence at all**. Migration work is per-cell claim
-/// swaps plus re-inserts with the ordinary insert primitive, both safe
-/// under the forwarding invariant against anything the insert room
-/// runs, so inside the insert room a pending migration is just more
-/// concurrent insert work, paid in bounded quotas by whichever
-/// operations happen to pass by. The delete and read rooms still
-/// observe fully migrated tables — not because the room grant waits,
-/// but because every `ResizableTable` delete registers behind a full
-/// drain and every read accessor quiesces before touching the
-/// contents. No extra "resize room" is needed, and a room hand-off
-/// never inherits a table-sized stall from a migration that happened
-/// to be in flight.
-pub struct AutoPhaseGrowTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
+/// Migration composes with room synchronization directly: a room
+/// switch needs **no migration quiescence at all**. Migration work is
+/// per-cell claim swaps plus re-inserts with the ordinary insert
+/// primitive, both safe under the forwarding invariant against
+/// anything the insert room runs, so inside the insert room a pending
+/// migration is just more concurrent insert work, paid in bounded
+/// quotas by whichever operations happen to pass by. The delete and
+/// read rooms still observe fully migrated tables — not because the
+/// room grant waits, but because every `ResizableTable` delete
+/// registers behind a full drain and every read accessor quiesces
+/// before touching the contents. No extra "resize room" is needed, and
+/// a room hand-off never inherits a table-sized stall from a migration
+/// that happened to be in flight.
+pub struct AutoGrowTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     table: ResizableTable<E, T>,
-    rooms: RoomSync,
+    gate: GateOf<E, T>,
 }
 
-impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
+/// The growable room-synchronized table (see [`AutoGrowTable`]).
+pub type AutoPhaseGrowTable<E, T = DetHashTable<E>> = AutoGrowTable<E, T>;
+
+/// The growable drop-in table without a room synchronizer, over
+/// `ResizableTable<E, FcHashTable<E>>` (see [`AutoGrowTable`]). Lookups
+/// may transiently miss under concurrent displacement, as for
+/// [`FcAutoTable`].
+pub type FcAutoGrowTable<E> = AutoGrowTable<E, FcHashTable<E>>;
+
+impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
+    /// Label of the core's discipline: `"rooms"` or `"fc"`.
+    pub const MODE: &'static str = <GateOf<E, T> as Gate>::MODE;
+
     /// Creates a table seeded with `2^log2_size` cells; it grows as
     /// needed.
     pub fn new_pow2(log2_size: u32) -> Self {
-        AutoPhaseGrowTable {
+        AutoGrowTable {
             table: ResizableTable::new_pow2(log2_size),
-            rooms: RoomSync::new(),
+            gate: Default::default(),
         }
     }
 
@@ -268,42 +315,42 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// back toward the seed capacity when deletes empty the table out
     /// (see the shrinking notes in [`crate::resize`]).
     pub fn capacity(&self) -> usize {
-        self.rooms.with(Room::Read, || self.table.capacity())
+        self.gate.with(Room::Read, || self.table.capacity())
     }
 
     /// Inserts an entry (enters the insert room; may publish a
     /// successor epoch or pay a bounded migration help quota, never a
     /// table-sized stall).
     pub fn insert(&self, e: E) {
-        self.rooms.with(Room::Insert, || self.table.insert(e));
+        self.gate.with(Room::Insert, || self.table.insert(e));
     }
 
     /// Deletes by key (enters the delete room).
     pub fn delete(&self, key: E) {
-        self.rooms.with(Room::Delete, || self.table.delete(key));
+        self.gate.with(Room::Delete, || self.table.delete(key));
     }
 
     /// Looks up a key (enters the read room).
     pub fn find(&self, key: E) -> Option<E> {
-        self.rooms.with(Room::Read, || self.table.find(key))
+        self.gate.with(Room::Read, || self.table.find(key))
     }
 
-    /// Packs the contents (enters the read room).
+    /// Packs the contents (enters the read room; deterministic at
+    /// quiescence).
     pub fn elements(&self) -> Vec<E> {
-        self.rooms.with(Room::Read, || self.table.elements())
+        self.gate.with(Room::Read, || self.table.elements())
     }
 
     /// Packs the contents into a caller-supplied buffer (enters the
     /// read room; appends without allocating a fresh `Vec`).
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.rooms
-            .with(Room::Read, || self.table.elements_into(out));
+        self.gate.with(Room::Read, || self.table.elements_into(out));
     }
 
     /// Batched parallel insert: enters the insert room **once** for the
     /// whole batch (per-op calls pay a room CAS pair per entry), drives
-    /// the resize layer's amortized-registration batch path, and
-    /// normalizes the capacity before leaving the room.
+    /// the resize layer's windowed batch path, and normalizes the
+    /// capacity before leaving the room.
     ///
     /// Normalizing inside the room is what makes the batch boundary a
     /// deterministic cut: when this call returns, the capacity is the
@@ -318,7 +365,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// inside the room until the parallel call completes, so every
     /// worker access is ordered before the room exit.
     pub fn par_insert_batched(&self, entries: &[E]) {
-        self.rooms.with(Room::Insert, || {
+        self.gate.with(Room::Insert, || {
             self.table.par_insert_batched(entries);
             self.table.normalize();
         });
@@ -331,7 +378,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// [`par_insert_batched`](Self::par_insert_batched)'s determinism
     /// cut.
     pub fn par_delete_batched(&self, keys: &[E]) {
-        self.rooms.with(Room::Delete, || {
+        self.gate.with(Room::Delete, || {
             self.table.par_delete_batched(keys);
             self.table.normalize();
         });
@@ -340,7 +387,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// Batched parallel lookup: one read-room entry for the batch;
     /// results are in key order.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.rooms
+        self.gate
             .with(Room::Read, || self.table.par_find_batched(keys))
     }
 
@@ -352,14 +399,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// after a burst of per-op [`insert`](Self::insert)s when you need
     /// the snapshot-determinism guarantee the batched path provides.
     pub fn normalize(&self) {
-        self.rooms.with(Room::Insert, || self.table.normalize());
+        self.gate.with(Room::Insert, || self.table.normalize());
     }
 
     /// Number of stored entries (enters the read room; exact because
     /// the read path itself drains any pending migration before
-    /// counting — the room grant no longer needs to).
+    /// counting — the room grant does not need to).
     pub fn len(&self) -> usize {
-        self.rooms.with(Room::Read, || self.table.len())
+        self.gate.with(Room::Read, || self.table.len())
     }
 
     /// Whether the table is empty.
@@ -369,166 +416,12 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
 
     /// Raw snapshot of the live backing array (enters the read room).
     pub fn snapshot(&self) -> Vec<u64> {
-        self.rooms.with(Room::Read, || self.table.snapshot())
+        self.gate.with(Room::Read, || self.table.snapshot())
     }
 
     /// Grants direct phased access when the caller has `&mut`
     /// (no synchronization needed — the borrow is exclusive).
     pub fn raw_mut(&mut self) -> &mut ResizableTable<E, T> {
-        &mut self.table
-    }
-}
-
-/// The fc migration path for [`AutoPhaseTable`]: the same drop-in API,
-/// served by the fully-concurrent table ([`FcHashTable`]) — every room
-/// switch becomes a no-op because there are no rooms. Operations go
-/// straight to the table; overlap detection and online repair replace
-/// the synchronizer (see [`crate::fc`]).
-pub struct FcAutoTable<E: HashEntry> {
-    table: FcHashTable<E>,
-}
-
-impl<E: HashEntry> FcAutoTable<E> {
-    /// Creates a table with `2^log2_size` cells.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        FcAutoTable {
-            table: FcHashTable::new_pow2(log2_size),
-        }
-    }
-
-    /// Number of cells.
-    pub fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Inserts an entry (no room entry — fully concurrent).
-    pub fn insert(&self, e: E) {
-        self.table.insert(e);
-    }
-
-    /// Deletes by key (no room entry).
-    pub fn delete(&self, key: E) {
-        self.table.delete(key);
-    }
-
-    /// Looks up a key (no room entry; a lookup racing an in-flight
-    /// displacement of its key may transiently miss — see
-    /// [`crate::fc`]).
-    pub fn find(&self, key: E) -> Option<E> {
-        self.table.find(key)
-    }
-
-    /// Packs the contents (deterministic at quiescence).
-    pub fn elements(&self) -> Vec<E> {
-        self.table.elements()
-    }
-
-    /// Packs the contents into a caller-supplied buffer (appends).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.table.elements_into(out)
-    }
-
-    /// Direct access to the fc table.
-    pub fn raw_mut(&mut self) -> &mut FcHashTable<E> {
-        &mut self.table
-    }
-}
-
-/// The fc migration path for [`AutoPhaseGrowTable`]: the growable
-/// drop-in API without a room synchronizer, over
-/// `ResizableTable<E, FcHashTable<E>>`. The resize layer registers
-/// every writer (inserts *and* deletes) in the epoch's active count, so
-/// cooperative migration composes with fully-concurrent mutation the
-/// same way it composed with room-serialized phases.
-pub struct FcAutoGrowTable<E: HashEntry> {
-    table: ResizableTable<E, FcHashTable<E>>,
-}
-
-impl<E: HashEntry> FcAutoGrowTable<E> {
-    /// Creates a table seeded with `2^log2_size` cells; it grows as
-    /// needed.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        FcAutoGrowTable {
-            table: ResizableTable::new_pow2(log2_size),
-        }
-    }
-
-    /// Current number of cells. Grows under insert load and shrinks
-    /// back toward the seed capacity when deletes empty the table out
-    /// (see the shrinking notes in [`crate::resize`]).
-    pub fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Inserts an entry (may trigger or join a cooperative migration).
-    pub fn insert(&self, e: E) {
-        self.table.insert(e);
-    }
-
-    /// Deletes by key.
-    pub fn delete(&self, key: E) {
-        self.table.delete(key);
-    }
-
-    /// Looks up a key (transient misses possible under concurrent
-    /// displacement, as for [`FcAutoTable::find`]).
-    pub fn find(&self, key: E) -> Option<E> {
-        self.table.find(key)
-    }
-
-    /// Packs the contents (deterministic at quiescence).
-    pub fn elements(&self) -> Vec<E> {
-        self.table.elements()
-    }
-
-    /// Packs the contents into a caller-supplied buffer (appends).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.table.elements_into(out)
-    }
-
-    /// Batched parallel insert; normalizes the capacity afterwards so
-    /// batch boundaries stay deterministic cuts, exactly as
-    /// [`AutoPhaseGrowTable::par_insert_batched`] does — minus the room
-    /// entry.
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        self.table.par_insert_batched(entries);
-        self.table.normalize();
-    }
-
-    /// Batched parallel delete; normalizes afterwards so batch
-    /// boundaries land on the canonical (possibly shrunk) capacity.
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        self.table.par_delete_batched(keys);
-        self.table.normalize();
-    }
-
-    /// Batched parallel lookup; results are in key order.
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.table.par_find_batched(keys)
-    }
-
-    /// Drains pending migration and grows to the canonical capacity.
-    pub fn normalize(&self) {
-        self.table.normalize();
-    }
-
-    /// Number of stored entries (exact at quiescence).
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Raw snapshot of the live backing array.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.table.snapshot()
-    }
-
-    /// Direct access to the growable fc table.
-    pub fn raw_mut(&mut self) -> &mut ResizableTable<E, FcHashTable<E>> {
         &mut self.table
     }
 }
@@ -760,6 +653,24 @@ mod tests {
         let snap: Vec<u64> = t.raw_mut().snapshot();
         crate::invariant::check_ordering_invariant::<U64Key>(&snap).unwrap();
         crate::invariant::check_no_duplicate_keys::<U64Key>(&snap).unwrap();
+    }
+
+    #[test]
+    fn fc_wrappers_carry_no_synchronizer() {
+        // The fully-concurrent core's gate is zero-sized: the wrapper
+        // is the table it wraps.
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<FcAutoGrowTable<U64Key>>(),
+            size_of::<ResizableTable<U64Key, FcHashTable<U64Key>>>()
+        );
+        assert_eq!(
+            size_of::<FcAutoTable<U64Key>>(),
+            size_of::<FcHashTable<U64Key>>()
+        );
+        assert!(size_of::<AutoPhaseGrowTable<U64Key>>() > size_of::<ResizableTable<U64Key>>());
+        assert_eq!(FcAutoGrowTable::<U64Key>::MODE, "fc");
+        assert_eq!(AutoPhaseGrowTable::<U64Key>::MODE, "rooms");
     }
 
     #[test]

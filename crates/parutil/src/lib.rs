@@ -98,6 +98,33 @@ pub fn grain() -> usize {
     })
 }
 
+/// Runs `f` on each [`grain`]-sized chunk of `items`: on the calling
+/// thread when there is a single chunk (a pool dispatch buys a handful
+/// of keys nothing), on the pool otherwise.
+pub fn for_each_grain<T: Sync>(items: &[T], f: impl Fn(&[T]) + Send + Sync) {
+    use rayon::prelude::*;
+    if items.len() <= grain() {
+        f(items)
+    } else {
+        items.par_chunks(grain()).for_each(f)
+    }
+}
+
+/// [`for_each_grain`] for chunk functions that return results: the
+/// chunks' outputs concatenated in chunk order, whichever thread ran
+/// each.
+pub fn flat_map_grain<T: Sync, R: Send>(
+    items: &[T],
+    f: impl Fn(&[T]) -> Vec<R> + Send + Sync,
+) -> Vec<R> {
+    use rayon::prelude::*;
+    if items.len() <= grain() {
+        f(items)
+    } else {
+        items.par_chunks(grain()).flat_map_iter(f).collect()
+    }
+}
+
 /// Splits `n` items into blocks of roughly `grain` items and returns the
 /// number of blocks. Zero items yield zero blocks.
 #[inline]

@@ -12,21 +12,22 @@
 //!
 //! * a deterministic hash [`router`] (stable partition, decorrelated
 //!   from the tables' probe hash);
-//! * per-shard [`ShardTable`]s — by default [`AutoPhaseGrowTable`]s
-//!   whose room synchronizers let shards sit in *different* phases
-//!   simultaneously (a get-heavy shard never blocks a put-heavy one),
-//!   driven through the batched `par_insert_batched` /
-//!   `par_find_batched` / `par_delete_batched` paths with one room
-//!   entry per sub-batch;
+//! * per-shard [`ShardTable`]s — growable tables behind their core's
+//!   own gate ([`phc_core::AutoGrowTable`]); by default
+//!   [`AutoPhaseGrowTable`]s, whose room synchronizers let shards sit
+//!   in *different* phases simultaneously (a get-heavy shard never
+//!   blocks a put-heavy one), driven through the batched
+//!   `par_insert_batched` / `par_find_batched` / `par_delete_batched`
+//!   paths with one room entry per sub-batch;
 //! * a fixed within-batch sub-phase order (puts → deletes → gets) plus
 //!   response re-assembly at submission indices, so neither routing
 //!   nor scheduling can reorder what a client observes.
 //!
-//! The [`FcKvServer`] mode swaps each shard's table for the fully
-//! concurrent [`FcAutoGrowTable`](phc_core::FcAutoGrowTable): same
-//! response log byte-for-byte, but the sub-phase boundaries inside a
-//! batch stop costing room switches entirely (see
-//! [`shard_table`]).
+//! The [`FcKvServer`] mode swaps each shard's *core* for the fully
+//! concurrent table ([`FcAutoGrowTable`](phc_core::FcAutoGrowTable)),
+//! which brings no rooms: same response log byte-for-byte, but the
+//! sub-phase boundaries inside a batch stop costing room switches
+//! entirely (see [`shard_table`]).
 //!
 //! [`AutoPhaseGrowTable`]: phc_core::AutoPhaseGrowTable
 

@@ -25,8 +25,9 @@
 //!
 //! ## Pipelining
 //!
-//! Each shard owns a [`ShardTable`] — by default an
-//! [`AutoPhaseGrowTable`] with its own room synchronizer, so shards
+//! Each shard owns a [`ShardTable`] — a growable table behind its
+//! core's gate; by default an [`AutoPhaseGrowTable`], whose
+//! phase-concurrent core brings its own room synchronizer, so shards
 //! sit in different phases simultaneously: a get-heavy shard runs its
 //! read room while a put-heavy neighbour is mid-insert (or
 //! mid-migration) — composing per-shard phase concurrency without any
@@ -34,10 +35,10 @@
 //!
 //! ## The fc mode
 //!
-//! [`FcKvServer`] swaps the shard table for the fully concurrent
-//! [`FcAutoGrowTable`](phc_core::FcAutoGrowTable): the three sub-phase
-//! calls inside a shard fuse into one pass with no room entry, exit,
-//! or switch between them. Responses are byte-identical to the rooms
+//! [`FcKvServer`] swaps the shard's core for the fully concurrent
+//! table ([`FcAutoGrowTable`](phc_core::FcAutoGrowTable)), whose gate
+//! is empty: the three sub-phase calls inside a shard fuse into one
+//! pass with no room entry, exit, or switch between them. Responses are byte-identical to the rooms
 //! mode — both cores produce the same canonical layout for the same
 //! key set, and the sub-phase *order* (program order, here) still
 //! pins what every get observes. Quiescence at each batch boundary is

@@ -1,18 +1,20 @@
 //! The table interface a [`KvServer`](crate::KvServer) shard drives,
 //! abstracting over the synchronization discipline.
 //!
-//! Two implementations ship:
+//! A shard table is a [`phc_core::AutoGrowTable`] over some flat core,
+//! and the discipline comes with the core (there is one impl, below):
 //!
-//! * [`AutoPhaseGrowTable`] — the PR 7 path: a room synchronizer turns
-//!   each batched call into a phase, so every put→delete→get sub-phase
+//! * [`AutoPhaseGrowTable`](phc_core::AutoPhaseGrowTable) — a
+//!   phase-concurrent core brings a room synchronizer, which turns each
+//!   batched call into a phase, so every put→delete→get sub-phase
 //!   boundary inside [`apply_batch`](crate::KvServer::apply_batch)
 //!   pays a room switch (entry CAS + drain wait).
-//! * [`FcAutoGrowTable`] — the fc path: the fully concurrent core
-//!   needs no rooms at all, so a shard's three sub-batches run
-//!   back-to-back as one fused pass with no synchronizer traffic
-//!   between them. The sub-phase *order* is kept (it is what makes
-//!   get responses a pure function of the batch), but ordering now
-//!   costs only program order, not a room handshake.
+//! * [`FcAutoGrowTable`](phc_core::FcAutoGrowTable) — the fully
+//!   concurrent core brings no rooms at all, so a shard's three
+//!   sub-batches run back-to-back as one fused pass with no
+//!   synchronizer traffic between them. The sub-phase *order* is kept
+//!   (it is what makes get responses a pure function of the batch), but
+//!   ordering now costs only program order, not a room handshake.
 //!
 //! Both cores produce byte-identical canonical layouts for the same
 //! key set (the fc differential suite's invariant), so swapping the
@@ -20,7 +22,7 @@
 //! the shard pays.
 
 use phc_core::entry::{Combine, KvPair};
-use phc_core::{AutoPhaseGrowTable, FcAutoGrowTable};
+use phc_core::{AutoGrowTable, FlatTableCore};
 
 /// One shard's table: growable, combining, deterministic at batch
 /// boundaries. See the [module docs](self) for the two disciplines.
@@ -68,90 +70,46 @@ pub trait ShardTable<C: Combine>: Send + Sync {
     }
 }
 
-impl<C: Combine> ShardTable<C> for AutoPhaseGrowTable<KvPair<C>> {
-    const MODE: &'static str = "rooms";
+impl<C: Combine, T: FlatTableCore<KvPair<C>>> ShardTable<C> for AutoGrowTable<KvPair<C>, T> {
+    const MODE: &'static str = Self::MODE;
 
     fn new_pow2(log2_cells: u32) -> Self {
-        AutoPhaseGrowTable::new_pow2(log2_cells)
+        AutoGrowTable::new_pow2(log2_cells)
     }
 
     fn insert(&self, e: KvPair<C>) {
-        AutoPhaseGrowTable::insert(self, e);
+        AutoGrowTable::insert(self, e);
     }
 
     fn delete(&self, key: KvPair<C>) {
-        AutoPhaseGrowTable::delete(self, key);
+        AutoGrowTable::delete(self, key);
     }
 
     fn find(&self, key: KvPair<C>) -> Option<KvPair<C>> {
-        AutoPhaseGrowTable::find(self, key)
+        AutoGrowTable::find(self, key)
     }
 
     fn par_insert_batched(&self, entries: &[KvPair<C>]) {
-        AutoPhaseGrowTable::par_insert_batched(self, entries);
+        AutoGrowTable::par_insert_batched(self, entries);
     }
 
     fn par_delete_batched(&self, keys: &[KvPair<C>]) {
-        AutoPhaseGrowTable::par_delete_batched(self, keys);
+        AutoGrowTable::par_delete_batched(self, keys);
     }
 
     fn par_find_batched(&self, keys: &[KvPair<C>]) -> Vec<Option<KvPair<C>>> {
-        AutoPhaseGrowTable::par_find_batched(self, keys)
+        AutoGrowTable::par_find_batched(self, keys)
     }
 
     fn elements_into(&self, out: &mut Vec<KvPair<C>>) {
-        AutoPhaseGrowTable::elements_into(self, out)
+        AutoGrowTable::elements_into(self, out)
     }
 
     fn snapshot(&self) -> Vec<u64> {
-        AutoPhaseGrowTable::snapshot(self)
+        AutoGrowTable::snapshot(self)
     }
 
     fn len(&self) -> usize {
-        AutoPhaseGrowTable::len(self)
-    }
-}
-
-impl<C: Combine> ShardTable<C> for FcAutoGrowTable<KvPair<C>> {
-    const MODE: &'static str = "fc";
-
-    fn new_pow2(log2_cells: u32) -> Self {
-        FcAutoGrowTable::new_pow2(log2_cells)
-    }
-
-    fn insert(&self, e: KvPair<C>) {
-        FcAutoGrowTable::insert(self, e);
-    }
-
-    fn delete(&self, key: KvPair<C>) {
-        FcAutoGrowTable::delete(self, key);
-    }
-
-    fn find(&self, key: KvPair<C>) -> Option<KvPair<C>> {
-        FcAutoGrowTable::find(self, key)
-    }
-
-    fn par_insert_batched(&self, entries: &[KvPair<C>]) {
-        FcAutoGrowTable::par_insert_batched(self, entries);
-    }
-
-    fn par_delete_batched(&self, keys: &[KvPair<C>]) {
-        FcAutoGrowTable::par_delete_batched(self, keys);
-    }
-
-    fn par_find_batched(&self, keys: &[KvPair<C>]) -> Vec<Option<KvPair<C>>> {
-        FcAutoGrowTable::par_find_batched(self, keys)
-    }
-
-    fn elements_into(&self, out: &mut Vec<KvPair<C>>) {
-        FcAutoGrowTable::elements_into(self, out)
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        FcAutoGrowTable::snapshot(self)
-    }
-
-    fn len(&self) -> usize {
-        FcAutoGrowTable::len(self)
+        AutoGrowTable::len(self)
     }
 }
