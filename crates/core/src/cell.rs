@@ -98,9 +98,6 @@ pub trait CellAtomic: Send + Sync + 'static {
     /// value field overflowing its `VALUE_MASK` corrupts the key bits
     /// identically at either width.
     fn fetch_add(&self, v: u64, order: Ordering) -> u64;
-
-    /// Atomic swap, returning the previous widened value.
-    fn swap(&self, v: u64, order: Ordering) -> u64;
 }
 
 impl CellAtomic for AtomicU64 {
@@ -146,11 +143,6 @@ impl CellAtomic for AtomicU64 {
     #[inline(always)]
     fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
         AtomicU64::fetch_add(self, v, order)
-    }
-
-    #[inline(always)]
-    fn swap(&self, v: u64, order: Ordering) -> u64 {
-        AtomicU64::swap(self, v, order)
     }
 }
 
@@ -206,12 +198,6 @@ impl CellAtomic for AtomicU32 {
     fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
         AtomicU32::fetch_add(self, v as u32, order) as u64
     }
-
-    #[inline(always)]
-    fn swap(&self, v: u64, order: Ordering) -> u64 {
-        debug_assert!(v <= u32::MAX as u64);
-        AtomicU32::swap(self, v as u32, order) as u64
-    }
 }
 
 /// The atomic cell type of a width — shorthand for table fields:
@@ -247,7 +233,7 @@ mod tests {
                 Err(v),
                 "failed CAS must return the observed value"
             );
-            assert_eq!(c.swap(7, Ordering::AcqRel), v);
+            c.store(7, Ordering::Relaxed);
             assert_eq!(c.fetch_add(3, Ordering::AcqRel), 7);
             assert_eq!(c.load(Ordering::Relaxed), 10);
         }

@@ -38,13 +38,13 @@ use crate::cell::CellWord;
 /// * `same_key(EMPTY, x)` is `false` for every valid `x`;
 /// * `combine(a, b)` is only called with `same_key(a, b)`; it must be
 ///   commutative and associative on the value part so that concurrent
-///   duplicate inserts commute (paper §4, "Combining");
-/// * `to_repr` never returns [`HashEntry::FORWARD`] — the all-ones
-///   repr is reserved as the resizable wrapper's per-cell forwarding
-///   sentinel (a migrated cell is swapped to `FORWARD`, and probes
-///   that observe it divert to the successor epoch). Entry types
-///   whose packing could produce the all-ones word must exclude that
-///   one point from their domain (see [`U64Key::new`]).
+///   duplicate inserts commute (paper §4, "Combining").
+///
+/// `EMPTY` is the **only** reserved word. Every other value that fits
+/// the cell — the all-ones word included — is an ordinary entry: no
+/// table, kernel or migration path stores a marker of its own in a cell
+/// (the growable wrapper drains a retiring table by reading it, see
+/// [`crate::resize`]).
 pub trait HashEntry: Copy + Eq + Send + Sync + std::fmt::Debug {
     /// Width of the atomic cell storing this entry's repr. `u64` is the
     /// full-word default; entries whose packed repr fits 32 bits (e.g.
@@ -57,17 +57,6 @@ pub trait HashEntry: Copy + Eq + Send + Sync + std::fmt::Debug {
 
     /// Representation of the empty cell `⊥`.
     const EMPTY: u64;
-
-    /// Forwarding sentinel: the all-ones repr at this entry's cell
-    /// width. The freeze-free resizer ([`crate::resize`]) swaps a
-    /// migrated cell to this value so late probes fall through to the
-    /// successor epoch deterministically. It is **not** a valid entry:
-    /// `to_repr` must never produce it, and none of `hash`,
-    /// `cmp_priority`, `same_key`, or `combine` are ever called on it
-    /// (probe paths check for it before any key interpretation —
-    /// pointer-based entries like [`StrRef`] would otherwise
-    /// dereference a wild pointer).
-    const FORWARD: u64 = <Self::Repr as CellWord>::MAX_REPR;
 
     /// Bit mask of the associated-value field within the repr (0 for
     /// pure keys). Used by the ND table's `fetch_add` fast path, which
@@ -129,17 +118,11 @@ pub trait HashEntry: Copy + Eq + Send + Sync + std::fmt::Debug {
 pub struct U64Key(pub u64);
 
 impl U64Key {
-    /// Constructs a key, panicking on the reserved values `0` (the
-    /// empty cell) and `u64::MAX` (the forwarding sentinel — the repr
-    /// *is* the key, so the all-ones point of the domain is excluded).
+    /// Constructs a key, panicking on the one reserved value, `0` (the
+    /// empty cell).
     #[inline]
     pub fn new(k: u64) -> Self {
         assert_ne!(k, 0, "U64Key cannot be 0 (reserved for the empty cell)");
-        assert_ne!(
-            k,
-            u64::MAX,
-            "U64Key cannot be u64::MAX (reserved for the forwarding sentinel)"
-        );
         U64Key(k)
     }
 }
@@ -497,11 +480,10 @@ mod tests {
 
     #[test]
     fn u64key_roundtrip() {
-        for k in [1u64, 42, u64::MAX - 1] {
+        for k in [1u64, 42, u64::MAX] {
             let e = U64Key::new(k);
             assert_eq!(U64Key::from_repr(e.to_repr()), e);
             assert_ne!(e.to_repr(), U64Key::EMPTY);
-            assert_ne!(e.to_repr(), U64Key::FORWARD);
         }
     }
 
@@ -509,20 +491,6 @@ mod tests {
     #[should_panic]
     fn u64key_rejects_zero() {
         U64Key::new(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn u64key_rejects_forward_sentinel() {
-        U64Key::new(u64::MAX);
-    }
-
-    #[test]
-    fn forward_sentinel_is_all_ones_at_cell_width() {
-        assert_eq!(U64Key::FORWARD, u64::MAX);
-        assert_eq!(<KvPair<KeepMin>>::FORWARD, u64::MAX);
-        assert_eq!(<KvPair32<KeepMin>>::FORWARD, u32::MAX as u64);
-        assert_eq!(StrRef::FORWARD, u64::MAX);
     }
 
     #[test]
@@ -644,10 +612,9 @@ mod tests {
         assert!(r <= <u32 as crate::cell::CellWord>::MAX_REPR);
         assert_eq!(<KvPair32<KeepMin>>::from_repr(r), p);
         assert_ne!(r, <KvPair32<KeepMin>>::EMPTY);
-        // The very top of the packed domain stops one short of the
-        // all-ones forwarding sentinel.
-        let hi: KvPair32<KeepMin> = KvPair32::new(u16::MAX, u16::MAX - 1);
-        assert!(hi.to_repr() < <KvPair32<KeepMin>>::FORWARD);
+        // The top of the packed domain is the all-ones cell word.
+        let hi: KvPair32<KeepMin> = KvPair32::new(u16::MAX, u16::MAX);
+        assert_eq!(hi.to_repr(), <u32 as crate::cell::CellWord>::MAX_REPR);
         assert_eq!(<KvPair32<KeepMin>>::from_repr(hi.to_repr()), hi);
     }
 

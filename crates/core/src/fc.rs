@@ -296,20 +296,6 @@ impl<E: HashEntry> Growable<E> for FcPolicy {
     const GROW_NAME: &'static str = "linearHash-FC-grow";
     /// Every operation may overlap every other: nothing to keep apart.
     type Gate = crate::rooms::NoRooms;
-
-    /// Spins until no insert or delete is registered. The protocols
-    /// here are *multi-cell* (a displacement carries an evicted entry
-    /// onward; a repair scan may pull a placed entry out and re-insert
-    /// it) and repairs have no divert route — `validate_placement`
-    /// panics on a full table — so no sweep may start mid-protocol.
-    fn quiesce_writers(&self) {
-        let mut spins = 0u32;
-        while self.ins_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
-            || self.del_state.load(Ordering::SeqCst) & ACTIVE_MASK != 0
-        {
-            crate::resize::spin_wait(&mut spins);
-        }
-    }
 }
 
 /// The careful (per-cell confirming, bounded-retry) batch lookup — the

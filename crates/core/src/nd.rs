@@ -21,11 +21,9 @@
 //! ([`crate::probe`]).
 //!
 //! The ND table sits outside the resize layer: its policy is not
-//! `Growable`, so it does not implement the resizer's `FlatTableCore`,
-//! is never swept, and never stores the all-ones `FORWARD` sentinel —
-//! its own probe loops need (and have) no forwarding guards. Key
-//! constructors reject the sentinel value regardless, so an ND cell can
-//! never alias it by accident.
+//! `Growable` (a first-fit layout cannot be rebuilt by re-inserting in
+//! cell order), so it does not implement the resizer's `FlatTableCore`
+//! and is never migrated.
 
 use std::sync::atomic::Ordering;
 

@@ -9,8 +9,7 @@
 //! their policy fills in:
 //!
 //! * the **order** — how a repr is stored (`stored` / `unstored`), where
-//!   it homes (`home`), what the forwarding marker looks like in stored
-//!   form (`forward`), when two stored words carry the same key
+//!   it homes (`home`), when two stored words carry the same key
 //!   (`same_key`) and when one outranks the other (`outranks`). det and
 //!   fc take every default (identity encoding, `E::hash & mask`,
 //!   `E::cmp_priority`); Robin Hood stores a bijectively mixed key field
@@ -39,24 +38,14 @@
 //! everything else — storage, the delete chase, the batch loops, the
 //! quiescent operations — from here.
 //!
-//! ## Where the forwarding marker is checked
+//! ## Migration
 //!
-//! A migration sweep ([`ProbeTable::claim_range_forward`]) swaps every
-//! cell of a block to `policy.forward()`. The marker is not an entry —
-//! pointer entries would dereference it — so every loop below tests a
-//! loaded cell against it **before** any key interpretation:
-//!
-//! | loop | on the marker |
-//! |---|---|
-//! | scalar / wide insert (also after a failed CAS re-read) | `Err(carry)`: the caller re-homes the repr in the successor |
-//! | scalar / wide find | absent here; the epoch chain falls through |
-//! | delete walk-up | stop the walk |
-//! | delete chase (`delete_from`) | step past it |
-//! | `find_replacement`, both directions | neither a candidate nor a cluster end |
-//!
-//! The wide kernels need no marker mask of their own: all-ones is the
-//! maximum rank, so a forwarded lane is skipped like any outranking
-//! lane and a lane nominated as a stop is re-checked here.
+//! A cell only ever holds ⊥ or a stored entry: there is no marker word,
+//! and no loop below tests for one. The growable wrapper
+//! ([`crate::resize`]) moves a retiring table's contents out with
+//! [`ProbeTable::drain_range`], which only *reads* — the wrapper's
+//! writer gate has by then made the array immutable, so plain loads see
+//! its final contents.
 
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
@@ -166,11 +155,6 @@ mod policy {
         #[inline(always)]
         fn home(&self, stored: u64, mask: usize) -> usize {
             (E::hash(stored) as usize) & mask
-        }
-        /// The forwarding marker in stored form.
-        #[inline(always)]
-        fn forward(&self) -> u64 {
-            E::FORWARD
         }
         /// Whether two stored words carry the same key (`c` may be ⊥).
         #[inline(always)]
@@ -288,8 +272,7 @@ mod policy {
         // baseline overrides these, with its own loops.
 
         /// Inserts stored word `v`: `Ok(net cells filled)` or
-        /// `Err(carried stored word)` when the probe wrapped the array
-        /// or met a forwarded cell.
+        /// `Err(carried stored word)` when the probe wrapped the array.
         #[inline(always)]
         fn insert_with<K: Kernel>(
             t: Probe<'_, E, Self>,
@@ -324,26 +307,19 @@ mod policy {
         }
     }
 
-    /// Policies whose every probe path checks the forwarding marker —
-    /// the ones [`crate::resize::ResizableTable`] may wrap.
+    /// Policies [`crate::resize::ResizableTable`] may wrap: the
+    /// history-independent ones, whose layout migration can rebuild
+    /// with the ordinary insert.
     pub trait Growable<E: HashEntry>: ProbePolicy<E> {
         /// `FlatTableCore::GROW_NAME` of the table.
         const GROW_NAME: &'static str;
         /// What keeps the table's phases apart when callers do not (see
         /// [`crate::rooms`]): a room synchronizer, or nothing.
         type Gate: crate::rooms::Gate;
-        /// Blocks until the table has no in-flight *multi-cell* write
-        /// protocol that a concurrent `claim_range_forward` could tear.
-        /// Tables whose every mutation is a single-cell CAS need
-        /// nothing: the per-cell conservation argument covers them.
-        /// New writers are excluded by the resizer's publish handshake
-        /// (a writer re-checks the epoch's successor after opening its
-        /// window), so the wait is bounded by one window per thread.
-        fn quiesce_writers(&self) {}
     }
 
     /// An item of an insert run: an entry, or a raw repr (what a
-    /// migration sweep claims out of a retiring table).
+    /// migration sweep drains out of a retiring table).
     pub trait AsRepr<E>: Copy {
         /// The item in `HashEntry::to_repr` form.
         fn repr(self) -> u64;
@@ -480,7 +456,6 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     pub fn insert_counted(&self, e: E) -> bool {
         let v = e.to_repr();
         debug_assert_ne!(v, E::EMPTY);
-        debug_assert_ne!(v, E::FORWARD, "the forwarding sentinel is not insertable");
         let token = self.policy.open_insert_window();
         let r = self.probe().insert_stored(self.policy.stored(v), token);
         self.policy.close_insert_window();
@@ -500,10 +475,10 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     ///
     /// The run stops once `fill_budget` of its inserts have filled an
     /// empty cell, and at the first insert whose probe wrapped the
-    /// whole array or met a forwarded cell: any displacements that
-    /// insert performed stand, and the repr it was left carrying is
-    /// stored nowhere. Returns `(consumed, fills, carry)`: how many of
-    /// `items` were taken, how many inserts earned a fill credit (see
+    /// whole array: any displacements that insert performed stand, and
+    /// the repr it was left carrying is stored nowhere. Returns
+    /// `(consumed, fills, carry)`: how many of `items` were taken, how
+    /// many inserts earned a fill credit (see
     /// [`insert_counted`](Self::insert_counted)), and that homeless
     /// repr, which the caller must re-home. An incoming `carry` that
     /// could not be placed comes back with `consumed == 0`.
@@ -721,32 +696,31 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
 }
 
 impl<E: HashEntry, P: Growable<E>> ProbeTable<E, P> {
-    /// Claims every cell in `range` (clamped to the capacity) for
-    /// migration: atomically swaps each cell to the stored form of the
-    /// [`FORWARD`](HashEntry::FORWARD) sentinel and appends the
-    /// displaced non-empty reprs, decoded, to `out`, in cell order.
+    /// Copies the occupants of the cells in `range` to the front of
+    /// `out`, decoded and in cell order, and returns how many there
+    /// were. `out` must be at least as long as the range. Nothing is
+    /// stored to the table.
     ///
-    /// This is the sweep primitive of the freeze-free resizer
-    /// ([`crate::resize::ResizableTable`]). Per-cell atomicity of the
-    /// swap is what makes the sweep safe under concurrent inserts: a
-    /// racing insert CAS either lands *before* the claim (the entry is
-    /// carried out here) or fails against the sentinel, re-reads it,
-    /// and diverts to the successor — no entry is lost or duplicated.
-    /// Empty cells are claimed too, so a late insert can never land
-    /// *behind* the sweep in already-claimed territory. (The resizer
-    /// first drains the fully-concurrent table's multi-cell writer
-    /// protocols through `quiesce_writers`.)
-    pub fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        let marker = self.policy.forward();
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        for cell in &self.cells[start..end] {
-            let prev = cell.swap(marker, Ordering::AcqRel);
-            debug_assert_ne!(prev, marker, "migration block claimed twice");
-            if prev != E::EMPTY {
-                out.push(self.policy.unstored(prev));
-            }
+    /// This is the sweep primitive of the growable wrapper
+    /// ([`crate::resize::ResizableTable`]), which calls it on a retiring
+    /// table only after its writer gate has excluded every insert and
+    /// delete — so the loads race nothing and the result is the range's
+    /// final content. The copy is unconditional and the write index
+    /// advances by a compare result: at load 3/4 (growth) and at load
+    /// 1/8 (shrink) alike there is no occupancy branch to mispredict.
+    pub fn drain_range(&self, range: std::ops::Range<usize>, out: &mut [u64]) -> usize {
+        let cells = &self.cells[range];
+        let out = &mut out[..cells.len()];
+        let mut n = 0usize;
+        for cell in cells {
+            let c = cell.load(Ordering::Acquire);
+            out[n] = c;
+            n += usize::from(c != E::EMPTY);
         }
+        for slot in &mut out[..n] {
+            *slot = self.policy.unstored(*slot);
+        }
+        n
     }
 }
 
@@ -834,20 +808,11 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     fn insert_scalar(self, mut v: u64, token: u64) -> Result<i64, u64> {
         let p = self.policy();
         let n = self.cells.len();
-        let fwd = p.forward();
         let mut i = self.home(v);
         let mut t = InsertTally::default();
         let mut net = 0i64;
         let result = loop {
             let c = self.cells[i].load(Ordering::Acquire);
-            if c == fwd {
-                // Claimed by a migration sweep: the epoch is retiring
-                // and the entry (if any) now lives in the successor.
-                // Hand the carried word back so the caller re-homes it
-                // there.
-                phc_obs::probe!(count ForwardedProbes);
-                break Err(v);
-            }
             if p.same_key(c, v) {
                 // Duplicate key: converge on the combined value.
                 let merged = E::combine(c, v);
@@ -921,7 +886,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     ) -> Result<i64, u64> {
         let p = self.policy();
         let n = self.cells.len();
-        let fwd = p.forward();
         let mut i = self.home(v);
         let mut t = InsertTally::default();
         let mut net = 0i64;
@@ -971,14 +935,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
             // separate re-load either.
             loop {
                 P::spec_check(i, self.mask);
-                if c == fwd {
-                    // Also reachable via the CAS-failure re-read below.
-                    // Must precede `same_key`: the marker masks to the
-                    // key mask, so a max-key probe would otherwise
-                    // "match" it.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'outer Err(v);
-                }
                 if p.same_key(c, v) {
                     let merged = E::combine(c, v);
                     if merged == c {
@@ -1104,7 +1060,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     #[inline]
     fn find_scalar(self, probe: u64) -> Option<u64> {
         let p = self.policy();
-        let fwd = p.forward();
         let mut i = self.home(probe);
         let mut steps = 0usize;
         let result = 'scan: {
@@ -1113,12 +1068,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
             for _ in 0..=self.cells.len() {
                 let c = self.cells[i].load(Ordering::Acquire);
                 if c == E::EMPTY {
-                    break 'scan None;
-                }
-                if c == fwd {
-                    // The table is retiring; the entry (if any) lives
-                    // in the successor, so this epoch reports absence.
-                    phc_obs::probe!(count ForwardedProbes);
                     break 'scan None;
                 }
                 if p.same_key(c, probe) {
@@ -1155,7 +1104,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     fn find_wide<K: Kernel>(self, k: K, key_mask: u64, probe: u64, confirm: bool) -> Option<u64> {
         let p = self.policy();
         let n = self.cells.len();
-        let fwd = p.forward();
         let home = self.home(probe);
         let thr = probe & key_mask;
         let mut lanes = 0usize;
@@ -1175,7 +1123,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                 }
                 let c = self.cells[j].load(Ordering::Acquire);
                 P::spec_check(j, self.mask);
-                if c == fwd || c & key_mask <= thr {
+                if c & key_mask <= thr {
                     stop = Some((j, c));
                     break 'legs;
                 }
@@ -1185,12 +1133,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         }
         P::record_find_wide(lanes, stop.map_or(n + 1, |(j, _)| self.dist(home, j)));
         match stop {
-            Some((_, c)) if c == fwd => {
-                // The marker masks to the key mask, so a max-key probe
-                // can stop on it — never interpret it as an entry.
-                phc_obs::probe!(count ForwardedProbes);
-                None
-            }
             Some((_, c)) if p.same_key(c, probe) => Some(c),
             _ => None,
         }
@@ -1204,7 +1146,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     /// (EXPERIMENTS.md PR 12); a call per delete is the cheaper shape.
     pub(crate) fn prioritized_delete(self, probe: u64, mut token: u64) -> bool {
         let p = self.policy();
-        let fwd = p.forward();
         // Virtual indices: base the walk at `capacity + bucket` so `k`
         // can step below `i` without underflow.
         let i = self.cells.len() + self.home(probe);
@@ -1214,15 +1155,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
             let mut k = i;
             loop {
                 let c = self.load_at(k);
-                if c == fwd {
-                    // The resizer gates migration sweeps on delete
-                    // quiescence, so a delete never races a sweep; but
-                    // `delete` and `claim_range_forward` are both
-                    // public, and the marker outranks every probe — an
-                    // unguarded walk over a forwarded table never ends.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break;
-                }
                 if c == E::EMPTY || !p.outranks(c, probe) {
                     break;
                 }
@@ -1259,7 +1191,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         token: u64,
     ) -> bool {
         let p = self.policy();
-        let fwd = p.forward();
         let mut steps = 0usize;
         let result = loop {
             if k < i {
@@ -1267,12 +1198,6 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
             }
             steps += 1;
             let c = self.load_at(k);
-            if c == fwd {
-                // Never a valid key (see the walk-up loop).
-                phc_obs::probe!(count ForwardedProbes);
-                k -= 1;
-                continue;
-            }
             if c == E::EMPTY || !p.same_key(c, v) {
                 k -= 1;
                 continue;
@@ -1326,11 +1251,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         // load, wide or scalar, and the downward re-scan below plus the
         // caller's CAS already recover from that.
         let n = self.cells.len();
-        let fwd = self.policy().forward();
-        // A forwarded cell may neither fill the hole nor prove one
-        // cannot exist (and is not a hashable entry): skipped.
-        let fits =
-            |val: u64, at: usize| val == E::EMPTY || (val != fwd && self.lift_home(val, at) <= i);
+        let fits = |val: u64, at: usize| val == E::EMPTY || self.lift_home(val, at) <= i;
         let mut buf = [0u64; simd::MAX_WINDOW];
         let mut next = i + 1;
         let (mut j, mut v) = 'up: loop {
@@ -1435,7 +1356,6 @@ impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
             #[inline(always)]
             |r, stored| {
                 debug_assert_ne!(r, E::EMPTY);
-                debug_assert_ne!(r, E::FORWARD, "the forwarding sentinel is not insertable");
                 if fills >= budget {
                     return false;
                 }

@@ -9,49 +9,61 @@
 //! [`FlatTableCore`]: the deterministic, Robin Hood or fully-concurrent
 //! table). An inserter whose fill credits bring its epoch's load to the
 //! 3/4 threshold publishes a doubled successor epoch with a single
-//! CAS — and nothing drains into a handshake. Every operation that
-//! subsequently notices the pending migration pays one bounded *block
-//! quota*: it claims up to `HELP_QUOTA_BLOCKS` fixed-size blocks of
-//! the retiring cell array from a shared atomic cursor, swaps each
-//! claimed cell to a per-cell **forwarding marker**
-//! ([`HashEntry::FORWARD`]), re-inserts the claimed entries into the
-//! successor, and then proceeds against the live tail. Migration cost
-//! is spread across all operating threads with a hard per-op bound —
-//! there is no table-wide wait, no exclusive lock, and no
-//! stop-the-world rebuild (the original `RwLock` implementation lives
-//! on in `phc-bench` as the `resize` benchmark's ablation baseline).
+//! CAS. Every operation that subsequently notices the pending
+//! migration pays one bounded *block quota*: it passes the retiring
+//! epoch's **drain gate**, claims up to `HELP_QUOTA_BLOCKS` fixed-size
+//! blocks of the retiring cell array from a shared atomic cursor,
+//! copies each block's occupants out with plain loads, re-inserts them
+//! into the successor, and then proceeds against the live tail.
+//! Migration cost is spread across all operating threads with a hard
+//! per-op bound — there is no exclusive lock and no stop-the-world
+//! rebuild (the original `RwLock` implementation lives on in
+//! `phc-bench` as the `resize` benchmark's ablation baseline).
 //!
 //! Every core insert this module performs — per-op, batched, or a
 //! migration re-insert — is one call of `fill_window`, which runs the
 //! engine's own batch insert loop under a window it opens and closes.
 //!
-//! ## Forwarding invariant
+//! ## Drain gate
 //!
-//! A migration claim is an atomic `swap` of the forwarding marker into
-//! every cell of the block, including empty ones; the swapped-out
-//! occupants are re-inserted into the successor in cell order. Every
-//! probe path in every core checks a loaded cell against the marker
-//! *before* any key interpretation: finds treat it as "absent here,
-//! look in the successor", and an insert that meets one hands its repr
-//! back as an `Err` carry, which this wrapper re-routes into the live
-//! tail. Conservation is per-cell: each core mutation is a single-cell
-//! CAS against a concretely observed old value, so for any cell either
-//! the writer's CAS lands before the claim swap (and the claim carries
-//! the new value across) or it lands after, fails against the marker,
-//! and the writer re-routes — each entry reaches the successor exactly
-//! once, with the cores' combine-on-duplicate semantics absorbing the
-//! one benign overlap (a key inserted directly into the tail while its
-//! old copy still awaits migration).
+//! Every writer of an epoch registers on it for the length of one
+//! *window* — at most `WINDOW_CHUNK` inserts (`fill_window`) or deletes
+//! (`delete_batch`): `state.fetch_add(ACTIVE_ONE)`, then a re-read of
+//! `next`. A writer that finds a successor un-registers without having
+//! touched a cell and re-routes; otherwise it runs its window and
+//! retires with one RMW (which, for inserts, also posts the window's
+//! fill credits). A helper that has seen `next` non-null waits until
+//! the registered half of `state` reads zero (`gate_writers`) before it
+//! claims a block. Registration, the re-read, the publishing CAS and
+//! the helper's load are all `SeqCst`, which makes the pair a
+//! store-buffering (Dekker) handshake: in their single total order a
+//! writer's registration either precedes the helper's load of `state` —
+//! the helper then waits for the retiring RMW, after which every cell
+//! write of that window is visible — or follows it, and then it also
+//! follows the publish the helper had already observed, so the writer's
+//! re-read returns the successor. Either way: **once a helper has read
+//! zero after the publish, no thread stores to the retiring array ever
+//! again.** The gate stays open; later helpers pass it with one load.
 //!
-//! Two residual waits remain, both off the insert hot path: block
-//! claiming first waits for registered *delete* writers to retire
-//! (deletes move entries between cells, so a concurrent claim could
-//! otherwise see an entry twice or not at all), and then asks the core
-//! to drain multi-cell write protocols (`quiesce_writers` — a no-op for
-//! the single-CAS det/Robin Hood cores; the fc core waits out its open
-//! displacement windows). Non-resizing inserts pay no handshake at
-//! all: one `Acquire` epoch load, the probe itself, and a single
-//! fill-credit RMW per window that filled a cell.
+//! Migration is therefore a read: each block is claimed by exactly one
+//! helper (the cursor), drained with plain loads into a stack buffer
+//! ([`ProbeTable::drain_range`]) and re-inserted into the live tail in
+//! cell order. No marker is written, no cell of the source changes, and
+//! the cores carry no migration check on any probe path — the fc core's
+//! multi-cell displacement and repair protocols included, since its
+//! writer windows open and close inside the epoch registration. Every
+//! entry in the array when the gate opened lies in exactly one block,
+//! so it reaches the successor exactly once; the cores'
+//! combine-on-duplicate semantics absorb the one benign overlap (a key
+//! inserted directly into the tail while its old copy still awaits
+//! migration).
+//!
+//! The gate wait is bounded by one window per thread, and writers never
+//! wait while registered (helping and publishing happen outside the
+//! registration), so there is no cycle. An insert that meets a pending
+//! migration still goes straight to the tail and still pays only its
+//! block quota. A non-resizing insert window costs the two registration
+//! RMWs; the first returns the item count the fill budget needs.
 //!
 //! ## Determinism
 //!
@@ -107,10 +119,10 @@ use crate::phase::{Deleter, Inserter, Reader, TableOps};
 use crate::probe::{AsRepr, Growable, ProbePolicy, ProbeTable};
 
 /// The fixed-capacity tables the growth machinery builds on: the
-/// probe-engine tables whose every probe path checks the forwarding
-/// marker — [`DetHashTable`], [`crate::RobinHoodHashTable`] and
-/// [`crate::FcHashTable`]. An `Epoch` (cooperative migration), the
-/// stop-the-world rebuilder in `phc-bench`, and the room wrappers
+/// history-independent probe-engine tables — [`DetHashTable`],
+/// [`crate::RobinHoodHashTable`] and [`crate::FcHashTable`]. An `Epoch`
+/// (cooperative migration), the stop-the-world rebuilder in
+/// `phc-bench`, and the room wrappers
 /// ([`crate::rooms`]) are generic over it, with `DetHashTable` as the
 /// default type parameter everywhere.
 ///
@@ -151,7 +163,7 @@ const SHRINK_FACTOR: usize = 8;
 /// common case, but when cores are oversubscribed the thread being
 /// waited on needs the CPU to make progress — pure spinning can burn a
 /// whole scheduler quantum per waiter.
-pub(crate) fn spin_wait(spins: &mut u32) {
+fn spin_wait(spins: &mut u32) {
     *spins += 1;
     if *spins < 64 {
         std::hint::spin_loop();
@@ -165,38 +177,38 @@ pub(crate) fn spin_wait(spins: &mut u32) {
 /// negligible for big tables.
 const MIGRATION_BLOCK: usize = 512;
 
-/// Migration blocks one operation claims per help quota — the hard
-/// bound on the stall a single insert can suffer during growth
-/// (`HELP_QUOTA_BLOCKS * MIGRATION_BLOCK` cell swaps plus the
+/// Migration blocks one operation claims per help quota — the bound on
+/// the work a single insert does for a pending migration
+/// (`HELP_QUOTA_BLOCKS * MIGRATION_BLOCK` cell loads plus the
 /// re-inserts for their occupants). Two blocks keep the helper count
 /// comfortably ahead of the drain for any load ≥ the shrink floor
 /// while staying three orders of magnitude below a full 196k-cell
 /// drain.
 const HELP_QUOTA_BLOCKS: usize = 2;
 
-/// Entries per bulk-insert window. Windows bound how long a batched
-/// writer can hold a core's insert window open (the fc core's
-/// `quiesce_writers` waits for open windows, so an unbounded window
-/// would re-create the freeze stall this module exists to kill) and
-/// how stale the in-window threshold estimate can get.
+/// Operations per writer window, insert or delete. A window holds its
+/// epoch registration for its whole run and the drain gate waits for
+/// every open window, on every core, so this bounds the gate wait (one
+/// window per thread) — and how stale an insert window's threshold
+/// estimate can get.
 const WINDOW_CHUNK: usize = 256;
 
+/// `help`'s block count for a full drain: every block still unclaimed,
+/// then a wait for the ones other helpers hold.
+const DRAIN: usize = usize::MAX;
+
 /// One link in the growth chain: a fixed-capacity table plus the
-/// coordination state for freezing and migrating it.
+/// coordination state for gating and migrating it.
 struct Epoch<E: HashEntry, T: FlatTableCore<E>> {
     table: T,
-    /// Packed coordination word: registered **delete** writers in the
-    /// high 32 bits (`ACTIVE_ONE` units), empty-cell fill credits in
-    /// the low 32. Inserts no longer register at all — the forwarding
-    /// invariant makes their single-cell CASes safe against concurrent
-    /// claims — so the freeze-era two-RMW handshake is gone from the
-    /// insert hot path; a filling insert posts one `AcqRel` credit
-    /// RMW, a duplicate posts none. Deletes still register (they move
-    /// entries between cells, which block claiming must not observe
-    /// mid-flight). The credits are exact: once the epoch is quiescent
-    /// the low half equals the number of stored entries (see module
-    /// docs). Capacities are < 2^31 cells, so the halves cannot carry
-    /// into each other.
+    /// Packed coordination word: open writer windows — insert and
+    /// delete alike — in the high 32 bits (`ACTIVE_ONE` units, the
+    /// drain gate's side of the handshake in the module docs),
+    /// empty-cell fill credits in the low 32. A window's retiring RMW
+    /// posts its credits (or debits) in the same operation. The credits
+    /// are exact: once the epoch is quiescent the low half equals the
+    /// number of stored entries (see module docs). Capacities are
+    /// < 2^31 cells, so the halves cannot carry into each other.
     state: AtomicUsize,
     /// Successor epoch; non-null marks this epoch as *retiring*: new
     /// operations divert to the tail after paying a help quota.
@@ -208,7 +220,7 @@ struct Epoch<E: HashEntry, T: FlatTableCore<E>> {
     _entry: PhantomData<E>,
 }
 
-/// One registered delete writer in `Epoch::state`'s high half.
+/// One open writer window in `Epoch::state`'s high half.
 const ACTIVE_ONE: usize = 1 << 32;
 /// Mask of the fill-credit (items) half of `Epoch::state`.
 const ITEMS_MASK: usize = ACTIVE_ONE - 1;
@@ -362,13 +374,13 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
             let ep = self.current_epoch();
             if ep.items() >= ep.grow_at() {
                 self.publish_successor(ep);
-                self.help_migrate(ep);
+                self.help(ep, DRAIN);
                 continue;
             }
             let (items, cap) = (ep.items(), ep.capacity());
             if Epoch::<E, T>::items_under_shrink(items, cap, self.floor_capacity()) {
                 self.publish_shrunk(ep);
-                self.help_migrate(ep);
+                self.help(ep, DRAIN);
                 continue;
             }
             let bytes = cap * crate::cell::cell_bytes::<E::Repr>();
@@ -386,31 +398,30 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
             if ep.next.load(Ordering::SeqCst).is_null() {
                 return;
             }
-            self.help_migrate(ep);
+            self.help(ep, DRAIN);
         }
     }
 
     /// Runs one insert window on `ep`, which the caller found without a
     /// successor: the only place this module inserts into a core.
-    /// Opens the core's insert window and re-checks `ep.next` — if a
-    /// successor was published in between, nothing is inserted and the
-    /// caller re-routes (the `SeqCst` window/successor pair is what lets
-    /// `quiesce_writers` exclude late writers). Otherwise `carry` and
+    /// Registers on the epoch and re-checks `ep.next` — if a successor
+    /// was published in between, the registration is withdrawn, nothing
+    /// is inserted and the caller re-routes (the writer's half of the
+    /// drain-gate handshake, see the module docs). Otherwise `carry` and
     /// `items` go to the engine's insert run, budgeted with the fills
-    /// left below the growth threshold, and the run's fill credits are
-    /// posted with a single `AcqRel` RMW. A successor is published —
-    /// publish only; helping is paid by the operations that follow, one
-    /// quota each — when the posted count reached the threshold, or
-    /// when the run handed back a homeless repr: its probe met a
-    /// forwarding marker (migration started under it) or the table
-    /// hard-filled below the canonical capacity (tiny seed tables under
-    /// heavy concurrency).
+    /// left below the growth threshold, and one RMW posts the run's fill
+    /// credits and retires the registration together. A successor is
+    /// published — publish only, and only after retiring; helping is
+    /// paid by the operations that follow, one quota each — when the
+    /// posted count reached the threshold, or when the run handed back a
+    /// homeless repr: the table hard-filled below the canonical capacity
+    /// (tiny seed tables under heavy concurrency).
     ///
     /// Returns how many of `items` the run took and the repr still to
     /// be re-homed, which goes first into the caller's next window.
     ///
-    /// The budget comes from an `Acquire` read of the credits before the
-    /// window (exact for this thread, approximate across threads), which
+    /// The budget comes from the credit count the registering RMW
+    /// returns (exact for this thread, approximate across threads), which
     /// only shifts *when* growth triggers mid-phase, never the canonical
     /// capacity. Credits land in the epoch the entries went into; if
     /// that epoch is retired later its credits go with it and the
@@ -423,19 +434,19 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         items: &[I],
     ) -> (usize, Option<u64>) {
         let (core, grow_at) = (ep.core(), ep.grow_at());
-        let start_items = ep.items();
-        let token = core.policy.open_insert_window();
+        let start_items = ep.state.fetch_add(ACTIVE_ONE, Ordering::SeqCst) & ITEMS_MASK;
         if !ep.next.load(Ordering::SeqCst).is_null() {
-            core.policy.close_insert_window();
+            ep.state.fetch_sub(ACTIVE_ONE, Ordering::SeqCst);
             return (0, carry);
         }
+        #[cfg(test)]
+        tests::in_window_hook();
         let budget = grow_at.saturating_sub(start_items);
+        let token = core.policy.open_insert_window();
         let (consumed, fills, carry) = core.insert_run(carry, items, token, budget);
         core.policy.close_insert_window();
-        let items_now = match fills {
-            0 => start_items,
-            _ => (ep.state.fetch_add(fills, Ordering::AcqRel) & ITEMS_MASK) + fills,
-        };
+        let closing = fills.wrapping_sub(ACTIVE_ONE);
+        let items_now = (ep.state.fetch_add(closing, Ordering::SeqCst) & ITEMS_MASK) + fills;
         if (carry.is_some() || items_now >= grow_at) && ep.next.load(Ordering::SeqCst).is_null() {
             self.publish_successor(ep);
         }
@@ -453,20 +464,19 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     }
 
     /// Inserts a batch of entries through bounded insert windows of
-    /// `WINDOW_CHUNK` entries. A window pays the fill credits with a
-    /// single RMW (instead of one per entry) and bounds how long a
-    /// core-side insert window stays open, so a migrator's
-    /// `quiesce_writers` never waits on a whole batch. When a
-    /// migration is pending the batch pays one help quota per window
-    /// and routes the window straight to the live tail — probes there
-    /// are safe by the forwarding invariant.
+    /// `WINDOW_CHUNK` entries. A window registers and pays its fill
+    /// credits once (instead of once per entry) and bounds how long the
+    /// epoch registration is held, so a migrator's drain gate never
+    /// waits on a whole batch. When a migration is pending the batch
+    /// pays one help quota per window and routes the window straight to
+    /// the live tail.
     ///
     /// Callers that rely on snapshot determinism normalize at phase
     /// end, exactly as with per-op [`insert`](Self::insert).
     pub fn insert_batch(&self, entries: &[E]) {
         let mut rest = entries;
-        // A repr displaced by a hard-full insert or bounced off a
-        // forwarding marker; goes in ahead of `rest`.
+        // A repr left homeless by a hard-full insert; goes in ahead of
+        // `rest`.
         let mut carry: Option<u64> = None;
         while !rest.is_empty() || carry.is_some() {
             let ep = self.current_epoch();
@@ -476,7 +486,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                 carry = homeless;
                 consumed
             } else {
-                self.help_quota(ep);
+                self.help(ep, HELP_QUOTA_BLOCKS);
                 self.insert_batch_into_chain(ep, carry.take(), window);
                 window.len()
             };
@@ -492,29 +502,22 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         phc_parutil::for_each_grain(entries, |chunk| self.insert_batch(chunk));
     }
 
-    /// Registers the caller as an epoch writer for a delete, draining
-    /// any in-progress migration first. Returns the registered epoch;
-    /// the caller must retire with `fetch_sub(ACTIVE_ONE + removed)`.
-    ///
-    /// Deletes are the one writer class that still registers: a
-    /// backward-replacement delete moves entries *between* cells, so a
-    /// concurrent block claim could otherwise capture an entry twice
-    /// (before and after its move) or miss it entirely. Registration
-    /// keeps deletes and block claiming mutually exclusive
-    /// (`gate_writers` waits for the high half of `state` to drain);
-    /// the forwarding-marker guards on the cores' delete paths are
-    /// defensive, not load-bearing. Inserts need none of this — their
-    /// per-cell CASes are conserved by the forwarding invariant.
+    /// Registers the caller as an epoch writer for a delete window,
+    /// draining any in-progress migration first — unlike an insert, a
+    /// delete must find its key, so it only ever runs against a chain of
+    /// one. Returns the registered epoch; the caller must retire with
+    /// `fetch_sub(ACTIVE_ONE + removed)`. The same drain-gate handshake
+    /// as `fill_window`'s.
     fn register_for_delete(&self) -> &Epoch<E, T> {
         loop {
             let ep = self.current_epoch();
             if !ep.next.load(Ordering::SeqCst).is_null() {
-                self.help_migrate(ep);
+                self.help(ep, DRAIN);
                 continue;
             }
             ep.state.fetch_add(ACTIVE_ONE, Ordering::SeqCst);
             if !ep.next.load(Ordering::SeqCst).is_null() {
-                // Froze between the null-check and registration.
+                // Published between the null-check and registration.
                 ep.state.fetch_sub(ACTIVE_ONE, Ordering::SeqCst);
                 continue;
             }
@@ -534,14 +537,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
 
     /// Publishes and helps migrate a halved successor when `items`
     /// leaves `ep` under the shrink threshold. Called after the caller
-    /// has retired from the epoch (a registered delete blocks the
-    /// claims its own help would make).
+    /// has retired from the epoch (its own registration would hold the
+    /// drain gate shut against its own help).
     fn maybe_shrink(&self, ep: &Epoch<E, T>, items: usize) {
         if Epoch::<E, T>::items_under_shrink(items, ep.capacity(), self.floor_capacity())
             && ep.next.load(Ordering::SeqCst).is_null()
         {
             self.publish_shrunk(ep);
-            self.help_migrate(ep);
+            self.help(ep, DRAIN);
         }
     }
 
@@ -549,10 +552,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// delete window and one retire-and-debit RMW per `WINDOW_CHUNK`
     /// keys (the returned word carries the item count for the shrink
     /// check for free). The chunking bounds how long one batch keeps
-    /// the epoch's delete registration held — a registered delete
-    /// blocks block claiming (`gate_writers`), so an unbounded batch
-    /// would stall every migration helper for the whole batch;
-    /// re-registering per chunk also lets the shrink check (and a
+    /// the epoch registration held — the drain gate waits for it, so an
+    /// unbounded batch would stall every migration helper for the whole
+    /// batch; re-registering per chunk also lets the shrink check (and a
     /// racing grow publish) land between chunks.
     pub fn delete_batch(&self, keys: &[E]) {
         for chunk in keys.chunks(WINDOW_CHUNK) {
@@ -617,7 +619,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         f(self.current_epoch().core().raw_cells())
     }
 
-    /// Publishes a doubled successor for `ep` (freezing it) unless one
+    /// Publishes a doubled successor for `ep` (retiring it) unless one
     /// already exists.
     #[cold]
     fn publish_successor(&self, ep: &Epoch<E, T>) {
@@ -625,7 +627,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     }
 
     /// Publishes a *halved* successor for `ep` — the downward epoch of
-    /// the cooperative shrinker. Same freeze-and-migrate machinery as
+    /// the cooperative shrinker. Same gate-and-migrate machinery as
     /// growth; only the target capacity differs.
     #[cold]
     fn publish_shrunk(&self, ep: &Epoch<E, T>) {
@@ -633,7 +635,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         self.publish_successor_log2(ep, ep.capacity().trailing_zeros() - 1);
     }
 
-    /// Publishes a successor of `2^log2` cells for `ep` (freezing it)
+    /// Publishes a successor of `2^log2` cells for `ep` (retiring it)
     /// unless one already exists.
     fn publish_successor_log2(&self, ep: &Epoch<E, T>, log2: u32) {
         // Serialize publishers on the registry lock: racing threads
@@ -662,65 +664,31 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         }
     }
 
-    /// Waits until `ep` admits block claiming: registered delete
-    /// writers must retire (they move entries between cells) and the
-    /// core must drain any multi-cell write protocol
-    /// (`quiesce_writers`). Inserts on single-CAS
-    /// cores are *not* waited on — the forwarding invariant covers
-    /// them — so on the det/Robin Hood cores this returns immediately
-    /// whenever no delete is in flight.
+    /// The helper's half of the drain-gate handshake (module docs):
+    /// waits until no writer window is registered on the retiring epoch
+    /// `ep`. From the first time this returns, `ep`'s cell array is
+    /// immutable, and every later call is a single load.
     fn gate_writers(&self, ep: &Epoch<E, T>) {
         let mut spins = 0u32;
         while ep.state.load(Ordering::SeqCst) >= ACTIVE_ONE {
             spin_wait(&mut spins);
         }
-        ep.core().policy.quiesce_writers();
-        // Timeline marker: the migrator passed the writer gate and may
-        // now claim blocks (the freeze-era meaning — "all writers
-        // drained into a handshake" — is retired).
-        phc_obs::probe!(phase EpochFreeze);
     }
 
-    /// Claims up to `max_blocks` migration blocks of the retiring
-    /// epoch `ep` and re-inserts their occupants down the chain
-    /// starting at `next`. Each claim swaps the block's cells to the
-    /// forwarding marker (`claim_range_forward`), so the drain is
-    /// exact even though unclaimed regions are still live. Never waits
-    /// for blocks claimed by other threads; the thread that drains the
-    /// last block advances `current`.
-    fn claim_blocks(&self, ep: &Epoch<E, T>, next: &Epoch<E, T>, max_blocks: usize) {
-        let nblocks = ep.blocks();
-        let shrinking = next.capacity() < ep.capacity();
-        let mut batch: Vec<u64> = Vec::with_capacity(MIGRATION_BLOCK);
-        let mut claimed = 0usize;
-        while claimed < max_blocks {
-            let b = ep.cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= nblocks {
-                break;
-            }
-            claimed += 1;
-            phc_obs::probe!(count MigrationBlocksClaimed);
-            batch.clear();
-            let lo = b * MIGRATION_BLOCK;
-            let hi = (lo + MIGRATION_BLOCK).min(ep.capacity());
-            ep.core().claim_range_forward(lo..hi, &mut batch);
-            if shrinking {
-                phc_obs::probe!(count ShrinkMigrations, batch.len());
-            }
-            self.insert_batch_into_chain(next, None, &batch);
-            if ep.done.fetch_add(1, Ordering::Release) + 1 == nblocks {
-                self.advance_current();
-            }
-        }
-    }
-
-    /// One operation's bounded contribution to a pending migration:
-    /// pass the writer gate, claim at most `HELP_QUOTA_BLOCKS` blocks,
-    /// and return — **without** waiting for other threads' blocks.
-    /// This is the only migration work an insert ever performs, so the
-    /// worst-case per-op stall during growth is one quota, not a
-    /// table-sized drain.
-    fn help_quota(&self, ep: &Epoch<E, T>) {
+    /// One operation's contribution to the pending migration of the
+    /// retiring epoch `ep` (a no-op if it is not retiring): pass the
+    /// drain gate, then claim up to `max_blocks` blocks off the cursor,
+    /// read each one's occupants into a stack buffer and re-insert them
+    /// down the chain. Never waits for a block another thread claimed;
+    /// the thread that finishes the last block advances `current`.
+    ///
+    /// With `HELP_QUOTA_BLOCKS` this is the only migration work an
+    /// insert ever performs, so its worst-case stall during growth is
+    /// the gate wait plus one quota, not a table-sized drain. With
+    /// [`DRAIN`] — the quiescence paths: phase boundaries, reads,
+    /// deletes — it claims every remaining block and then does wait for
+    /// other helpers' in-flight ones, so `ep` is retired on return.
+    fn help(&self, ep: &Epoch<E, T>, max_blocks: usize) {
         let Some(next) = self.next_of(ep) else { return };
         phc_obs::probe!(count MigrationHelps);
         let t0 = if phc_obs::Recorder::ENABLED {
@@ -729,35 +697,38 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
             0
         };
         self.gate_writers(ep);
-        self.claim_blocks(ep, next, HELP_QUOTA_BLOCKS);
-        if phc_obs::Recorder::ENABLED {
-            phc_obs::probe!(hist MigrationStallNanos, (phc_obs::now_ns() - t0) as usize);
-        }
-    }
-
-    /// Fully drains the retiring epoch `ep` into its successor: passes
-    /// the writer gate, claims every remaining block, waits for other
-    /// helpers' in-flight blocks, and advances `current`. Used by the
-    /// quiescence paths (phase boundaries, reads, deletes) — the
-    /// insert hot path only ever pays [`help_quota`](Self::help_quota).
-    fn help_migrate(&self, ep: &Epoch<E, T>) {
-        let next = self.next_of(ep).expect("help_migrate on unfrozen epoch");
-        phc_obs::probe!(count MigrationHelps);
-        let t0 = if phc_obs::Recorder::ENABLED {
-            phc_obs::now_ns()
-        } else {
-            0
-        };
-        self.gate_writers(ep);
-        self.claim_blocks(ep, next, usize::MAX);
-        // Other helpers may still be draining their blocks; the epoch
-        // may not be retired until every entry has moved.
         let nblocks = ep.blocks();
-        let mut spins = 0u32;
-        while ep.done.load(Ordering::Acquire) < nblocks {
-            spin_wait(&mut spins);
+        let shrinking = next.capacity() < ep.capacity();
+        let mut buf = [0u64; MIGRATION_BLOCK];
+        for _ in 0..max_blocks {
+            let b = ep.cursor.fetch_add(1, Ordering::Relaxed);
+            if b >= nblocks {
+                break;
+            }
+            phc_obs::probe!(count MigrationBlocksClaimed);
+            if b == 0 {
+                // Once per epoch: the gate is open and the drain began.
+                phc_obs::probe!(phase DrainGate);
+            }
+            let lo = b * MIGRATION_BLOCK;
+            let hi = (lo + MIGRATION_BLOCK).min(ep.capacity());
+            let n = ep.core().drain_range(lo..hi, &mut buf);
+            if shrinking {
+                phc_obs::probe!(count ShrinkMigrations, n);
+            }
+            self.insert_batch_into_chain(next, None, &buf[..n]);
+            if ep.done.fetch_add(1, Ordering::Release) + 1 == nblocks {
+                self.advance_current();
+            }
         }
-        self.advance_current();
+        if max_blocks == DRAIN {
+            // The epoch may not be retired until every entry has moved.
+            let mut spins = 0u32;
+            while ep.done.load(Ordering::Acquire) < nblocks {
+                spin_wait(&mut spins);
+            }
+            self.advance_current();
+        }
         if phc_obs::Recorder::ENABLED {
             phc_obs::probe!(hist MigrationStallNanos, (phc_obs::now_ns() - t0) as usize);
         }
@@ -769,7 +740,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// threshold/full as usual but **without** helping or claiming —
     /// migration re-inserts must not recurse into block draining
     /// (unbounded chains would overflow the stack; claims are owned by
-    /// `claim_blocks` callers). A window that finds its epoch retiring
+    /// `help` callers). A window that finds its epoch retiring
     /// (published between the tail walk and the window open) takes
     /// nothing, and the walk starts over from the new tail.
     fn insert_batch_into_chain<I: AsRepr<E>>(
@@ -979,30 +950,149 @@ mod tests {
     }
 
     #[test]
-    fn claim_range_forward_drains_every_entry() {
+    fn drain_range_reads_every_entry_and_stores_nothing() {
         fn run<T: FlatTableCore<U64Key>>() {
             let table = T::new_pow2(6);
             let t = table.engine();
-            for k in 1..=40u64 {
+            // The all-ones word is an ordinary key.
+            for k in (1..=39u64).chain([u64::MAX]) {
                 assert!(t.insert_counted(U64Key::new(k)));
             }
+            let before = t.snapshot();
             let expect: Vec<u64> = t.elements().iter().map(|e| e.to_repr()).collect();
             let mut got = Vec::new();
-            let cap = t.capacity();
-            let mut lo = 0;
-            while lo < cap {
-                t.claim_range_forward(lo..lo + 16, &mut got);
-                lo += 16;
+            let mut buf = [0u64; 16];
+            for lo in (0..t.capacity()).step_by(16) {
+                let n = t.drain_range(lo..lo + 16, &mut buf);
+                got.extend_from_slice(&buf[..n]);
             }
-            // Claims walk in cell order, so the drained reprs must
+            // Blocks are read in cell order, so the drained reprs must
             // equal the packed elements exactly — nothing lost,
-            // nothing duplicated, nothing reordered.
-            assert_eq!(got, expect);
-            // A fully forwarded table bounces inserts with a carry and
-            // reports every probe as absent (the chain falls through).
-            let v = U64Key::new(777).to_repr();
-            assert_eq!(t.insert_run(None, &[v], 0, usize::MAX), (1, 0, Some(v)));
-            assert_eq!(t.find(U64Key::new(7)), None);
+            // nothing duplicated, nothing reordered — and the source
+            // is byte-for-byte what it was.
+            assert_eq!(got, expect, "{}", T::GROW_NAME);
+            assert_eq!(t.snapshot(), before, "{}", T::GROW_NAME);
+        }
+        run::<DetHashTable<U64Key>>();
+        run::<crate::robinhood::RobinHoodHashTable<U64Key>>();
+        run::<crate::fc::FcHashTable<U64Key>>();
+    }
+
+    thread_local! {
+        /// Runs once inside this thread's next insert window, after it
+        /// registered on its epoch and before it inserts anything.
+        static IN_WINDOW: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn in_window_hook() {
+        if let Some(f) = IN_WINDOW.with(|h| h.borrow_mut().take()) {
+            f();
+        }
+    }
+
+    fn registered(ep: &Epoch<U64Key, DetHashTable<U64Key>>) -> usize {
+        ep.state.load(Ordering::SeqCst) / ACTIVE_ONE
+    }
+
+    #[test]
+    fn open_window_holds_the_drain_gate_shut() {
+        use std::sync::mpsc::channel;
+        let t: ResizableTable<U64Key> = ResizableTable::new_pow2(11); // 4 blocks
+        for k in 1..=100u64 {
+            t.insert(U64Key::new(k));
+        }
+        let ep = t.current_epoch();
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (helping_tx, helping_rx) = channel();
+        std::thread::scope(|s| {
+            // A writer that stops inside its registered window.
+            s.spawn(|| {
+                IN_WINDOW.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        entered_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    }));
+                });
+                t.insert_batch(&[U64Key::new(101), U64Key::new(102)]);
+            });
+            entered_rx.recv().unwrap();
+            assert_eq!(registered(ep), 1);
+            t.publish_successor(ep);
+            // A helper: it must sit at the gate while the window is open.
+            let helper = s.spawn(|| {
+                helping_tx.send(()).unwrap();
+                t.help(ep, DRAIN);
+            });
+            helping_rx.recv().unwrap();
+            for _ in 0..200 {
+                std::thread::yield_now();
+                assert_eq!(
+                    ep.cursor.load(Ordering::SeqCst),
+                    0,
+                    "claimed past an open window"
+                );
+                assert!(!helper.is_finished());
+            }
+            assert_eq!(registered(ep), 1);
+            release_tx.send(()).unwrap();
+        });
+        // The window ran on the old epoch (it had registered before the
+        // publish), the helper then drained it: nothing was lost.
+        assert_eq!(registered(ep), 0);
+        assert!(ep.cursor.load(Ordering::SeqCst) >= ep.blocks());
+        assert_eq!(t.len(), 102);
+        for k in 1..=102u64 {
+            assert_eq!(t.find(U64Key::new(k)), Some(U64Key::new(k)));
+        }
+    }
+
+    #[test]
+    fn window_opened_after_publish_takes_nothing() {
+        let t: ResizableTable<U64Key> = ResizableTable::new_pow2(6);
+        t.insert(U64Key::new(1));
+        let ep = t.current_epoch();
+        t.publish_successor(ep);
+        let before = ep.core().snapshot();
+        let items = [U64Key::new(2), U64Key::new(3)];
+        assert_eq!(t.fill_window(ep, Some(9), &items), (0, Some(9)));
+        assert_eq!(t.fill_window(ep, None, &items), (0, None));
+        assert_eq!(
+            ep.state.load(Ordering::SeqCst),
+            1,
+            "no registration, one credit"
+        );
+        assert_eq!(ep.core().snapshot(), before);
+    }
+
+    #[test]
+    fn concurrent_batches_from_tiny_seed_match_the_sequential_build() {
+        // 16 cells -> 16 Ki cells: ten doublings, every one of them
+        // published and drained under eight threads' insert windows.
+        fn run<T: FlatTableCore<U64Key>>() {
+            let keys: Vec<U64Key> = (1..=8000u64)
+                .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
+                .collect();
+            let seq: ResizableTable<U64Key, T> = ResizableTable::new_pow2(4);
+            for &k in &keys {
+                seq.insert(k);
+            }
+            seq.normalize();
+            assert_eq!(seq.capacity(), 1 << 14);
+            let expect = seq.snapshot();
+            for rep in 0..200 {
+                let t: ResizableTable<U64Key, T> = ResizableTable::new_pow2(4);
+                std::thread::scope(|s| {
+                    for part in keys.chunks(keys.len() / 8) {
+                        let t = &t;
+                        s.spawn(move || t.insert_batch(part));
+                    }
+                });
+                t.normalize();
+                assert_eq!(t.len(), keys.len(), "{} rep {rep}", T::GROW_NAME);
+                assert!(t.snapshot() == expect, "{} rep {rep}", T::GROW_NAME);
+            }
         }
         run::<DetHashTable<U64Key>>();
         run::<crate::robinhood::RobinHoodHashTable<U64Key>>();

@@ -188,8 +188,6 @@ pub struct RhPolicy {
     /// `(!t & key_mask) >> home_shift`.
     home_shift: u32,
     mixer: Mixer,
-    /// The stored-form forwarding marker, `stored(E::FORWARD)`.
-    forward: u64,
 }
 
 impl<E: HashEntry> ProbePolicy<E> for RhPolicy {
@@ -220,14 +218,11 @@ impl<E: HashEntry> ProbePolicy<E> for RhPolicy {
             log2_size >= 1 && log2_size <= width,
             "RobinHoodHashTable requires 1 <= log2_size ({log2_size}) <= key width ({width})"
         );
-        let mut policy = RhPolicy {
+        RhPolicy {
             key_mask,
             home_shift: bits - log2_size,
             mixer: Mixer::for_key_mask(key_mask, bits),
-            forward: 0,
-        };
-        policy.forward = <Self as ProbePolicy<E>>::stored(&policy, E::FORWARD);
-        policy
+        }
     }
 
     /// Mixes the key field of an original repr into its stored form.
@@ -265,18 +260,6 @@ impl<E: HashEntry> ProbePolicy<E> for RhPolicy {
     #[inline(always)]
     fn home(&self, t: u64, _mask: usize) -> usize {
         ((!t & self.key_mask) >> self.home_shift) as usize
-    }
-
-    /// `stored(E::FORWARD)`. Cells hold mixed key fields, so the raw
-    /// all-ones word is not the right sentinel here — the mixer could
-    /// legitimately map some key to it. The transform is a bijection on
-    /// the whole cell word and valid entries never have repr
-    /// `E::FORWARD`, so this is the unique stored word no live entry
-    /// can occupy; it is also nonzero (only 0 mixes to 0), so it can
-    /// never be mistaken for ⊥.
-    #[inline(always)]
-    fn forward(&self) -> u64 {
-        self.forward
     }
 
     // The `SIMD_KEY_MASK` contract collapses `same_key` /

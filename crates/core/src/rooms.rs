@@ -267,17 +267,17 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
 /// [`AutoPhaseTable`]'s growable sibling: the core's gate over a
 /// [`ResizableTable`]. Named through its aliases [`AutoPhaseGrowTable`]
 /// (a phase-concurrent core behind rooms) and [`FcAutoGrowTable`] (the
-/// fully-concurrent core, no rooms: there the resize layer's delete
-/// registration and window/successor handshake are what let migration
-/// compose with overlapping inserts and deletes).
+/// fully-concurrent core, no rooms: there the resize layer's drain gate
+/// — every insert window and delete chunk registers on its epoch — is
+/// what lets migration compose with overlapping inserts and deletes).
 ///
 /// Migration composes with room synchronization directly: a room
 /// switch needs **no migration quiescence at all**. Migration work is
-/// per-cell claim swaps plus re-inserts with the ordinary insert
-/// primitive, both safe under the forwarding invariant against
-/// anything the insert room runs, so inside the insert room a pending
-/// migration is just more concurrent insert work, paid in bounded
-/// quotas by whichever operations happen to pass by. The delete and
+/// plain reads of a retiring array that the drain gate has made
+/// immutable, plus re-inserts with the ordinary insert primitive, so
+/// inside the insert room a pending migration is just more concurrent
+/// insert work, paid in bounded quotas by whichever operations happen
+/// to pass by. The delete and
 /// read rooms still observe fully migrated tables — not because the
 /// room grant waits, but because every `ResizableTable` delete
 /// registers behind a full drain and every read accessor quiesces

@@ -29,19 +29,14 @@
 //!   load + CAS before anything is written. A stale candidate is a
 //!   counted misspeculation that simply re-scans.
 //!
-//! ## Forwarded (claimed) lanes
+//! ## No reserved lanes
 //!
-//! The freeze-free resizer ([`crate::resize`]) claims cells by
-//! swapping in the all-ones `FORWARD` sentinel. No kernel in this
-//! module needs a dedicated mask for it: under the deterministic
-//! table's inverted priority order all-ones is the *maximum* priority,
-//! so a forwarded lane is outranked and skipped by the ordinary rank
-//! compare, and any lane a wide scan does nominate as a hit or an
-//! insert candidate is re-confirmed through the scalar guards in the
-//! callers (`det`, `fc`, `robinhood`), which reject the marker before
-//! dereferencing or CASing. Monotonicity survives too: empty →
-//! forwarded only raises a cell's priority, so "skip" verdicts stay
-//! valid.
+//! A lane is ⊥ or an entry, nothing else: the resizer
+//! ([`crate::resize`]) migrates a retiring array by reading it behind
+//! a writer gate and never stores a marker into a cell, and no kernel
+//! here pads a partial window — tails run lane by lane. So the
+//! all-ones word is an ordinary (maximum-rank) key at every tier and
+//! both cell widths.
 //!
 //! Two hardware assumptions back the speculative case, both documented
 //! de-facto guarantees of x86-64: naturally aligned 8-byte lanes of a

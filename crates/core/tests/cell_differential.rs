@@ -20,8 +20,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use phc_core::simd::{set_tier, SimdTier};
 use phc_core::{
-    AutoPhaseGrowTable, DetHashTable, FcAutoGrowTable, FcHashTable, HashEntry, KvPair, KvPair32,
-    NdHashTable, RobinHoodHashTable, U64Key,
+    AutoPhaseGrowTable, DetHashTable, FcAutoGrowTable, FcHashTable, FlatTableCore, HashEntry,
+    KvPair, KvPair32, NdHashTable, ResizableTable, RobinHoodHashTable, U64Key,
 };
 use phc_parutil::{hash64, run_with_threads};
 use rayon::prelude::*;
@@ -471,145 +471,122 @@ fn fc_shrink_cycle_identical_across_1_2_8_threads() {
     assert_eq!(rooms, reference, "rooms vs fc shrink cycles diverged");
 }
 
-// --- PR 10: freeze-free migration interleavings ------------------------
+// --- Migration: the drain sweep and the interleavings around it -------
 
-/// The fixed-capacity cores' claim hook, abstracted so the forwarding
-/// conservation check runs identically against the deterministic and
-/// Robin Hood layouts.
-mod claim_core {
-    use super::*;
-
-    pub trait ClaimCore<E: HashEntry> {
-        fn new_pow2(log2: u32) -> Self;
-        fn insert(&self, e: E);
-        fn find(&self, key: E) -> Option<E>;
-        fn delete(&self, key: E);
-        fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>);
-    }
-
-    macro_rules! impl_claim_core {
-        ($t:ident) => {
-            impl<E: HashEntry> ClaimCore<E> for $t<E> {
-                fn new_pow2(log2: u32) -> Self {
-                    $t::new_pow2(log2)
-                }
-                fn insert(&self, e: E) {
-                    $t::insert(self, e)
-                }
-                fn find(&self, key: E) -> Option<E> {
-                    $t::find(self, key)
-                }
-                fn delete(&self, key: E) {
-                    $t::delete(self, key)
-                }
-                fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-                    $t::claim_range_forward(self, range, out)
-                }
-            }
-        };
-    }
-    impl_claim_core!(DetHashTable);
-    impl_claim_core!(RobinHoodHashTable);
-    impl_claim_core!(FcHashTable);
-}
-
-/// Builds a core, claims every block (as a migrator would), and checks
-/// the per-cell conservation half of the forwarding invariant: the
-/// drained reprs decode to exactly the inserted multiset, finds on the
-/// fully forwarded window come back empty, and deletes landing in the
-/// window are guarded no-ops rather than panics or corruption.
-fn check_claim<E: HashEntry, T: claim_core::ClaimCore<E>>(
+/// Builds a core and reads every block out of it as a migrator would
+/// (behind the resizer's drain gate nothing else touches the array —
+/// here nothing else exists): the drained reprs are exactly the packed
+/// elements, in cell order, and the sweep stored nothing — the raw cells
+/// are byte-identical afterwards and every key is still found.
+fn check_drain<E: HashEntry, T: FlatTableCore<E>>(
     label: &str,
     pairs: &[(u16, u16)],
     mk: impl Fn(u16, u16) -> E,
-    dec: impl Fn(E) -> (u32, u32) + Copy,
     tier: SimdTier,
 ) {
-    const CLAIM_LOG2: u32 = 11;
-    let cap = 1usize << CLAIM_LOG2;
-    let t = T::new_pow2(CLAIM_LOG2);
+    const DRAIN_LOG2: u32 = 11;
+    let table = T::new_pow2(DRAIN_LOG2);
+    let t = table.engine();
     let entries: Vec<E> = pairs.iter().map(|&(k, v)| mk(k, v)).collect();
     entries.iter().for_each(|&e| t.insert(e));
+    let before = t.snapshot();
 
-    let mut out = Vec::new();
-    for lo in (0..cap).step_by(64) {
-        t.claim_range_forward(lo..lo + 64, &mut out);
+    let mut drained = Vec::new();
+    let mut buf = [0u64; 64];
+    for lo in (0..t.capacity()).step_by(64) {
+        let n = t.drain_range(lo..lo + 64, &mut buf);
+        drained.extend(buf[..n].iter().map(|&r| E::from_repr(r)));
     }
-    let drained = decode(out.iter().map(|&r| E::from_repr(r)).collect(), dec);
-    let mut want: Vec<(u32, u32)> = pairs.iter().map(|&(k, v)| (k as u32, v as u32)).collect();
-    want.sort_unstable();
+    assert_eq!(drained.len(), pairs.len(), "{label} at {tier:?}");
     assert_eq!(
-        drained, want,
-        "{label}: claim sweep must drain exactly the content at {tier:?}"
+        drained,
+        t.elements(),
+        "{label}: the sweep must return the content in cell order at {tier:?}"
     );
-
+    assert_eq!(
+        t.snapshot(),
+        before,
+        "{label}: the sweep must not store to the source at {tier:?}"
+    );
     for &e in &entries {
-        assert_eq!(
-            t.find(e),
-            None,
-            "{label}: find on a forwarded window must miss at {tier:?}"
-        );
-        // A delete landing in the forwarded window hits the marker
-        // guard and backs off without touching the claimed cells.
-        t.delete(e);
-        assert_eq!(t.find(e), None);
+        assert_eq!(t.find(e), Some(e), "{label} at {tier:?}");
     }
 }
 
 #[test]
-fn claim_sweep_drains_exact_content_and_deletes_in_window_are_noops() {
+fn drain_sweep_returns_cell_order_content_and_leaves_source_untouched() {
     let _g = lock();
-    let pairs = kv_logical(1024, 0x10F0);
+    // Includes the top of both packed domains: the all-ones cell word
+    // is an ordinary entry.
+    let mut pairs = kv_logical(1024, 0x10F0);
+    pairs.push((u16::MAX, u16::MAX));
+    let kv = |k: u16, v: u16| -> KvPair { KvPair::new(k as u32 * 0x1_0001, v as u32 * 0x1_0001) };
     for tier in TIERS {
         with_tier(tier, || {
-            check_claim::<KvPair32, DetHashTable<KvPair32>>(
-                "det32",
-                &pairs,
-                KvPair32::new,
-                kv32,
-                tier,
-            );
-            check_claim::<KvPair, DetHashTable<KvPair>>(
-                "det64",
-                &pairs,
-                |k, v| KvPair::new(k as u32, v as u32),
-                kv64,
-                tier,
-            );
-            check_claim::<KvPair32, RobinHoodHashTable<KvPair32>>(
-                "rh32",
-                &pairs,
-                KvPair32::new,
-                kv32,
-                tier,
-            );
-            check_claim::<KvPair, RobinHoodHashTable<KvPair>>(
-                "rh64",
-                &pairs,
-                |k, v| KvPair::new(k as u32, v as u32),
-                kv64,
-                tier,
-            );
-            check_claim::<KvPair32, FcHashTable<KvPair32>>(
-                "fc32",
-                &pairs,
-                KvPair32::new,
-                kv32,
-                tier,
-            );
-            check_claim::<KvPair, FcHashTable<KvPair>>(
-                "fc64",
-                &pairs,
-                |k, v| KvPair::new(k as u32, v as u32),
-                kv64,
-                tier,
-            );
+            check_drain::<_, DetHashTable<KvPair32>>("det32", &pairs, KvPair32::new, tier);
+            check_drain::<_, DetHashTable<KvPair>>("det64", &pairs, kv, tier);
+            check_drain::<_, RobinHoodHashTable<KvPair32>>("rh32", &pairs, KvPair32::new, tier);
+            check_drain::<_, RobinHoodHashTable<KvPair>>("rh64", &pairs, kv, tier);
+            check_drain::<_, FcHashTable<KvPair32>>("fc32", &pairs, KvPair32::new, tier);
+            check_drain::<_, FcHashTable<KvPair>>("fc64", &pairs, kv, tier);
+        });
+    }
+}
+
+/// The all-ones cell word is an ordinary key on every growable core, at
+/// both cell widths: insert it, find it, carry it through two doublings
+/// (two migrations read it out of a retiring array and re-insert it),
+/// delete it.
+fn check_all_ones_key<E: HashEntry, T: FlatTableCore<E>>(
+    label: &str,
+    top: E,
+    mk: impl Fn(u16) -> E,
+    tier: SimdTier,
+) {
+    assert_eq!(top.to_repr(), <E::Repr as phc_core::CellWord>::MAX_REPR);
+    let t: ResizableTable<E, T> = ResizableTable::new_pow2(4);
+    t.insert(top);
+    assert_eq!(t.find(top), Some(top), "{label} at {tier:?}");
+    let others: Vec<E> = (1..=40).map(mk).collect();
+    t.insert_batch(&others);
+    assert_eq!(t.capacity(), 64, "{label}: two doublings at {tier:?}");
+    assert_eq!(t.len(), 41, "{label} at {tier:?}");
+    assert_eq!(t.find(top), Some(top), "{label} at {tier:?}");
+    assert!(t.elements().contains(&top), "{label} at {tier:?}");
+    t.delete(top);
+    assert_eq!(t.find(top), None, "{label} at {tier:?}");
+    assert_eq!(t.len(), 40, "{label} at {tier:?}");
+    for &e in &others {
+        assert_eq!(t.find(e), Some(e), "{label} at {tier:?}");
+    }
+}
+
+#[test]
+fn all_ones_key_is_an_ordinary_key_on_every_growable_core() {
+    let _g = lock();
+    let top32: KvPair32 = KvPair32::new(u16::MAX, u16::MAX);
+    let top64: KvPair = KvPair::new(u32::MAX, u32::MAX);
+    let topk = U64Key::new(u64::MAX);
+    let kv32 = |k: u16| -> KvPair32 { KvPair32::new(k, k) };
+    let kv64 = |k: u16| -> KvPair { KvPair::new(k as u32, 7) };
+    let key = |k: u16| U64Key::new(hash64(k as u64) | 1);
+    for tier in TIERS {
+        with_tier(tier, || {
+            check_all_ones_key::<_, DetHashTable<_>>("det32", top32, kv32, tier);
+            check_all_ones_key::<_, DetHashTable<_>>("det64", top64, kv64, tier);
+            check_all_ones_key::<_, DetHashTable<_>>("det-u64", topk, key, tier);
+            check_all_ones_key::<_, RobinHoodHashTable<_>>("rh32", top32, kv32, tier);
+            check_all_ones_key::<_, RobinHoodHashTable<_>>("rh64", top64, kv64, tier);
+            check_all_ones_key::<_, RobinHoodHashTable<_>>("rh-u64", topk, key, tier);
+            check_all_ones_key::<_, FcHashTable<_>>("fc32", top32, kv32, tier);
+            check_all_ones_key::<_, FcHashTable<_>>("fc64", top64, kv64, tier);
+            check_all_ones_key::<_, FcHashTable<_>>("fc-u64", topk, key, tier);
         });
     }
 }
 
 /// Per-op insert / delete / re-insert waves on the growable wrapper
-/// with **no normalize between waves** — the interleaving freeze-free
+/// with **no normalize between waves** — the interleaving incremental
 /// migration has to survive: wave 1's grow publishes race each other,
 /// wave 2's deletes register against (and drain) migrations that are
 /// still pending from wave 1 while their own shrink publishes race the

@@ -126,13 +126,12 @@ fn shrink_cycle_emits_shrink_counters_and_memory_gauge() {
     }
 }
 
-/// PR 10's freeze-free migration: a forced growth workload must pay
-/// help quotas (nonzero help counter and stall-histogram samples), and
-/// probes landing on claimed cells must count as forwarded. (The
-/// freeze-era `FreezeWaits` counter this test used to pin at zero is
-/// gone — nothing could increment it.)
+/// Incremental migration: a forced growth workload must pay help
+/// quotas (nonzero help counter and stall-histogram samples) and log one
+/// `drain_gate` timeline event per drained epoch, and nothing may count
+/// a forwarded probe — there is no marker to meet.
 #[test]
-fn growth_workload_helps_without_freeze_waits() {
+fn growth_workload_helps_and_never_forwards() {
     let rec = Recorder::global();
     let before = rec.snapshot();
 
@@ -155,23 +154,20 @@ fn growth_workload_helps_without_freeze_waits() {
         delta.samples(Histogram::MigrationStallNanos) >= 1,
         "no migration stall samples recorded"
     );
+    assert_eq!(delta.counter(Counter::ForwardedProbes), 0);
 
-    // A probe landing on a claimed (forwarded) cell is counted. The
-    // delete walk observes cells one at a time at every SIMD tier, so
-    // its forwarding guard fires deterministically (wide find kernels
-    // may skip the max-priority marker by rank without observing it).
-    let core: DetHashTable<U64Key> = DetHashTable::new_pow2(4);
-    core.insert(U64Key::new(1));
-    let mut out = Vec::new();
-    core.claim_range_forward(0..16, &mut out);
-    assert_eq!(out.len(), 1);
-    assert_eq!(core.find(U64Key::new(1)), None);
-    core.delete(U64Key::new(1));
-    let delta = rec.snapshot().since(&before);
-    assert!(
-        delta.counter(Counter::ForwardedProbes) >= 1,
-        "probe on a forwarded cell went uncounted"
-    );
+    // One thread published and drained every epoch but the live one:
+    // one `drain_gate` per publish, not one per help.
+    let me = rec.thread_id();
+    let count = |kind: PhaseEvent| {
+        let timeline = rec.snapshot().timeline;
+        timeline
+            .iter()
+            .filter(|r| r.thread == me && r.event == kind)
+            .count()
+    };
+    assert_eq!(count(PhaseEvent::EpochPublish), 8, "16 -> 4096 cells");
+    assert_eq!(count(PhaseEvent::DrainGate), 8);
 }
 
 #[test]

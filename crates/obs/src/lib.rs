@@ -163,8 +163,11 @@ define_ids! {
         /// claimed and migrated before the operation proceeded against
         /// the successor epoch.
         MigrationHelps => "migration_helps",
-        /// Probes that observed a `FORWARD`-sentinel cell in a
-        /// retiring epoch and diverted to the successor.
+        /// Probes that met a migration marker in a retiring epoch. **Zero
+        /// by construction** since migration became a read behind the
+        /// drain gate (there is no marker, and nothing increments this);
+        /// the id stays exported because the repo benchmark reads
+        /// `forwarded_probes` by name.
         ForwardedProbes => "forwarded_probes",
     }
 }
@@ -229,11 +232,10 @@ define_ids! {
         ReadEnd => "read_end",
         /// The resizer published a doubled successor epoch.
         EpochPublish => "epoch_publish",
-        /// A migrator passed the writer gate on a retiring epoch
-        /// (historically: completed the freeze handshake). The name is
-        /// kept for timeline compatibility; since PR 10 it marks the
-        /// moment a sweep may begin, not a stop-the-world freeze.
-        EpochFreeze => "epoch_freeze",
+        /// A retiring epoch's drain began: the helper that claimed its
+        /// first migration block had passed the drain gate (no writer
+        /// window open on the epoch). One event per epoch.
+        DrainGate => "drain_gate",
         /// A drained epoch was retired from the chain.
         MigrationFinish => "migration_finish",
     }
