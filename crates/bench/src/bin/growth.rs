@@ -17,6 +17,21 @@
 //!   report row carries the max-stall ratio (stop-the-world /
 //!   freeze-free) at each thread count.
 //!
+//! Since PR 15 two more tables, both about what a table pays when it
+//! is *not* growing:
+//!
+//! * **Per-op find** — `ResizableTable::find` registers on its epoch
+//!   (two `SeqCst` RMWs on one shared word per call) so that a drained
+//!   cell array can be freed; the rows time a find of every key against
+//!   a grown table and against the preallocated table, at T=1 and T=2.
+//!   The T=2 row is readers sharing an RMW'd cache line: on this box a
+//!   prediction about multicore, not a result.
+//! * **Memory held after 8 grow/shrink cycles** — the table is taken
+//!   from 16 cells to its full size and back eight times; the row
+//!   reports the cell bytes it still owns
+//!   (`ResizableTable::owned_cell_bytes`) and the process's resident-set
+//!   growth, against the one peak-size array a single cycle needs.
+//!
 //! With `--features obs` the envelope's counter snapshot witnesses the
 //! mechanism: nonzero `migration_helps` and `migration_blocks_claimed`
 //! and a populated `migration_stall_nanos` histogram.
@@ -135,6 +150,39 @@ fn growth_latencies_ns(scheme: Scheme, keys: &[u64], prealloc: u32) -> Vec<u64> 
     }
 }
 
+/// Best-of-reps wall nanoseconds per find when the pool's threads look
+/// up every key once, per-op.
+fn find_ns_per_op(
+    threads: usize,
+    reps: usize,
+    keys: &[u64],
+    find: &(dyn Fn(u64) -> bool + Sync),
+) -> f64 {
+    let s = run_with_threads(threads, || {
+        secs(reps, || keys.par_iter().filter(|&&k| find(k)).count())
+    });
+    s * 1e9 / keys.len() as f64
+}
+
+/// Takes a table from `SEED_LOG2` up through every key and back down to
+/// empty `cycles` times; returns (cell MiB still owned, resident MiB
+/// gained), measured with the table alive.
+fn held_after_cycles(cycles: usize, keys: &[u64]) -> (f64, Option<f64>) {
+    const MIB: f64 = (1 << 20) as f64;
+    let before = report::resident_bytes();
+    let t: ResizableTable<U64Key> = ResizableTable::new_pow2(SEED_LOG2);
+    for _ in 0..cycles {
+        keys.iter().for_each(|&k| t.insert(U64Key::new(k)));
+        assert_eq!(t.len(), keys.len());
+        keys.iter().for_each(|&k| t.delete(U64Key::new(k)));
+        assert_eq!(t.len(), 0);
+    }
+    let gained = before
+        .zip(report::resident_bytes())
+        .map(|(b, a)| (a as f64 - b as f64) / MIB);
+    (t.owned_cell_bytes() as f64 / MIB, gained)
+}
+
 fn pct(sorted: &[u64], p: f64) -> u64 {
     sorted[((sorted.len() - 1) as f64 * p) as usize]
 }
@@ -203,7 +251,44 @@ fn main() {
         );
     }
 
-    for r in [&total, &latency, &stall] {
+    let mut find = Report::new(
+        format!("Per-op find on a quiescent table (wall ns per find, {n} keys)"),
+        &["growable", "preallocated"],
+    );
+    {
+        let grown: ResizableTable<U64Key> = ResizableTable::new_pow2(SEED_LOG2);
+        let fixed: DetHashTable<U64Key> = DetHashTable::new_pow2(prealloc);
+        for &k in &keys {
+            grown.insert(U64Key::new(k));
+            fixed.insert(U64Key::new(k));
+        }
+        assert_eq!(grown.capacity(), fixed.capacity());
+        for t in [1usize, 2] {
+            let g = find_ns_per_op(t, reps, &keys, &|k| grown.find(U64Key::new(k)).is_some());
+            let f = find_ns_per_op(t, reps, &keys, &|k| fixed.find(U64Key::new(k)).is_some());
+            find.push(format!("T={t}"), vec![Some(g), Some(f)]);
+        }
+    }
+
+    let mut held = Report::new(
+        format!("Memory held after 8 grow/shrink cycles ({n} keys, 2^{SEED_LOG2}-cell seed, T=1)"),
+        &[
+            "owned cell MiB",
+            "resident MiB gained",
+            "one peak array MiB",
+        ],
+    );
+    let (owned, gained) = held_after_cycles(8, &keys);
+    held.push(
+        "freeze-free",
+        vec![
+            Some(owned),
+            gained,
+            Some((8usize << prealloc) as f64 / (1 << 20) as f64),
+        ],
+    );
+
+    for r in [&total, &latency, &stall, &find, &held] {
         r.print();
     }
     println!(
@@ -215,7 +300,8 @@ fn main() {
             .get(pos + 1)
             .map(String::as_str)
             .unwrap_or("BENCH_PR10.json");
-        report::write_json(path, &[total, latency, stall]).expect("failed to write JSON");
+        report::write_json(path, &[total, latency, stall, find, held])
+            .expect("failed to write JSON");
         println!("wrote {path}");
     }
 }

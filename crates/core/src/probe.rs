@@ -544,15 +544,22 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// analogue of [`insert_batch`](Self::insert_batch)), returning
     /// results in key order: `out[i] == self.find(keys[i])`.
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.find_batch_into(keys, &mut out);
+        out
+    }
+
+    /// [`find_batch`](Self::find_batch) into a caller-provided buffer:
+    /// **appends** one result per key to `out`, reusing its allocation.
+    pub fn find_batch_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
         let n = keys.len();
-        let mut out = Vec::with_capacity(n);
         if n == 0 {
-            return out;
+            return;
         }
-        P::find_batch_into(self, keys, &mut out);
+        out.reserve(n);
+        P::find_batch_into(self, keys, out);
         phc_obs::probe!(count PrefetchBatches);
         phc_obs::probe!(hist BatchSize, n);
-        out
     }
 
     /// Parallel batched lookup: results in key order, computed in

@@ -7,7 +7,8 @@
 //! scheme with **incremental migration**: the backing store is a chain
 //! of **epochs**, each owning one fixed-size core table (any
 //! [`FlatTableCore`]: the deterministic, Robin Hood or fully-concurrent
-//! table). An inserter whose fill credits bring its epoch's load to the
+//! table) until that table is drained, and a small header for good. An
+//! inserter whose fill credits bring its epoch's load to the
 //! 3/4 threshold publishes a doubled successor epoch with a single
 //! CAS. Every operation that subsequently notices the pending
 //! migration pays one bounded *block quota*: it passes the retiring
@@ -26,24 +27,29 @@
 //!
 //! ## Drain gate
 //!
-//! Every writer of an epoch registers on it for the length of one
-//! *window* — at most `WINDOW_CHUNK` inserts (`fill_window`) or deletes
-//! (`delete_batch`): `state.fetch_add(ACTIVE_ONE)`, then a re-read of
-//! `next`. A writer that finds a successor un-registers without having
-//! touched a cell and re-routes; otherwise it runs its window and
-//! retires with one RMW (which, for inserts, also posts the window's
-//! fill credits). A helper that has seen `next` non-null waits until
-//! the registered half of `state` reads zero (`gate_writers`) before it
+//! Every thread that touches an epoch's cells — writer or reader —
+//! registers on the epoch for the length of one *window*: at most
+//! `WINDOW_CHUNK` inserts (`fill_window`) or deletes (`delete_batch`),
+//! or one read call (`open_window`: a `find`, at most one grain of a
+//! `find_batch`, one array pass of `elements*` / `snapshot` /
+//! `with_raw_cells`). Registering is `state.fetch_add(ACTIVE_ONE)`, then
+//! a re-read of `next`. A thread that finds a successor un-registers
+//! without having touched a cell and re-routes; otherwise it runs its
+//! window and retires with one RMW (which, for writers, also posts the
+//! window's fill credits or debits). A helper that has seen `next`
+//! non-null waits until the registered half of `state` reads zero
+//! (`pass_drain_gate`) before it
 //! claims a block. Registration, the re-read, the publishing CAS and
 //! the helper's load are all `SeqCst`, which makes the pair a
 //! store-buffering (Dekker) handshake: in their single total order a
-//! writer's registration either precedes the helper's load of `state` —
+//! window's registration either precedes the helper's load of `state` —
 //! the helper then waits for the retiring RMW, after which every cell
-//! write of that window is visible — or follows it, and then it also
-//! follows the publish the helper had already observed, so the writer's
-//! re-read returns the successor. Either way: **once a helper has read
-//! zero after the publish, no thread stores to the retiring array ever
-//! again.** The gate stays open; later helpers pass it with one load.
+//! access of that window is over and its writes are visible — or follows
+//! it, and then it also follows the publish the helper had already
+//! observed, so the window's re-read returns the successor. Either way:
+//! **once a helper has read zero after the publish, no thread but the
+//! owner of a claimed block touches the retiring array ever again.** The
+//! gate stays open; later helpers pass it with one load.
 //!
 //! Migration is therefore a read: each block is claimed by exactly one
 //! helper (the cursor), drained with plain loads into a stack buffer
@@ -58,12 +64,38 @@
 //! inserted directly into the tail while its old copy still awaits
 //! migration).
 //!
-//! The gate wait is bounded by one window per thread, and writers never
-//! wait while registered (helping and publishing happen outside the
-//! registration), so there is no cycle. An insert that meets a pending
-//! migration still goes straight to the tail and still pays only its
-//! block quota. A non-resizing insert window costs the two registration
-//! RMWs; the first returns the item count the fill budget needs.
+//! The gate wait is bounded by one window per thread — for a reader
+//! that is one grain of finds or one pass over the array — and nobody
+//! waits while registered (helping and publishing happen outside the
+//! registration), so there is no cycle. The one way to build one is a
+//! [`with_raw_cells`](ResizableTable::with_raw_cells) closure that calls
+//! back into the table: it would wait on its own registration. An insert
+//! that meets a pending migration still goes straight to the tail and
+//! still pays only its block quota. A window on a table that is not
+//! resizing costs the two registration RMWs; an insert window's first
+//! returns the item count the fill budget needs.
+//!
+//! ## Release on drain
+//!
+//! The cells of an epoch are therefore reachable in exactly two ways: a
+//! registration taken while `next` was null, or a claimed block not yet
+//! counted into `done`. When the `done` increment of some helper
+//! completes the count, both are gone for good — the gate was passed
+//! before the first claim, every later registration withdraws, and the
+//! `AcqRel` increments order every other helper's block reads before
+//! this one — so that helper advances `current` and **drops the core
+//! table in place**: the cell array goes back to the allocator (straight
+//! to the OS for arrays above the allocator's mmap threshold) while the
+//! migration's last operation is still running. What stays until `Drop`
+//! is the epoch's header (`state`, `next`, `cursor`, `done`, the
+//! capacity as a `log2`; 64 bytes for the deterministic core), which is
+//! all a thread holding a stale `current` or walking `next` ever reads.
+//! A table owns its live chain's arrays — the tail at quiescence, old +
+//! new during a resize — whatever its history
+//! ([`owned_cell_bytes`](ResizableTable::owned_cell_bytes)). Debug
+//! builds overwrite a released array with a poison word first and assert
+//! in `Epoch::core` that the core is still there, so a stale read fails
+//! loudly instead of returning a plausible miss.
 //!
 //! ## Determinism
 //!
@@ -107,9 +139,10 @@
 //! for a fixed capacity the layout is canonical — so grow → delete →
 //! shrink → regrow cycles snapshot byte-identically across schedules.
 
+use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::cell::AtomOf;
@@ -197,18 +230,32 @@ const WINDOW_CHUNK: usize = 256;
 /// then a wait for the ones other helpers hold.
 const DRAIN: usize = usize::MAX;
 
-/// One link in the growth chain: a fixed-capacity table plus the
-/// coordination state for gating and migrating it.
+/// One link in the growth chain: the coordination state for one
+/// fixed-capacity table, and that table for as long as it can hold an
+/// entry.
+///
+/// The **header** — everything but `table` — lives until the
+/// [`ResizableTable`] is dropped, so a stale `current` or `next` pointer
+/// is always dereferenceable, and it answers every question that does
+/// not need a cell: capacity, block count, thresholds, item count,
+/// whether a successor exists. The **core** (`table`: cell array plus
+/// policy state) is dropped in place by the helper that drains the last
+/// migration block (see "Release on drain" in the module docs); what
+/// stays behind is `size_of::<Epoch>()` bytes per resize, 64 for the
+/// deterministic core.
 struct Epoch<E: HashEntry, T: FlatTableCore<E>> {
-    table: T,
-    /// Packed coordination word: open writer windows — insert and
-    /// delete alike — in the high 32 bits (`ACTIVE_ONE` units, the
-    /// drain gate's side of the handshake in the module docs),
-    /// empty-cell fill credits in the low 32. A window's retiring RMW
-    /// posts its credits (or debits) in the same operation. The credits
-    /// are exact: once the epoch is quiescent the low half equals the
-    /// number of stored entries (see module docs). Capacities are
-    /// < 2^31 cells, so the halves cannot carry into each other.
+    /// The core table; `None` once released. Reached only through
+    /// [`core`](Self::core), under an epoch registration or a claimed
+    /// block, and written only by [`release`](Self::release).
+    table: UnsafeCell<Option<T>>,
+    /// Packed coordination word: open windows — insert, delete and read
+    /// alike — in the high 32 bits (`ACTIVE_ONE` units, the drain
+    /// gate's side of the handshake in the module docs), empty-cell fill
+    /// credits in the low 32. A writer window's retiring RMW posts its
+    /// credits (or debits) in the same operation. The credits are exact:
+    /// once the epoch is quiescent the low half equals the number of
+    /// stored entries (see module docs). Capacities are < 2^31 cells, so
+    /// the halves cannot carry into each other.
     state: AtomicUsize,
     /// Successor epoch; non-null marks this epoch as *retiring*: new
     /// operations divert to the tail after paying a help quota.
@@ -217,34 +264,93 @@ struct Epoch<E: HashEntry, T: FlatTableCore<E>> {
     cursor: AtomicUsize,
     /// Migration blocks fully drained.
     done: AtomicUsize,
+    /// `log2` of the core's cell count (the core itself may be gone).
+    log2: u32,
+    /// Whether the core was released. Bookkeeping for
+    /// [`ResizableTable::owned_cell_bytes`] and the debug check in
+    /// [`core`](Self::core); no access decision reads it.
+    released: AtomicBool,
     _entry: PhantomData<E>,
 }
 
-/// One open writer window in `Epoch::state`'s high half.
+// SAFETY: every field but `table` is an atomic or immutable. `table` is
+// shared as `&T` (`T: Sync`) by the threads the drain-gate protocol
+// admits, and written exactly once, by `release`, whose contract is that
+// no such thread exists any more; it is dropped on whichever thread
+// releases it (`T: Send`).
+unsafe impl<E: HashEntry, T: FlatTableCore<E>> Sync for Epoch<E, T> {}
+
+/// One open window in `Epoch::state`'s high half.
 const ACTIVE_ONE: usize = 1 << 32;
 /// Mask of the fill-credit (items) half of `Epoch::state`.
 const ITEMS_MASK: usize = ACTIVE_ONE - 1;
+
+/// What a released cell array is overwritten with in debug builds before
+/// it is freed (truncated to the cell width): not `⊥`, and a repr no test
+/// inserts, so a read through a stale pointer returns an entry nobody
+/// stored instead of a plausible miss.
+#[cfg(any(debug_assertions, test))]
+const POISON: u64 = 0xDEAD_CE11_DEAD_CE11;
 
 impl<E: HashEntry, T: FlatTableCore<E>> Epoch<E, T> {
     fn new_pow2(log2_size: u32) -> Self {
         assert!(log2_size < 31, "epoch capacity must stay below 2^31 cells");
         Epoch {
-            table: T::new_pow2(log2_size),
+            table: UnsafeCell::new(Some(T::new_pow2(log2_size))),
             state: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
             cursor: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
+            log2: log2_size,
+            released: AtomicBool::new(false),
             _entry: PhantomData,
         }
     }
 
-    /// The epoch's table, as the probe engine it is.
+    /// The epoch's table, as the probe engine it is. Callers hold what
+    /// keeps it alive: a registration on this epoch taken while `next`
+    /// was null (`fill_window`, [`Window`]), or a claimed block that has
+    /// not been counted into `done` yet (`help`).
     fn core(&self) -> &ProbeTable<E, T::Policy> {
-        self.table.engine()
+        debug_assert!(
+            !self.released.load(Ordering::SeqCst),
+            "core of a released epoch"
+        );
+        // SAFETY: `release` is the only writer, and it runs after every
+        // block is counted into `done`, which is after the drain gate
+        // read zero registrations behind the publish — so it cannot
+        // overlap a caller described above, and the option is still
+        // `Some` for them.
+        unsafe { (*self.table.get()).as_ref().unwrap_unchecked() }.engine()
+    }
+
+    /// Frees the core: cell array and policy state.
+    ///
+    /// # Safety
+    ///
+    /// At most once per epoch, by the helper whose `done` increment
+    /// completed the last block: every block is drained, the drain gate
+    /// has been passed, and so no thread holds or can obtain `core()`.
+    unsafe fn release(&self) {
+        #[cfg(debug_assertions)]
+        {
+            use crate::cell::{CellAtomic, CellWord};
+            for c in self.core().raw_cells() {
+                c.store(POISON & <E::Repr as CellWord>::MAX_REPR, Ordering::Relaxed);
+            }
+        }
+        self.released.store(true, Ordering::SeqCst);
+        // SAFETY: exclusive per the contract above.
+        unsafe { *self.table.get() = None };
     }
 
     fn capacity(&self) -> usize {
-        self.core().capacity()
+        1 << self.log2
+    }
+
+    /// Bytes of the core's cell array while it is owned.
+    fn cell_bytes(&self) -> usize {
+        self.capacity() * crate::cell::cell_bytes::<E::Repr>()
     }
 
     fn blocks(&self) -> usize {
@@ -265,6 +371,34 @@ impl<E: HashEntry, T: FlatTableCore<E>> Epoch<E, T> {
     }
 }
 
+/// A registration on an epoch that had no successor when it was taken:
+/// for as long as it is open the drain gate stays shut, so the epoch's
+/// cells can be neither drained nor freed. Dropping it retires the
+/// registration; a delete window retires through
+/// [`retire_debiting`](Self::retire_debiting) instead.
+struct Window<'t, E: HashEntry, T: FlatTableCore<E>>(&'t Epoch<E, T>);
+
+impl<'t, E: HashEntry, T: FlatTableCore<E>> Window<'t, E, T> {
+    fn core(&self) -> &ProbeTable<E, T::Policy> {
+        self.0.core()
+    }
+
+    /// Retires the registration and debits `removed` items in one RMW;
+    /// returns the epoch and the item count left.
+    fn retire_debiting(self, removed: usize) -> (&'t Epoch<E, T>, usize) {
+        let ep = self.0;
+        std::mem::forget(self);
+        let prev = ep.state.fetch_sub(ACTIVE_ONE + removed, Ordering::SeqCst);
+        (ep, (prev & ITEMS_MASK) - removed)
+    }
+}
+
+impl<E: HashEntry, T: FlatTableCore<E>> Drop for Window<'_, E, T> {
+    fn drop(&mut self) {
+        self.0.state.fetch_sub(ACTIVE_ONE, Ordering::SeqCst);
+    }
+}
+
 /// A deterministic phase-concurrent hash table that doubles its backing
 /// array when the load factor reaches 3/4 — including in the middle of
 /// an insert phase, with all inserting threads sharing the migration
@@ -280,12 +414,12 @@ pub struct ResizableTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     /// Oldest epoch that may still hold entries; advances as epochs
     /// drain. Its `next` chain ends at the live tail.
     current: AtomicPtr<Epoch<E, T>>,
-    /// Every epoch ever published. Retired epochs are kept — cell
-    /// arrays included — until `Drop`, so the memory owned is the sum
-    /// over the table's whole history, not a multiple of the tail: a
-    /// 1 Ki-cell table taken through 11 doublings and back down through
-    /// 11 halvings still owns about three times its *peak* array.
-    /// Releasing drained epochs early is ROADMAP item 3.
+    /// Every epoch ever published, freed in `Drop`. A drained epoch
+    /// keeps only its header here (its cell array went back to the
+    /// allocator when its last block landed), so the memory owned is the
+    /// live chain's arrays — the tail alone at quiescence, old + new
+    /// during a resize — plus one header and one pointer per resize the
+    /// table has ever done. The lock also serializes publishers.
     allocated: Mutex<Vec<*mut Epoch<E, T>>>,
     /// Seed capacity exponent: shrinking never goes below `2^min_log2`,
     /// which keeps the quiescent capacity a pure function of the phase
@@ -293,9 +427,10 @@ pub struct ResizableTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     min_log2: u32,
 }
 
-// SAFETY: epochs are only mutated through atomics and the interior
-// core table (Sync per the `FlatTableCore` supertraits); raw epoch
-// pointers are freed only in `Drop`, which requires exclusive access.
+// SAFETY: epochs are only mutated through atomics, the interior core
+// table (Sync per the `FlatTableCore` supertraits) and `Epoch::release`
+// (see `Epoch`'s `Sync` impl); raw epoch pointers are freed only in
+// `Drop`, which requires exclusive access.
 unsafe impl<E: HashEntry, T: FlatTableCore<E>> Send for ResizableTable<E, T> {}
 unsafe impl<E: HashEntry, T: FlatTableCore<E>> Sync for ResizableTable<E, T> {}
 
@@ -316,6 +451,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         1usize << self.min_log2
     }
 
+    /// The oldest epoch that may still hold entries — its *header*:
+    /// the cells behind it are reachable only through a [`Window`] or a
+    /// claimed block.
     fn current_epoch(&self) -> &Epoch<E, T> {
         // SAFETY: `current` always points into `allocated`, whose
         // entries outlive `&self` (freed only in Drop).
@@ -343,6 +481,22 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes of cell array the table owns right now: the arrays of the
+    /// epochs not yet drained. Equal to the tail's array at quiescence,
+    /// whatever the table's history; old + new while a resize runs.
+    /// Drains nothing, and walks every epoch header ever published — a
+    /// diagnostic, not a hot-path call.
+    pub fn owned_cell_bytes(&self) -> usize {
+        let registry = self.allocated.lock().expect("epoch registry poisoned");
+        registry
+            .iter()
+            // SAFETY: as in `current_epoch`.
+            .map(|&p| unsafe { &*p })
+            .filter(|ep| !ep.released.load(Ordering::SeqCst))
+            .map(Epoch::cell_bytes)
+            .sum()
     }
 
     /// Runs an insert phase and **normalizes** the capacity afterwards.
@@ -383,8 +537,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                 self.help(ep, DRAIN);
                 continue;
             }
-            let bytes = cap * crate::cell::cell_bytes::<E::Repr>();
-            if let Some(milli) = (bytes * 1000).checked_div(items) {
+            if let Some(milli) = (ep.cell_bytes() * 1000).checked_div(items) {
                 phc_obs::probe!(gauge BytesPerKeyMilli, milli);
             }
             return;
@@ -433,12 +586,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         carry: Option<u64>,
         items: &[I],
     ) -> (usize, Option<u64>) {
-        let (core, grow_at) = (ep.core(), ep.grow_at());
+        let grow_at = ep.grow_at();
         let start_items = ep.state.fetch_add(ACTIVE_ONE, Ordering::SeqCst) & ITEMS_MASK;
         if !ep.next.load(Ordering::SeqCst).is_null() {
             ep.state.fetch_sub(ACTIVE_ONE, Ordering::SeqCst);
             return (0, carry);
         }
+        // Registered with no successor: the cells are ours to touch.
+        let core = ep.core();
         #[cfg(test)]
         tests::in_window_hook();
         let budget = grow_at.saturating_sub(start_items);
@@ -502,13 +657,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         phc_parutil::for_each_grain(entries, |chunk| self.insert_batch(chunk));
     }
 
-    /// Registers the caller as an epoch writer for a delete window,
-    /// draining any in-progress migration first — unlike an insert, a
-    /// delete must find its key, so it only ever runs against a chain of
-    /// one. Returns the registered epoch; the caller must retire with
-    /// `fetch_sub(ACTIVE_ONE + removed)`. The same drain-gate handshake
-    /// as `fill_window`'s.
-    fn register_for_delete(&self) -> &Epoch<E, T> {
+    /// Opens a [`Window`] on the table's only epoch, draining any
+    /// in-progress migration first: what a delete window and every read
+    /// call run under. Unlike an insert, they must see every key, so
+    /// they only ever run against a chain of one — and they must keep
+    /// that epoch's cells from being drained and freed under them, so
+    /// they register on it. The same drain-gate handshake as
+    /// `fill_window`'s.
+    fn open_window(&self) -> Window<'_, E, T> {
         loop {
             let ep = self.current_epoch();
             if !ep.next.load(Ordering::SeqCst).is_null() {
@@ -516,12 +672,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                 continue;
             }
             ep.state.fetch_add(ACTIVE_ONE, Ordering::SeqCst);
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                // Published between the null-check and registration.
-                ep.state.fetch_sub(ACTIVE_ONE, Ordering::SeqCst);
-                continue;
+            let window = Window(ep);
+            if ep.next.load(Ordering::SeqCst).is_null() {
+                #[cfg(test)]
+                tests::in_window_hook();
+                return window;
             }
-            return ep;
+            // Published between the null-check and registration: the
+            // window retires here without having touched a cell.
         }
     }
 
@@ -558,13 +716,13 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// racing grow publish) land between chunks.
     pub fn delete_batch(&self, keys: &[E]) {
         for chunk in keys.chunks(WINDOW_CHUNK) {
-            let ep = self.register_for_delete();
-            let core = ep.core();
+            let window = self.open_window();
+            let core = window.core();
             let token = core.policy.open_delete_window();
             let removed = core.delete_run(chunk, token);
             core.policy.close_delete_window();
-            let prev = ep.state.fetch_sub(ACTIVE_ONE + removed, Ordering::SeqCst);
-            self.maybe_shrink(ep, (prev & ITEMS_MASK) - removed);
+            let (ep, items) = window.retire_debiting(removed);
+            self.maybe_shrink(ep, items);
         }
     }
 
@@ -573,17 +731,29 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         phc_parutil::for_each_grain(keys, |chunk| self.delete_batch(chunk));
     }
 
-    /// Looks up a key (find/elements phase).
+    /// Looks up a key (find/elements phase). Like every read accessor
+    /// below, one read window: it drains any pending migration, then
+    /// holds a registration on the table's only epoch for the call.
     pub fn find(&self, key: E) -> Option<E> {
-        self.quiesce();
-        self.current_epoch().core().find(key)
+        self.open_window().core().find(key)
     }
 
     /// Batched lookup through the core's prefetching batch kernel
     /// (one result per key, in key order).
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.quiesce();
-        self.current_epoch().core().find_batch(keys)
+        let mut out = Vec::with_capacity(keys.len());
+        self.find_batch_into(keys, &mut out);
+        out
+    }
+
+    /// [`find_batch`](Self::find_batch) into a caller-supplied buffer
+    /// (appends; does not clear). One read window per
+    /// [`phc_parutil::grain`] of keys, so a long batch never holds the
+    /// drain gate shut for more than one grain of finds.
+    pub fn find_batch_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
+        for chunk in keys.chunks(phc_parutil::grain()) {
+            self.open_window().core().find_batch_into(chunk, out);
+        }
     }
 
     /// Parallel batched lookup: chunks by [`phc_parutil::grain`];
@@ -592,10 +762,22 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         phc_parutil::flat_map_grain(keys, |chunk| self.find_batch(chunk))
     }
 
+    /// [`par_find_batched`](Self::par_find_batched) into a
+    /// caller-supplied buffer (appends; does not clear). At most one
+    /// grain of keys — a server shard's slice of a batch — is looked up
+    /// on the calling thread straight into `out`: no allocation once the
+    /// buffer has reached its high-water capacity.
+    pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
+        if keys.len() <= phc_parutil::grain() {
+            self.find_batch_into(keys, out);
+        } else {
+            out.extend(self.par_find_batched(keys));
+        }
+    }
+
     /// Packs the contents (deterministic sequence).
     pub fn elements(&self) -> Vec<E> {
-        self.quiesce();
-        self.current_epoch().core().elements()
+        self.open_window().core().elements()
     }
 
     /// [`elements`](Self::elements) into a caller-supplied buffer
@@ -603,20 +785,20 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// buffer's high-water capacity instead of allocating a fresh
     /// `Vec` per pack.
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.quiesce();
-        self.current_epoch().core().elements_into(out)
+        self.open_window().core().elements_into(out)
     }
 
     /// Raw snapshot of the current backing array.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.quiesce();
-        self.current_epoch().core().snapshot()
+        self.open_window().core().snapshot()
     }
 
-    /// Raw view of the live cell array (for invariant checkers).
+    /// Raw view of the live cell array (for invariant checkers). `f`
+    /// runs inside a read window and **must not call back into this
+    /// table**: an operation that then met a pending migration would
+    /// wait at the drain gate for `f`'s own registration.
     pub fn with_raw_cells<R>(&self, f: impl FnOnce(&[AtomOf<E::Repr>]) -> R) -> R {
-        self.quiesce();
-        f(self.current_epoch().core().raw_cells())
+        f(self.open_window().core().raw_cells())
     }
 
     /// Publishes a doubled successor for `ep` (retiring it) unless one
@@ -657,6 +839,8 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                 }
                 phc_obs::probe!(phase EpochPublish);
                 registry.push(fresh);
+                drop(registry);
+                self.report_owned();
             }
             // Unreachable while publishers hold the lock, but keep the
             // lost-race path sound regardless.
@@ -664,11 +848,20 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         }
     }
 
+    /// Sets the `table_bytes_owned` gauge (counting builds only: the
+    /// walk is per publish and per release, never per operation).
+    fn report_owned(&self) {
+        if phc_obs::Recorder::ENABLED {
+            phc_obs::probe!(gauge TableBytesOwned, self.owned_cell_bytes());
+        }
+    }
+
     /// The helper's half of the drain-gate handshake (module docs):
-    /// waits until no writer window is registered on the retiring epoch
-    /// `ep`. From the first time this returns, `ep`'s cell array is
-    /// immutable, and every later call is a single load.
-    fn gate_writers(&self, ep: &Epoch<E, T>) {
+    /// waits until no window — insert, delete or read — is registered on
+    /// the retiring epoch `ep`. From the first time this returns, `ep`'s
+    /// cell array is immutable and reachable only through claimed
+    /// blocks, and every later call is a single load.
+    fn pass_drain_gate(&self, ep: &Epoch<E, T>) {
         let mut spins = 0u32;
         while ep.state.load(Ordering::SeqCst) >= ACTIVE_ONE {
             spin_wait(&mut spins);
@@ -680,7 +873,8 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// drain gate, then claim up to `max_blocks` blocks off the cursor,
     /// read each one's occupants into a stack buffer and re-insert them
     /// down the chain. Never waits for a block another thread claimed;
-    /// the thread that finishes the last block advances `current`.
+    /// the thread that finishes the last block advances `current` and
+    /// frees `ep`'s cell array.
     ///
     /// With `HELP_QUOTA_BLOCKS` this is the only migration work an
     /// insert ever performs, so its worst-case stall during growth is
@@ -696,7 +890,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         } else {
             0
         };
-        self.gate_writers(ep);
+        self.pass_drain_gate(ep);
         let nblocks = ep.blocks();
         let shrinking = next.capacity() < ep.capacity();
         let mut buf = [0u64; MIGRATION_BLOCK];
@@ -717,8 +911,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                 phc_obs::probe!(count ShrinkMigrations, n);
             }
             self.insert_batch_into_chain(next, None, &buf[..n]);
-            if ep.done.fetch_add(1, Ordering::Release) + 1 == nblocks {
+            // AcqRel: the increment that completes the count has every
+            // other helper's block reads ordered before it.
+            if ep.done.fetch_add(1, Ordering::AcqRel) + 1 == nblocks {
                 self.advance_current();
+                // SAFETY: this call completed the last block, once.
+                unsafe { ep.release() };
+                phc_obs::probe!(count EpochArraysReleased);
+                self.report_owned();
             }
         }
         if max_blocks == DRAIN {
@@ -979,8 +1179,9 @@ mod tests {
     }
 
     thread_local! {
-        /// Runs once inside this thread's next insert window, after it
-        /// registered on its epoch and before it inserts anything.
+        /// Runs once inside this thread's next window — insert, delete
+        /// or read — after it registered on its epoch and before it
+        /// touches a cell.
         static IN_WINDOW: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
             const { std::cell::RefCell::new(None) };
     }
@@ -995,8 +1196,13 @@ mod tests {
         ep.state.load(Ordering::SeqCst) / ACTIVE_ONE
     }
 
-    #[test]
-    fn open_window_holds_the_drain_gate_shut() {
+    /// Stops `op` inside its registered window on a 100-key table,
+    /// publishes a successor and starts a helper: the helper must sit at
+    /// the gate — no block claimed, nothing freed — until the window is
+    /// let go. Returns the table, drained.
+    fn gate_stays_shut_during(
+        op: impl FnOnce(&ResizableTable<U64Key>) + Send,
+    ) -> ResizableTable<U64Key> {
         use std::sync::mpsc::channel;
         let t: ResizableTable<U64Key> = ResizableTable::new_pow2(11); // 4 blocks
         for k in 1..=100u64 {
@@ -1007,7 +1213,7 @@ mod tests {
         let (release_tx, release_rx) = channel::<()>();
         let (helping_tx, helping_rx) = channel();
         std::thread::scope(|s| {
-            // A writer that stops inside its registered window.
+            // A thread that stops inside its registered window.
             s.spawn(|| {
                 IN_WINDOW.with(|h| {
                     *h.borrow_mut() = Some(Box::new(move || {
@@ -1015,7 +1221,7 @@ mod tests {
                         release_rx.recv().unwrap();
                     }));
                 });
-                t.insert_batch(&[U64Key::new(101), U64Key::new(102)]);
+                op(&t);
             });
             entered_rx.recv().unwrap();
             assert_eq!(registered(ep), 1);
@@ -1036,15 +1242,152 @@ mod tests {
                 assert!(!helper.is_finished());
             }
             assert_eq!(registered(ep), 1);
+            assert!(!ep.released.load(Ordering::SeqCst));
             release_tx.send(()).unwrap();
         });
         // The window ran on the old epoch (it had registered before the
-        // publish), the helper then drained it: nothing was lost.
+        // publish); the helper then drained that epoch and freed its
+        // array.
         assert_eq!(registered(ep), 0);
         assert!(ep.cursor.load(Ordering::SeqCst) >= ep.blocks());
+        assert!(ep.released.load(Ordering::SeqCst));
+        assert_eq!(t.owned_cell_bytes(), t.current_epoch().cell_bytes());
+        t
+    }
+
+    #[test]
+    fn open_window_holds_the_drain_gate_shut() {
+        let t = gate_stays_shut_during(|t| t.insert_batch(&[U64Key::new(101), U64Key::new(102)]));
+        // Nothing the window wrote was lost.
         assert_eq!(t.len(), 102);
         for k in 1..=102u64 {
             assert_eq!(t.find(U64Key::new(k)), Some(U64Key::new(k)));
+        }
+    }
+
+    #[test]
+    fn open_read_holds_the_drain_gate_shut() {
+        // The reader is still inside its `find_batch` when the successor
+        // is published: it must get every answer from the array it
+        // registered on, which therefore cannot be drained (let alone
+        // freed) under it.
+        let keys: Vec<U64Key> = (1..=120u64).map(U64Key::new).collect();
+        let t = gate_stays_shut_during(|t| {
+            let found = t.find_batch(&keys);
+            for (k, f) in keys.iter().zip(found) {
+                assert_eq!(f, (k.0 <= 100).then_some(*k));
+            }
+        });
+        assert_eq!(t.len(), 100);
+    }
+
+    #[test]
+    fn drained_epochs_own_no_cells() {
+        // The header that outlives a drained epoch (and the bound on
+        // what a resize leaves behind).
+        assert_eq!(
+            std::mem::size_of::<Epoch<U64Key, DetHashTable<U64Key>>>(),
+            64
+        );
+        let t: ResizableTable<U64Key> = ResizableTable::new_pow2(4);
+        let keys: Vec<U64Key> = (1..=20_000u64)
+            .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
+            .collect();
+        // Every array the table owns belongs to the live chain, and the
+        // chain is never longer than old + new.
+        let check_chain = |t: &ResizableTable<U64Key>| {
+            let (mut ep, mut chain, mut links) = (t.current_epoch(), 0, 0);
+            loop {
+                chain += ep.cell_bytes();
+                links += 1;
+                match t.next_of(ep) {
+                    Some(n) => ep = n,
+                    None => break,
+                }
+            }
+            assert!(links <= 2, "chain of {links}");
+            assert_eq!(t.owned_cell_bytes(), chain);
+        };
+        let check_quiescent = |t: &ResizableTable<U64Key>, cells: usize| {
+            assert_eq!(t.capacity(), cells);
+            assert_eq!(t.owned_cell_bytes(), cells * 8, "at {cells} cells");
+        };
+        for cycle in 1..=8 {
+            for &k in &keys {
+                t.insert(k);
+                check_chain(&t);
+            }
+            check_quiescent(&t, 16 << 11);
+            for &k in &keys {
+                t.delete(k);
+                check_chain(&t);
+            }
+            check_quiescent(&t, 16);
+            // 11 doublings and 11 halvings a cycle, each leaving one
+            // header behind and nothing else.
+            let published = t.allocated.lock().unwrap().len();
+            assert_eq!(published, 1 + 22 * cycle);
+        }
+    }
+
+    #[test]
+    fn fc_finds_overlap_publishes_and_never_read_a_freed_array() {
+        use crate::entry::KvPair;
+        use crate::fc::FcHashTable;
+        use std::sync::atomic::AtomicBool;
+        type Table = ResizableTable<KvPair, FcHashTable<KvPair>>;
+        let val = |k: u32| k.wrapping_mul(7) + 1;
+        let entries: Vec<KvPair> = (1..=12_008u32).map(|k| KvPair::new(k, val(k))).collect();
+        let (resident, incoming) = entries.split_at(8);
+        // The key a poisoned cell would carry: a find of it through a
+        // stale pointer hits on the first cell it looks at.
+        let poison = KvPair::new((POISON >> 32) as u32, 0);
+
+        let seq: Table = ResizableTable::new_pow2(4);
+        seq.insert_batch(&entries);
+        seq.normalize();
+        assert_eq!(seq.capacity(), 16 << 10);
+
+        for rep in 0..20 {
+            let t: Table = ResizableTable::new_pow2(4);
+            t.insert_batch(resident);
+            let writing = AtomicBool::new(true);
+            std::thread::scope(|s| {
+                let writers: Vec<_> = incoming
+                    .chunks(incoming.len() / 4)
+                    .map(|part| s.spawn(|| part.iter().for_each(|&e| t.insert(e))))
+                    .collect();
+                for r in 0..4 {
+                    let (t, writing) = (&t, &writing);
+                    s.spawn(move || {
+                        let mut found = Vec::new();
+                        while writing.load(Ordering::SeqCst) {
+                            // A find racing a displacement of its key may
+                            // miss; what it returns must be what was put.
+                            if r % 2 == 0 {
+                                for &e in resident {
+                                    assert!(t.find(e).is_none_or(|f| f == e));
+                                }
+                            } else {
+                                found.clear();
+                                t.find_batch_into(resident, &mut found);
+                                for (e, f) in resident.iter().zip(&found) {
+                                    assert!(f.is_none_or(|f| f == *e));
+                                }
+                            }
+                            assert_eq!(t.find(poison), None, "read a freed array");
+                        }
+                    });
+                }
+                for w in writers {
+                    w.join().unwrap();
+                }
+                writing.store(false, Ordering::SeqCst);
+            });
+            t.normalize();
+            assert_eq!(t.len(), entries.len(), "rep {rep}");
+            assert!(t.snapshot() == seq.snapshot(), "rep {rep}");
+            assert_eq!(t.owned_cell_bytes(), (16 << 10) * 8);
         }
     }
 

@@ -93,9 +93,11 @@ impl RoomSync {
                     .compare_exchange_weak(s, next, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    if active == 0 {
+                    if active == 0 && phc_obs::Recorder::ENABLED {
                         // Fresh occupancy: count a switch if the last
-                        // holder was a different room.
+                        // holder was a different room. Counting builds
+                        // only — the swap is a locked RMW per room entry
+                        // that nothing else reads.
                         let prev = self.last.swap(id, Ordering::Relaxed);
                         if prev != 0 && prev != id {
                             phc_obs::probe!(count RoomSwitches);
@@ -268,8 +270,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
 /// [`ResizableTable`]. Named through its aliases [`AutoPhaseGrowTable`]
 /// (a phase-concurrent core behind rooms) and [`FcAutoGrowTable`] (the
 /// fully-concurrent core, no rooms: there the resize layer's drain gate
-/// — every insert window and delete chunk registers on its epoch — is
-/// what lets migration compose with overlapping inserts and deletes).
+/// — every insert window, delete chunk and read call registers on its
+/// epoch — is what lets migration, and the release of a drained cell
+/// array, compose with overlapping inserts, deletes and finds).
 ///
 /// Migration composes with room synchronization directly: a room
 /// switch needs **no migration quiescence at all**. Migration work is
@@ -279,9 +282,8 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
 /// insert work, paid in bounded quotas by whichever operations happen
 /// to pass by. The delete and
 /// read rooms still observe fully migrated tables — not because the
-/// room grant waits, but because every `ResizableTable` delete
-/// registers behind a full drain and every read accessor quiesces
-/// before touching the contents. No extra "resize room" is needed, and
+/// room grant waits, but because every `ResizableTable` delete window
+/// and read call registers behind a full drain. No extra "resize room" is needed, and
 /// a room hand-off never inherits a table-sized stall from a migration
 /// that happened to be in flight.
 pub struct AutoGrowTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
@@ -389,6 +391,15 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
         self.gate
             .with(Room::Read, || self.table.par_find_batched(keys))
+    }
+
+    /// [`par_find_batched`](Self::par_find_batched) into a
+    /// caller-supplied buffer (appends; does not clear): one read-room
+    /// entry, and no allocation for a batch of at most one grain once
+    /// the buffer has reached its high-water capacity.
+    pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
+        self.gate
+            .with(Room::Read, || self.table.par_find_batched_into(keys, out))
     }
 
     /// Drains any pending migration to completion and grows to the

@@ -168,6 +168,26 @@ fn growth_workload_helps_and_never_forwards() {
     };
     assert_eq!(count(PhaseEvent::EpochPublish), 8, "16 -> 4096 cells");
     assert_eq!(count(PhaseEvent::DrainGate), 8);
+
+    // At quiescence every published successor has retired its
+    // predecessor, whose cell array was freed when its last block
+    // landed: releases == publishes. The counters are process-global and
+    // sibling tests resize tables of their own meanwhile (a migration of
+    // theirs in flight at either snapshot skews the delta either way), so
+    // the run is repeated until one falls in a quiet window.
+    let quiet = (0..1000).any(|_| {
+        let before = rec.snapshot();
+        let t = phc_core::ResizableTable::<U64Key>::new_pow2(4);
+        for k in 1..=2000u64 {
+            t.insert(U64Key::new(k));
+        }
+        assert_eq!(t.len(), 2000);
+        let delta = rec.snapshot().since(&before);
+        delta.counter(Counter::EpochsPublished) == 8
+            && delta.counter(Counter::EpochArraysReleased) == 8
+    });
+    assert!(quiet, "drained epochs kept their cell arrays");
+    assert!(rec.snapshot().gauge(Gauge::TableBytesOwned) > 0);
 }
 
 #[test]

@@ -169,6 +169,11 @@ define_ids! {
         /// the id stays exported because the repo benchmark reads
         /// `forwarded_probes` by name.
         ForwardedProbes => "forwarded_probes",
+        /// Cell arrays of drained epochs handed back to the allocator by
+        /// the cooperative resizer: one per retired epoch, counted by
+        /// the helper that drained its last block. Equals
+        /// `epochs_published` whenever no migration is in flight.
+        EpochArraysReleased => "epoch_arrays_released",
     }
 }
 
@@ -181,6 +186,10 @@ define_ids! {
         /// fractional bytes survive integer storage). Set on quiescent
         /// normalization from `capacity × cell_bytes / items`.
         BytesPerKeyMilli => "bytes_per_key_milli",
+        /// Bytes of cell array the growable table that last published or
+        /// released an epoch owns: the tail's array at quiescence, old +
+        /// new while a resize runs.
+        TableBytesOwned => "table_bytes_owned",
     }
 }
 

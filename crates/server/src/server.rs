@@ -123,6 +123,9 @@ struct ShardBatch<C: Combine> {
     /// `Vec<u64>` per shard per batch), and writing responses into
     /// scratch kills it the same way the routing vecs were killed.
     get_resp: Vec<u64>,
+    /// What the table found for `gets`, before it becomes `get_resp`:
+    /// the buffer the batched lookup fills, reused like the rest.
+    found: Vec<Option<KvPair<C>>>,
 }
 
 impl<C: Combine> ShardBatch<C> {
@@ -133,6 +136,7 @@ impl<C: Combine> ShardBatch<C> {
             gets: Vec::new(),
             get_pos: Vec::new(),
             get_resp: Vec::new(),
+            found: Vec::new(),
         }
     }
 
@@ -142,6 +146,7 @@ impl<C: Combine> ShardBatch<C> {
         self.gets.clear();
         self.get_pos.clear();
         self.get_resp.clear();
+        self.found.clear();
     }
 
     fn len(&self) -> usize {
@@ -309,22 +314,17 @@ impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
         if batch.gets.is_empty() {
             return;
         }
+        shard
+            .table
+            .par_find_batched_into(&batch.gets, &mut batch.found);
         let mut hits = 0u64;
-        batch
-            .get_resp
-            .extend(
-                shard
-                    .table
-                    .par_find_batched(&batch.gets)
-                    .into_iter()
-                    .map(|f| match f {
-                        Some(kv) => {
-                            hits += 1;
-                            resp_hit(kv.value)
-                        }
-                        None => RESP_MISS,
-                    }),
-            );
+        batch.get_resp.extend(batch.found.iter().map(|f| match f {
+            Some(kv) => {
+                hits += 1;
+                resp_hit(kv.value)
+            }
+            None => RESP_MISS,
+        }));
         shard
             .stats
             .gets

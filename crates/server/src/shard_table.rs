@@ -51,6 +51,12 @@ pub trait ShardTable<C: Combine>: Send + Sync {
     /// Parallel batched lookup, results in key order.
     fn par_find_batched(&self, keys: &[KvPair<C>]) -> Vec<Option<KvPair<C>>>;
 
+    /// [`par_find_batched`](Self::par_find_batched) into a
+    /// caller-supplied buffer (appends; does not clear) — what
+    /// [`apply_batch`](crate::KvServer::apply_batch) calls, with a
+    /// buffer it keeps across batches.
+    fn par_find_batched_into(&self, keys: &[KvPair<C>], out: &mut Vec<Option<KvPair<C>>>);
+
     /// Packs the stored entries into a caller-supplied buffer
     /// (appends; deterministic cell order). The caller-buffer form of
     /// `elements()` — a steady-state export loop reuses one buffer's
@@ -99,6 +105,10 @@ impl<C: Combine, T: FlatTableCore<KvPair<C>>> ShardTable<C> for AutoGrowTable<Kv
 
     fn par_find_batched(&self, keys: &[KvPair<C>]) -> Vec<Option<KvPair<C>>> {
         AutoGrowTable::par_find_batched(self, keys)
+    }
+
+    fn par_find_batched_into(&self, keys: &[KvPair<C>], out: &mut Vec<Option<KvPair<C>>>) {
+        AutoGrowTable::par_find_batched_into(self, keys, out)
     }
 
     fn elements_into(&self, out: &mut Vec<KvPair<C>>) {
