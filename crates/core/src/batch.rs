@@ -3,11 +3,12 @@
 //! Linear probing at scale is bound by memory latency, not CAS cost
 //! (Maier et al., "Concurrent Hash Tables: Fast and General?(!)"):
 //! each operation starts with a cache miss on its home slot, and a
-//! per-element loop serializes those misses. The batched paths in
-//! [`crate::det`] / [`crate::nd`] process a slice of operations per
-//! scheduler chunk and issue a prefetch for the home slot of the entry
+//! per-element loop serializes those misses. The engine's batch loops
+//! ([`crate::probe`]: insert, find and delete alike, for every table
+//! over the engine) process a slice of operations per scheduler chunk
+//! and issue a prefetch for the home slot of the entry
 //! [`PREFETCH_AHEAD`] positions ahead before probing the current one,
-//! keeping several misses in flight and letting the memory system
+//! keeping that many misses in flight and letting the memory system
 //! overlap them.
 //!
 //! Prefetching is a pure performance hint: it never changes which
@@ -16,33 +17,25 @@
 
 use crate::cell::CellAtomic;
 
-/// How many operations ahead the batched paths prefetch. Large enough
-/// to cover DRAM latency with independent misses, small enough that
-/// prefetched lines are still resident when their probe starts.
-pub const PREFETCH_AHEAD: usize = 8;
-
-/// Insert prefetch distance when more than one pool worker is active.
-/// Writers dirty the lines they prefetch, so a deep lookahead under
-/// concurrency keeps pulling lines that another writer is about to
-/// steal back (and competes with the hardware prefetcher for the same
-/// fill buffers); a shallow pipeline keeps only the next miss or two in
-/// flight.
-const INSERT_PREFETCH_AHEAD_MT: usize = 2;
-
-/// Prefetch distance for the batched **insert** paths: the full
-/// [`PREFETCH_AHEAD`] pipeline on a single-worker pool, clamped to
-/// [`INSERT_PREFETCH_AHEAD_MT`] when the current rayon pool runs more
-/// than one worker (T≥2). Find batches keep the deep pipeline — reads
-/// never invalidate each other's lines. Purely a performance hint; the
-/// distance never changes which cells are read or written.
-#[inline]
-pub fn insert_prefetch_ahead() -> usize {
-    if rayon::current_num_threads() > 1 {
-        INSERT_PREFETCH_AHEAD_MT
-    } else {
-        PREFETCH_AHEAD
-    }
-}
+/// How many operations ahead the batch loops prefetch — one distance
+/// for inserts, finds and deletes, at every pool width.
+///
+/// An independent random read of a table far beyond the last-level
+/// cache costs 9–10 ns on the bench box, so a distance of 8 (PR 4's
+/// value, tuned on a one-core box) leaves the loop waiting on memory:
+/// swept 8 / 16 / 32 on 4 Mi keys in a 64 MiB table, insert reads 30 /
+/// 22 / 25 ns per key, find 35 / 27 / 32 and delete 46 / 39 / 41
+/// (medians of six interleaved rounds, EXPERIMENTS.md PR 18). 16 is the
+/// knee; beyond it nothing is gained.
+///
+/// There is deliberately no shorter distance for inserts on a
+/// multi-worker pool. PR 4 clamped them to 2 there, measured with two
+/// threads time-slicing *one* core — where a deep write pipeline only
+/// evicts the other thread's lines. On two real cores the clamp erased
+/// the width-2 insert speed-up on a shared table (29 ns per key
+/// clamped, 17 unclamped, slower in 6 of 6 rounds), and a server shard
+/// is written by one worker at a time anyway.
+pub const PREFETCH_AHEAD: usize = 16;
 
 /// Hints the memory system to pull `cells[idx]`'s cache line toward
 /// the core. On x86_64 this is `prefetcht0`; elsewhere it degrades to

@@ -204,8 +204,19 @@ impl CellAtomic for AtomicU32 {
 /// `Box<[AtomOf<E::Repr>]>`.
 pub type AtomOf<W> = <W as CellWord>::Atomic;
 
-/// Allocates `cap` cells initialized to `empty`.
+/// Allocates `cap` cells initialized to `empty`, every one of them
+/// **written** before this returns: a fresh table's pages are resident.
+///
+/// `⊥` is zero, and "allocate, then fill with a known zero" is a pattern
+/// the optimiser may fold into `calloc`, whose lazily mapped pages move
+/// the page faults out of construction and into the first inserts.
+/// Whether it does depends on what got inlined where, so an unrelated
+/// edit could trade the benchmark's `setup_s` against its
+/// `throughput_mops` (EXPERIMENTS.md PR 18). A store of a value the
+/// optimiser cannot know is not a zero fill it can fold, which pins the
+/// eager arrangement; `tests::fresh_cells_are_resident` holds it.
 pub fn new_cells<W: CellWord>(cap: usize, empty: u64) -> Box<[W::Atomic]> {
+    let empty = std::hint::black_box(empty);
     (0..cap).map(|_| W::Atomic::new_cell(empty)).collect()
 }
 
@@ -259,6 +270,35 @@ mod tests {
         let c = AtomicU32::new_cell(u32::MAX as u64);
         c.fetch_add(1, Ordering::AcqRel);
         assert_eq!(c.load(Ordering::Relaxed), 0);
+    }
+
+    /// Resident set size of this process, in bytes.
+    #[cfg(target_os = "linux")]
+    fn vm_rss() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+        let kib: usize = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+        kib * 1024
+    }
+
+    /// `new_cells` must fault its pages in itself (see its docs). The
+    /// fold into `calloc` this guards against is an optimisation, so the
+    /// run that counts is the `--release` one CI makes.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn fresh_cells_are_resident() {
+        const BYTES: usize = 32 << 20;
+        // Sibling tests allocate and free beside this one, which can
+        // hide the rise (never fake one of this size): a few attempts.
+        let resident = (0..3).any(|_| {
+            let before = vm_rss();
+            let cells = new_cells::<u64>(BYTES / 8, 0);
+            let rise = vm_rss().saturating_sub(before);
+            // The first load from the caller comes after the reading.
+            assert_eq!(cells[cells.len() / 2].load(Ordering::Relaxed), 0);
+            rise >= BYTES / 10 * 9
+        });
+        assert!(resident, "32 MiB of fresh cells left VmRSS where it was");
     }
 
     #[test]

@@ -74,6 +74,7 @@
 //! register spills alone.
 
 use std::cmp::Ordering as CmpOrdering;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cell::CellAtomic;
@@ -169,7 +170,7 @@ impl<E: HashEntry> ProbePolicy<E> for FcPolicy {
     }
 
     #[inline(always)]
-    fn after_hole(t: Probe<'_, E, Self>, k: usize, ins0: u64) -> Option<(usize, u64)> {
+    fn after_hole(t: Probe<'_, E, Self>, k: usize, ins0: u64) -> Option<(usize, u64, usize)> {
         if t.policy().ins_overlapped(ins0) {
             recheck_hole(t, k)
         } else {
@@ -230,17 +231,20 @@ impl<E: HashEntry> ProbePolicy<E> for FcPolicy {
     /// start (seen as `active > 0`) or bumped an epoch afterwards (seen
     /// by the re-load), so unchanged words prove the reads were
     /// effectively quiescent — torn SIMD windows need a concurrent
-    /// write. On validation failure the speculative results are
-    /// discarded and the batch is redone through the careful loop.
+    /// write. On validation failure the careful loop redoes the batch
+    /// in place, overwriting every speculative result.
     ///
     /// The state snapshots live here, across the call into the bound
     /// frame, so they cannot bloat the scan loop's register allocation.
-    fn find_batch_into(table: &ProbeTable<E, Self>, keys: &[E], out: &mut Vec<Option<E>>) {
+    fn find_batch_into(
+        table: &ProbeTable<E, Self>,
+        keys: &[E],
+        out: &mut [MaybeUninit<Option<E>>],
+    ) {
         let p = &table.policy;
         let ins0 = p.ins_state.load(Ordering::SeqCst);
         let del0 = p.del_state.load(Ordering::SeqCst);
         if ins0 & ACTIVE_MASK == 0 && del0 & ACTIVE_MASK == 0 {
-            let start = out.len();
             crate::simd::bind(
                 table,
                 FindBatch::<E, false> {
@@ -259,7 +263,6 @@ impl<E: HashEntry> ProbePolicy<E> for FcPolicy {
             }
             // A writer window opened mid-batch; the speculative reads
             // may have seen torn or mid-repair windows.
-            out.truncate(start);
             phc_obs::probe!(count FcHelps);
         }
         find_batch_careful(table, keys, out);
@@ -307,7 +310,7 @@ impl<E: HashEntry> Growable<E> for FcPolicy {
 fn find_batch_careful<E: HashEntry>(
     table: &ProbeTable<E, FcPolicy>,
     keys: &[E],
-    out: &mut Vec<Option<E>>,
+    out: &mut [MaybeUninit<Option<E>>],
 ) {
     crate::simd::bind(table, FindBatch::<E, true> { keys, out });
 }
@@ -350,14 +353,10 @@ fn validate_placement<E: HashEntry>(t: Probe<'_, E, FcPolicy>, x: u64, j: usize)
 /// back to the delete loop to chase exactly like a normal replacement.
 #[cold]
 #[inline(never)]
-fn recheck_hole<E: HashEntry>(t: Probe<'_, E, FcPolicy>, k: usize) -> Option<(usize, u64)> {
+fn recheck_hole<E: HashEntry>(t: Probe<'_, E, FcPolicy>, k: usize) -> Option<(usize, u64, usize)> {
     phc_obs::probe!(count FcRepairScans);
-    let (j2, v2) = t.find_replacement(k);
-    if v2 != E::EMPTY && t.cas_at(k, E::EMPTY, v2) {
-        Some((j2, v2))
-    } else {
-        None
-    }
+    let refill = t.find_replacement(k);
+    (refill.1 != E::EMPTY && t.cas_at(k, E::EMPTY, refill.1)).then_some(refill)
 }
 
 /// After a copy-down write lowered the priority at virtual index `k`,

@@ -16,9 +16,11 @@
 //! own (a different stop condition — an empty cell or the key, no
 //! priority order — and a different scan kernel). Storage, the batch
 //! loops, the phase handles, the quiescent operations and the delete
-//! chase (`delete_from` / `find_replacement`, the same copy-chasing
-//! structure with hash-bucket homes) come from the shared engine
-//! ([`crate::probe`]).
+//! chase (`delete_from`, the same copy-chasing structure with
+//! hash-bucket homes) come from the shared engine ([`crate::probe`]);
+//! the chase's `find_replacement` is this table's own per-cell scan,
+//! without the engine's downward re-scan, because the shared one
+//! measured slower here (see the override).
 //!
 //! The ND table sits outside the resize layer: its policy is not
 //! `Growable` (a first-fit layout cannot be rebuilt by re-inserting in
@@ -121,19 +123,24 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
     }
 
     /// First entry after hole `i` (virtual) that may move back to it,
-    /// or ⊥ if the cluster ends first. The baseline's own per-cell
-    /// loop: at the loads the tables run at the candidate is almost
-    /// always in the next cell or two, where the engine's wide-window
-    /// version costs this table a third of its delete throughput (87 →
-    /// 118 TSC ticks per delete at load 1/2, EXPERIMENTS.md PR 12).
+    /// or ⊥ if the cluster ends first, with its lifted home
+    /// (`find_replacement`'s triple). The baseline's own loop: the
+    /// engine's — the same per-cell scan up, then Figure 1's re-scan
+    /// down, out of line — measured 66 → 78 ns per delete on this table
+    /// at 64 MiB, slower in 6 of 7 runs (EXPERIMENTS.md PR 18), as its
+    /// wide-window predecessor had in PR 12.
     #[inline(always)]
-    fn find_replacement(t: Probe<'_, E, Self>, i: usize) -> (usize, u64) {
+    fn find_replacement(t: Probe<'_, E, Self>, i: usize) -> (usize, u64, usize) {
         let mut j = i;
         loop {
             j += 1;
             let x = t.load_at(j);
-            if x == E::EMPTY || t.lift_home(x, j) <= i {
-                return (j, x);
+            if x == E::EMPTY {
+                return (j, x, j);
+            }
+            let home = t.lift_home(x, j);
+            if home <= i {
+                return (j, x, home);
             }
         }
     }

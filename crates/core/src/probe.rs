@@ -38,6 +38,17 @@
 //! everything else — storage, the delete chase, the batch loops, the
 //! quiescent operations — from here.
 //!
+//! ## Batch loops
+//!
+//! `insert_run`, `find_run` and `delete_run` serve every batched entry
+//! point here and every window of the growable wrapper, each with the
+//! home slot of the item [`PREFETCH_AHEAD`] places on prefetched (see
+//! [`crate::batch`]). A lookup batch writes its results by index into
+//! slots the caller sized once; in parallel, each grain of keys gets
+//! the matching grain of that one output. The delete chase asks where a
+//! cell's occupant *hashes*, so it is scalar, scans cell by cell, and
+//! hashes each candidate once.
+//!
 //! ## Migration
 //!
 //! A cell only ever holds ⊥ or a stored entry: there is no marker word,
@@ -48,9 +59,10 @@
 //! its final contents.
 
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 
-use crate::batch::{insert_prefetch_ahead, prefetch_slot, PREFETCH_AHEAD};
+use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
@@ -67,6 +79,7 @@ mod policy {
     use crate::entry::HashEntry;
     use crate::simd::{self, Kernel};
     use std::cmp::Ordering as CmpOrdering;
+    use std::mem::MaybeUninit;
 
     /// What one insert did, for the policy's `record_insert`.
     #[derive(Default)]
@@ -208,11 +221,12 @@ mod policy {
         fn after_copy_down(t: Probe<'_, E, Self>, k: usize, token: u64) {
             let _ = (t, k, token);
         }
-        /// After a delete stored ⊥ at virtual index `k`: `Some((j, v))`
-        /// if the hole was refilled with `v`, whose other copy at `j`
-        /// the delete must now chase.
+        /// After a delete stored ⊥ at virtual index `k`: a
+        /// [`find_replacement`](Self::find_replacement) triple
+        /// `Some((j, v, home))` if the hole was refilled with `v`, whose
+        /// other copy at `j` the delete must now chase.
         #[inline(always)]
-        fn after_hole(t: Probe<'_, E, Self>, k: usize, token: u64) -> Option<(usize, u64)> {
+        fn after_hole(t: Probe<'_, E, Self>, k: usize, token: u64) -> Option<(usize, u64, usize)> {
             let _ = (t, k, token);
             None
         }
@@ -228,12 +242,14 @@ mod policy {
         fn find_settled(&self, mut attempt: impl FnMut() -> Option<u64>) -> Option<u64> {
             attempt()
         }
-        /// Looks up `keys`, appending one result per key to `out`.
+        /// Looks up `keys`, writing `keys[i]`'s result to `out[i]`:
+        /// the slices are equally long, and **every** slot of `out` is
+        /// written (the callers' `set_len` rests on it).
         #[inline(always)]
         fn find_batch_into(
             table: &super::ProbeTable<E, Self>,
             keys: &[E],
-            out: &mut Vec<Option<E>>,
+            out: &mut [MaybeUninit<Option<E>>],
         ) {
             simd::bind(table, super::FindBatch::<E, true> { keys, out });
         }
@@ -298,11 +314,12 @@ mod policy {
         fn delete_in(t: Probe<'_, E, Self>, probe: u64, token: u64) -> bool {
             t.prioritized_delete(probe, token)
         }
-        /// Figure 1 `FINDREPLACEMENT(i)` for the delete chase: `(j, v')`
-        /// where `v'` is the entry that may legally fill the hole at
-        /// virtual index `i` (or ⊥) and `j` its virtual location.
+        /// Figure 1 `FINDREPLACEMENT(i)` for the delete chase:
+        /// `(j, v', home)` — the entry that may legally fill the hole at
+        /// virtual index `i` (or ⊥), its virtual location, and its
+        /// lifted home, which the scan computed to accept it.
         #[inline(always)]
-        fn find_replacement(t: Probe<'_, E, Self>, i: usize) -> (usize, u64) {
+        fn find_replacement(t: Probe<'_, E, Self>, i: usize) -> (usize, u64, usize) {
             t.find_replacement(i)
         }
     }
@@ -540,11 +557,28 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         simd::bind(self, FindOne { probe }).map(|c| E::from_repr(self.policy.recover(r, c)))
     }
 
+    /// The batch lookup loop — the one kernel behind every batched find
+    /// of this table and of the growable wrapper, the read analogue of
+    /// [`insert_run`](Self::insert_run): writes `self.find(keys[i])` to
+    /// `out[i]`, **every** slot, with upcoming home slots prefetched and
+    /// the scan kernels bound once. Panics unless `out` is as long as
+    /// `keys`.
+    pub(crate) fn find_run(&self, keys: &[E], out: &mut [MaybeUninit<Option<E>>]) {
+        let n = keys.len();
+        assert_eq!(n, out.len());
+        if n == 0 {
+            return;
+        }
+        P::find_batch_into(self, keys, out);
+        phc_obs::probe!(count PrefetchBatches);
+        phc_obs::probe!(hist BatchSize, n);
+    }
+
     /// Looks up a batch of keys with software prefetching (the read
     /// analogue of [`insert_batch`](Self::insert_batch)), returning
     /// results in key order: `out[i] == self.find(keys[i])`.
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        let mut out = Vec::with_capacity(keys.len());
+        let mut out = Vec::new();
         self.find_batch_into(keys, &mut out);
         out
     }
@@ -552,21 +586,31 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// [`find_batch`](Self::find_batch) into a caller-provided buffer:
     /// **appends** one result per key to `out`, reusing its allocation.
     pub fn find_batch_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        let n = keys.len();
-        if n == 0 {
-            return;
-        }
-        out.reserve(n);
-        P::find_batch_into(self, keys, out);
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
+        // SAFETY: `find_run` writes every slot it is handed.
+        unsafe { phc_parutil::append_with(out, keys.len(), |slots| self.find_run(keys, slots)) }
     }
 
     /// Parallel batched lookup: results in key order, computed in
     /// grain-sized prefetching chunks on the scheduler (on the calling
     /// thread for at most one grain of keys).
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        phc_parutil::flat_map_grain(keys, |chunk| self.find_batch(chunk))
+        let mut out = Vec::new();
+        self.par_find_batched_into(keys, &mut out);
+        out
+    }
+
+    /// [`par_find_batched`](Self::par_find_batched) into a
+    /// caller-provided buffer (appends; does not clear).
+    pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
+        // SAFETY: the grains partition the slots, and `find_run` writes
+        // every slot of the grain it is handed.
+        unsafe {
+            phc_parutil::append_with(out, keys.len(), |slots| {
+                phc_parutil::for_each_grain_into(keys, slots, |chunk, slots| {
+                    self.find_run(chunk, slots)
+                })
+            })
+        }
     }
 
     /// Deletes the entry whose key equals `key`'s key part (Figure 1,
@@ -601,7 +645,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     pub(crate) fn delete_run(&self, keys: &[E], token: u64) -> usize {
         let t = self.probe();
         let mut removed = 0usize;
-        t.pipelined(keys, PREFETCH_AHEAD, |_, stored| {
+        t.pipelined(keys, |_, _, stored| {
             removed += P::delete_in(t, stored, token) as usize;
             true
         });
@@ -1003,33 +1047,27 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     }
 
     /// The batch-prefetch loop: before running `op` on item `i`, the
-    /// home slot of item `i + ahead` is prefetched (see
-    /// [`crate::batch`]), keeping several cache misses in flight instead
-    /// of serializing them. `op` gets the item's repr and stored word and
-    /// returns `false` to stop the batch; the loop returns whether it ran
-    /// to the end. Callers inside a bound tier frame mark their closure
-    /// `#[inline(always)]`, so the probe it runs compiles in that frame.
+    /// home slot of item `i + PREFETCH_AHEAD` is prefetched (see
+    /// [`crate::batch`]), keeping that many cache misses in flight
+    /// instead of serializing them. `op` gets the item's index, repr and
+    /// stored word and returns `false` to stop the batch. Callers inside
+    /// a bound tier frame mark their closure `#[inline(always)]`, so the
+    /// probe it runs compiles in that frame.
     #[inline(always)]
-    fn pipelined<I: AsRepr<E>>(
-        self,
-        items: &[I],
-        ahead: usize,
-        mut op: impl FnMut(u64, u64) -> bool,
-    ) -> bool {
+    fn pipelined<I: AsRepr<E>>(self, items: &[I], mut op: impl FnMut(usize, u64, u64) -> bool) {
         let p = self.policy();
-        for e in items.iter().take(ahead) {
+        for e in items.iter().take(PREFETCH_AHEAD) {
             self.prefetch(p.stored(e.repr()));
         }
-        for i in 0..items.len() {
-            if let Some(next) = items.get(i + ahead) {
+        for (i, item) in items.iter().enumerate() {
+            if let Some(next) = items.get(i + PREFETCH_AHEAD) {
                 self.prefetch(p.stored(next.repr()));
             }
-            let r = items[i].repr();
-            if !op(r, p.stored(r)) {
-                return false;
+            let r = item.repr();
+            if !op(i, r, p.stored(r)) {
+                return;
             }
         }
-        true
     }
 
     #[inline(always)]
@@ -1209,7 +1247,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                 k -= 1;
                 continue;
             }
-            let (j, vprime) = P::find_replacement(self, k);
+            let (j, vprime, home) = P::find_replacement(self, k);
             if self.cas_at(k, c, vprime) {
                 if vprime != E::EMPTY {
                     if CHECKED {
@@ -1217,15 +1255,11 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                     }
                     // A second copy of `vprime` now exists at `k`; we
                     // are responsible for deleting the one at `j`.
-                    v = vprime;
-                    k = j;
-                    i = self.lift_home(vprime, j);
+                    (k, v, i) = (j, vprime, home);
                 } else {
                     if CHECKED {
-                        if let Some((j2, v2)) = P::after_hole(self, k, token) {
-                            v = v2;
-                            k = j2;
-                            i = self.lift_home(v2, j2);
+                        if let Some(refill) = P::after_hole(self, k, token) {
+                            (k, v, i) = refill;
                             continue;
                         }
                     }
@@ -1244,33 +1278,32 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         result
     }
 
-    /// Figure 1, `FINDREPLACEMENT(i)`: returns `(j, v')` where `v'` is
-    /// the entry that may legally fill the hole at virtual index `i`
-    /// (or ⊥), and `j` is its (virtual) location.
-    pub(crate) fn find_replacement(self, i: usize) -> (usize, u64) {
-        // Scan up past entries that home strictly after `i` (those may
-        // not move back to `i`). The per-cell predicate hashes the
-        // entry, so it cannot be a vector compare; instead the loads
-        // come in wide windows ([`simd::load_window`]) and the
-        // predicate runs on the buffered lanes. Each lane is a valid
-        // (non-torn) cell value, which is all this scan ever relied on:
-        // concurrent deletes can move the candidate down after *any*
-        // load, wide or scalar, and the downward re-scan below plus the
-        // caller's CAS already recover from that.
-        let n = self.cells.len();
-        let fits = |val: u64, at: usize| val == E::EMPTY || self.lift_home(val, at) <= i;
-        let mut buf = [0u64; simd::MAX_WINDOW];
-        let mut next = i + 1;
-        let (mut j, mut v) = 'up: loop {
-            let real = next & self.mask;
-            let k = simd::load_window(self.cells, real, n.min(real + simd::MAX_WINDOW), &mut buf);
-            phc_obs::probe!(count SimdLanesScanned, k);
-            for (lane, &val) in buf[..k].iter().enumerate() {
-                if fits(val, next + lane) {
-                    break 'up (next + lane, val);
-                }
+    /// Figure 1, `FINDREPLACEMENT(i)`: returns `(j, v', home)` where
+    /// `v'` is the entry that may legally fill the hole at virtual index
+    /// `i` (or ⊥), `j` is its (virtual) location and `home` its lifted
+    /// home, `lift_home(v', j)` (for ⊥, `j` itself) — which the scan
+    /// computed to accept `v'`, and which the chase continues from.
+    ///
+    /// A loop over single cells: at the loads the tables run at the
+    /// candidate is almost always in the next cell or two, where loading
+    /// four at a time only added work (EXPERIMENTS.md PR 18).
+    pub(crate) fn find_replacement(self, i: usize) -> (usize, u64, usize) {
+        // The lifted home of `val` seen at `at` if it may fill the hole:
+        // ⊥ always may; an entry may unless it homes strictly after `i`.
+        let fits = |val: u64, at: usize| {
+            if val == E::EMPTY {
+                return Some(at);
             }
-            next += k;
+            let home = self.lift_home(val, at);
+            (home <= i).then_some(home)
+        };
+        let mut j = i + 1;
+        let (mut v, mut home) = loop {
+            let val = self.load_at(j);
+            if let Some(home) = fits(val, j) {
+                break (val, home);
+            }
+            j += 1;
         };
         // The candidate may have been shifted down by a concurrent
         // delete while we scanned; walk back down to find its current
@@ -1279,13 +1312,12 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         let mut k = j - 1;
         while k > i {
             let vp = self.load_at(k);
-            if fits(vp, k) {
-                v = vp;
-                j = k;
+            if let Some(h) = fits(vp, k) {
+                (j, v, home) = (k, vp, h);
             }
             k -= 1;
         }
-        (j, v)
+        (j, v, home)
     }
 }
 
@@ -1352,16 +1384,10 @@ impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
             }
         }
         let (mut consumed, mut carry) = (0usize, None);
-        // The *gated* insert prefetch distance: on a multi-worker pool,
-        // deep write-side prefetch pipelines fight both the hardware
-        // prefetcher and other writers' in-flight lines (the slots are
-        // about to be dirtied), so the lookahead shrinks when more than
-        // one pool worker is active.
         t.pipelined(
             self.items,
-            insert_prefetch_ahead(),
             #[inline(always)]
-            |r, stored| {
+            |_, r, stored| {
                 debug_assert_ne!(r, E::EMPTY);
                 if fills >= budget {
                     return false;
@@ -1383,13 +1409,14 @@ impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
     }
 }
 
-/// A whole prefetching lookup loop, awaiting its kernels. `CAREFUL`
-/// off trusts the scanned values and skips the policy's `find_settled`
-/// — for callers that certify quiescence themselves. A const, so the
+/// A whole prefetching lookup loop ([`ProbeTable::find_run`]), awaiting
+/// its kernels: `keys[i]`'s result goes to `out[i]`. `CAREFUL` off
+/// trusts the scanned values and skips the policy's `find_settled` —
+/// for callers that certify quiescence themselves. A const, so the
 /// frame the loop is bound in holds only the one variant.
 pub(crate) struct FindBatch<'a, E, const CAREFUL: bool> {
     pub(crate) keys: &'a [E],
-    pub(crate) out: &'a mut Vec<Option<E>>,
+    pub(crate) out: &'a mut [MaybeUninit<Option<E>>],
 }
 
 impl<E: HashEntry, P: ProbePolicy<E>, const CAREFUL: bool> TierBody<ProbeTable<E, P>>
@@ -1398,13 +1425,14 @@ impl<E: HashEntry, P: ProbePolicy<E>, const CAREFUL: bool> TierBody<ProbeTable<E
     type Out = ();
     #[inline(always)]
     fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) {
-        let (t, out) = (table.probe(), self.out);
+        let t = table.probe();
+        // One length for both slices: no bounds check per store.
+        let out = &mut self.out[..self.keys.len()];
         t.pipelined(
             self.keys,
-            PREFETCH_AHEAD,
             #[inline(always)]
-            |r, stored| {
-                out.push(
+            |i, r, stored| {
+                out[i].write(
                     P::find_with(t, k, stored, CAREFUL)
                         .map(|c| E::from_repr(t.policy().recover(r, c))),
                 );
@@ -1680,6 +1708,74 @@ mod tests {
                         assert_eq!(t.find(U64Key::new(k)), None);
                     }
                     assert_eq!(t.len(), 0);
+                }
+
+                /// Figure 1's `FINDREPLACEMENT(i)`, transcribed over a
+                /// quiescent snapshot: scan up to the first cell that is
+                /// ⊥ or homes at or before `i`, then back down for the
+                /// lowest such cell.
+                fn figure1_replacement(
+                    cells: &[u64],
+                    home_of: impl Fn(u64) -> usize,
+                    i: usize,
+                ) -> (usize, u64) {
+                    let mask = cells.len() - 1;
+                    let lifted =
+                        |v: u64, at: usize| at - ((at & mask).wrapping_sub(home_of(v)) & mask);
+                    let fits = |v: u64, at: usize| v == 0 || lifted(v, at) <= i;
+                    let mut j = i + 1;
+                    while !fits(cells[j & mask], j) {
+                        j += 1;
+                    }
+                    let mut v = cells[j & mask];
+                    for k in (i + 1..j).rev() {
+                        if fits(cells[k & mask], k) {
+                            (j, v) = (k, cells[k & mask]);
+                        }
+                    }
+                    (j, v)
+                }
+
+                #[test]
+                fn find_replacement_matches_figure_1_and_returns_the_lifted_home() {
+                    const LOG2: u32 = 8;
+                    let n = 1usize << LOG2;
+                    for load_quarters in [1, 2, 3] {
+                        let t: Table<U64Key> = Table::new_pow2(LOG2);
+                        let view = t.probe();
+                        let home_of = |stored: u64| view.home(stored);
+                        // Six keys homed in the last two buckets make a
+                        // cluster that wraps the array end ...
+                        let wrapping = (1u64..)
+                            .filter(|&k| {
+                                home_of(ProbePolicy::<U64Key>::stored(view.policy(), k)) >= n - 2
+                            })
+                            .take(6);
+                        // ... and hashed keys bring the table to its load.
+                        let fill = (1u64..).map(|i| phc_parutil::hash64(i) | 1);
+                        for k in wrapping.chain(fill).take(n * load_quarters / 4) {
+                            t.insert(U64Key::new(k));
+                        }
+                        let cells = t.snapshot();
+                        assert_eq!(t.len(), n * load_quarters / 4);
+                        assert!(
+                            cells[..n / 2]
+                                .iter()
+                                .any(|&v| v != 0 && home_of(v) >= n - 2),
+                            "no cluster wraps the array end"
+                        );
+                        for c in (0..n).filter(|&c| cells[c] != 0) {
+                            let i = n + c;
+                            let (j, v, home) = view.find_replacement(i);
+                            let what = format!("load {load_quarters}/4, hole at cell {c}");
+                            assert_eq!((j, v), figure1_replacement(&cells, home_of, i), "{what}");
+                            assert!(j > i && cells[j & (n - 1)] == v, "{what}");
+                            if v != 0 {
+                                assert_eq!(home, view.lift_home(v, j), "{what}");
+                                assert!(home <= i, "{what}");
+                            }
+                        }
+                    }
                 }
 
                 #[test]

@@ -141,6 +141,7 @@
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -738,40 +739,61 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         self.open_window().core().find(key)
     }
 
+    /// One read window over the core's batch lookup loop
+    /// ([`ProbeTable::find_run`]), which writes every slot of `out`. The
+    /// batched finds below hand it at most one [`phc_parutil::grain`] of
+    /// keys, so a long batch never holds the drain gate shut for longer;
+    /// an empty batch opens no window.
+    fn find_window(&self, keys: &[E], out: &mut [MaybeUninit<Option<E>>]) {
+        if !keys.is_empty() {
+            self.open_window().core().find_run(keys, out);
+        }
+    }
+
     /// Batched lookup through the core's prefetching batch kernel
     /// (one result per key, in key order).
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        let mut out = Vec::with_capacity(keys.len());
+        let mut out = Vec::new();
         self.find_batch_into(keys, &mut out);
         out
     }
 
     /// [`find_batch`](Self::find_batch) into a caller-supplied buffer
-    /// (appends; does not clear). One read window per
-    /// [`phc_parutil::grain`] of keys, so a long batch never holds the
-    /// drain gate shut for more than one grain of finds.
+    /// (appends; does not clear), one read window per grain of keys.
     pub fn find_batch_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        for chunk in keys.chunks(phc_parutil::grain()) {
-            self.open_window().core().find_batch_into(chunk, out);
+        let grain = phc_parutil::grain();
+        // SAFETY: the grains partition the slots, and `find_window`
+        // writes every slot of the grain it is handed.
+        unsafe {
+            phc_parutil::append_with(out, keys.len(), |slots| {
+                for (chunk, slots) in keys.chunks(grain).zip(slots.chunks_mut(grain)) {
+                    self.find_window(chunk, slots);
+                }
+            })
         }
     }
 
     /// Parallel batched lookup: chunks by [`phc_parutil::grain`];
     /// results stay in key order.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        phc_parutil::flat_map_grain(keys, |chunk| self.find_batch(chunk))
+        let mut out = Vec::new();
+        self.par_find_batched_into(keys, &mut out);
+        out
     }
 
     /// [`par_find_batched`](Self::par_find_batched) into a
-    /// caller-supplied buffer (appends; does not clear). At most one
-    /// grain of keys — a server shard's slice of a batch — is looked up
-    /// on the calling thread straight into `out`: no allocation once the
-    /// buffer has reached its high-water capacity.
+    /// caller-supplied buffer (appends; does not clear): on the calling
+    /// thread for at most one grain — a server shard's slice of a batch
+    /// — and without allocating once the buffer has reached its
+    /// high-water capacity.
     pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        if keys.len() <= phc_parutil::grain() {
-            self.find_batch_into(keys, out);
-        } else {
-            out.extend(self.par_find_batched(keys));
+        // SAFETY: as in `find_batch_into`.
+        unsafe {
+            phc_parutil::append_with(out, keys.len(), |slots| {
+                phc_parutil::for_each_grain_into(keys, slots, |chunk, slots| {
+                    self.find_window(chunk, slots)
+                })
+            })
         }
     }
 

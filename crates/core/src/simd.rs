@@ -1,13 +1,16 @@
 //! Wide-scan (SIMD) primitives over the cell array.
 //!
-//! Every hot path in this crate — linear-probe find, the insert
-//! empty/lower-priority search, `elements()` packing, migration
-//! draining, and occupancy counting — is a forward scan over a
-//! contiguous `AtomicU64` array: exactly the shape wide vector loads
-//! were built for. This module provides those scans with runtime
-//! dispatch AVX2 → SSE2 → scalar and a `PHC_SIMD` environment knob
-//! (read once, like `PHC_THREADS`) to pin a tier for benchmarking and
-//! differential testing.
+//! The linear-probe find, the insert's empty/lower-priority search,
+//! `elements()` packing and occupancy counting are forward scans over a
+//! contiguous `AtomicU64` array whose stop condition is a compare on
+//! the cell word: exactly the shape wide vector loads were built for.
+//! This module provides those scans — two stop scans and an occupancy
+//! mask — with runtime dispatch AVX2 → SSE2 → scalar and a `PHC_SIMD`
+//! environment knob (read once, like `PHC_THREADS`) to pin a tier for
+//! benchmarking and differential testing. What it does not hold is a
+//! plain wide *load*: the one scan whose predicate hashes the cell (the
+//! delete chase's `find_replacement`, [`crate::probe`]) runs cell by
+//! cell, which measured faster than filling a window first.
 //!
 //! ## Why unsynchronized wide loads are sound here
 //!
@@ -529,74 +532,6 @@ pub fn scan_for_empty<A: CellAtomic>(cells: &[A], start: usize, end: usize, empt
     scan_for_key(cells, start, end, empty, u64::MAX, empty)
 }
 
-/// Widest window [`load_window`] fills (the AVX2 lane count).
-pub const MAX_WINDOW: usize = 4;
-
-/// Loads up to [`MAX_WINDOW`] consecutive cells from `[start, end)`
-/// into `out`, returning how many lanes were filled (0 when
-/// `start >= end`). At the SSE2/AVX2 tiers full windows come from one
-/// or two vector loads; partial windows and the scalar tier use
-/// per-cell atomic loads. For probe loops whose per-cell predicate
-/// cannot be vectorized (e.g. it must hash the entry, as in
-/// `find_replacement`): the win is batched cache traffic, with each
-/// lane still an individually valid (non-torn) cell value.
-///
-/// Always inlined: out of line, every window costs a call here on top
-/// of the call into the tier's (target-feature) load — ~4% of delete
-/// throughput through `find_replacement` (EXPERIMENTS.md PR 12).
-#[inline(always)]
-pub fn load_window<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    out: &mut [u64; MAX_WINDOW],
-) -> usize {
-    debug_assert!(end <= cells.len());
-    let k = end.saturating_sub(start).min(MAX_WINDOW);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if A::BITS == 32 {
-            // A full 4-cell window of 32-bit cells is one 128-bit load
-            // (zero-extended on store-out); partial windows fall through
-            // to the per-cell loads.
-            if k == MAX_WINDOW && tier() != SimdTier::Scalar {
-                unsafe {
-                    x86::load4_u32_sse2(cells.as_ptr().cast::<u32>().add(start), out.as_mut_ptr())
-                };
-                return k;
-            }
-        } else {
-            match tier() {
-                SimdTier::Avx2 if k == MAX_WINDOW => {
-                    // SAFETY: in-bounds, 8-byte-aligned; see module docs
-                    // for the race argument.
-                    unsafe {
-                        x86::load4_avx2(cells.as_ptr().cast::<u64>().add(start), out.as_mut_ptr())
-                    };
-                    return k;
-                }
-                SimdTier::Sse2 | SimdTier::Avx2 if k >= 2 => {
-                    unsafe {
-                        let src = cells.as_ptr().cast::<u64>().add(start);
-                        x86::load2_sse2(src, out.as_mut_ptr());
-                        if k == 3 {
-                            out[2] = cells[start + 2].load(Ordering::Acquire);
-                        } else if k == 4 {
-                            x86::load2_sse2(src.add(2), out.as_mut_ptr().add(2));
-                        }
-                    }
-                    return k;
-                }
-                _ => {}
-            }
-        }
-    }
-    for (lane, slot) in out.iter_mut().enumerate().take(k) {
-        *slot = cells[start + lane].load(Ordering::Acquire);
-    }
-    k
-}
-
 /// Occupancy bitmask of a window of at most 64 cells: bit `j` is set
 /// iff `window[j] != empty`. Bits at positions `>= window.len()` are
 /// zero. This is the count/pack primitive: `elements()` and `len()`
@@ -957,24 +892,6 @@ pub(crate) mod x86 {
         mask | tail_nonempty(ptr, j, len, empty)
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn load4_avx2(src: *const u64, dst: *mut u64) {
-        _mm256_storeu_si256(dst.cast(), _mm256_loadu_si256(src.cast()));
-    }
-
-    pub unsafe fn load2_sse2(src: *const u64, dst: *mut u64) {
-        _mm_storeu_si128(dst.cast(), _mm_loadu_si128(src.cast()));
-    }
-
-    /// Loads 4 consecutive 32-bit cells and zero-extends them into 4
-    /// `u64` window lanes (one 128-bit load + two unpacks).
-    pub unsafe fn load4_u32_sse2(src: *const u32, dst: *mut u64) {
-        let w = _mm_loadu_si128(src.cast());
-        let z = _mm_setzero_si128();
-        _mm_storeu_si128(dst.cast(), _mm_unpacklo_epi32(w, z));
-        _mm_storeu_si128(dst.add(2).cast(), _mm_unpackhi_epi32(w, z));
-    }
-
     /// Scalar tail of the `<=` scan over `[i, end)` (raw loads — same
     /// lanes the vector body would have examined, widened compares).
     #[inline(always)]
@@ -1175,27 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn load_window_matches_atomic_loads() {
-        let cells = random_cells(11, 0x10AD);
-        for_each_tier(|t| {
-            for start in 0..cells.len() {
-                for end in start..=cells.len() {
-                    let mut buf = [0u64; MAX_WINDOW];
-                    let k = load_window(&cells, start, end, &mut buf);
-                    assert_eq!(k, (end - start).min(MAX_WINDOW), "tier {t:?}");
-                    for (lane, &got) in buf[..k].iter().enumerate() {
-                        assert_eq!(
-                            got,
-                            cells[start + lane].load(Ordering::Relaxed),
-                            "tier {t:?} start {start} lane {lane}"
-                        );
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
     fn nonzero_empty_sentinel() {
         let empty = u64::MAX;
         let cells = cells_of(&[empty, 5, empty, 9, 1, empty]);
@@ -1292,7 +1188,7 @@ mod tests {
     }
 
     #[test]
-    fn tiers_agree_on_nonempty_mask_and_window_u32_cells() {
+    fn tiers_agree_on_nonempty_mask_u32_cells() {
         let cells = random_cells_u32(64, 11);
         for_each_tier(|t| {
             for len in [0usize, 1, 3, 4, 5, 8, 9, 31, 63, 64] {
@@ -1304,20 +1200,6 @@ mod tests {
                     expect,
                     "tier {t:?} len {len}"
                 );
-            }
-            for start in 0..12 {
-                for end in start..=12 {
-                    let mut buf = [0u64; MAX_WINDOW];
-                    let k = load_window(&cells, start, end, &mut buf);
-                    assert_eq!(k, (end - start).min(MAX_WINDOW), "tier {t:?}");
-                    for (lane, &got) in buf[..k].iter().enumerate() {
-                        assert_eq!(
-                            got,
-                            cells[start + lane].load(Ordering::Relaxed) as u64,
-                            "tier {t:?} start {start} lane {lane}"
-                        );
-                    }
-                }
             }
         });
     }

@@ -102,7 +102,10 @@ define_ids! {
         SchedStealAttempts => "sched_steal_attempts",
         /// Prefetched batches processed by the batched table paths.
         PrefetchBatches => "prefetch_batches",
-        /// Cell lanes examined by the wide-scan (SIMD) probe paths.
+        /// Cell lanes examined by the wide-scan (SIMD) insert and find
+        /// probes — the operations `SimdLanesPerProbe` samples. The
+        /// delete chase scans cell by cell and counts under
+        /// `DeleteProbeSteps`, not here.
         SimdLanesScanned => "simd_lanes_scanned",
         /// Operations that declined the wide path (entry type without a
         /// SIMD key mask, or a forced tier unavailable on this CPU).

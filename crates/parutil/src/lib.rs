@@ -13,6 +13,12 @@
 //! `pack` produce identical outputs regardless of how rayon schedules
 //! the blocks, and [`rng`] derives all randomness by hashing indices so
 //! parallel generation is order-independent.
+//!
+//! The crate root holds the grain helpers the tables' batched paths are
+//! built on: [`grain`], [`for_each_grain`], and — for operations that
+//! return one result per item — [`for_each_grain_into`] over an output
+//! sized once with [`append_with`], so that every chunk writes its own
+//! part of one buffer instead of returning a buffer to be concatenated.
 
 #![warn(missing_docs)]
 
@@ -110,19 +116,53 @@ pub fn for_each_grain<T: Sync>(items: &[T], f: impl Fn(&[T]) + Send + Sync) {
     }
 }
 
-/// [`for_each_grain`] for chunk functions that return results: the
-/// chunks' outputs concatenated in chunk order, whichever thread ran
-/// each.
-pub fn flat_map_grain<T: Sync, R: Send>(
+/// [`for_each_grain`] for chunk functions that produce one result per
+/// item: each chunk of `items` is handed the same-index chunk of `out`
+/// to fill, so results land in item order whichever thread ran each
+/// chunk — with no per-chunk buffer and nothing to concatenate.
+///
+/// # Panics
+///
+/// Panics unless `out` is as long as `items`.
+pub fn for_each_grain_into<T: Sync, R: Send>(
     items: &[T],
-    f: impl Fn(&[T]) -> Vec<R> + Send + Sync,
-) -> Vec<R> {
+    out: &mut [R],
+    f: impl Fn(&[T], &mut [R]) + Send + Sync,
+) {
     use rayon::prelude::*;
-    if items.len() <= grain() {
-        f(items)
+    assert_eq!(items.len(), out.len());
+    let grain = grain();
+    if items.len() <= grain {
+        f(items, out)
     } else {
-        items.par_chunks(grain()).flat_map_iter(f).collect()
+        out.par_chunks_mut(grain)
+            .zip(items.par_chunks(grain))
+            .for_each(|(slots, chunk)| f(chunk, slots))
     }
+}
+
+/// Appends `n` elements to `out`, written in place by `fill`: how a
+/// batch operation that *appends* its results sizes its output once, up
+/// front, for a kernel that then writes each slot by index. `fill` gets
+/// the `n` slots behind `out`'s contents, uninitialised — filling them
+/// with a placeholder first is a second pass over the output, which on
+/// cache-resident tables measured 2–7% of a batched lookup
+/// (EXPERIMENTS.md PR 18).
+///
+/// # Safety
+///
+/// `fill` must initialise every slot of the slice it is handed.
+pub unsafe fn append_with<R>(
+    out: &mut Vec<R>,
+    n: usize,
+    fill: impl FnOnce(&mut [std::mem::MaybeUninit<R>]),
+) {
+    out.reserve(n);
+    fill(&mut out.spare_capacity_mut()[..n]);
+    // SAFETY: `reserve` made room for `n` more elements, and `fill`
+    // initialised them (this function's contract). Had it panicked
+    // instead, the length would have stayed where it was.
+    unsafe { out.set_len(out.len() + n) };
 }
 
 /// Splits `n` items into blocks of roughly `grain` items and returns the
