@@ -4,12 +4,13 @@
 //! adjacent operation changes type — replayed through both shard
 //! cores of the KV server:
 //!
-//! * **rooms** — [`KvServer`] over the phase-separated det core: each
-//!   mixed batch pays room switches between its put, del, and get
-//!   sub-phases;
-//! * **fc** — [`FcKvServer`] over the fully concurrent core: the same
-//!   sub-batches run as one fused room-free pass (identical response
-//!   bytes — see `tests/server_replay.rs`).
+//! * **det** — [`KvServer`] over the phase-concurrent det core: each
+//!   mixed batch runs its put, del, and get sub-phases as three
+//!   borrow-checked phases under the batch lock, with no room
+//!   synchronizer;
+//! * **fc** — [`FcKvServer`] over the fully concurrent core, through
+//!   the same phased path (identical response bytes — see
+//!   `tests/server_replay.rs`).
 //!
 //! ```text
 //! mixed [--ops N] [--shards S] [--threads T] [--seed X] [--keys K] [--json FILE]
@@ -19,15 +20,11 @@
 //! (`del_frac = 1.0`). Both modes' repetitions are interleaved
 //! ([`replay_pair`]) so host steal-time drift cannot land on one side
 //! of the ratio. A second table sweeps the del fraction at a fixed
-//! batch, and a third compares the per-op paths, where rooms pays a
-//! room transition at essentially *every* call — the regime the phase
-//! discipline is structurally worst at, and where fc's win is
-//! largest. At large batches on a single core the two converge: the
-//! server amortizes the (uncontended) room switches across the batch,
-//! while fc still pays its per-operation overlap checks — see the
-//! 1-core caveat in EXPERIMENTS.md. With the `obs` feature, a final
-//! table shows the mechanism: room switches all but vanish in fc
-//! mode, replaced by a small number of displacement repairs.
+//! batch, and a third compares the per-op paths: `apply_op` is a batch
+//! of one, so it measures the fixed cost of a batch (the lock, routing,
+//! three phase openings) per operation. With the `obs` feature, a final
+//! table shows the mechanism: neither mode enters a room, and fc's
+//! displacement repairs are the one synchronization left to count.
 
 use phc_bench::{arg_or_env, default_threads, Report};
 use phc_core::KeepMin;
@@ -93,8 +90,7 @@ fn replay_pair<A: ShardTable<KeepMin>, B: ShardTable<KeepMin>>(
 }
 
 /// Best-of-[`REPS`] per-op replay of both modes, interleaved like
-/// [`replay_pair`] (no batching: rooms mode pays a room transition per
-/// call; fc mode pays only its epoch registration).
+/// [`replay_pair`]: every call is a batch of one.
 fn per_op_pair<A: ShardTable<KeepMin>, B: ShardTable<KeepMin>>(
     shards: usize,
     log: &[KvOp],
@@ -159,22 +155,25 @@ fn main() {
             // Headline: balanced 1:1:1 mix, batch sweep, both cores.
             let mut sweep = Report::new(
                 format!("rmw 1:1:1 batch sweep, {shards} shards, T={threads}"),
-                &["rooms Mops", "fc Mops", "fc/rooms", "fc p99 batch us"],
+                &["det Mops", "fc Mops", "fc/det", "fc p99 batch us"],
             );
             for batch in [64usize, 256, 1024, 4096] {
-                let ((rooms_total, _), (fc_total, fc_lats)) =
+                let ((det_total, _), (fc_total, fc_lats)) =
                     replay_pair::<
-                        phc_core::AutoPhaseGrowTable<phc_core::KvPair>,
-                        phc_core::FcAutoGrowTable<phc_core::KvPair>,
+                        phc_core::ResizableTable<phc_core::KvPair>,
+                        phc_core::ResizableTable<
+                            phc_core::KvPair,
+                            phc_core::FcHashTable<phc_core::KvPair>,
+                        >,
                     >(shards, &balanced, batch);
-                let rooms_mops = ops as f64 / rooms_total / 1e6;
+                let det_mops = ops as f64 / det_total / 1e6;
                 let fc_mops = ops as f64 / fc_total / 1e6;
                 sweep.push(
                     format!("batch={batch}"),
                     vec![
-                        Some(rooms_mops),
+                        Some(det_mops),
                         Some(fc_mops),
-                        Some(fc_mops / rooms_mops),
+                        Some(fc_mops / det_mops),
                         Some(percentile(&fc_lats, 0.99) * 1e6),
                     ],
                 );
@@ -183,24 +182,26 @@ fn main() {
             reports.push(sweep);
 
             // Mix-ratio sweep at a fixed batch: as the del fraction
-            // falls the third slot becomes a get and the room pattern
-            // shrinks from put|del|get to put|get — the rooms penalty
-            // shrinks with it.
+            // falls the third slot becomes a get and the sub-phase
+            // pattern shrinks from put|del|get to put|get.
             let mut mix = Report::new(
                 format!("rmw del-fraction sweep, batch=1024, {shards} shards, T={threads}"),
-                &["rooms Mops", "fc Mops", "fc/rooms"],
+                &["det Mops", "fc Mops", "fc/det"],
             );
             for del_frac in [0.0f64, 0.25, 0.5, 1.0] {
                 let log = kv_rmw_log(ops, &rmw_workload(keys, del_frac), seed);
-                let ((rooms_total, _), (fc_total, _)) = replay_pair::<
-                    phc_core::AutoPhaseGrowTable<phc_core::KvPair>,
-                    phc_core::FcAutoGrowTable<phc_core::KvPair>,
+                let ((det_total, _), (fc_total, _)) = replay_pair::<
+                    phc_core::ResizableTable<phc_core::KvPair>,
+                    phc_core::ResizableTable<
+                        phc_core::KvPair,
+                        phc_core::FcHashTable<phc_core::KvPair>,
+                    >,
                 >(shards, &log, 1024);
-                let rooms_mops = ops as f64 / rooms_total / 1e6;
+                let det_mops = ops as f64 / det_total / 1e6;
                 let fc_mops = ops as f64 / fc_total / 1e6;
                 mix.push(
                     format!("del_frac={del_frac}"),
-                    vec![Some(rooms_mops), Some(fc_mops), Some(fc_mops / rooms_mops)],
+                    vec![Some(det_mops), Some(fc_mops), Some(fc_mops / det_mops)],
                 );
             }
             mix.print();
@@ -209,29 +210,29 @@ fn main() {
             // Per-op paths on a trimmed log (the unbatched path is an
             // order of magnitude slower; keep the wall time sane).
             let per_op_log = &balanced[..balanced.len().min(120_000)];
-            let (rooms_s, fc_s) = per_op_pair::<
-                phc_core::AutoPhaseGrowTable<phc_core::KvPair>,
-                phc_core::FcAutoGrowTable<phc_core::KvPair>,
+            let (det_s, fc_s) = per_op_pair::<
+                phc_core::ResizableTable<phc_core::KvPair>,
+                phc_core::ResizableTable<phc_core::KvPair, phc_core::FcHashTable<phc_core::KvPair>>,
             >(shards, per_op_log);
             let mut per_op = Report::new(
                 format!(
                     "rmw 1:1:1 per-op path, {} ops, {shards} shards",
                     per_op_log.len()
                 ),
-                &["Mops", "vs rooms"],
+                &["Mops", "vs det"],
             );
-            let rooms_mops = per_op_log.len() as f64 / rooms_s / 1e6;
+            let det_mops = per_op_log.len() as f64 / det_s / 1e6;
             let fc_mops = per_op_log.len() as f64 / fc_s / 1e6;
-            per_op.push("rooms", vec![Some(rooms_mops), Some(1.0)]);
-            per_op.push("fc", vec![Some(fc_mops), Some(fc_mops / rooms_mops)]);
+            per_op.push("det", vec![Some(det_mops), Some(1.0)]);
+            per_op.push("fc", vec![Some(fc_mops), Some(fc_mops / det_mops)]);
             per_op.print();
             reports.push(per_op);
 
             // Mechanism, when the obs feature is on: one more replay
-            // per mode with counter deltas around it. Room switches
-            // drop to zero in fc mode; the fc repair machinery's
-            // displacements/helps take their place (and are far
-            // rarer).
+            // per mode with counter deltas around it. Room switches are
+            // zero in both modes (the batch lock keeps the phases
+            // apart); fc's repair machinery counts its displacements
+            // and helps.
             if phc_obs::Recorder::ENABLED {
                 use phc_obs::{Counter, Recorder};
                 let count = |f: &dyn Fn()| {
@@ -239,7 +240,7 @@ fn main() {
                     f();
                     Recorder::global().snapshot().since(&before)
                 };
-                let rooms_d = count(&|| {
+                let det_d = count(&|| {
                     let s: KvServer = KvServer::new(shards, LOG2_CELLS);
                     s.apply_log(&balanced, 1024);
                 });
@@ -257,7 +258,7 @@ fn main() {
                         "fc repair scans",
                     ],
                 );
-                for (name, d) in [("rooms", rooms_d), ("fc", fc_d)] {
+                for (name, d) in [("det", det_d), ("fc", fc_d)] {
                     obs.push(
                         name,
                         vec![

@@ -1,7 +1,8 @@
 //! Sharded KV server bench (PR 7, not a paper artifact): closed-loop
-//! Zipfian load replayed through [`phc_server::KvServer`], sweeping the
-//! batch size against the per-op room-per-call baseline, plus a shard
-//! scaling sweep and the per-shard operation counters.
+//! Zipfian load replayed through [`phc_server::KvServer`] (the det
+//! core, no room synchronizer), sweeping the batch size against the
+//! per-op baseline — `apply_op`, a batch of one — plus a shard scaling
+//! sweep and the per-shard operation counters.
 //!
 //! ```text
 //! server [--ops N] [--shards S] [--threads T] [--seed X] [--json FILE]
@@ -85,8 +86,8 @@ fn main() {
 
     phc_parutil::with_pool(threads, |pool| {
         pool.install(|| {
-            // Per-op baseline: every op takes the room-per-call path
-            // (room entry + exit each). Replays the SAME full log as
+            // Per-op baseline: every op is a batch of one (the lock,
+            // routing and a phase opening each). Replays the SAME full log as
             // the batched rows — a prefix-only baseline would run
             // against smaller, cache-hotter tables and bias the
             // comparison.

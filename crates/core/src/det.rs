@@ -53,6 +53,7 @@ impl<E: HashEntry> ProbePolicy<E> for DetPolicy {
 
 impl<E: HashEntry> Growable<E> for DetPolicy {
     const GROW_NAME: &'static str = "linearHash-D-grow";
+    const LABEL: &'static str = "det";
     type Gate = crate::rooms::RoomSync;
 }
 

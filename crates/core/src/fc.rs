@@ -297,6 +297,7 @@ impl<E: HashEntry> ProbePolicy<E> for FcPolicy {
 
 impl<E: HashEntry> Growable<E> for FcPolicy {
     const GROW_NAME: &'static str = "linearHash-FC-grow";
+    const LABEL: &'static str = "fc";
     /// Every operation may overlap every other: nothing to keep apart.
     type Gate = crate::rooms::NoRooms;
 }

@@ -330,6 +330,8 @@ mod policy {
     pub trait Growable<E: HashEntry>: ProbePolicy<E> {
         /// `FlatTableCore::GROW_NAME` of the table.
         const GROW_NAME: &'static str;
+        /// `FlatTableCore::LABEL` of the table.
+        const LABEL: &'static str;
         /// What keeps the table's phases apart when callers do not (see
         /// [`crate::rooms`]): a room synchronizer, or nothing.
         type Gate: crate::rooms::Gate;
@@ -1505,6 +1507,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> TableOps<E> for ProbeTable<E, P> {
 impl<E: HashEntry, P: Growable<E>> crate::resize::FlatTableCore<E> for ProbeTable<E, P> {
     type Policy = P;
     const GROW_NAME: &'static str = P::GROW_NAME;
+    const LABEL: &'static str = P::LABEL;
 
     fn new_pow2(log2_size: u32) -> Self {
         ProbeTable::new_pow2(log2_size)

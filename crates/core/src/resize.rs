@@ -32,7 +32,9 @@
 //! `WINDOW_CHUNK` inserts (`fill_window`) or deletes (`delete_batch`),
 //! or one read call (`open_window`: a `find`, at most one grain of a
 //! `find_batch`, one array pass of `elements*` / `snapshot` /
-//! `with_raw_cells`). Registering is `state.fetch_add(ACTIVE_ONE)`, then
+//! `with_raw_cells`). The one exception is a read through a read-phase
+//! handle, which needs no registration (see "Release on drain").
+//! Registering is `state.fetch_add(ACTIVE_ONE)`, then
 //! a re-read of `next`. A thread that finds a successor un-registers
 //! without having touched a cell and re-routes; otherwise it runs its
 //! window and retires with one RMW (which, for writers, also posts the
@@ -77,13 +79,20 @@
 //!
 //! ## Release on drain
 //!
-//! The cells of an epoch are therefore reachable in exactly two ways: a
-//! registration taken while `next` was null, or a claimed block not yet
-//! counted into `done`. When the `done` increment of some helper
-//! completes the count, both are gone for good — the gate was passed
-//! before the first claim, every later registration withdraws, and the
-//! `AcqRel` increments order every other helper's block reads before
-//! this one — so that helper advances `current` and **drops the core
+//! The cells of an epoch are therefore reachable in exactly three ways:
+//! a registration taken while `next` was null, a claimed block not yet
+//! counted into `done`, or a read-phase handle ([`Reader`], from
+//! `PhaseHashTable::begin_read`). The handle registers nowhere, and needs
+//! not to: `begin_read` normalizes, so the chain is one epoch when the
+//! handle is made, and the exclusive borrow the handle holds keeps every
+//! window — and with it every publish — out until it drops; with no
+//! successor there is no helper to drain or free what it reads. When the
+//! `done` increment of some helper completes the count, all three are
+//! gone for good — the gate was passed before the first claim, every
+//! later registration withdraws, a handle made later reads the successor
+//! (its `begin_read` drained this epoch first), and the `AcqRel`
+//! increments order every other helper's block reads before this one —
+//! so that helper advances `current` and **drops the core
 //! table in place**: the cell array goes back to the allocator (straight
 //! to the OS for arrays above the allocator's mmap threshold) while the
 //! migration's last operation is still running. What stays until `Drop`
@@ -175,6 +184,9 @@ pub trait FlatTableCore<E: HashEntry>: Send + Sync + Sized {
     /// `PhaseHashTable::NAME` for the growable wrapper over this core
     /// (e.g. `"linearHash-D-grow"`).
     const GROW_NAME: &'static str;
+    /// Short label of the core for benches and logs: `"det"`,
+    /// `"robinhood"` or `"fc"`.
+    const LABEL: &'static str;
 
     /// Creates a table with `2^log2_size` cells, all empty.
     fn new_pow2(log2_size: u32) -> Self;
@@ -310,8 +322,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> Epoch<E, T> {
 
     /// The epoch's table, as the probe engine it is. Callers hold what
     /// keeps it alive: a registration on this epoch taken while `next`
-    /// was null (`fill_window`, [`Window`]), or a claimed block that has
-    /// not been counted into `done` yet (`help`).
+    /// was null (`fill_window`, [`Window`]), a claimed block that has
+    /// not been counted into `done` yet (`help`), or a read-phase handle
+    /// on a chain of one epoch (`read_phase_core`).
     fn core(&self) -> &ProbeTable<E, T::Policy> {
         debug_assert!(
             !self.released.load(Ordering::SeqCst),
@@ -783,9 +796,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
 
     /// [`par_find_batched`](Self::par_find_batched) into a
     /// caller-supplied buffer (appends; does not clear): on the calling
-    /// thread for at most one grain — a server shard's slice of a batch
-    /// — and without allocating once the buffer has reached its
-    /// high-water capacity.
+    /// thread for at most one grain, and without allocating once the
+    /// buffer has reached its high-water capacity. A read-phase handle
+    /// has the same lookup without the registrations.
     pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
         // SAFETY: as in `find_batch_into`.
         unsafe {
@@ -821,6 +834,18 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// wait at the drain gate for `f`'s own registration.
     pub fn with_raw_cells<R>(&self, f: impl FnOnce(&[AtomOf<E::Repr>]) -> R) -> R {
         f(self.open_window().core().raw_cells())
+    }
+
+    /// The live core for the [`Reader`] methods below, reached without a
+    /// registration — the third way an epoch's cells are reachable (see
+    /// "Release on drain"): `begin_read` left a chain of one epoch, and
+    /// the handle's borrow keeps every publish out until it drops.
+    fn read_phase_core(&self) -> &ProbeTable<E, T::Policy> {
+        debug_assert!(
+            self.current_epoch().next.load(Ordering::SeqCst).is_null(),
+            "read phase over a resizing table"
+        );
+        self.current_epoch().core()
     }
 
     /// Publishes a doubled successor for `ep` (retiring it) unless one
@@ -1052,6 +1077,50 @@ impl<E: HashEntry, T: FlatTableCore<E>> TableOps<E> for ResizableTable<E, T> {
     /// generic phase-discipline code sees deterministic snapshots.
     fn before_phase(&self) {
         self.normalize();
+    }
+}
+
+/// The batched insert of an insert phase. It ends normalized, so a phase
+/// driven through it leaves the canonical capacity and no pending
+/// migration behind, whichever call was its last.
+impl<E: HashEntry, T: FlatTableCore<E>> Inserter<'_, ResizableTable<E, T>> {
+    /// [`ResizableTable::par_insert_batched`], then normalizes.
+    pub fn par_insert_batched(&self, entries: &[E]) {
+        self.0.par_insert_batched(entries);
+        self.0.normalize();
+    }
+}
+
+/// The batched delete of a delete phase; like the insert, it ends
+/// normalized (on the shrunk capacity, if the deletes emptied the table
+/// out).
+impl<E: HashEntry, T: FlatTableCore<E>> Deleter<'_, ResizableTable<E, T>> {
+    /// [`ResizableTable::par_delete_batched`], then normalizes.
+    pub fn par_delete_batched(&self, keys: &[E]) {
+        self.0.par_delete_batched(keys);
+        self.0.normalize();
+    }
+}
+
+/// The reads of a read phase. Unlike the table's own `&self` reads they
+/// register on no epoch: the handle itself keeps the cells alive (see
+/// "Release on drain" in the [module docs](self)). The per-key
+/// [`ConcurrentRead::find`](crate::phase::ConcurrentRead::find) and
+/// `elements` go through the table's own methods and register as usual.
+impl<E: HashEntry, T: FlatTableCore<E>> Reader<'_, ResizableTable<E, T>> {
+    /// [`ResizableTable::par_find_batched_into`] without registering.
+    pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
+        self.0.read_phase_core().par_find_batched_into(keys, out)
+    }
+
+    /// [`ResizableTable::elements_into`] without registering.
+    pub fn elements_into(&self, out: &mut Vec<E>) {
+        self.0.read_phase_core().elements_into(out)
+    }
+
+    /// [`ResizableTable::snapshot`] without registering.
+    pub fn snapshot(&self) -> Vec<u64> {
+        self.0.read_phase_core().snapshot()
     }
 }
 
@@ -1301,6 +1370,61 @@ mod tests {
             }
         });
         assert_eq!(t.len(), 100);
+    }
+
+    #[test]
+    fn read_phase_handle_registers_on_no_epoch() {
+        use crate::phase::PhaseHashTable;
+        use std::{cell::Cell, rc::Rc};
+        let mut t: ResizableTable<U64Key> = ResizableTable::new_pow2(6);
+        let keys: Vec<U64Key> = (1..=40u64).map(U64Key::new).collect();
+        t.insert_batch(&keys);
+        // Fewer keys than a grain: every read below runs on this thread,
+        // where the hook is armed.
+        let fired = Rc::new(Cell::new(false));
+        let f = fired.clone();
+        IN_WINDOW.with(|h| *h.borrow_mut() = Some(Box::new(move || f.set(true))));
+        let expect: Vec<Option<U64Key>> = keys.iter().map(|&k| Some(k)).collect();
+        {
+            let reader = t.begin_read();
+            let mut found = Vec::new();
+            reader.par_find_batched_into(&keys, &mut found);
+            assert_eq!(found, expect);
+            let mut elements = Vec::new();
+            reader.elements_into(&mut elements);
+            assert_eq!(elements.len(), 40);
+            assert_eq!(reader.snapshot().len(), 64);
+        }
+        assert!(!fired.get(), "a read-phase handle opened a window");
+        assert_eq!(t.find_batch(&keys), expect);
+        assert!(fired.get(), "the `&self` read must open a window");
+    }
+
+    #[test]
+    fn read_phase_after_a_pending_migration_sees_every_key() {
+        use crate::phase::PhaseHashTable;
+        // Exactly 3/4 of the seed: the last insert publishes the doubled
+        // successor and returns, leaving the whole migration pending.
+        let mut t: ResizableTable<U64Key> = ResizableTable::new_pow2(7);
+        let keys: Vec<U64Key> = (1..=96u64)
+            .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
+            .collect();
+        t.insert_batch(&keys);
+        assert!(
+            t.next_of(t.current_epoch()).is_some(),
+            "no migration pending"
+        );
+        let reader = t.begin_read();
+        let mut found = Vec::new();
+        reader.par_find_batched_into(&keys, &mut found);
+        assert_eq!(found, keys.iter().map(|&k| Some(k)).collect::<Vec<_>>());
+        drop(reader);
+        assert_eq!(t.len(), 96);
+        assert_eq!(
+            t.owned_cell_bytes(),
+            256 * 8,
+            "the seed array was not released"
+        );
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //! brings the zero-sized [`NoRooms`]. The gate cannot be chosen apart
 //! from the core, so a phase-concurrent table without rooms cannot be
 //! built.
+//!
+//! Rooms are for callers that cannot separate phases themselves. A
+//! caller that can — the KV server in `phc-server`, whose batch lock
+//! already orders every shard's puts, deletes and gets — takes the
+//! bare [`ResizableTable`] through the phase API
+//! ([`crate::phase::PhaseHashTable`]) instead, and pays no synchronizer
+//! at all.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

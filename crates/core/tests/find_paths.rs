@@ -3,14 +3,16 @@
 //! `par_find_batched_into` — are wrappers over one kernel that writes
 //! each result by index into an output sized once
 //! (`ProbeTable::find_run`), a parallel call's grains filling disjoint
-//! parts of the one buffer. These tests hold all of them to the per-op
-//! `find`, key by key.
+//! parts of the one buffer. So is the growable table's read-phase
+//! lookup (`Reader::par_find_batched_into`). These tests hold all of
+//! them to the per-op `find`, key by key.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use phc_core::{
-    DetHashTable, FcHashTable, HashEntry, NdHashTable, ResizableTable, RobinHoodHashTable, U64Key,
+    DetHashTable, FcHashTable, FlatTableCore, HashEntry, NdHashTable, PhaseHashTable,
+    ResizableTable, RobinHoodHashTable, U64Key,
 };
 use phc_parutil::{grain, hash64, run_with_threads};
 
@@ -72,6 +74,32 @@ fn batched_finds_equal_per_op_find_on_every_table() {
     // grew, the first of them draining the last migration.
     batched_finds_equal_per_op_find!(ResizableTable<U64Key>, 4);
     batched_finds_equal_per_op_find!(ResizableTable<U64Key, FcHashTable<U64Key>>, 4);
+    reader_finds_equal_per_op_find::<DetHashTable<U64Key>>();
+    reader_finds_equal_per_op_find::<FcHashTable<U64Key>>();
+}
+
+/// The growable table's one more entry point: the read-phase handle's
+/// batch lookup, which registers on no epoch. Same widths and lengths,
+/// from a 16-cell seed.
+fn reader_finds_equal_per_op_find<T: FlatTableCore<U64Key>>() {
+    let g = grain();
+    let mut t: ResizableTable<U64Key, T> = ResizableTable::new_pow2(4);
+    let stored: Vec<U64Key> = (0..3 * g as u64).map(|i| key(2 * i)).collect();
+    t.insert_batch(&stored);
+    for width in [1, 2, 8] {
+        run_with_threads(width, || {
+            for len in [0, 1, g - 1, g, g + 1, 5 * g + 3] {
+                let what = format!("{}, width {width}, {len} keys", T::GROW_NAME);
+                let probes: Vec<U64Key> = (0..len as u64).map(key).collect();
+                let expect: Vec<Option<U64Key>> = probes.iter().map(|&k| t.find(k)).collect();
+                assert_eq!(expect.iter().flatten().count(), len.div_ceil(2), "{what}");
+                let mut out = PRIOR.to_vec();
+                t.begin_read().par_find_batched_into(&probes, &mut out);
+                assert_eq!(out[..2], PRIOR, "prior contents: {what}");
+                assert_eq!(out[2..], expect, "Reader::par_find_batched_into: {what}");
+            }
+        });
+    }
 }
 
 /// The `fc_soak` pattern — an inserter, a deleter and a reader side by

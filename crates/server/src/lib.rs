@@ -12,24 +12,20 @@
 //!
 //! * a deterministic hash [`router`] (stable partition, decorrelated
 //!   from the tables' probe hash);
-//! * per-shard [`ShardTable`]s — growable tables behind their core's
-//!   own gate ([`phc_core::AutoGrowTable`]); by default
-//!   [`AutoPhaseGrowTable`]s, whose room synchronizers let shards sit
-//!   in *different* phases simultaneously (a get-heavy shard never
-//!   blocks a put-heavy one), driven through the batched
-//!   `par_insert_batched` / `par_find_batched` / `par_delete_batched`
-//!   paths with one room entry per sub-batch;
+//! * per-shard [`ShardTable`]s — growable tables the server reaches
+//!   only under its batch lock, through `&mut`, and drives through the
+//!   paper's borrow-checked phases (`begin_insert` / `begin_delete` /
+//!   `begin_read`, one per sub-batch): the lock is the phase
+//!   discipline, so no room synchronizer and no per-read registration
+//!   is paid, while shards still run in parallel, each in its own phase
+//!   (a get-heavy shard never blocks a put-heavy one);
 //! * a fixed within-batch sub-phase order (puts → deletes → gets) plus
 //!   response re-assembly at submission indices, so neither routing
 //!   nor scheduling can reorder what a client observes.
 //!
 //! The [`FcKvServer`] mode swaps each shard's *core* for the fully
-//! concurrent table ([`FcAutoGrowTable`](phc_core::FcAutoGrowTable)),
-//! which brings no rooms: same response log byte-for-byte, but the
-//! sub-phase boundaries inside a batch stop costing room switches
-//! entirely (see [`shard_table`]).
-//!
-//! [`AutoPhaseGrowTable`]: phc_core::AutoPhaseGrowTable
+//! concurrent table and runs the same phased path: same response log
+//! byte-for-byte (see [`shard_table`]).
 
 #![warn(missing_docs)]
 
@@ -39,7 +35,7 @@ pub mod shard_table;
 
 pub use router::shard_of;
 pub use server::{
-    resp_hit, response_log_bytes, response_log_hash, FcKvServer, KvServer, ShardStats,
-    ShardStatsSnapshot, RESP_DEL_ACK, RESP_HIT_TAG, RESP_MISS, RESP_PUT_ACK,
+    resp_hit, response_log_bytes, response_log_hash, FcKvServer, KvServer, ShardStatsSnapshot,
+    RESP_DEL_ACK, RESP_HIT_TAG, RESP_MISS, RESP_PUT_ACK,
 };
 pub use shard_table::ShardTable;

@@ -23,32 +23,32 @@
 //! KV store; pick the policy by type parameter (default
 //! [`KeepMin`], or e.g. `AddValues` for a counter store).
 //!
-//! ## Pipelining
+//! ## Phases
 //!
-//! Each shard owns a [`ShardTable`] — a growable table behind its
-//! core's gate; by default an [`AutoPhaseGrowTable`], whose
-//! phase-concurrent core brings its own room synchronizer, so shards
-//! sit in different phases simultaneously: a get-heavy shard runs its
-//! read room while a put-heavy neighbour is mid-insert (or
-//! mid-migration) — composing per-shard phase concurrency without any
-//! global phase barrier.
+//! Each shard is a [`ShardTable`]: a growable table that the server
+//! reaches only under its batch lock, through `&mut`. A batch drives
+//! every shard through the paper's borrow-checked phases — an insert
+//! phase, a delete phase, a read phase — so the batch lock *is* the
+//! phase discipline: nothing is synchronized per sub-phase at run time
+//! (no room word, no reader registration, no atomic stat counter).
+//! Shards are independent, so within one batch they run in parallel,
+//! each in its own phase: a get-heavy shard reads while a put-heavy
+//! neighbour is mid-insert (or mid-migration), with no global phase
+//! barrier between them.
 //!
 //! ## The fc mode
 //!
-//! [`FcKvServer`] swaps the shard's core for the fully concurrent
-//! table ([`FcAutoGrowTable`](phc_core::FcAutoGrowTable)), whose gate
-//! is empty: the three sub-phase calls inside a shard fuse into one
-//! pass with no room entry, exit, or switch between them. Responses are byte-identical to the rooms
-//! mode — both cores produce the same canonical layout for the same
-//! key set, and the sub-phase *order* (program order, here) still
-//! pins what every get observes. Quiescence at each batch boundary is
-//! the linearization point, exactly as in the rooms mode.
+//! [`FcKvServer`] swaps the shard's core for the fully concurrent table
+//! and runs the same phased path. Responses are byte-identical to the
+//! default mode — both cores produce the same canonical layout for the
+//! same key set, and the sub-phase *order* pins what every get
+//! observes. Quiescence at each batch boundary is the linearization
+//! point in both modes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use phc_core::entry::{Combine, KeepMin, KvPair};
-use phc_core::{AutoPhaseGrowTable, FcAutoGrowTable};
+use phc_core::{FcHashTable, ResizableTable};
 use phc_workloads::KvOp;
 
 use crate::router;
@@ -69,21 +69,10 @@ pub fn resp_hit(value: u32) -> u64 {
     RESP_HIT_TAG | value as u64
 }
 
-/// Always-on per-shard operation counters (plain relaxed atomics; a
-/// few nanoseconds per batch, unlike the feature-gated obs counters
-/// which stay zero-cost when disabled). Aligned to a cache line so
-/// neighbouring shards' counters never false-share.
-#[derive(Default)]
-#[repr(align(64))]
-pub struct ShardStats {
-    puts: AtomicU64,
-    gets: AtomicU64,
-    hits: AtomicU64,
-    dels: AtomicU64,
-}
-
-/// One shard's counter totals at a point in time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One shard's operation counters. The server keeps one per shard as
+/// plain integers under its batch lock, bumped once per batch by the
+/// serial scatter pass; [`KvServer::shard_stats`] returns copies.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStatsSnapshot {
     /// Put operations applied.
     pub puts: u64,
@@ -102,29 +91,17 @@ impl ShardStatsSnapshot {
     }
 }
 
-struct Shard<C: Combine, T: ShardTable<C>> {
-    table: T,
-    stats: ShardStats,
-    _combine: std::marker::PhantomData<C>,
-}
-
 /// One shard's slice of a batch, already grouped into the sub-phases
 /// the shard will run (puts → deletes → gets) by the routing pass.
 /// Each group keeps submission order; `get_pos[k]` is the batch-global
-/// submission index of `gets[k]`, for scattering get responses.
+/// submission index of `gets[k]`, and `found[k]` what the read phase
+/// found for it. Reused across batches: the vecs keep their high-water
+/// capacity, so steady-state batches allocate nothing per shard.
 struct ShardBatch<C: Combine> {
     puts: Vec<KvPair<C>>,
     dels: Vec<KvPair<C>>,
     gets: Vec<KvPair<C>>,
     get_pos: Vec<u32>,
-    /// Get responses for this shard's slice, written in place by
-    /// [`KvServer::apply_shard`]. Part of the reused scratch: the get
-    /// path was the last per-batch transient allocation (one fresh
-    /// `Vec<u64>` per shard per batch), and writing responses into
-    /// scratch kills it the same way the routing vecs were killed.
-    get_resp: Vec<u64>,
-    /// What the table found for `gets`, before it becomes `get_resp`:
-    /// the buffer the batched lookup fills, reused like the rest.
     found: Vec<Option<KvPair<C>>>,
 }
 
@@ -135,7 +112,6 @@ impl<C: Combine> ShardBatch<C> {
             dels: Vec::new(),
             gets: Vec::new(),
             get_pos: Vec::new(),
-            get_resp: Vec::new(),
             found: Vec::new(),
         }
     }
@@ -145,7 +121,6 @@ impl<C: Combine> ShardBatch<C> {
         self.dels.clear();
         self.gets.clear();
         self.get_pos.clear();
-        self.get_resp.clear();
         self.found.clear();
     }
 
@@ -154,26 +129,58 @@ impl<C: Combine> ShardBatch<C> {
     }
 }
 
-/// A deterministic KV service over `N` phase-concurrent shards (see
-/// the [module docs](self) for semantics). The second type parameter
-/// picks each shard's synchronization discipline; the default is the
-/// room-synchronized table, [`FcKvServer`] is the room-free mode.
-pub struct KvServer<C: Combine = KeepMin, T: ShardTable<C> = AutoPhaseGrowTable<KvPair<C>>> {
-    shards: Vec<Shard<C, T>>,
-    /// Routing scratch, reused across batches (the vecs keep their
-    /// high-water capacity, so steady-state batches allocate nothing
-    /// for routing). Holding the lock for the whole of `apply_batch`
-    /// also *enforces* the service's ordering contract: batches are
-    /// the unit of ordering, so two batches must never interleave
-    /// their room phases.
-    scratch: Mutex<Vec<ShardBatch<C>>>,
+/// One shard: its table, its counters and its routing scratch, all
+/// behind the server's batch lock. Aligned to a cache line: on a wider
+/// pool neighbouring shards run on different workers, and none of one
+/// shard's state may share a line with the next one's.
+#[repr(align(64))]
+struct Shard<C: Combine, T> {
+    table: T,
+    stats: ShardStatsSnapshot,
+    batch: ShardBatch<C>,
 }
 
-/// The fc-backed server mode: every shard is a room-free
-/// [`FcAutoGrowTable`], so `apply_batch` runs each shard's
-/// puts→deletes→gets as one fused pass with zero room switches.
-/// Response logs are byte-identical to the default [`KvServer`].
-pub type FcKvServer<C = KeepMin> = KvServer<C, FcAutoGrowTable<KvPair<C>>>;
+impl<C: Combine, T: ShardTable<C>> Shard<C, T> {
+    /// The shard's sub-phases for one batch, in the fixed order puts,
+    /// deletes, gets; an empty sub-phase is skipped. Runs on a pool
+    /// worker under the outer per-shard parallel loop; the batched
+    /// table calls parallelize internally as well (nested parallelism is
+    /// cheap in the shim — chunks of both levels share the pool). The
+    /// insert and delete phases end normalized, making the shard's
+    /// layout a pure function of its key set at every batch boundary.
+    fn apply(&mut self) {
+        let b = &mut self.batch;
+        if !b.puts.is_empty() {
+            self.table.put_phase(&b.puts);
+        }
+        if !b.dels.is_empty() {
+            self.table.del_phase(&b.dels);
+        }
+        if !b.gets.is_empty() {
+            self.table.get_phase_into(&b.gets, &mut b.found);
+        }
+    }
+}
+
+/// A deterministic KV service over `N` phase-concurrent shards (see
+/// the [module docs](self) for semantics). The second type parameter
+/// is each shard's table; the default runs the deterministic core,
+/// [`FcKvServer`] the fully concurrent one.
+pub struct KvServer<C: Combine = KeepMin, T: ShardTable<C> = ResizableTable<KvPair<C>>> {
+    /// The shards, reached only under this lock. Holding it for the
+    /// whole of `apply_batch` is what lets every shard access be a
+    /// `&mut` one, and it *enforces* the service's ordering contract:
+    /// batches are the unit of ordering, so two batches never
+    /// interleave their phases.
+    shards: Mutex<Vec<Shard<C, T>>>,
+    /// `shards.len()`, readable without the lock.
+    num_shards: usize,
+}
+
+/// The fc-backed server mode: every shard runs the fully concurrent
+/// core through the same phased path. Response logs are byte-identical
+/// to the default [`KvServer`].
+pub type FcKvServer<C = KeepMin> = KvServer<C, ResizableTable<KvPair<C>, FcHashTable<KvPair<C>>>>;
 
 impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
     /// Creates a server with `shards` shards (a power of two), each
@@ -185,30 +192,37 @@ impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
             "shard count must be a power of two"
         );
         KvServer {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    table: T::new_pow2(log2_cells_per_shard),
-                    stats: ShardStats::default(),
-                    _combine: std::marker::PhantomData,
-                })
-                .collect(),
-            scratch: Mutex::new((0..shards).map(|_| ShardBatch::new()).collect()),
+            shards: Mutex::new(
+                (0..shards)
+                    .map(|_| Shard {
+                        table: T::new_pow2(log2_cells_per_shard),
+                        stats: ShardStatsSnapshot::default(),
+                        batch: ShardBatch::new(),
+                    })
+                    .collect(),
+            ),
+            num_shards: shards,
         }
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.num_shards
     }
 
-    /// The shard synchronization mode label (`"rooms"` or `"fc"`).
+    /// The shard core's label (`"det"` or `"fc"`).
     pub fn mode() -> &'static str {
         T::MODE
     }
 
     /// The shard that owns `key`.
     pub fn shard_of(&self, key: u32) -> usize {
-        router::shard_of(key, self.shards.len())
+        router::shard_of(key, self.num_shards)
+    }
+
+    /// The shards, under the batch lock.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Shard<C, T>>> {
+        self.shards.lock().expect("shards poisoned")
     }
 
     /// Applies one batch of operations and returns one response word
@@ -218,8 +232,9 @@ impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
     /// The request path: one routing pass partitions the batch by the
     /// deterministic router hash *and* groups each shard's slice into
     /// its sub-phases (puts/deletes ack immediately); every shard's
-    /// sub-batch is driven in parallel through the batched room paths;
-    /// get responses scatter back to their submission indices.
+    /// sub-batch runs its phases in parallel with the other shards';
+    /// one serial pass then scatters get responses to their submission
+    /// indices and bumps the counters.
     pub fn apply_batch(&self, ops: &[KvOp]) -> Vec<u64> {
         use rayon::prelude::*;
         phc_obs::probe!(count ServerBatches);
@@ -228,18 +243,17 @@ impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
             ops.len() <= u32::MAX as usize,
             "batch too large for u32 submission indices"
         );
-        let shards = self.shards.len();
         let mut resp = vec![0u64; ops.len()];
+        let mut shards = self.lock();
+        for s in shards.iter_mut() {
+            s.batch.clear();
+        }
         // The routing pass is stable: within a shard, every sub-phase
         // group keeps submission order, so the sub-batch a shard sees
         // is exactly the subsequence of the request log it owns —
         // independent of thread count or upstream batch framing.
-        let mut batches = self.scratch.lock().expect("batch scratch poisoned");
-        for b in batches.iter_mut() {
-            b.clear();
-        }
         for (i, &op) in ops.iter().enumerate() {
-            let b = &mut batches[router::shard_of(op.key(), shards)];
+            let b = &mut shards[router::shard_of(op.key(), self.num_shards)].batch;
             match op {
                 KvOp::Put { key, val } => {
                     b.puts.push(KvPair::new(key, val));
@@ -255,81 +269,36 @@ impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
                 }
             }
         }
-        for b in batches.iter() {
-            phc_obs::probe!(hist ServerShardOps, b.len() as u64);
+        for s in shards.iter() {
+            phc_obs::probe!(hist ServerShardOps, s.batch.len() as u64);
         }
         // On a single-worker pool the cross-shard fan-out is pure
         // dispatch overhead; each shard computes the same responses
-        // either way (shards are independent). Get responses land in
-        // each shard's `get_resp` scratch, not a per-batch `Vec`.
+        // either way (shards are independent).
         if rayon::current_num_threads() <= 1 {
-            self.shards
-                .iter()
-                .zip(batches.iter_mut())
-                .for_each(|(shard, batch)| Self::apply_shard(shard, batch));
+            shards.iter_mut().for_each(Shard::apply);
         } else {
-            self.shards
-                .par_iter()
-                .zip(batches.par_iter_mut())
-                .for_each(|(shard, batch)| Self::apply_shard(shard, batch));
+            shards.par_iter_mut().for_each(Shard::apply);
         }
-        for b in batches.iter() {
-            for (&p, &r) in b.get_pos.iter().zip(&b.get_resp) {
-                resp[p as usize] = r;
+        for s in shards.iter_mut() {
+            let b = &s.batch;
+            let mut hits = 0;
+            for (&p, f) in b.get_pos.iter().zip(&b.found) {
+                resp[p as usize] = match f {
+                    Some(kv) => {
+                        hits += 1;
+                        resp_hit(kv.value)
+                    }
+                    None => RESP_MISS,
+                };
             }
+            let stats = &mut s.stats;
+            stats.puts += b.puts.len() as u64;
+            stats.dels += b.dels.len() as u64;
+            stats.gets += b.gets.len() as u64;
+            stats.hits += hits;
         }
         resp
-    }
-
-    /// One shard's sub-phases for one batch, writing one response word
-    /// per get into `batch.get_resp` (puts and deletes were acked by
-    /// the routing pass).
-    /// Runs on a pool worker under the outer per-shard parallel loop;
-    /// the batched table calls parallelize internally as well (nested
-    /// parallelism is cheap in the shim — chunks of both levels share
-    /// the pool).
-    ///
-    /// Fixed sub-phase order: puts, deletes, gets. In the rooms mode
-    /// each batched call enters the shard's room once (two switches
-    /// per mixed sub-batch); in the fc mode the three calls fuse into
-    /// one room-free pass, ordered by program order alone. Either way
-    /// the insert path normalizes capacity before returning, making
-    /// the shard's layout a pure function of its key set at every
-    /// batch boundary.
-    fn apply_shard(shard: &Shard<C, T>, batch: &mut ShardBatch<C>) {
-        if !batch.puts.is_empty() {
-            shard.table.par_insert_batched(&batch.puts);
-            shard
-                .stats
-                .puts
-                .fetch_add(batch.puts.len() as u64, Ordering::Relaxed);
-        }
-        if !batch.dels.is_empty() {
-            shard.table.par_delete_batched(&batch.dels);
-            shard
-                .stats
-                .dels
-                .fetch_add(batch.dels.len() as u64, Ordering::Relaxed);
-        }
-        if batch.gets.is_empty() {
-            return;
-        }
-        shard
-            .table
-            .par_find_batched_into(&batch.gets, &mut batch.found);
-        let mut hits = 0u64;
-        batch.get_resp.extend(batch.found.iter().map(|f| match f {
-            Some(kv) => {
-                hits += 1;
-                resp_hit(kv.value)
-            }
-            None => RESP_MISS,
-        }));
-        shard
-            .stats
-            .gets
-            .fetch_add(batch.gets.len() as u64, Ordering::Relaxed);
-        shard.stats.hits.fetch_add(hits, Ordering::Relaxed);
     }
 
     /// Applies a whole request log in batches of `batch` ops,
@@ -343,40 +312,17 @@ impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
         out
     }
 
-    /// Applies one operation through the per-op room paths (no
-    /// batching, no sub-phase reordering — a batch of one). The
-    /// baseline the `server` bench compares the batched path against.
+    /// Applies one operation: a batch of one. The baseline the `server`
+    /// bench compares the batched path against.
     pub fn apply_op(&self, op: KvOp) -> u64 {
-        let shard = &self.shards[self.shard_of(op.key())];
-        match op {
-            KvOp::Put { key, val } => {
-                shard.table.insert(KvPair::new(key, val));
-                shard.stats.puts.fetch_add(1, Ordering::Relaxed);
-                RESP_PUT_ACK
-            }
-            KvOp::Del { key } => {
-                shard.table.delete(KvPair::new(key, 0));
-                shard.stats.dels.fetch_add(1, Ordering::Relaxed);
-                RESP_DEL_ACK
-            }
-            KvOp::Get { key } => {
-                shard.stats.gets.fetch_add(1, Ordering::Relaxed);
-                match shard.table.find(KvPair::new(key, 0)) {
-                    Some(kv) => {
-                        shard.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        resp_hit(kv.value)
-                    }
-                    None => RESP_MISS,
-                }
-            }
-        }
+        self.apply_batch(&[op])[0]
     }
 
     /// Per-shard quiescent raw snapshots (each shard's canonical cell
     /// array). Equal across thread counts for a fixed shard count —
     /// the differential tests' witness.
     pub fn quiescent_snapshots(&self) -> Vec<Vec<u64>> {
-        self.shards.iter().map(|s| s.table.snapshot()).collect()
+        self.lock().iter_mut().map(|s| s.table.snapshot()).collect()
     }
 
     /// Appends every stored entry (all shards, shard order, each
@@ -386,27 +332,19 @@ impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {
     /// (the `elements_into` discipline end to end — see
     /// [`ShardTable::elements_into`]).
     pub fn elements_into(&self, out: &mut Vec<KvPair<C>>) {
-        for s in &self.shards {
+        for s in self.lock().iter_mut() {
             s.table.elements_into(out);
         }
     }
 
-    /// Per-shard stored-entry counts.
+    /// Per-shard stored-entry counts, at a batch boundary.
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.table.len()).collect()
+        self.lock().iter_mut().map(|s| s.table.len()).collect()
     }
 
-    /// Per-shard operation counter totals.
+    /// Per-shard operation counter totals, at a batch boundary.
     pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
-        self.shards
-            .iter()
-            .map(|s| ShardStatsSnapshot {
-                puts: s.stats.puts.load(Ordering::Relaxed),
-                gets: s.stats.gets.load(Ordering::Relaxed),
-                hits: s.stats.hits.load(Ordering::Relaxed),
-                dels: s.stats.dels.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.lock().iter().map(|s| s.stats).collect()
     }
 }
 
@@ -583,13 +521,13 @@ mod tests {
     }
 
     #[test]
-    fn fc_mode_matches_rooms_mode_byte_for_byte() {
+    fn fc_mode_matches_det_mode_byte_for_byte() {
         let log = mixed_log(3000);
         for shards in [1, 4] {
             for batch in [1, 64, 512] {
-                let rooms: KvServer = KvServer::new(shards, 6);
+                let det: KvServer = KvServer::new(shards, 6);
                 let fc: FcKvServer = FcKvServer::new(shards, 6);
-                let ra = rooms.apply_log(&log, batch);
+                let ra = det.apply_log(&log, batch);
                 let rb = fc.apply_log(&log, batch);
                 assert_eq!(
                     response_log_bytes(&ra),
@@ -597,7 +535,7 @@ mod tests {
                     "shards={shards} batch={batch}"
                 );
                 assert_eq!(
-                    rooms.quiescent_snapshots(),
+                    det.quiescent_snapshots(),
                     fc.quiescent_snapshots(),
                     "canonical shard layouts must agree (shards={shards} batch={batch})"
                 );
@@ -607,8 +545,44 @@ mod tests {
 
     #[test]
     fn mode_labels() {
-        assert_eq!(KvServer::<KeepMin>::mode(), "rooms");
+        assert_eq!(KvServer::<KeepMin>::mode(), "det");
         assert_eq!(FcKvServer::<KeepMin>::mode(), "fc");
+    }
+
+    #[test]
+    fn shard_lens_beside_a_replay_read_a_batch_boundary() {
+        // Distinct puts only, so the lengths after `k` batches are the
+        // per-shard counts of the first `k * BATCH` keys.
+        const BATCH: usize = 64;
+        let (shards, n) = (4usize, 64 * BATCH);
+        let log: Vec<KvOp> = (1..=n as u32)
+            .map(|key| KvOp::Put { key, val: key })
+            .collect();
+        let mut prefixes = vec![vec![0usize; shards]];
+        for chunk in log.chunks(BATCH) {
+            let mut lens = prefixes.last().unwrap().clone();
+            for op in chunk {
+                lens[router::shard_of(op.key(), shards)] += 1;
+            }
+            prefixes.push(lens);
+        }
+        let server: KvServer = KvServer::new(shards, 4);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                server.apply_log(&log, BATCH);
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            loop {
+                let finished = done.load(std::sync::atomic::Ordering::SeqCst);
+                let lens = server.shard_lens();
+                assert!(prefixes.contains(&lens), "not a batch boundary: {lens:?}");
+                if finished {
+                    break;
+                }
+            }
+        });
+        assert_eq!(server.shard_lens(), *prefixes.last().unwrap());
     }
 
     #[test]

@@ -1,125 +1,93 @@
-//! The table interface a [`KvServer`](crate::KvServer) shard drives,
-//! abstracting over the synchronization discipline.
+//! The table a [`KvServer`](crate::KvServer) shard is: a growable table
+//! over some flat core, driven through the paper's borrow-checked
+//! phases.
 //!
-//! A shard table is a [`phc_core::AutoGrowTable`] over some flat core,
-//! and the discipline comes with the core (there is one impl, below):
+//! The server holds its batch lock across a whole batch and reaches a
+//! shard only through `&mut`, so it can open each sub-phase with
+//! `PhaseHashTable::begin_insert` / `begin_delete` / `begin_read`: the
+//! borrow checker keeps the sub-phases apart, and nothing has to be
+//! synchronized at run time — no room word, no per-read registration on
+//! the table's epoch (see "Release on drain" in `phc_core::resize`).
+//! Every insert and delete sub-phase ends normalized, so a shard's
+//! capacity is canonical and no migration is pending at every batch
+//! boundary.
 //!
-//! * [`AutoPhaseGrowTable`](phc_core::AutoPhaseGrowTable) — a
-//!   phase-concurrent core brings a room synchronizer, which turns each
-//!   batched call into a phase, so every put→delete→get sub-phase
-//!   boundary inside [`apply_batch`](crate::KvServer::apply_batch)
-//!   pays a room switch (entry CAS + drain wait).
-//! * [`FcAutoGrowTable`](phc_core::FcAutoGrowTable) — the fully
-//!   concurrent core brings no rooms at all, so a shard's three
-//!   sub-batches run back-to-back as one fused pass with no
-//!   synchronizer traffic between them. The sub-phase *order* is kept
-//!   (it is what makes get responses a pure function of the batch), but
-//!   ordering now costs only program order, not a room handshake.
-//!
-//! Both cores produce byte-identical canonical layouts for the same
-//! key set (the fc differential suite's invariant), so swapping the
-//! parameter never changes a response log — only what synchronization
-//! the shard pays.
+//! The core picks only what the shard's probes do, not how its phases
+//! are kept apart: [`KvServer`](crate::KvServer) runs the deterministic
+//! core (`"det"`), [`FcKvServer`](crate::FcKvServer) the fully
+//! concurrent one (`"fc"`), through the same code. Both cores produce
+//! byte-identical canonical layouts for the same key set (the fc
+//! differential suite's invariant), so swapping the parameter never
+//! changes a response log.
 
 use phc_core::entry::{Combine, KvPair};
-use phc_core::{AutoGrowTable, FlatTableCore};
+use phc_core::{FlatTableCore, PhaseHashTable, ResizableTable};
 
 /// One shard's table: growable, combining, deterministic at batch
-/// boundaries. See the [module docs](self) for the two disciplines.
-pub trait ShardTable<C: Combine>: Send + Sync {
-    /// Short mode label for benches and logs (`"rooms"` / `"fc"`).
+/// boundaries, and reached only through `&mut` (see the
+/// [module docs](self)).
+pub trait ShardTable<C: Combine>: Send {
+    /// Short label of the shard's core for benches and logs (`"det"` /
+    /// `"fc"`).
     const MODE: &'static str;
 
     /// Creates a table seeded with `2^log2_cells` cells.
     fn new_pow2(log2_cells: u32) -> Self;
 
-    /// Inserts (combining on duplicate keys) through the per-op path.
-    fn insert(&self, e: KvPair<C>);
+    /// One insert sub-phase (combining on duplicate keys); capacity is
+    /// canonical on return.
+    fn put_phase(&mut self, entries: &[KvPair<C>]);
 
-    /// Deletes by key through the per-op path.
-    fn delete(&self, key: KvPair<C>);
+    /// One delete sub-phase; capacity is canonical on return.
+    fn del_phase(&mut self, keys: &[KvPair<C>]);
 
-    /// Looks up by key through the per-op path.
-    fn find(&self, key: KvPair<C>) -> Option<KvPair<C>>;
+    /// One read sub-phase: appends one lookup result per key to `out`,
+    /// in key order.
+    fn get_phase_into(&mut self, keys: &[KvPair<C>], out: &mut Vec<Option<KvPair<C>>>);
 
-    /// Parallel batched insert; capacity is canonical on return.
-    fn par_insert_batched(&self, entries: &[KvPair<C>]);
+    /// Appends the stored entries to `out` (deterministic cell order).
+    fn elements_into(&mut self, out: &mut Vec<KvPair<C>>);
 
-    /// Parallel batched delete.
-    fn par_delete_batched(&self, keys: &[KvPair<C>]);
-
-    /// Parallel batched lookup, results in key order.
-    fn par_find_batched(&self, keys: &[KvPair<C>]) -> Vec<Option<KvPair<C>>>;
-
-    /// [`par_find_batched`](Self::par_find_batched) into a
-    /// caller-supplied buffer (appends; does not clear) — what
-    /// [`apply_batch`](crate::KvServer::apply_batch) calls, with a
-    /// buffer it keeps across batches.
-    fn par_find_batched_into(&self, keys: &[KvPair<C>], out: &mut Vec<Option<KvPair<C>>>);
-
-    /// Packs the stored entries into a caller-supplied buffer
-    /// (appends; deterministic cell order). The caller-buffer form of
-    /// `elements()` — a steady-state export loop reuses one buffer's
-    /// high-water capacity instead of allocating a fresh `Vec` per
-    /// shard per call.
-    fn elements_into(&self, out: &mut Vec<KvPair<C>>);
-
-    /// Quiescent raw cell snapshot (canonical layout witness).
-    fn snapshot(&self) -> Vec<u64>;
+    /// Raw cell snapshot (canonical layout witness).
+    fn snapshot(&mut self) -> Vec<u64>;
 
     /// Stored-entry count.
-    fn len(&self) -> usize;
+    fn len(&mut self) -> usize;
 
     /// Whether the table is empty.
-    fn is_empty(&self) -> bool {
+    fn is_empty(&mut self) -> bool {
         self.len() == 0
     }
 }
 
-impl<C: Combine, T: FlatTableCore<KvPair<C>>> ShardTable<C> for AutoGrowTable<KvPair<C>, T> {
-    const MODE: &'static str = Self::MODE;
+impl<C: Combine, T: FlatTableCore<KvPair<C>>> ShardTable<C> for ResizableTable<KvPair<C>, T> {
+    const MODE: &'static str = T::LABEL;
 
     fn new_pow2(log2_cells: u32) -> Self {
-        AutoGrowTable::new_pow2(log2_cells)
+        ResizableTable::new_pow2(log2_cells)
     }
 
-    fn insert(&self, e: KvPair<C>) {
-        AutoGrowTable::insert(self, e);
+    fn put_phase(&mut self, entries: &[KvPair<C>]) {
+        self.begin_insert().par_insert_batched(entries);
     }
 
-    fn delete(&self, key: KvPair<C>) {
-        AutoGrowTable::delete(self, key);
+    fn del_phase(&mut self, keys: &[KvPair<C>]) {
+        self.begin_delete().par_delete_batched(keys);
     }
 
-    fn find(&self, key: KvPair<C>) -> Option<KvPair<C>> {
-        AutoGrowTable::find(self, key)
+    fn get_phase_into(&mut self, keys: &[KvPair<C>], out: &mut Vec<Option<KvPair<C>>>) {
+        self.begin_read().par_find_batched_into(keys, out);
     }
 
-    fn par_insert_batched(&self, entries: &[KvPair<C>]) {
-        AutoGrowTable::par_insert_batched(self, entries);
+    fn elements_into(&mut self, out: &mut Vec<KvPair<C>>) {
+        self.begin_read().elements_into(out);
     }
 
-    fn par_delete_batched(&self, keys: &[KvPair<C>]) {
-        AutoGrowTable::par_delete_batched(self, keys);
+    fn snapshot(&mut self) -> Vec<u64> {
+        self.begin_read().snapshot()
     }
 
-    fn par_find_batched(&self, keys: &[KvPair<C>]) -> Vec<Option<KvPair<C>>> {
-        AutoGrowTable::par_find_batched(self, keys)
-    }
-
-    fn par_find_batched_into(&self, keys: &[KvPair<C>], out: &mut Vec<Option<KvPair<C>>>) {
-        AutoGrowTable::par_find_batched_into(self, keys, out)
-    }
-
-    fn elements_into(&self, out: &mut Vec<KvPair<C>>) {
-        AutoGrowTable::elements_into(self, out)
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        AutoGrowTable::snapshot(self)
-    }
-
-    fn len(&self) -> usize {
-        AutoGrowTable::len(self)
+    fn len(&mut self) -> usize {
+        ResizableTable::len(self)
     }
 }
