@@ -32,9 +32,9 @@
 //! not become full, a precondition the paper also imposes).
 //!
 //! The probe loops themselves live in [`crate::probe`], shared with
-//! the Robin Hood and fully-concurrent tables; this table is the
-//! engine's default policy — identity encoding, `E::hash & mask` homes,
-//! `E::cmp_priority` order, no hooks.
+//! the Robin Hood, `linearHash-FC` and first-fit tables; this table is
+//! the engine's default policy — identity encoding, `E::hash & mask`
+//! homes, `E::cmp_priority` order.
 
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader};
@@ -54,7 +54,6 @@ impl<E: HashEntry> ProbePolicy<E> for DetPolicy {
 impl<E: HashEntry> Growable<E> for DetPolicy {
     const GROW_NAME: &'static str = "linearHash-D-grow";
     const LABEL: &'static str = "det";
-    type Gate = crate::rooms::RoomSync;
 }
 
 /// The deterministic phase-concurrent linear-probing hash table.

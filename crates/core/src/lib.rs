@@ -20,7 +20,7 @@
 //! | [`ChainedHashTable`] | `chainedHash(-CR)` | Lea-style striped-lock chaining |
 //! | [`SerialHashHI`] / [`SerialHashHD`] | `serialHash-HI/HD` | sequential baselines |
 //! | [`RobinHoodHashTable`] | `robinHood` | SIMD-native displacement-ordered contender (see [`robinhood`]) |
-//! | [`FcHashTable`] | `linearHash-FC` | fully concurrent, history-independent at quiescence (see [`fc`]) |
+//! | [`FcHashTable`] | `linearHash-FC` | det's contract under its own name; the fully-concurrent claim is withdrawn (see [`fc`]) |
 //!
 //! Phase discipline is enforced by the type system: see [`phase`].
 

@@ -60,12 +60,7 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
     }
 
     #[inline(always)]
-    fn insert_with<K: Kernel>(
-        t: Probe<'_, E, Self>,
-        k: K,
-        v: u64,
-        _token: u64,
-    ) -> Result<i64, u64> {
+    fn insert_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, v: u64) -> Result<bool, u64> {
         nd_phase_check!(v);
         if K::WIDE {
             if let Some(key_mask) = E::SIMD_KEY_MASK {
@@ -77,12 +72,7 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
     }
 
     #[inline(always)]
-    fn find_with<K: Kernel>(
-        t: Probe<'_, E, Self>,
-        k: K,
-        probe: u64,
-        _careful: bool,
-    ) -> Option<u64> {
+    fn find_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, probe: u64) -> Option<u64> {
         nd_phase_check!(probe);
         if K::WIDE {
             if let Some(key_mask) = E::SIMD_KEY_MASK {
@@ -98,7 +88,7 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
     /// element is then deleted recursively — the deterministic table's
     /// copy-chasing loop, whose copy-counting proof carries over.
     #[inline]
-    fn delete_in(t: Probe<'_, E, Self>, probe: u64, _token: u64) -> bool {
+    fn delete_in(t: Probe<'_, E, Self>, probe: u64) -> bool {
         nd_phase_check!(probe);
         let m = t.cells.len();
         // Walk to the end of the cluster (first empty cell) so the
@@ -119,7 +109,7 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
             Some((j, _)) => i + t.dist(home, j),
             None => i + m, // no empty cell: scan the whole wrap
         };
-        t.delete_from::<false>(k.saturating_sub(1).max(i), i, probe, 0)
+        t.delete_from(k.saturating_sub(1).max(i), i, probe)
     }
 
     /// First entry after hole `i` (virtual) that may move back to it,
@@ -149,7 +139,7 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
 /// First-fit insert: the first empty cell of the probe sequence, or the
 /// cell already holding the key (merged via [`HashEntry::combine`]).
 /// `Err(v)` if the table is full.
-fn insert_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<i64, u64> {
+fn insert_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<bool, u64> {
     let mut i = t.home(v);
     let mut steps = 0usize;
     let mut cas_fails = 0usize;
@@ -160,7 +150,7 @@ fn insert_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<i64,
                 .compare_exchange(E::EMPTY, v, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                break Ok(1);
+                break Ok(true);
             }
             cas_fails += 1;
             continue; // lost the race; re-read this cell
@@ -172,7 +162,7 @@ fn insert_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<i64,
                     .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
-                break Ok(0);
+                break Ok(false);
             }
             cas_fails += 1;
             continue;
@@ -205,7 +195,7 @@ fn insert_wide<E: HashEntry, K: Kernel>(
     k: K,
     key_mask: u64,
     v: u64,
-) -> Result<i64, u64> {
+) -> Result<bool, u64> {
     let n = t.cells.len();
     let vm = v & key_mask;
     let mut i = t.home(v);
@@ -252,7 +242,7 @@ fn insert_wide<E: HashEntry, K: Kernel>(
             if c == E::EMPTY {
                 match t.cells[i].compare_exchange(E::EMPTY, v, Ordering::AcqRel, Ordering::Acquire)
                 {
-                    Ok(_) => break 'done Ok(1),
+                    Ok(_) => break 'done Ok(true),
                     Err(cur) => {
                         cas_fails += 1;
                         c = cur; // lost the race; retry on the fresh value
@@ -263,10 +253,10 @@ fn insert_wide<E: HashEntry, K: Kernel>(
             if E::same_key(c, v) {
                 let merged = E::combine(c, v);
                 if merged == c {
-                    break 'done Ok(0);
+                    break 'done Ok(false);
                 }
                 match t.cells[i].compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => break 'done Ok(0),
+                    Ok(_) => break 'done Ok(false),
                     Err(cur) => {
                         cas_fails += 1;
                         c = cur;

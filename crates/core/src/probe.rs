@@ -4,20 +4,20 @@
 //!
 //! [`ProbeTable<E, P>`] is a cell array, an index mask and a policy
 //! `P`. The deterministic table ([`crate::det`]), the Robin Hood table
-//! ([`crate::robinhood`]) and the fully-concurrent table
-//! ([`crate::fc`]) are type aliases of it; they differ only in what
-//! their policy fills in:
+//! ([`crate::robinhood`]) and `linearHash-FC` ([`crate::fc`]) are type
+//! aliases of it; they differ only in their policy's **order** — how a
+//! repr is stored (`stored` / `unstored`), where it homes (`home`), when
+//! two stored words carry the same key (`same_key`) and when one
+//! outranks the other (`outranks`). det and fc take every default
+//! (identity encoding, `E::hash & mask`, `E::cmp_priority`); Robin Hood
+//! stores a bijectively mixed key field and reads home and rank off the
+//! mixed bits.
 //!
-//! * the **order** — how a repr is stored (`stored` / `unstored`), where
-//!   it homes (`home`), when two stored words carry the same key
-//!   (`same_key`) and when one outranks the other (`outranks`). det and
-//!   fc take every default (identity encoding, `E::hash & mask`,
-//!   `E::cmp_priority`); Robin Hood stores a bijectively mixed key field
-//!   and reads home and rank off the mixed bits.
-//! * the **hooks** — what runs after a placement, after a delete's
-//!   copy-down or final hole, after a delete that found nothing, and
-//!   around a lookup. All are no-ops except for fc, which validates and
-//!   repairs its writes there when an opposite-kind writer overlapped.
+//! There are no hooks. Every table here is phase-concurrent
+//! (Definition 1): operations of one kind may overlap each other, never
+//! another kind, so no probe loop validates or repairs what a different
+//! kind of operation did — the caller's phases (or a
+//! [`RoomSync`](crate::RoomSync)) rule that out.
 //!
 //! The policy is a type parameter: every call is monomorphised, there
 //! is no `dyn`, no function pointer, and no probe loop branches on
@@ -68,7 +68,7 @@ use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
 use crate::simd::{self, Kernel, TierBody};
 
-pub(crate) use policy::{AsRepr, Growable, InsertTally, Probe, ProbePolicy};
+pub(crate) use policy::{AsRepr, Growable, Probe, ProbePolicy};
 
 /// The policy traits, and the types in their signatures, live in a
 /// private module: they are `pub` so the public aliases can name them
@@ -77,32 +77,15 @@ pub(crate) use policy::{AsRepr, Growable, InsertTally, Probe, ProbePolicy};
 mod policy {
     use crate::cell::AtomOf;
     use crate::entry::HashEntry;
-    use crate::simd::{self, Kernel};
+    use crate::simd::Kernel;
     use std::cmp::Ordering as CmpOrdering;
-    use std::mem::MaybeUninit;
-
-    /// What one insert did, for the policy's `record_insert`.
-    #[derive(Default)]
-    pub struct InsertTally {
-        /// Cells advanced past the home bucket.
-        pub steps: usize,
-        /// Failed CASes.
-        pub cas_fails: usize,
-        /// Entries displaced and carried onward.
-        pub swaps: usize,
-        /// Cell lanes examined by peeks and wide scans.
-        pub lanes: usize,
-        /// Wide-scan candidates that rose before the confirm.
-        pub misspecs: usize,
-    }
 
     /// A table's working set by value: the cell slice and the index mask,
-    /// copied out of the table, and the table itself (for its policy, and
-    /// so a repair can re-enter an operation). Every probe body runs on
-    /// one of these rather than on `&ProbeTable`, so a batch loop holds
-    /// the slice and mask in registers across iterations even for a policy
-    /// with interior atomics (through `&self` the compiler would have to
-    /// re-load both fields after every atomic access).
+    /// copied out of the table, and the table itself (for its policy).
+    /// Every probe body runs on one of these rather than on
+    /// `&ProbeTable`, so a batch loop holds the slice and mask in
+    /// registers across iterations (through `&self` the compiler would
+    /// have to re-load both fields after every atomic cell access).
     ///
     /// Four words, so it crosses a call boundary in memory: built inside
     /// the frame that uses it (see the `TierBody` impls below), never
@@ -133,10 +116,6 @@ mod policy {
     pub trait ProbePolicy<E: HashEntry>: Sized + Send + Sync + 'static {
         /// `PhaseHashTable::NAME` of the table.
         const NAME: &'static str;
-        /// Whether a careful wide find re-reads its stop lane through a
-        /// per-cell atomic load before trusting it (tables whose finds
-        /// may race writers).
-        const CONFIRM_READS: bool = false;
         /// The counter displacement swaps are reported under.
         const SWAPS: phc_obs::Counter = phc_obs::Counter::PrioritySwap;
 
@@ -188,131 +167,28 @@ mod policy {
             E::SIMD_KEY_MASK
         }
 
-        // ---- hooks ----
-
-        /// Opens an insert window; the token reaches every hook of the
-        /// inserts inside it.
-        #[inline(always)]
-        fn open_insert_window(&self) -> u64 {
-            0
-        }
-        /// Closes an insert window.
-        #[inline(always)]
-        fn close_insert_window(&self) {}
-        /// Opens a delete window (see
-        /// [`open_insert_window`](Self::open_insert_window)).
-        #[inline(always)]
-        fn open_delete_window(&self) -> u64 {
-            0
-        }
-        /// Closes a delete window.
-        #[inline(always)]
-        fn close_delete_window(&self) {}
-        /// After an insert's CAS placed `placed` at cell `at`: returns
-        /// the fill-count delta of any repair.
-        #[inline(always)]
-        fn after_place(t: Probe<'_, E, Self>, placed: u64, at: usize, token: u64) -> i64 {
-            let _ = (t, placed, at, token);
-            0
-        }
-        /// After a delete's copy-down lowered the priority at virtual
-        /// index `k`.
-        #[inline(always)]
-        fn after_copy_down(t: Probe<'_, E, Self>, k: usize, token: u64) {
-            let _ = (t, k, token);
-        }
-        /// After a delete stored ⊥ at virtual index `k`: a
-        /// [`find_replacement`](Self::find_replacement) triple
-        /// `Some((j, v, home))` if the hole was refilled with `v`, whose
-        /// other copy at `j` the delete must now chase.
-        #[inline(always)]
-        fn after_hole(t: Probe<'_, E, Self>, k: usize, token: u64) -> Option<(usize, u64, usize)> {
-            let _ = (t, k, token);
-            None
-        }
-        /// After a delete walk found nothing: whether to walk again
-        /// (updating the token to what the next walk validates against).
-        #[inline(always)]
-        fn rewalk_after_miss(&self, token: &mut u64) -> bool {
-            let _ = token;
-            false
-        }
-        /// Runs one careful lookup; `attempt` is a single probe.
-        #[inline(always)]
-        fn find_settled(&self, mut attempt: impl FnMut() -> Option<u64>) -> Option<u64> {
-            attempt()
-        }
-        /// Looks up `keys`, writing `keys[i]`'s result to `out[i]`:
-        /// the slices are equally long, and **every** slot of `out` is
-        /// written (the callers' `set_len` rests on it).
-        #[inline(always)]
-        fn find_batch_into(
-            table: &super::ProbeTable<E, Self>,
-            keys: &[E],
-            out: &mut [MaybeUninit<Option<E>>],
-        ) {
-            simd::bind(table, super::FindBatch::<E, true> { keys, out });
-        }
-        /// Debug witness that the wide insert's confirm loop looked at
-        /// cell `at` through a per-cell atomic value.
-        #[inline(always)]
-        fn spec_check(at: usize, mask: usize) {
-            let _ = (at, mask);
-        }
-        /// Reports one insert's tallies under the table's instrument
-        /// names; `wide` says whether the wide body ran.
-        #[inline(always)]
-        fn record_insert(t: &InsertTally, wide: bool) {
-            phc_obs::probe!(count ProbeSteps, t.steps);
-            phc_obs::probe!(count InsertCasFail, t.cas_fails);
-            phc_obs::Recorder::global().count(Self::SWAPS, t.swaps as u64);
-            phc_obs::probe!(hist ProbeLen, t.steps);
-            phc_obs::probe!(hist CasRetries, t.cas_fails);
-            if wide {
-                phc_obs::probe!(count SimdLanesScanned, t.lanes);
-                phc_obs::probe!(count SimdMisspeculations, t.misspecs);
-                phc_obs::probe!(hist SimdLanesPerProbe, t.lanes);
-            }
-        }
-        /// Reports one wide find: lanes examined and cells advanced.
-        #[inline(always)]
-        fn record_find_wide(lanes: usize, steps: usize) {
-            phc_obs::probe!(count SimdLanesScanned, lanes);
-            phc_obs::probe!(hist SimdLanesPerProbe, lanes);
-            phc_obs::probe!(count FindProbeSteps, steps);
-        }
-
         // ---- bodies ----
         //
         // The prioritized probe of Figure 1. Only the first-fit
         // baseline overrides these, with its own loops.
 
-        /// Inserts stored word `v`: `Ok(net cells filled)` or
-        /// `Err(carried stored word)` when the probe wrapped the array.
+        /// Inserts stored word `v`: `Ok(whether it filled an empty
+        /// cell)` or `Err(carried stored word)` when the probe wrapped
+        /// the array.
         #[inline(always)]
-        fn insert_with<K: Kernel>(
-            t: Probe<'_, E, Self>,
-            k: K,
-            v: u64,
-            token: u64,
-        ) -> Result<i64, u64> {
-            t.prioritized_insert(k, v, token)
+        fn insert_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, v: u64) -> Result<bool, u64> {
+            t.prioritized_insert(k, v)
         }
         /// Looks up stored word `probe`, returning the matching cell.
         #[inline(always)]
-        fn find_with<K: Kernel>(
-            t: Probe<'_, E, Self>,
-            k: K,
-            probe: u64,
-            careful: bool,
-        ) -> Option<u64> {
-            t.prioritized_find(k, probe, careful)
+        fn find_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, probe: u64) -> Option<u64> {
+            t.prioritized_find(k, probe)
         }
         /// Deletes stored word `probe`'s key; `true` iff this call
         /// stored the final ⊥.
         #[inline(always)]
-        fn delete_in(t: Probe<'_, E, Self>, probe: u64, token: u64) -> bool {
-            t.prioritized_delete(probe, token)
+        fn delete_in(t: Probe<'_, E, Self>, probe: u64) -> bool {
+            t.prioritized_delete(probe)
         }
         /// Figure 1 `FINDREPLACEMENT(i)` for the delete chase:
         /// `(j, v', home)` — the entry that may legally fill the hole at
@@ -332,9 +208,6 @@ mod policy {
         const GROW_NAME: &'static str;
         /// `FlatTableCore::LABEL` of the table.
         const LABEL: &'static str;
-        /// What keeps the table's phases apart when callers do not (see
-        /// [`crate::rooms`]): a room synchronizer, or nothing.
-        type Gate: crate::rooms::Gate;
     }
 
     /// An item of an insert run: an entry, or a raw repr (what a
@@ -419,9 +292,8 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// tables of one kind and capacity built from the same key set have
     /// equal snapshots — the strongest form of the guarantee (for entry
     /// types whose reprs are canonical; pointer entries are
-    /// deterministic at the payload level instead). For the
-    /// fully-concurrent table this holds for **quiescent** snapshots;
-    /// the first-fit table's layout depends on history.
+    /// deterministic at the payload level instead). The first-fit
+    /// table's layout depends on history.
     pub fn snapshot(&self) -> Vec<u64> {
         self.cells
             .iter()
@@ -449,8 +321,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     }
 
     /// Inserts an entry (Figure 1, `INSERT`). Safe to call from any
-    /// number of threads during an insert phase (at any time for the
-    /// fully-concurrent table).
+    /// number of threads during an insert phase.
     ///
     /// Duplicate keys are resolved with [`HashEntry::combine`] — a
     /// commutative rule, so concurrent duplicate inserts still commute.
@@ -475,18 +346,12 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     pub fn insert_counted(&self, e: E) -> bool {
         let v = e.to_repr();
         debug_assert_ne!(v, E::EMPTY);
-        let token = self.policy.open_insert_window();
-        let r = self.probe().insert_stored(self.policy.stored(v), token);
-        self.policy.close_insert_window();
-        match r {
-            Ok(net) => net > 0,
-            Err(_) => self.full(),
-        }
+        let v = self.policy.stored(v);
+        simd::bind(self, InsertOne { v }).unwrap_or_else(|_| self.full())
     }
 
-    /// The batch insert loop, for a caller that holds an insert window
-    /// open (`token`): inserts `carry` — a repr an earlier run handed
-    /// back — and then `items` in slice order, with the scan kernels
+    /// The batch insert loop: inserts `carry` — a repr an earlier run
+    /// handed back — and then `items` in slice order, with the scan kernels
     /// bound **once** for the whole run and upcoming home slots
     /// prefetched (see [`crate::batch`]). The one loop behind
     /// [`insert_batch`](Self::insert_batch) and behind every window of
@@ -505,13 +370,11 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         &self,
         carry: Option<u64>,
         items: &[I],
-        token: u64,
         fill_budget: usize,
     ) -> (usize, usize, Option<u64>) {
         let run = InsertRun {
             carry,
             items,
-            token,
             fill_budget,
         };
         simd::bind(self, run)
@@ -529,9 +392,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         if n == 0 {
             return;
         }
-        let token = self.policy.open_insert_window();
-        let (_, _, carry) = self.insert_run(None, entries, token, usize::MAX);
-        self.policy.close_insert_window();
+        let (_, _, carry) = self.insert_run(None, entries, usize::MAX);
         if carry.is_some() {
             self.full();
         }
@@ -548,10 +409,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     }
 
     /// Looks up the entry with `key`'s key part (Figure 1, `FIND`).
-    /// Safe to call concurrently with other finds and `elements`. On
-    /// the fully-concurrent table also with writers: a lookup racing an
-    /// in-flight displacement of its key may miss, and retries a
-    /// bounded number of times while writers are active.
+    /// Safe to call concurrently with other finds and `elements`.
     pub fn find(&self, key: E) -> Option<E> {
         let r = key.to_repr();
         debug_assert_ne!(r, E::EMPTY);
@@ -571,7 +429,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         if n == 0 {
             return;
         }
-        P::find_batch_into(self, keys, out);
+        simd::bind(self, FindBatch { keys, out });
         phc_obs::probe!(count PrefetchBatches);
         phc_obs::probe!(hist BatchSize, n);
     }
@@ -617,8 +475,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
 
     /// Deletes the entry whose key equals `key`'s key part (Figure 1,
     /// `DELETE`). A no-op if absent. Safe to call from any number of
-    /// threads during a delete phase (at any time for the
-    /// fully-concurrent table).
+    /// threads during a delete phase.
     pub fn delete(&self, key: E) {
         self.delete_counted(key);
     }
@@ -631,31 +488,26 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     pub fn delete_counted(&self, key: E) -> bool {
         let r = key.to_repr();
         debug_assert_ne!(r, E::EMPTY);
-        let token = self.policy.open_delete_window();
-        let t = self.probe();
-        let removed = P::delete_in(t, t.policy().stored(r), token);
-        self.policy.close_delete_window();
-        removed
+        P::delete_in(self.probe(), self.policy.stored(r))
     }
 
-    /// The batch delete loop, for a caller that holds a delete window
-    /// open (`token`): deletes `keys` in slice order, prefetching
+    /// The batch delete loop: deletes `keys` in slice order, prefetching
     /// upcoming home slots, and returns how many of the deletes earned
     /// a removal credit (see [`delete_counted`](Self::delete_counted)).
     /// The one loop behind [`delete_batch`](Self::delete_batch) and the
     /// growable wrapper's.
-    pub(crate) fn delete_run(&self, keys: &[E], token: u64) -> usize {
+    pub(crate) fn delete_run(&self, keys: &[E]) -> usize {
         let t = self.probe();
         let mut removed = 0usize;
         t.pipelined(keys, |_, _, stored| {
-            removed += P::delete_in(t, stored, token) as usize;
+            removed += P::delete_in(t, stored) as usize;
             true
         });
         removed
     }
 
     /// Deletes a batch of keys with software prefetching of upcoming
-    /// home slots, under one delete window — the delete analogue of
+    /// home slots — the delete analogue of
     /// [`insert_batch`](Self::insert_batch) /
     /// [`find_batch`](Self::find_batch). Semantically identical to
     /// deleting the keys one by one in slice order.
@@ -664,9 +516,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         if n == 0 {
             return;
         }
-        let token = self.policy.open_delete_window();
-        self.delete_run(keys, token);
-        self.policy.close_delete_window();
+        self.delete_run(keys);
         phc_obs::probe!(count PrefetchBatches);
         phc_obs::probe!(hist BatchSize, n);
     }
@@ -834,23 +684,11 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         }
     }
 
-    /// Per-operation insert of a stored word: binds the tier, then runs
-    /// the policy's insert body.
-    #[inline]
-    pub(crate) fn insert_stored(self, v: u64, token: u64) -> Result<i64, u64> {
-        simd::bind(self.table, InsertOne { v, token })
-    }
-
     #[inline(always)]
-    pub(crate) fn prioritized_insert<K: Kernel>(
-        self,
-        k: K,
-        v: u64,
-        token: u64,
-    ) -> Result<i64, u64> {
+    pub(crate) fn prioritized_insert<K: Kernel>(self, k: K, v: u64) -> Result<bool, u64> {
         match self.wide_mask::<K>() {
-            Some(key_mask) => self.insert_wide(k, key_mask, v, token),
-            None => self.insert_scalar(v, token),
+            Some(key_mask) => self.insert_wide(k, key_mask, v),
+            None => self.insert_scalar(v),
         }
     }
 
@@ -858,12 +696,11 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     /// into the first that does not, and carry the displaced entry
     /// onward.
     #[inline]
-    fn insert_scalar(self, mut v: u64, token: u64) -> Result<i64, u64> {
+    fn insert_scalar(self, mut v: u64) -> Result<bool, u64> {
         let p = self.policy();
         let n = self.cells.len();
         let mut i = self.home(v);
         let mut t = InsertTally::default();
-        let mut net = 0i64;
         let result = loop {
             let c = self.cells[i].load(Ordering::Acquire);
             if p.same_key(c, v) {
@@ -874,7 +711,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                         .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                 {
-                    break Ok(net);
+                    break Ok(false);
                 }
                 t.cas_fails += 1;
                 continue; // cell changed under us; re-read
@@ -891,13 +728,8 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
             {
                 // `c` has strictly lower priority than `v` (possibly
                 // ⊥): the cell is ours and `c` is carried onward.
-                let filled = c == E::EMPTY;
-                if filled {
-                    net += 1;
-                }
-                net += P::after_place(self, v, i, token);
-                if filled {
-                    break Ok(net);
+                if c == E::EMPTY {
+                    break Ok(true);
                 }
                 t.swaps += 1;
                 v = c;
@@ -912,7 +744,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                 t.cas_fails += 1;
             }
         };
-        P::record_insert(&t, false);
+        t.record(P::SWAPS, false);
         result
     }
 
@@ -922,26 +754,18 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     /// body. Skipping on a racy wide load is sound because cell
     /// priorities only *rise* while inserts run (an insert CAS replaces
     /// a cell with a higher-priority key; `combine` keeps the key), so
-    /// "this lane outranks `v`" can never be invalidated — and where a
-    /// concurrent delete may lower a cell (the fully-concurrent table),
-    /// that is exactly what the `after_place` validation repairs. The
-    /// converse can happen: a candidate whose priority rose after the
+    /// "this lane outranks `v`" can never be invalidated (deletes, which
+    /// lower cells, run in a phase of their own). The converse can
+    /// happen: a candidate whose priority rose after the
     /// scan sampled it is a counted misspeculation that re-scans one
     /// cell further on — which is also what the scalar loop would do on
     /// its next look at that cell.
     #[inline(always)]
-    fn insert_wide<K: Kernel>(
-        self,
-        k: K,
-        key_mask: u64,
-        mut v: u64,
-        token: u64,
-    ) -> Result<i64, u64> {
+    fn insert_wide<K: Kernel>(self, k: K, key_mask: u64, mut v: u64) -> Result<bool, u64> {
         let p = self.policy();
         let n = self.cells.len();
         let mut i = self.home(v);
         let mut t = InsertTally::default();
-        let mut net = 0i64;
         let result = 'outer: loop {
             let thr = v & key_mask;
             // Fast path: at moderate loads the cell under the cursor
@@ -987,11 +811,10 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
             // hands back the current value, so the loop never issues a
             // separate re-load either.
             loop {
-                P::spec_check(i, self.mask);
                 if p.same_key(c, v) {
                     let merged = E::combine(c, v);
                     if merged == c {
-                        break 'outer Ok(net);
+                        break 'outer Ok(false);
                     }
                     match self.cells[i].compare_exchange(
                         c,
@@ -999,7 +822,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                         Ordering::AcqRel,
                         Ordering::Acquire,
                     ) {
-                        Ok(_) => break 'outer Ok(net),
+                        Ok(_) => break 'outer Ok(false),
                         Err(cur) => {
                             t.cas_fails += 1;
                             c = cur; // cell changed under us; re-check
@@ -1020,13 +843,8 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                 }
                 match self.cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
                     Ok(_) => {
-                        let filled = c == E::EMPTY;
-                        if filled {
-                            net += 1;
-                        }
-                        net += P::after_place(self, v, i, token);
-                        if filled {
-                            break 'outer Ok(net);
+                        if c == E::EMPTY {
+                            break 'outer Ok(true);
                         }
                         t.swaps += 1;
                         v = c;
@@ -1044,7 +862,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
                 }
             }
         };
-        P::record_insert(&t, true);
+        t.record(P::SWAPS, true);
         result
     }
 
@@ -1072,31 +890,11 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         }
     }
 
-    #[inline(always)]
-    pub(crate) fn prioritized_find<K: Kernel>(
-        self,
-        k: K,
-        probe: u64,
-        careful: bool,
-    ) -> Option<u64> {
-        if careful {
-            // The closure must inline with the rest of the body: as a
-            // function of its own it would compile outside the bound
-            // tier's frame, and every scan would be a call.
-            self.policy().find_settled(
-                #[inline(always)]
-                || self.find_once(k, probe, true),
-            )
-        } else {
-            self.find_once(k, probe, false)
-        }
-    }
-
     /// One probe for `probe`, wide or scalar.
     #[inline(always)]
-    fn find_once<K: Kernel>(self, k: K, probe: u64, careful: bool) -> Option<u64> {
+    pub(crate) fn prioritized_find<K: Kernel>(self, k: K, probe: u64) -> Option<u64> {
         match self.wide_mask::<K>() {
-            Some(key_mask) => self.find_wide(k, key_mask, probe, P::CONFIRM_READS && careful),
+            Some(key_mask) => self.find_wide(k, key_mask, probe),
             None => self.find_scalar(probe),
         }
     }
@@ -1139,16 +937,12 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     /// exact key match (equal) or proof of absence (empty or lower
     /// priority) — exactly where the scalar loop stops.
     ///
-    /// With `confirm` off the stop lane's value is taken from the
-    /// kernel's already-loaded window: the reads are quiescent (a read
-    /// phase, or a validated speculation window), so it equals what a
-    /// re-load would return and the result is byte-identical to the
-    /// scalar path. With `confirm` on the hit is only a *hint*: the
-    /// lane is re-read through a per-cell atomic load, and one that
-    /// rose above the probe after the scan sampled it (an in-flight
-    /// displacement) resumes the scan past it.
+    /// The stop lane's value is taken from the kernel's already-loaded
+    /// window: lookups run in a read phase, where no cell changes, so it
+    /// equals what a re-load would return and the result is
+    /// byte-identical to the scalar path.
     #[inline(always)]
-    fn find_wide<K: Kernel>(self, k: K, key_mask: u64, probe: u64, confirm: bool) -> Option<u64> {
+    fn find_wide<K: Kernel>(self, k: K, key_mask: u64, probe: u64) -> Option<u64> {
         let p = self.policy();
         let n = self.cells.len();
         let home = self.home(probe);
@@ -1158,62 +952,50 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         // The probe path is `[home, n)` and then, wrapped, `[0, home)`.
         // Running off both is a (mis-used) full table of
         // higher-priority keys, the scalar guard case.
-        'legs: for (mut s, e) in [(home, n), (0, home)] {
-            while s < e {
+        for (s, e) in [(home, n), (0, home)] {
+            if s < e {
                 // SAFETY: `s < e <= n == cells.len()`.
                 let (hit, more) = unsafe { k.scan_le(self.cells, s, e, key_mask, thr) };
                 lanes += more;
-                let Some((j, scanned)) = hit else { break };
-                if !confirm {
-                    stop = Some((j, scanned));
-                    break 'legs;
+                stop = hit;
+                if stop.is_some() {
+                    break;
                 }
-                let c = self.cells[j].load(Ordering::Acquire);
-                P::spec_check(j, self.mask);
-                if c & key_mask <= thr {
-                    stop = Some((j, c));
-                    break 'legs;
-                }
-                // Rose above the probe after the scan sampled it.
-                s = j + 1;
             }
         }
-        P::record_find_wide(lanes, stop.map_or(n + 1, |(j, _)| self.dist(home, j)));
+        phc_obs::probe!(count SimdLanesScanned, lanes);
+        phc_obs::probe!(hist SimdLanesPerProbe, lanes);
+        phc_obs::probe!(
+            count FindProbeSteps,
+            stop.map_or(n + 1, |(j, _)| self.dist(home, j))
+        );
         match stop {
             Some((_, c)) if p.same_key(c, probe) => Some(c),
             _ => None,
         }
     }
 
-    /// Figure 1 `DELETE`, lines 27-29, then the chase. A walk that
-    /// finds nothing is final unless the policy asks for another.
+    /// Figure 1 `DELETE`, lines 27-29, then the chase.
     ///
     /// Deliberately without an inline hint: inlined into the batch loops
     /// the chase costs ~6% of delete throughput in register pressure
     /// (EXPERIMENTS.md PR 12); a call per delete is the cheaper shape.
-    pub(crate) fn prioritized_delete(self, probe: u64, mut token: u64) -> bool {
+    pub(crate) fn prioritized_delete(self, probe: u64) -> bool {
         let p = self.policy();
         // Virtual indices: base the walk at `capacity + bucket` so `k`
         // can step below `i` without underflow.
         let i = self.cells.len() + self.home(probe);
+        // Walk forward past higher-priority cells to land at or past the
+        // last copy of the key.
+        let mut k = i;
         loop {
-            // Walk forward past higher-priority cells to land at or
-            // past the last copy of the key.
-            let mut k = i;
-            loop {
-                let c = self.load_at(k);
-                if c == E::EMPTY || !p.outranks(c, probe) {
-                    break;
-                }
-                k += 1;
+            let c = self.load_at(k);
+            if c == E::EMPTY || !p.outranks(c, probe) {
+                break;
             }
-            if self.delete_from::<true>(k, i, probe, token) {
-                return true;
-            }
-            if !p.rewalk_after_miss(&mut token) {
-                return false;
-            }
+            k += 1;
         }
+        self.delete_from(k, i, probe)
     }
 
     /// Figure 1 `DELETE`, lines 30-41, seeded at virtual position `k`
@@ -1223,20 +1005,8 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     /// (the paper carries keys; carrying full words is equivalent
     /// because a key occupies at most one distinct cell value, and the
     /// CAS needs the exact loaded word anyway).
-    ///
-    /// With `CHECKED` the policy's `after_copy_down` / `after_hole`
-    /// hooks run after each write. Repair removals pass `false`: their
-    /// writes are re-covered by the still-registered outer operation's
-    /// own validation. A const generic (not a flag) so the checked
-    /// instantiation's loop carries only the hooks' inlined fast checks.
     #[inline]
-    pub(crate) fn delete_from<const CHECKED: bool>(
-        self,
-        mut k: usize,
-        mut i: usize,
-        mut v: u64,
-        token: u64,
-    ) -> bool {
+    pub(crate) fn delete_from(self, mut k: usize, mut i: usize, mut v: u64) -> bool {
         let p = self.policy();
         let mut steps = 0usize;
         let result = loop {
@@ -1251,28 +1021,16 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
             }
             let (j, vprime, home) = P::find_replacement(self, k);
             if self.cas_at(k, c, vprime) {
-                if vprime != E::EMPTY {
-                    if CHECKED {
-                        P::after_copy_down(self, k, token);
-                    }
-                    // A second copy of `vprime` now exists at `k`; we
-                    // are responsible for deleting the one at `j`.
-                    (k, v, i) = (j, vprime, home);
-                } else {
-                    if CHECKED {
-                        if let Some(refill) = P::after_hole(self, k, token) {
-                            (k, v, i) = refill;
-                            continue;
-                        }
-                    }
+                if vprime == E::EMPTY {
                     break true;
                 }
+                // A second copy of `vprime` now exists at `k`; we are
+                // responsible for deleting the one at `j`.
+                (k, v, i) = (j, vprime, home);
             } else {
                 // Someone else changed the cell: the copy we were
-                // chasing either moved to a lower index (deletes move
-                // entries down) — step back and keep looking — or, on
-                // the fully-concurrent table, was displaced up by an
-                // insert whose carrier now owns its placement.
+                // chasing moved to a lower index (deletes move entries
+                // down) — step back and keep looking.
                 k -= 1;
             }
         };
@@ -1323,6 +1081,39 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     }
 }
 
+/// What one insert did, for its instruments.
+#[derive(Default)]
+struct InsertTally {
+    /// Cells advanced past the home bucket.
+    steps: usize,
+    /// Failed CASes.
+    cas_fails: usize,
+    /// Entries displaced and carried onward.
+    swaps: usize,
+    /// Cell lanes examined by peeks and wide scans.
+    lanes: usize,
+    /// Wide-scan candidates that rose before the confirm.
+    misspecs: usize,
+}
+
+impl InsertTally {
+    /// Reports the tallies, displacement swaps under `swaps` (the
+    /// policy's `SWAPS`); `wide` says whether the wide body ran.
+    #[inline(always)]
+    fn record(&self, swaps: phc_obs::Counter, wide: bool) {
+        phc_obs::probe!(count ProbeSteps, self.steps);
+        phc_obs::probe!(count InsertCasFail, self.cas_fails);
+        phc_obs::Recorder::global().count(swaps, self.swaps as u64);
+        phc_obs::probe!(hist ProbeLen, self.steps);
+        phc_obs::probe!(hist CasRetries, self.cas_fails);
+        if wide {
+            phc_obs::probe!(count SimdLanesScanned, self.lanes);
+            phc_obs::probe!(count SimdMisspeculations, self.misspecs);
+            phc_obs::probe!(hist SimdLanesPerProbe, self.lanes);
+        }
+    }
+}
+
 // The bodies handed to `simd::bind`, each run on the table it is bound
 // with. A body holds only the operation's operands and builds its
 // `Probe` inside `run`, in the bound frame: handed in ready-made, the
@@ -1334,18 +1125,17 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
 /// One insert of a stored word, awaiting its kernels.
 struct InsertOne {
     v: u64,
-    token: u64,
 }
 
 impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for InsertOne {
-    type Out = Result<i64, u64>;
+    type Out = Result<bool, u64>;
     #[inline(always)]
     fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
-        P::insert_with(table.probe(), k, self.v, self.token)
+        P::insert_with(table.probe(), k, self.v)
     }
 }
 
-/// One careful lookup of a stored word, awaiting its kernels.
+/// One lookup of a stored word, awaiting its kernels.
 struct FindOne {
     probe: u64,
 }
@@ -1354,7 +1144,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for FindOne {
     type Out = Option<u64>;
     #[inline(always)]
     fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
-        P::find_with(table.probe(), k, self.probe, true)
+        P::find_with(table.probe(), k, self.probe)
     }
 }
 
@@ -1363,7 +1153,6 @@ impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for FindOne {
 struct InsertRun<'a, I> {
     carry: Option<u64>,
     items: &'a [I],
-    token: u64,
     fill_budget: usize,
 }
 
@@ -1373,15 +1162,15 @@ impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
     type Out = (usize, usize, Option<u64>);
     #[inline(always)]
     fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
-        let (t, token, budget) = (table.probe(), self.token, self.fill_budget);
+        let (t, budget) = (table.probe(), self.fill_budget);
         let p = t.policy();
         let mut fills = 0usize;
         if let Some(c) = self.carry {
             if budget == 0 {
                 return (0, 0, self.carry);
             }
-            match P::insert_with(t, k, p.stored(c), token) {
-                Ok(net) => fills += (net > 0) as usize,
+            match P::insert_with(t, k, p.stored(c)) {
+                Ok(filled) => fills += filled as usize,
                 Err(homeless) => return (0, 0, Some(p.unstored(homeless))),
             }
         }
@@ -1395,9 +1184,9 @@ impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
                     return false;
                 }
                 consumed += 1;
-                match P::insert_with(t, k, stored, token) {
-                    Ok(net) => {
-                        fills += (net > 0) as usize;
+                match P::insert_with(t, k, stored) {
+                    Ok(filled) => {
+                        fills += filled as usize;
                         true
                     }
                     Err(homeless) => {
@@ -1412,18 +1201,13 @@ impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
 }
 
 /// A whole prefetching lookup loop ([`ProbeTable::find_run`]), awaiting
-/// its kernels: `keys[i]`'s result goes to `out[i]`. `CAREFUL` off
-/// trusts the scanned values and skips the policy's `find_settled` —
-/// for callers that certify quiescence themselves. A const, so the
-/// frame the loop is bound in holds only the one variant.
-pub(crate) struct FindBatch<'a, E, const CAREFUL: bool> {
-    pub(crate) keys: &'a [E],
-    pub(crate) out: &'a mut [MaybeUninit<Option<E>>],
+/// its kernels: `keys[i]`'s result goes to `out[i]`.
+struct FindBatch<'a, E> {
+    keys: &'a [E],
+    out: &'a mut [MaybeUninit<Option<E>>],
 }
 
-impl<E: HashEntry, P: ProbePolicy<E>, const CAREFUL: bool> TierBody<ProbeTable<E, P>>
-    for FindBatch<'_, E, CAREFUL>
-{
+impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for FindBatch<'_, E> {
     type Out = ();
     #[inline(always)]
     fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) {
@@ -1435,8 +1219,7 @@ impl<E: HashEntry, P: ProbePolicy<E>, const CAREFUL: bool> TierBody<ProbeTable<E
             #[inline(always)]
             |i, r, stored| {
                 out[i].write(
-                    P::find_with(t, k, stored, CAREFUL)
-                        .map(|c| E::from_repr(t.policy().recover(r, c))),
+                    P::find_with(t, k, stored).map(|c| E::from_repr(t.policy().recover(r, c))),
                 );
                 true
             },
@@ -1446,9 +1229,7 @@ impl<E: HashEntry, P: ProbePolicy<E>, const CAREFUL: bool> TierBody<ProbeTable<E
 
 // The engine's batch operations on the phase handles (see
 // [`crate::phase`]; the per-op `insert` / `delete` / `find` come with
-// the handle). The fully-concurrent table needs no phase discipline;
-// its handles exist so the uniform contract tests and benchmarks drive
-// it through the same trait as every other table.
+// the handle).
 
 impl<E: HashEntry, P: ProbePolicy<E>> Inserter<'_, ProbeTable<E, P>> {
     /// Batched prefetching insert (see [`ProbeTable::insert_batch`]).
@@ -1521,8 +1302,8 @@ impl<E: HashEntry, P: Growable<E>> crate::resize::FlatTableCore<E> for ProbeTabl
 mod tests {
     /// The behaviours every table over the prioritized engine shares,
     /// instantiated once per policy. Table-specific tests (the Robin
-    /// Hood mixer and invariant, fc's mixed-concurrency repairs, the
-    /// first-fit table) live beside their policy.
+    /// Hood mixer and invariant, the first-fit table) live beside their
+    /// policy.
     macro_rules! policy_suite {
         ($name:ident, $table:ident) => {
             mod $name {

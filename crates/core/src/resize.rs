@@ -6,7 +6,7 @@
 //! cooperatively migrate elements. [`ResizableTable`] implements that
 //! scheme with **incremental migration**: the backing store is a chain
 //! of **epochs**, each owning one fixed-size core table (any
-//! [`FlatTableCore`]: the deterministic, Robin Hood or fully-concurrent
+//! [`FlatTableCore`]: the deterministic, Robin Hood or `linearHash-FC`
 //! table) until that table is drained, and a small header for good. An
 //! inserter whose fill credits bring its epoch's load to the
 //! 3/4 threshold publishes a doubled successor epoch with a single
@@ -57,10 +57,8 @@
 //! helper (the cursor), drained with plain loads into a stack buffer
 //! ([`ProbeTable::drain_range`]) and re-inserted into the live tail in
 //! cell order. No marker is written, no cell of the source changes, and
-//! the cores carry no migration check on any probe path — the fc core's
-//! multi-cell displacement and repair protocols included, since its
-//! writer windows open and close inside the epoch registration. Every
-//! entry in the array when the gate opened lies in exactly one block,
+//! the cores carry no migration check on any probe path. Every entry in
+//! the array when the gate opened lies in exactly one block,
 //! so it reaches the successor exactly once; the cores'
 //! combine-on-duplicate semantics absorb the one benign overlap (a key
 //! inserted directly into the tail while its old copy still awaits
@@ -159,7 +157,7 @@ use crate::cell::AtomOf;
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
-use crate::probe::{AsRepr, Growable, ProbePolicy, ProbeTable};
+use crate::probe::{AsRepr, Growable, ProbeTable};
 
 /// The fixed-capacity tables the growth machinery builds on: the
 /// history-independent probe-engine tables — [`DetHashTable`],
@@ -611,9 +609,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         #[cfg(test)]
         tests::in_window_hook();
         let budget = grow_at.saturating_sub(start_items);
-        let token = core.policy.open_insert_window();
-        let (consumed, fills, carry) = core.insert_run(carry, items, token, budget);
-        core.policy.close_insert_window();
+        let (consumed, fills, carry) = core.insert_run(carry, items, budget);
         let closing = fills.wrapping_sub(ACTIVE_ONE);
         let items_now = (ep.state.fetch_add(closing, Ordering::SeqCst) & ITEMS_MASK) + fills;
         if (carry.is_some() || items_now >= grow_at) && ep.next.load(Ordering::SeqCst).is_null() {
@@ -698,8 +694,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     }
 
     /// Deletes by key. Callable from any number of threads during a
-    /// delete phase — or, for cores like `FcHashTable`, concurrently
-    /// with inserts. A delete that drops the load below 1/8 publishes a
+    /// delete phase. A delete that drops the load below 1/8 publishes a
     /// halved successor and helps migrate it, mirroring the insert
     /// side's cooperative growth (see the module docs on why mid-phase
     /// triggers preserve the canonical quiescent capacity).
@@ -721,7 +716,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     }
 
     /// Deletes a batch of keys through the engine's delete loop, one
-    /// delete window and one retire-and-debit RMW per `WINDOW_CHUNK`
+    /// registration and one retire-and-debit RMW per `WINDOW_CHUNK`
     /// keys (the returned word carries the item count for the shrink
     /// check for free). The chunking bounds how long one batch keeps
     /// the epoch registration held — the drain gate waits for it, so an
@@ -731,10 +726,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     pub fn delete_batch(&self, keys: &[E]) {
         for chunk in keys.chunks(WINDOW_CHUNK) {
             let window = self.open_window();
-            let core = window.core();
-            let token = core.policy.open_delete_window();
-            let removed = core.delete_run(chunk, token);
-            core.policy.close_delete_window();
+            let removed = window.core().delete_run(chunk);
             let (ep, items) = window.retire_debiting(removed);
             self.maybe_shrink(ep, items);
         }
@@ -1476,12 +1468,15 @@ mod tests {
         }
     }
 
+    /// `&self` finds beside inserts break the phase contract, but safe
+    /// code can issue them, and they race every publish and release of
+    /// the growth below: the drain gate must keep each of them off an
+    /// array it frees.
     #[test]
-    fn fc_finds_overlap_publishes_and_never_read_a_freed_array() {
+    fn finds_beside_inserts_and_publishes_never_read_a_freed_array() {
         use crate::entry::KvPair;
-        use crate::fc::FcHashTable;
         use std::sync::atomic::AtomicBool;
-        type Table = ResizableTable<KvPair, FcHashTable<KvPair>>;
+        type Table = ResizableTable<KvPair>;
         let val = |k: u32| k.wrapping_mul(7) + 1;
         let entries: Vec<KvPair> = (1..=12_008u32).map(|k| KvPair::new(k, val(k))).collect();
         let (resident, incoming) = entries.split_at(8);

@@ -287,7 +287,6 @@ impl<E: HashEntry> ProbePolicy<E> for RhPolicy {
 impl<E: HashEntry> Growable<E> for RhPolicy {
     const GROW_NAME: &'static str = "robinHood-grow";
     const LABEL: &'static str = "robinhood";
-    type Gate = crate::rooms::RoomSync;
 }
 
 /// The phase-concurrent Robin Hood hash table.

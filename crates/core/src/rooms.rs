@@ -20,14 +20,11 @@
 //! count up if the room matches or the table is idle, otherwise spins
 //! (with exponential backoff parking) until the room drains.
 //!
-//! Whether a table needs rooms at all is a property of its core, so the
-//! two wrappers here ([`AutoPhaseTable`], fixed; [`AutoGrowTable`],
-//! growable) take their [`Gate`] from it: the phase-concurrent cores
-//! bring a [`RoomSync`]; the fully-concurrent core ([`crate::fc`]),
-//! whose overlap detection and online repair replace the synchronizer,
-//! brings the zero-sized [`NoRooms`]. The gate cannot be chosen apart
-//! from the core, so a phase-concurrent table without rooms cannot be
-//! built.
+//! Every core a wrapper can hold is phase-concurrent, so both wrappers
+//! here ([`AutoPhaseTable`], fixed; [`AutoGrowTable`], growable) carry
+//! one [`RoomSync`] whatever the core: det, Robin Hood and
+//! `linearHash-FC` alike. There is no synchronizer-free variant, so a
+//! drop-in table whose phases can overlap cannot be built.
 //!
 //! Rooms are for callers that cannot separate phases themselves. A
 //! caller that can — the KV server in `phc-server`, whose batch lock
@@ -36,12 +33,12 @@
 //! ([`crate::phase::PhaseHashTable`]) instead, and pays no synchronizer
 //! at all.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
 use crate::fc::FcHashTable;
-use crate::probe::Growable;
 use crate::resize::{FlatTableCore, ResizableTable};
 
 /// The three rooms of a phase-concurrent hash table.
@@ -64,8 +61,7 @@ pub enum Room {
 pub struct RoomSync {
     state: AtomicU64,
     /// Id of the last room to hold the synchronizer (0 before any
-    /// entry) — only used to count room *switches*, the metric the fc
-    /// table eliminates structurally.
+    /// entry) — only used to count room *switches*.
     last: AtomicU64,
 }
 
@@ -83,8 +79,7 @@ impl RoomSync {
     /// occupied room (`RoomWaits` + the wait duration in
     /// `RoomSwitchNanos`); a *switch* is an entry that claimed an idle
     /// synchronizer last held by a different room (`RoomSwitches`) —
-    /// exactly the op-kind boundary crossings a mixed workload pays for
-    /// and the fc table eliminates.
+    /// exactly the op-kind boundary crossings a mixed workload pays for.
     pub fn enter(&self, room: Room) {
         let id = room as u64;
         let mut spins = 0u32;
@@ -153,6 +148,15 @@ impl RoomSync {
         }
     }
 
+    /// Runs `f` inside `room`: [`enter`](Self::enter), `f`,
+    /// [`exit`](Self::exit).
+    pub fn with<R>(&self, room: Room, f: impl FnOnce() -> R) -> R {
+        self.enter(room);
+        let r = f();
+        self.exit(room);
+        r
+    }
+
     /// The currently active room, if any (racy; for tests/telemetry).
     pub fn active_room(&self) -> Option<Room> {
         match self.state.load(Ordering::Acquire) >> 56 {
@@ -164,44 +168,9 @@ impl RoomSync {
     }
 }
 
-/// What keeps a table's operation kinds apart when its callers do not:
-/// [`RoomSync`] or [`NoRooms`], as the core names (not a parameter of
-/// the wrappers; neither carries anything a caller can set).
-pub trait Gate: Default + Send + Sync {
-    /// Short label of the discipline, for benches and logs.
-    const MODE: &'static str;
-    /// Runs `f` as an operation of kind `room`.
-    fn with<R>(&self, room: Room, f: impl FnOnce() -> R) -> R;
-}
-
-impl Gate for RoomSync {
-    const MODE: &'static str = "rooms";
-    fn with<R>(&self, room: Room, f: impl FnOnce() -> R) -> R {
-        self.enter(room);
-        let r = f();
-        self.exit(room);
-        r
-    }
-}
-
-/// The gate of a core whose operations may all overlap: no state.
-#[derive(Default)]
-pub struct NoRooms;
-
-impl Gate for NoRooms {
-    const MODE: &'static str = "fc";
-    fn with<R>(&self, _room: Room, f: impl FnOnce() -> R) -> R {
-        f()
-    }
-}
-
-/// The gate core `T` brings.
-type GateOf<E, T> = <<T as FlatTableCore<E>>::Policy as Growable<E>>::Gate;
-
 /// A deterministic hash table with automatic phase separation: any
-/// thread may call any operation at any time; the core's gate
-/// serializes *operation types*, not operations (and for the
-/// fully-concurrent core, nothing).
+/// thread may call any operation at any time; a [`RoomSync`]
+/// serializes *operation types*, not operations.
 ///
 /// Note the weaker guarantee versus the phased API: the table layout
 /// is always a valid history-independent layout of its contents, but
@@ -213,13 +182,12 @@ type GateOf<E, T> = <<T as FlatTableCore<E>>::Policy as Growable<E>>::Gate;
 /// RobinHoodHashTable<E>>` is the room-synchronized Robin Hood table.
 pub struct AutoPhaseTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     table: T,
-    gate: GateOf<E, T>,
+    rooms: RoomSync,
+    _entry: PhantomData<E>,
 }
 
-/// [`AutoPhaseTable`] over the fully-concurrent table: the same drop-in
-/// API with no room entries. A lookup racing an in-flight displacement
-/// of its key may transiently miss (see [`crate::fc`]); contents are
-/// deterministic at quiescence.
+/// [`AutoPhaseTable`] over [`FcHashTable`]: the same drop-in API and the
+/// same room synchronizer as over det.
 pub type FcAutoTable<E> = AutoPhaseTable<E, FcHashTable<E>>;
 
 impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
@@ -227,7 +195,8 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
     pub fn new_pow2(log2_size: u32) -> Self {
         AutoPhaseTable {
             table: T::new_pow2(log2_size),
-            gate: Default::default(),
+            rooms: RoomSync::new(),
+            _entry: PhantomData,
         }
     }
 
@@ -238,31 +207,32 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
 
     /// Inserts an entry (enters the insert room).
     pub fn insert(&self, e: E) {
-        self.gate
+        self.rooms
             .with(Room::Insert, || self.table.engine().insert(e));
     }
 
     /// Deletes by key (enters the delete room).
     pub fn delete(&self, key: E) {
-        self.gate
+        self.rooms
             .with(Room::Delete, || self.table.engine().delete(key));
     }
 
     /// Looks up a key (enters the read room).
     pub fn find(&self, key: E) -> Option<E> {
-        self.gate.with(Room::Read, || self.table.engine().find(key))
+        self.rooms
+            .with(Room::Read, || self.table.engine().find(key))
     }
 
     /// Packs the contents (enters the read room).
     pub fn elements(&self) -> Vec<E> {
-        self.gate
+        self.rooms
             .with(Room::Read, || self.table.engine().elements())
     }
 
     /// Packs the contents into a caller-supplied buffer (enters the
     /// read room; appends without allocating a fresh `Vec`).
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.gate
+        self.rooms
             .with(Room::Read, || self.table.engine().elements_into(out));
     }
 
@@ -273,13 +243,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
     }
 }
 
-/// [`AutoPhaseTable`]'s growable sibling: the core's gate over a
-/// [`ResizableTable`]. Named through its aliases [`AutoPhaseGrowTable`]
-/// (a phase-concurrent core behind rooms) and [`FcAutoGrowTable`] (the
-/// fully-concurrent core, no rooms: there the resize layer's drain gate
-/// — every insert window, delete chunk and read call registers on its
-/// epoch — is what lets migration, and the release of a drained cell
-/// array, compose with overlapping inserts, deletes and finds).
+/// [`AutoPhaseTable`]'s growable sibling: a [`RoomSync`] over a
+/// [`ResizableTable`], named through its aliases [`AutoPhaseGrowTable`]
+/// and [`FcAutoGrowTable`].
 ///
 /// Migration composes with room synchronization directly: a room
 /// switch needs **no migration quiescence at all**. Migration work is
@@ -295,28 +261,23 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
 /// that happened to be in flight.
 pub struct AutoGrowTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     table: ResizableTable<E, T>,
-    gate: GateOf<E, T>,
+    rooms: RoomSync,
 }
 
 /// The growable room-synchronized table (see [`AutoGrowTable`]).
 pub type AutoPhaseGrowTable<E, T = DetHashTable<E>> = AutoGrowTable<E, T>;
 
-/// The growable drop-in table without a room synchronizer, over
-/// `ResizableTable<E, FcHashTable<E>>` (see [`AutoGrowTable`]). Lookups
-/// may transiently miss under concurrent displacement, as for
-/// [`FcAutoTable`].
+/// The growable room-synchronized table over
+/// `ResizableTable<E, FcHashTable<E>>` (see [`AutoGrowTable`]).
 pub type FcAutoGrowTable<E> = AutoGrowTable<E, FcHashTable<E>>;
 
 impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
-    /// Label of the core's discipline: `"rooms"` or `"fc"`.
-    pub const MODE: &'static str = <GateOf<E, T> as Gate>::MODE;
-
     /// Creates a table seeded with `2^log2_size` cells; it grows as
     /// needed.
     pub fn new_pow2(log2_size: u32) -> Self {
         AutoGrowTable {
             table: ResizableTable::new_pow2(log2_size),
-            gate: Default::default(),
+            rooms: RoomSync::new(),
         }
     }
 
@@ -324,36 +285,37 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     /// back toward the seed capacity when deletes empty the table out
     /// (see the shrinking notes in [`crate::resize`]).
     pub fn capacity(&self) -> usize {
-        self.gate.with(Room::Read, || self.table.capacity())
+        self.rooms.with(Room::Read, || self.table.capacity())
     }
 
     /// Inserts an entry (enters the insert room; may publish a
     /// successor epoch or pay a bounded migration help quota, never a
     /// table-sized stall).
     pub fn insert(&self, e: E) {
-        self.gate.with(Room::Insert, || self.table.insert(e));
+        self.rooms.with(Room::Insert, || self.table.insert(e));
     }
 
     /// Deletes by key (enters the delete room).
     pub fn delete(&self, key: E) {
-        self.gate.with(Room::Delete, || self.table.delete(key));
+        self.rooms.with(Room::Delete, || self.table.delete(key));
     }
 
     /// Looks up a key (enters the read room).
     pub fn find(&self, key: E) -> Option<E> {
-        self.gate.with(Room::Read, || self.table.find(key))
+        self.rooms.with(Room::Read, || self.table.find(key))
     }
 
     /// Packs the contents (enters the read room; deterministic at
     /// quiescence).
     pub fn elements(&self) -> Vec<E> {
-        self.gate.with(Room::Read, || self.table.elements())
+        self.rooms.with(Room::Read, || self.table.elements())
     }
 
     /// Packs the contents into a caller-supplied buffer (enters the
     /// read room; appends without allocating a fresh `Vec`).
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.gate.with(Room::Read, || self.table.elements_into(out));
+        self.rooms
+            .with(Room::Read, || self.table.elements_into(out));
     }
 
     /// Batched parallel insert: enters the insert room **once** for the
@@ -374,7 +336,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     /// inside the room until the parallel call completes, so every
     /// worker access is ordered before the room exit.
     pub fn par_insert_batched(&self, entries: &[E]) {
-        self.gate.with(Room::Insert, || {
+        self.rooms.with(Room::Insert, || {
             self.table.par_insert_batched(entries);
             self.table.normalize();
         });
@@ -387,7 +349,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     /// [`par_insert_batched`](Self::par_insert_batched)'s determinism
     /// cut.
     pub fn par_delete_batched(&self, keys: &[E]) {
-        self.gate.with(Room::Delete, || {
+        self.rooms.with(Room::Delete, || {
             self.table.par_delete_batched(keys);
             self.table.normalize();
         });
@@ -396,7 +358,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     /// Batched parallel lookup: one read-room entry for the batch;
     /// results are in key order.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.gate
+        self.rooms
             .with(Room::Read, || self.table.par_find_batched(keys))
     }
 
@@ -405,7 +367,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     /// entry, and no allocation for a batch of at most one grain once
     /// the buffer has reached its high-water capacity.
     pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        self.gate
+        self.rooms
             .with(Room::Read, || self.table.par_find_batched_into(keys, out))
     }
 
@@ -417,14 +379,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     /// after a burst of per-op [`insert`](Self::insert)s when you need
     /// the snapshot-determinism guarantee the batched path provides.
     pub fn normalize(&self) {
-        self.gate.with(Room::Insert, || self.table.normalize());
+        self.rooms.with(Room::Insert, || self.table.normalize());
     }
 
     /// Number of stored entries (enters the read room; exact because
     /// the read path itself drains any pending migration before
     /// counting — the room grant does not need to).
     pub fn len(&self) -> usize {
-        self.gate.with(Room::Read, || self.table.len())
+        self.rooms.with(Room::Read, || self.table.len())
     }
 
     /// Whether the table is empty.
@@ -434,7 +396,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
 
     /// Raw snapshot of the live backing array (enters the read room).
     pub fn snapshot(&self) -> Vec<u64> {
-        self.gate.with(Room::Read, || self.table.snapshot())
+        self.rooms.with(Room::Read, || self.table.snapshot())
     }
 
     /// Grants direct phased access when the caller has `&mut`
@@ -674,21 +636,23 @@ mod tests {
     }
 
     #[test]
-    fn fc_wrappers_carry_no_synchronizer() {
-        // The fully-concurrent core's gate is zero-sized: the wrapper
-        // is the table it wraps.
+    fn fc_wrappers_carry_the_same_room_sync_as_det() {
+        // One synchronizer for every core: each wrapper is its table
+        // plus one `RoomSync`, over fc exactly as over det.
         use std::mem::size_of;
         assert_eq!(
             size_of::<FcAutoGrowTable<U64Key>>(),
-            size_of::<ResizableTable<U64Key, FcHashTable<U64Key>>>()
+            size_of::<AutoPhaseGrowTable<U64Key>>()
         );
         assert_eq!(
             size_of::<FcAutoTable<U64Key>>(),
-            size_of::<FcHashTable<U64Key>>()
+            size_of::<AutoPhaseTable<U64Key>>()
+        );
+        assert_eq!(
+            size_of::<FcAutoTable<U64Key>>(),
+            size_of::<FcHashTable<U64Key>>() + size_of::<RoomSync>()
         );
         assert!(size_of::<AutoPhaseGrowTable<U64Key>>() > size_of::<ResizableTable<U64Key>>());
-        assert_eq!(FcAutoGrowTable::<U64Key>::MODE, "fc");
-        assert_eq!(AutoPhaseGrowTable::<U64Key>::MODE, "rooms");
     }
 
     #[test]

@@ -7,12 +7,9 @@
 //! lookup (`Reader::par_find_batched_into`). These tests hold all of
 //! them to the per-op `find`, key by key.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
-
 use phc_core::{
-    DetHashTable, FcHashTable, FlatTableCore, HashEntry, NdHashTable, PhaseHashTable,
-    ResizableTable, RobinHoodHashTable, U64Key,
+    DetHashTable, FcHashTable, FlatTableCore, NdHashTable, PhaseHashTable, ResizableTable,
+    RobinHoodHashTable, U64Key,
 };
 use phc_parutil::{grain, hash64, run_with_threads};
 
@@ -100,76 +97,4 @@ fn reader_finds_equal_per_op_find<T: FlatTableCore<U64Key>>() {
             }
         });
     }
-}
-
-/// The `fc_soak` pattern — an inserter, a deleter and a reader side by
-/// side — with batched lookups as the reader. fc's batch lookup scans
-/// speculatively and, when a writer window opened meanwhile, redoes the
-/// batch carefully *over* the speculative results; whichever path a
-/// call takes, every key no writer touches must come back exact, in
-/// place, behind the buffer's prior contents.
-///
-/// The writers churn keys homed in the upper half of the array and the
-/// reader looks up keys homed in the lower half, far enough below the
-/// boundary that no cluster spans it: no write ever lands on a cell a
-/// lookup reads.
-#[test]
-fn fc_batch_lookup_beside_writers_is_exact_for_untouched_keys() {
-    const LOG2: u32 = 12;
-    const ROUNDS: usize = 300;
-    let n = 1usize << LOG2;
-    let home = |k: &U64Key| U64Key::hash(k.to_repr()) as usize & (n - 1);
-    let lower: Vec<U64Key> = (0..)
-        .map(key)
-        .filter(|k| home(k) < n / 2 - 64)
-        .take(n / 4)
-        .collect();
-    let churn: Vec<U64Key> = (0..)
-        .map(key)
-        .filter(|k| (n / 2..n - 64).contains(&home(k)))
-        .take(n / 8)
-        .collect();
-
-    let t: FcHashTable<U64Key> = FcHashTable::new_pow2(LOG2);
-    // Every other lower key is stored: hits and misses alternate.
-    let resident: Vec<U64Key> = lower.iter().copied().step_by(2).collect();
-    t.insert_batch(&resident);
-    let expect: Vec<Option<U64Key>> = lower
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (i % 2 == 0).then_some(k))
-        .collect();
-
-    /// Stops the writers when the reader is done — or has panicked.
-    struct StopOnDrop<'a>(&'a AtomicBool);
-    impl Drop for StopOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-
-    let done = AtomicBool::new(false);
-    let start = Barrier::new(3);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            start.wait();
-            while !done.load(Ordering::Relaxed) {
-                churn.chunks(16).for_each(|c| t.insert_batch(c));
-            }
-        });
-        s.spawn(|| {
-            start.wait();
-            while !done.load(Ordering::Relaxed) {
-                churn.iter().for_each(|&k| t.delete(k));
-            }
-        });
-        let _stop = StopOnDrop(&done);
-        start.wait();
-        for round in 0..ROUNDS {
-            let mut out = PRIOR.to_vec();
-            t.find_batch_into(&lower, &mut out);
-            assert_eq!(out[..2], PRIOR, "round {round}");
-            assert_eq!(out[2..], expect, "round {round}");
-        }
-    });
 }

@@ -137,19 +137,6 @@ define_ids! {
         RoomSwitches => "room_switches",
         /// Nanoseconds spent waiting for room transitions to drain.
         RoomSwitchNanos => "room_switch_nanos",
-        /// Fully-concurrent table inserts that displaced an incumbent
-        /// entry (priority swap with the displaced entry carried
-        /// forward under an announcement).
-        FcDisplacements => "fc_displacements",
-        /// Fully-concurrent operations that retried a probe because an
-        /// in-flight displacement could have hidden their key.
-        FcHelps => "fc_helps",
-        /// Post-operation validation scans run by the fully-concurrent
-        /// table (insert span checks, delete hole re-checks, repairs).
-        FcRepairScans => "fc_repair_scans",
-        /// Debug-build confirmations that a speculative wide-scan hint
-        /// was re-read through a per-cell atomic before use (fc).
-        FcSpecChecks => "fc_spec_checks",
         /// Halving (shrink) epochs published by the cooperative
         /// resizer when deletes push the load below the shrink
         /// threshold.
@@ -217,9 +204,6 @@ define_ids! {
         /// Ops landing on one shard in one server batch (the router's
         /// per-shard fan-out distribution).
         ServerShardOps => "server_shard_ops",
-        /// Displacement-chain length per fully-concurrent insert (cells
-        /// the carried entry moved before landing).
-        FcDisplacementChain => "fc_displacement_chain",
         /// Nanoseconds an operation spent inside migration work (help
         /// quanta and full drains): the per-op stall the freeze-free
         /// resizer bounds. One sample per help/drain episode.

@@ -23,9 +23,9 @@
 //!   response re-assembly at submission indices, so neither routing
 //!   nor scheduling can reorder what a client observes.
 //!
-//! The [`FcKvServer`] mode swaps each shard's *core* for the fully
-//! concurrent table and runs the same phased path: same response log
-//! byte-for-byte (see [`shard_table`]).
+//! The [`FcKvServer`] mode swaps each shard's *core* for the
+//! `linearHash-FC` table and runs the same phased path: same response
+//! log byte-for-byte (see [`shard_table`]).
 
 #![warn(missing_docs)]
 

@@ -38,12 +38,13 @@
 //!
 //! ## The fc mode
 //!
-//! [`FcKvServer`] swaps the shard's core for the fully concurrent table
-//! and runs the same phased path. Responses are byte-identical to the
-//! default mode — both cores produce the same canonical layout for the
-//! same key set, and the sub-phase *order* pins what every get
-//! observes. Quiescence at each batch boundary is the linearization
-//! point in both modes.
+//! [`FcKvServer`] swaps the shard's core for `linearHash-FC` and runs
+//! the same phased path. Since fc's fully-concurrent claim was withdrawn
+//! (`phc_core::fc`), that core is a phase-concurrent table running the
+//! deterministic core's probe bodies, so responses, snapshots and
+//! counts are byte-identical to the default mode's by construction.
+//! Quiescence at each batch boundary is the linearization point in both
+//! modes.
 
 use std::sync::Mutex;
 
@@ -165,7 +166,7 @@ impl<C: Combine, T: ShardTable<C>> Shard<C, T> {
 /// A deterministic KV service over `N` phase-concurrent shards (see
 /// the [module docs](self) for semantics). The second type parameter
 /// is each shard's table; the default runs the deterministic core,
-/// [`FcKvServer`] the fully concurrent one.
+/// [`FcKvServer`] the `linearHash-FC` one.
 pub struct KvServer<C: Combine = KeepMin, T: ShardTable<C> = ResizableTable<KvPair<C>>> {
     /// The shards, reached only under this lock. Holding it for the
     /// whole of `apply_batch` is what lets every shard access be a
@@ -177,9 +178,9 @@ pub struct KvServer<C: Combine = KeepMin, T: ShardTable<C> = ResizableTable<KvPa
     num_shards: usize,
 }
 
-/// The fc-backed server mode: every shard runs the fully concurrent
-/// core through the same phased path. Response logs are byte-identical
-/// to the default [`KvServer`].
+/// The fc-backed server mode: every shard runs the `linearHash-FC` core
+/// — det's probe bodies under another name — through the same phased
+/// path. Response logs are byte-identical to the default [`KvServer`].
 pub type FcKvServer<C = KeepMin> = KvServer<C, ResizableTable<KvPair<C>, FcHashTable<KvPair<C>>>>;
 
 impl<C: Combine, T: ShardTable<C>> KvServer<C, T> {

@@ -14,11 +14,10 @@
 //!
 //! The core picks only what the shard's probes do, not how its phases
 //! are kept apart: [`KvServer`](crate::KvServer) runs the deterministic
-//! core (`"det"`), [`FcKvServer`](crate::FcKvServer) the fully
-//! concurrent one (`"fc"`), through the same code. Both cores produce
-//! byte-identical canonical layouts for the same key set (the fc
-//! differential suite's invariant), so swapping the parameter never
-//! changes a response log.
+//! core (`"det"`), [`FcKvServer`](crate::FcKvServer) the `linearHash-FC`
+//! one (`"fc"`), through the same code. The fc core runs det's probe
+//! bodies, so both produce byte-identical canonical layouts for the same
+//! key set and swapping the parameter never changes a response log.
 
 use phc_core::entry::{Combine, KvPair};
 use phc_core::{FlatTableCore, PhaseHashTable, ResizableTable};

@@ -68,8 +68,7 @@ fn set_semantics_all_tables() {
         "hopscotchHash-PC",
     );
     check_set_semantics(RobinHoodHashTable::<U64Key>::new_pow2(16), "robinHood");
-    // The fully concurrent table needs no phases at all, but it must
-    // still satisfy the phased contract when driven through it.
+    // linearHash-FC: det's probe bodies under its own name.
     check_set_semantics(FcHashTable::<U64Key>::new_pow2(16), "linearHash-FC");
 }
 

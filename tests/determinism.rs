@@ -266,52 +266,6 @@ fn robinhood_snapshot_identical_across_thread_counts() {
     }
 }
 
-/// The fully concurrent table promises more than the Robin Hood row
-/// above: its quiescent snapshot must be *byte-identical to the det
-/// table's* for the same key set — same layout, not merely the same
-/// membership — even though it runs without any phase separation.
-/// Checked across 1, 2, and 8 threads, with deletes and finds racing
-/// each other (an interleaving the det table's rooms would forbid).
-#[test]
-fn fc_snapshot_matches_det_across_thread_counts() {
-    use phase_concurrent_hashing::tables::FcHashTable;
-    let ks = keys(40_000, 13);
-    let (dels, _) = ks.split_at(12_000);
-    let expect = {
-        let mut t: DetHashTable<U64Key> = DetHashTable::new_pow2(17);
-        {
-            let ins = t.begin_insert();
-            ks.par_iter().for_each(|&k| ins.insert(U64Key::new(k)));
-        }
-        let full = t.snapshot();
-        {
-            let del = t.begin_delete();
-            dels.par_iter().for_each(|&k| del.delete(U64Key::new(k)));
-        }
-        (full, t.snapshot(), t.elements().len())
-    };
-    for threads in [1, 2, 8] {
-        let got = phase_concurrent_hashing::parutil::run_with_threads(threads, || {
-            let t: FcHashTable<U64Key> = FcHashTable::new_pow2(17);
-            ks.par_iter().for_each(|&k| t.insert(U64Key::new(k)));
-            let full = t.snapshot();
-            // No room switch before the deletes — and finds race them.
-            std::thread::scope(|s| {
-                s.spawn(|| dels.par_iter().for_each(|&k| t.delete(U64Key::new(k))));
-                s.spawn(|| {
-                    for &k in ks.iter().step_by(17) {
-                        let _ = t.find(U64Key::new(k));
-                    }
-                });
-            });
-            (full, t.snapshot(), t.elements().len())
-        });
-        assert_eq!(got, expect, "threads = {threads}");
-    }
-    invariant::check_ordering_invariant::<U64Key>(&expect.1).unwrap();
-    invariant::check_no_duplicate_keys::<U64Key>(&expect.1).unwrap();
-}
-
 /// Robin Hood `elements()` (decoded back to original keys) returns the
 /// same key set the det table returns for the same inserts, across
 /// thread counts — membership equivalence of the two layouts.

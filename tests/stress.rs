@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use phase_concurrent_hashing::tables::{
-    invariant, AddValues, ConcurrentDelete, ConcurrentInsert, DetHashTable, FcHashTable, KvPair,
-    PhaseHashTable, U64Key,
+    invariant, AddValues, ConcurrentDelete, ConcurrentInsert, DetHashTable, KvPair, PhaseHashTable,
+    U64Key,
 };
 
 const THREADS: usize = 8;
@@ -144,59 +144,6 @@ fn hot_key_combine_exact() {
     use phase_concurrent_hashing::tables::ConcurrentRead;
     let got = reader.find(KvPair::new(7, 0)).unwrap();
     assert_eq!(got.value, per_thread * THREADS as u32);
-}
-
-/// fc row: the fully concurrent table under the nastiest shape the
-/// phased tables structurally rule out — *every* thread runs inserts,
-/// deletes, and finds against the same keys simultaneously, barrier-
-/// aligned, with maximal duplication (each op issued by four threads
-/// at once). The quiescent snapshot must still be byte-identical to
-/// the det table built from the survivor set.
-#[test]
-fn fc_mixed_storm_matches_det() {
-    for round in 0..5u64 {
-        let t: FcHashTable<U64Key> = FcHashTable::new_pow2(12);
-        let base: Vec<u64> = (1..=1500u64).map(|k| k * 13 + round).collect();
-        base.iter().for_each(|&k| t.insert(U64Key::new(k)));
-        // Extras are far above the base range, so they never collide
-        // with a deleted key and the survivor set stays deterministic.
-        let extras: Vec<u64> = (1..=400u64).map(|i| 1_000_000 + i * 7 + round).collect();
-        let dels: Vec<u64> = base.iter().copied().step_by(2).collect();
-        let barrier = Barrier::new(THREADS);
-        std::thread::scope(|s| {
-            for id in 0..THREADS {
-                let (t, barrier, extras, dels, base) = (&t, &barrier, &extras, &dels, &base);
-                s.spawn(move || {
-                    barrier.wait();
-                    match id % 2 {
-                        // Four threads each insert *all* extras …
-                        0 => {
-                            for &k in extras {
-                                t.insert(U64Key::new(k));
-                            }
-                        }
-                        // … while four threads each delete *all* dels
-                        // and interleave racing finds.
-                        _ => {
-                            for (i, &k) in dels.iter().enumerate() {
-                                t.delete(U64Key::new(k));
-                                if i % 8 == 0 {
-                                    let _ = t.find(U64Key::new(base[i % base.len()]));
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let expect: DetHashTable<U64Key> = DetHashTable::new_pow2(12);
-        let delset: BTreeSet<u64> = dels.iter().copied().collect();
-        for &k in base.iter().filter(|k| !delset.contains(k)).chain(&extras) {
-            expect.insert(U64Key::new(k));
-        }
-        assert_eq!(t.snapshot(), expect.snapshot(), "round {round}");
-        invariant::check_ordering_invariant::<U64Key>(&t.snapshot()).unwrap();
-    }
 }
 
 /// Finds and elements may run together (one phase): hammer both while
