@@ -26,12 +26,11 @@
 //! Run with `--json FILE` to dump the report envelope; CI and
 //! `BENCH_PR9.json` use `--json BENCH_PR9.json`. With `--features obs`
 //! the envelope's obs snapshot carries the PR 9 counters
-//! (`shrink_epochs`, `shrink_migrations`, `simd32_lanes_scanned`) and
+//! (`shrink_epochs`, `shrink_migrations`) and
 //! the `bytes_per_key_milli` gauge.
 
 use phc_bench::{arg_or_env, report, Report};
 use phc_core::entry::{KeepMin, KvPair};
-use phc_core::simd::tier;
 use phc_core::{AutoPhaseGrowTable, DetHashTable, KvPair32};
 use phc_parutil::with_pool;
 use rayon::prelude::*;
@@ -201,10 +200,7 @@ fn main() {
     let reps = arg_or_env(&args, "--reps", "PHC_REPS", 3);
     let cap = 1usize << log2;
     let threads = [1usize, 2, 8];
-    println!(
-        "# Cell-width bench: u64 vs u32 cells, 2^{log2} cells, simd = {}, threads = {threads:?}\n",
-        tier().name()
-    );
+    println!("# Cell-width bench: u64 vs u32 cells, 2^{log2} cells, threads = {threads:?}\n");
 
     let keys = scrambled_keys();
     let cases: Vec<LoadCase> = [("1/3", cap / 3), ("1/2", cap / 2), ("3/4", cap * 3 / 4)]

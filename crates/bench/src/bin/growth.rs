@@ -195,8 +195,7 @@ fn main() {
     let prealloc = prealloc_log2(n);
     println!(
         "# Growth bench: {n} keys from 2^{SEED_LOG2} cells, prealloc 2^{prealloc}, \
-         simd = {}, threads = {threads:?}\n",
-        phc_core::simd::tier().name()
+         threads = {threads:?}\n"
     );
 
     let keys: Vec<u64> = (0..n as u64).map(|i| phc_parutil::hash64(i) | 1).collect();

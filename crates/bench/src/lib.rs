@@ -16,7 +16,6 @@
 //! | `fig4`   | Figure 4 (speedup vs threads) |
 //! | `fig5`   | Figure 5 (time per op vs load factor) |
 //! | `sched`  | Scheduler ablation: per-call spawn vs persistent pool vs pool + batched prefetching (PR 4, not a paper artifact) |
-//! | `probe`  | Probe-layer ablation: scalar vs SIMD find/insert/elements per load factor (PR 6, not a paper artifact) |
 //! | `server` | Sharded KV server: batch-size and shard sweeps vs the per-op baseline (PR 7, not a paper artifact) |
 //!
 //! Sizes are scaled from the paper's `n = 10^8` to laptop scale; set

@@ -4,9 +4,8 @@
 //! of atomic cells. Historically that cell was hard-coded to
 //! `AtomicU64`; this module makes the width a *parameter*, so an entry
 //! type whose key+value pack into 32 bits ([`KvPair32`]
-//! (crate::entry::KvPair32)) can halve its bytes-per-cell — and, on the
-//! wide-scan paths, double the lanes examined per vector (AVX2 scans 8
-//! × 32-bit cells per 256-bit load instead of 4 × 64-bit).
+//! (crate::entry::KvPair32)) can halve its bytes-per-cell, and so the
+//! memory traffic of every probe step.
 //!
 //! ## Design: widened logic over narrow storage
 //!
@@ -16,9 +15,9 @@
 //! Because every entry with `Repr = u32` packs its whole repr into 32
 //! bits, zero-extension is lossless, and because zero-extension is
 //! monotone, the masked **unsigned order** and masked **equality** the
-//! SIMD contract relies on are preserved verbatim. Tables therefore
-//! keep all probe/CAS/combine logic in u64 and only the storage (and
-//! the vector kernels) change width.
+//! `SIMD_KEY_MASK` contract relies on are preserved verbatim. Tables
+//! therefore keep all probe/CAS/combine logic in u64 and only the
+//! storage changes width.
 //!
 //! [`CellAtomic`] deliberately mirrors the inherent method names and
 //! shapes of `AtomicU64` (`load`/`store`/`compare_exchange`/…, all
@@ -60,10 +59,6 @@ impl CellWord for u32 {
 /// `to_repr()` to fit in `Repr::BITS` bits; debug builds assert it)
 /// and zero-extend on load.
 pub trait CellAtomic: Send + Sync + 'static {
-    /// Bits per cell (mirrors [`CellWord::BITS`]; used by the SIMD
-    /// dispatchers, where only the atomic type is in scope).
-    const BITS: u32;
-
     /// Creates a cell holding `v`.
     fn new_cell(v: u64) -> Self;
 
@@ -101,8 +96,6 @@ pub trait CellAtomic: Send + Sync + 'static {
 }
 
 impl CellAtomic for AtomicU64 {
-    const BITS: u32 = 64;
-
     #[inline(always)]
     fn new_cell(v: u64) -> Self {
         AtomicU64::new(v)
@@ -147,8 +140,6 @@ impl CellAtomic for AtomicU64 {
 }
 
 impl CellAtomic for AtomicU32 {
-    const BITS: u32 = 32;
-
     #[inline(always)]
     fn new_cell(v: u64) -> Self {
         debug_assert!(v <= u32::MAX as u64, "repr {v:#x} does not fit a u32 cell");

@@ -212,14 +212,14 @@ impl<E: HashEntry> CuckooHashTable<E> {
     pub fn elements(&self) -> Vec<E> {
         phc_parutil::pack_with_mask(
             &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
+            |win| crate::stats::occupied_mask(win, E::EMPTY),
             |c| E::from_repr(c.load(Ordering::Acquire)),
         )
     }
 
     /// Number of occupied cells.
     pub fn len(&self) -> usize {
-        crate::stats::occupied_len_u64::<E>(&self.cells)
+        crate::stats::occupied_len(&self.cells, E::EMPTY)
     }
 
     /// Whether the table is empty.

@@ -49,8 +49,7 @@ pub trait HashEntry: Copy + Eq + Send + Sync + std::fmt::Debug {
     /// Width of the atomic cell storing this entry's repr. `u64` is the
     /// full-word default; entries whose packed repr fits 32 bits (e.g.
     /// [`KvPair32`]) declare `u32` and halve the table's bytes-per-cell
-    /// — the flat tables allocate `Repr::Atomic` cells and the SIMD
-    /// kernels scan twice the lanes per vector. All trait methods stay
+    /// — the flat tables allocate `Repr::Atomic` cells. All trait methods stay
     /// expressed on the zero-extended `u64` logical repr (lossless and
     /// order-preserving for sub-word widths; see [`crate::cell`]).
     type Repr: CellWord;
@@ -64,8 +63,8 @@ pub trait HashEntry: Copy + Eq + Send + Sync + std::fmt::Debug {
     const VALUE_MASK: u64 = 0;
 
     /// When `Some(mask)`, declares that this entry type's key semantics
-    /// are a pure function of the masked representation, enabling the
-    /// wide-scan (SIMD) probe paths in [`crate::simd`]:
+    /// are a pure function of the masked representation (the name is
+    /// historical: it once enabled the withdrawn SIMD probe paths):
     ///
     /// * `same_key(a, b)  ⇔  a & mask == b & mask` for non-empty `a`,
     ///   `b`, and `EMPTY & mask` differs from every non-empty masked
@@ -74,8 +73,7 @@ pub trait HashEntry: Copy + Eq + Send + Sync + std::fmt::Debug {
     ///   **unsigned** integers (so `EMPTY` masks to the smallest value).
     ///
     /// Entry types whose key lives behind a pointer (e.g.
-    /// [`StrRef`]) cannot satisfy this and keep the default `None`,
-    /// which routes every probe through the scalar paths.
+    /// [`StrRef`]) cannot satisfy this and keep the default `None`.
     ///
     /// The Robin Hood table ([`crate::robinhood`]) additionally
     /// requires the mask to be *top-aligned and contiguous*
@@ -283,8 +281,7 @@ impl<C: Combine> HashEntry for KvPair<C> {
 /// sub-word counterpart of [`KvPair`].
 ///
 /// Declaring `Repr = u32` stores this entry in `AtomicU32` cells:
-/// half the memory traffic per probe step and, on the wide-scan
-/// paths, 8 cells per AVX2 vector instead of 4. The logical-repr
+/// half the memory traffic per probe step. The logical-repr
 /// contract is identical to `KvPair`'s, scaled down: masked equality
 /// (`0xFFFF_0000`) is key equality, masked unsigned order is the key
 /// priority order, and `⊥ = 0` masks lowest. The same [`Combine`]

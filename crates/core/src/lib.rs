@@ -19,7 +19,7 @@
 //! | [`HopscotchHashTable`] | `hopscotchHash(-PC)` | neighborhood hashing with segment locks |
 //! | [`ChainedHashTable`] | `chainedHash(-CR)` | Lea-style striped-lock chaining |
 //! | [`SerialHashHI`] / [`SerialHashHD`] | `serialHash-HI/HD` | sequential baselines |
-//! | [`RobinHoodHashTable`] | `robinHood` | SIMD-native displacement-ordered contender (see [`robinhood`]) |
+//! | [`RobinHoodHashTable`] | `robinHood` | masked-compare displacement-ordered contender (see [`robinhood`]) |
 //! | [`FcHashTable`] | `linearHash-FC` | det's contract under its own name; the fully-concurrent claim is withdrawn (see [`fc`]) |
 //!
 //! Phase discipline is enforced by the type system: see [`phase`].
@@ -68,4 +68,3 @@ pub use rooms::{
     AutoGrowTable, AutoPhaseGrowTable, AutoPhaseTable, FcAutoGrowTable, FcAutoTable, Room, RoomSync,
 };
 pub use serial::{SerialHashHD, SerialHashHI};
-pub use simd::SimdTier;

@@ -13,8 +13,8 @@
 //!
 //! This is the paper's baseline, the table the deterministic one is
 //! measured against, so its first-fit insert and find loops stay its
-//! own (a different stop condition — an empty cell or the key, no
-//! priority order — and a different scan kernel). Storage, the batch
+//! own (a different stop condition: an empty cell or the key, no
+//! priority order). Storage, the batch
 //! loops, the phase handles, the quiescent operations and the delete
 //! chase (`delete_from`, the same copy-chasing structure with
 //! hash-bucket homes) come from the shared engine ([`crate::probe`]);
@@ -33,7 +33,6 @@ use crate::cell::CellAtomic;
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader};
 use crate::probe::{Probe, ProbePolicy, ProbeTable};
-use crate::simd::Kernel;
 
 /// Debug-build phase-discipline check shared by every ND operation:
 /// asserts the probe is a real entry (matching the deterministic
@@ -60,27 +59,15 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
     }
 
     #[inline(always)]
-    fn insert_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, v: u64) -> Result<bool, u64> {
+    fn insert_with(t: Probe<'_, E, Self>, v: u64) -> Result<bool, u64> {
         nd_phase_check!(v);
-        if K::WIDE {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return insert_wide(t, k, key_mask, v);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        insert_scalar(t, v)
+        first_fit_insert(t, v)
     }
 
     #[inline(always)]
-    fn find_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, probe: u64) -> Option<u64> {
+    fn find_with(t: Probe<'_, E, Self>, probe: u64) -> Option<u64> {
         nd_phase_check!(probe);
-        if K::WIDE {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return find_wide(t, k, key_mask, probe);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        find_scalar(t, probe)
+        first_fit_find(t, probe)
     }
 
     /// Shift-back delete (no tombstones). Concurrent-safe within a
@@ -91,24 +78,17 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
     fn delete_in(t: Probe<'_, E, Self>, probe: u64) -> bool {
         nd_phase_check!(probe);
         let m = t.cells.len();
-        // Walk to the end of the cluster (first empty cell) so the
-        // downward scan starts at-or-past the rightmost copy of the
-        // key. The walk is one wide empty-scan: in a delete phase cells
-        // never go back from empty to occupied, so a racy "occupied"
-        // lane is as valid here as the scalar loop's one-shot racy
-        // read, and the downward loop revalidates every cell it acts on
-        // anyway.
-        let home = t.home(probe);
-        let i = m + home;
-        let (hit, _) = crate::simd::scan_for_empty(t.cells, home, m, E::EMPTY);
-        let hit = match hit {
-            Some(_) => hit,
-            None => crate::simd::scan_for_empty(t.cells, 0, home, E::EMPTY).0,
-        };
-        let k = match hit {
-            Some((j, _)) => i + t.dist(home, j),
-            None => i + m, // no empty cell: scan the whole wrap
-        };
+        // Walk to the end of the cluster (the first empty cell, or the
+        // whole wrap if there is none) so the downward scan starts
+        // at-or-past the rightmost copy of the key. In a delete phase
+        // cells never go back from empty to occupied, so a racy
+        // "occupied" read is safe to walk past, and the downward loop
+        // revalidates every cell it acts on.
+        let i = m + t.home(probe);
+        let mut k = i;
+        while k < i + m && t.load_at(k) != E::EMPTY {
+            k += 1;
+        }
         t.delete_from(k.saturating_sub(1).max(i), i, probe)
     }
 
@@ -138,156 +118,49 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
 
 /// First-fit insert: the first empty cell of the probe sequence, or the
 /// cell already holding the key (merged via [`HashEntry::combine`]).
-/// `Err(v)` if the table is full.
-fn insert_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<bool, u64> {
+/// `Err(v)` if the table is full. A failed CAS hands back the cell's
+/// current value, which the loop re-examines without re-loading it.
+fn first_fit_insert<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<bool, u64> {
     let mut i = t.home(v);
+    let mut c = t.cells[i].load(Ordering::Acquire);
     let mut steps = 0usize;
     let mut cas_fails = 0usize;
     let result = loop {
-        let c = t.cells[i].load(Ordering::Acquire);
-        if c == E::EMPTY {
-            if t.cells[i]
-                .compare_exchange(E::EMPTY, v, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break Ok(true);
-            }
-            cas_fails += 1;
-            continue; // lost the race; re-read this cell
-        }
-        if E::same_key(c, v) {
+        let new = if c == E::EMPTY {
+            v
+        } else if E::same_key(c, v) {
             let merged = E::combine(c, v);
-            if merged == c
-                || t.cells[i]
-                    .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
+            if merged == c {
                 break Ok(false);
             }
-            cas_fails += 1;
-            continue;
-        }
-        i = (i + 1) & t.mask;
-        steps += 1;
-        if steps > t.cells.len() {
-            break Err(v);
-        }
-    };
-    phc_obs::probe!(count ProbeSteps, steps);
-    phc_obs::probe!(count InsertCasFail, cas_fails);
-    phc_obs::probe!(hist ProbeLen, steps);
-    phc_obs::probe!(hist CasRetries, cas_fails);
-    result
-}
-
-/// Wide-scan first-fit insert: the `scan_for_key` kernel skips occupied
-/// cells holding other keys in one compare per lane, then the candidate
-/// (an empty cell or this key) is confirmed by CAS against the value
-/// the scan already loaded. Skipping is sound because in an ND insert
-/// phase a cell never returns to empty and its key never changes once
-/// set; a candidate that was grabbed by a concurrent insert between
-/// scan and confirm fails its CAS (yielding the true current value) and
-/// is a counted misspeculation that re-scans from the next cell — as
-/// the scalar loop would.
-#[inline(always)]
-fn insert_wide<E: HashEntry, K: Kernel>(
-    t: Probe<'_, E, NdPolicy>,
-    k: K,
-    key_mask: u64,
-    v: u64,
-) -> Result<bool, u64> {
-    let n = t.cells.len();
-    let vm = v & key_mask;
-    let mut i = t.home(v);
-    let mut steps = 0usize;
-    let mut cas_fails = 0usize;
-    let mut lanes_total = 0usize;
-    let mut misspecs = 0usize;
-    let result = 'done: loop {
-        // Fast path: at moderate loads the cell under the cursor is
-        // usually empty or holds the key already — peek it scalar
-        // before paying for the wide-scan setup.
-        let peek = t.cells[i].load(Ordering::Acquire);
-        let (j, mut c) = if peek == E::EMPTY || (peek & key_mask) == vm {
-            lanes_total += 1;
-            (i, peek)
+            merged
         } else {
-            // SAFETY (both scans): `i < n == cells.len()`.
-            let (hit, lanes) = unsafe { k.scan_for_key(t.cells, i, n, E::EMPTY, key_mask, vm) };
-            let (hit, lanes) = match hit {
-                Some(_) => (hit, lanes),
-                None => {
-                    let (wrapped, more) =
-                        unsafe { k.scan_for_key(t.cells, 0, i, E::EMPTY, key_mask, vm) };
-                    (wrapped, lanes + more)
-                }
-            };
-            lanes_total += lanes;
-            match hit {
-                Some(hit) => hit,
-                // No empty cell and no copy of this key anywhere.
-                None => break 'done Err(v),
-            }
-        };
-        steps += t.dist(i, j);
-        if steps > n {
-            break 'done Err(v);
-        }
-        i = j;
-        // Confirm loop seeded with the value the scan observed in its
-        // loaded window: every write still goes through a CAS against
-        // the cell's true contents, and a failed CAS hands back the
-        // current value, so the cell is never re-loaded.
-        loop {
-            if c == E::EMPTY {
-                match t.cells[i].compare_exchange(E::EMPTY, v, Ordering::AcqRel, Ordering::Acquire)
-                {
-                    Ok(_) => break 'done Ok(true),
-                    Err(cur) => {
-                        cas_fails += 1;
-                        c = cur; // lost the race; retry on the fresh value
-                        continue;
-                    }
-                }
-            }
-            if E::same_key(c, v) {
-                let merged = E::combine(c, v);
-                if merged == c {
-                    break 'done Ok(false);
-                }
-                match t.cells[i].compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => break 'done Ok(false),
-                    Err(cur) => {
-                        cas_fails += 1;
-                        c = cur;
-                        continue;
-                    }
-                }
-            }
-            // Misspeculation: a concurrent insert claimed the cell for
-            // another key after the wide scan sampled it.
-            misspecs += 1;
             i = (i + 1) & t.mask;
             steps += 1;
-            if steps > n {
-                break 'done Err(v);
+            if steps > t.cells.len() {
+                break Err(v);
             }
-            continue 'done;
+            c = t.cells[i].load(Ordering::Acquire);
+            continue;
+        };
+        match t.cells[i].compare_exchange(c, new, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => break Ok(c == E::EMPTY),
+            Err(cur) => {
+                cas_fails += 1;
+                c = cur; // lost the race; retry on the fresh value
+            }
         }
     };
     phc_obs::probe!(count ProbeSteps, steps);
     phc_obs::probe!(count InsertCasFail, cas_fails);
-    phc_obs::probe!(count SimdLanesScanned, lanes_total);
-    phc_obs::probe!(count SimdMisspeculations, misspecs);
     phc_obs::probe!(hist ProbeLen, steps);
     phc_obs::probe!(hist CasRetries, cas_fails);
-    phc_obs::probe!(hist SimdLanesPerProbe, lanes_total);
     result
 }
 
 /// First-fit find: probes until the key or an empty cell (no priority
 /// early-exit: the layout is unordered).
-fn find_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, probe: u64) -> Option<u64> {
+fn first_fit_find<E: HashEntry>(t: Probe<'_, E, NdPolicy>, probe: u64) -> Option<u64> {
     let mut i = t.home(probe);
     let mut steps = 0usize;
     let result = 'scan: {
@@ -306,38 +179,6 @@ fn find_scalar<E: HashEntry>(t: Probe<'_, E, NdPolicy>, probe: u64) -> Option<u6
     };
     phc_obs::probe!(count FindProbeSteps, steps);
     result
-}
-
-/// Wide-scan find: the first-fit probe stops at the first empty cell or
-/// copy of the key — exactly the `scan_for_key` kernel. Find phases are
-/// quiescent, so the value the kernel loaded at the stop lane equals
-/// what a re-load would return and the result is byte-identical to the
-/// scalar loop at every tier.
-#[inline(always)]
-fn find_wide<E: HashEntry, K: Kernel>(
-    t: Probe<'_, E, NdPolicy>,
-    k: K,
-    key_mask: u64,
-    probe: u64,
-) -> Option<u64> {
-    let n = t.cells.len();
-    let home = t.home(probe);
-    let pm = probe & key_mask;
-    // SAFETY (both scans): `home < n == cells.len()`.
-    let (hit, lanes) = unsafe { k.scan_for_key(t.cells, home, n, E::EMPTY, key_mask, pm) };
-    let (hit, lanes) = match hit {
-        Some(_) => (hit, lanes),
-        None => {
-            let (wrapped, more) =
-                unsafe { k.scan_for_key(t.cells, 0, home, E::EMPTY, key_mask, pm) };
-            (wrapped, lanes + more)
-        }
-    };
-    phc_obs::probe!(count SimdLanesScanned, lanes);
-    phc_obs::probe!(hist SimdLanesPerProbe, lanes);
-    // `None`: a full table without the key (the scalar guard case).
-    phc_obs::probe!(count FindProbeSteps, hit.map_or(n + 1, |(j, _)| t.dist(home, j)));
-    hit.map(|(_, c)| c).filter(|&c| c != E::EMPTY)
 }
 
 /// Non-deterministic phase-concurrent linear probing hash table.

@@ -23,14 +23,8 @@
 //! is no `dyn`, no function pointer, and no probe loop branches on
 //! which table it serves.
 //!
-//! Each operation has one **scalar** body — the Figure 1 loop over
-//! per-cell atomic loads, which serves entry types without a
-//! [`SIMD_KEY_MASK`](HashEntry::SIMD_KEY_MASK) and is the reference the
-//! differential suites compare the tiers against — and, for insert and
-//! find, one **wide** body generic over a tier's scan kernels
-//! (`simd::Kernel`). The tier binder in [`crate::simd`] resolves the
-//! tier once per operation or batch and runs the body (a
-//! `simd::TierBody`) inside that tier's frame.
+//! Each operation has one body: the Figure 1 loop over per-cell atomic
+//! loads, for every entry type and every cell width.
 //!
 //! The first-fit table ([`crate::nd`]) is the paper's baseline: it
 //! keeps its own insert and find loops (a different stop condition and
@@ -66,7 +60,6 @@ use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
-use crate::simd::{self, Kernel, TierBody};
 
 pub(crate) use policy::{AsRepr, Growable, Probe, ProbePolicy};
 
@@ -77,7 +70,6 @@ pub(crate) use policy::{AsRepr, Growable, Probe, ProbePolicy};
 mod policy {
     use crate::cell::AtomOf;
     use crate::entry::HashEntry;
-    use crate::simd::Kernel;
     use std::cmp::Ordering as CmpOrdering;
 
     /// A table's working set by value: the cell slice and the index mask,
@@ -88,8 +80,10 @@ mod policy {
     /// have to re-load both fields after every atomic cell access).
     ///
     /// Four words, so it crosses a call boundary in memory: built inside
-    /// the frame that uses it (see the `TierBody` impls below), never
-    /// handed to one.
+    /// the frame that loops over it, never handed to one: a callee that
+    /// copies it out with one wide load cannot store-forward from the
+    /// caller's four 8-byte stores, a ~13-tick stall per call measured
+    /// on the per-op insert.
     pub struct Probe<'a, E: HashEntry, P: ProbePolicy<E>> {
         pub cells: &'a [AtomOf<E::Repr>],
         pub mask: usize,
@@ -159,14 +153,6 @@ mod policy {
         fn outranks(&self, c: u64, v: u64) -> bool {
             E::cmp_priority(c, v) == CmpOrdering::Greater
         }
-        /// The mask under which `same_key` / `outranks` are masked
-        /// equality / unsigned compare, if any: what makes the wide
-        /// bodies applicable.
-        #[inline(always)]
-        fn key_mask(&self) -> Option<u64> {
-            E::SIMD_KEY_MASK
-        }
-
         // ---- bodies ----
         //
         // The prioritized probe of Figure 1. Only the first-fit
@@ -176,13 +162,13 @@ mod policy {
         /// cell)` or `Err(carried stored word)` when the probe wrapped
         /// the array.
         #[inline(always)]
-        fn insert_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, v: u64) -> Result<bool, u64> {
-            t.prioritized_insert(k, v)
+        fn insert_with(t: Probe<'_, E, Self>, v: u64) -> Result<bool, u64> {
+            t.prioritized_insert(v)
         }
         /// Looks up stored word `probe`, returning the matching cell.
         #[inline(always)]
-        fn find_with<K: Kernel>(t: Probe<'_, E, Self>, k: K, probe: u64) -> Option<u64> {
-            t.prioritized_find(k, probe)
+        fn find_with(t: Probe<'_, E, Self>, probe: u64) -> Option<u64> {
+            t.prioritized_find(probe)
         }
         /// Deletes stored word `probe`'s key; `true` iff this call
         /// stored the final ⊥.
@@ -347,13 +333,12 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         let v = e.to_repr();
         debug_assert_ne!(v, E::EMPTY);
         let v = self.policy.stored(v);
-        simd::bind(self, InsertOne { v }).unwrap_or_else(|_| self.full())
+        P::insert_with(self.probe(), v).unwrap_or_else(|_| self.full())
     }
 
     /// The batch insert loop: inserts `carry` — a repr an earlier run
-    /// handed back — and then `items` in slice order, with the scan kernels
-    /// bound **once** for the whole run and upcoming home slots
-    /// prefetched (see [`crate::batch`]). The one loop behind
+    /// handed back — and then `items` in slice order, with upcoming home
+    /// slots prefetched (see [`crate::batch`]). The one loop behind
     /// [`insert_batch`](Self::insert_batch) and behind every window of
     /// the growable wrapper ([`crate::resize`]), migration included.
     ///
@@ -372,20 +357,44 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         items: &[I],
         fill_budget: usize,
     ) -> (usize, usize, Option<u64>) {
-        let run = InsertRun {
-            carry,
-            items,
-            fill_budget,
-        };
-        simd::bind(self, run)
+        let t = self.probe();
+        let p = t.policy();
+        let mut fills = 0usize;
+        if let Some(c) = carry {
+            if fill_budget == 0 {
+                return (0, 0, carry);
+            }
+            match P::insert_with(t, p.stored(c)) {
+                Ok(filled) => fills += filled as usize,
+                Err(homeless) => return (0, 0, Some(p.unstored(homeless))),
+            }
+        }
+        let (mut consumed, mut carry) = (0usize, None);
+        t.pipelined(items, |_, r, stored| {
+            debug_assert_ne!(r, E::EMPTY);
+            if fills >= fill_budget {
+                return false;
+            }
+            consumed += 1;
+            match P::insert_with(t, stored) {
+                Ok(filled) => {
+                    fills += filled as usize;
+                    true
+                }
+                Err(homeless) => {
+                    carry = Some(p.unstored(homeless));
+                    false
+                }
+            }
+        });
+        (consumed, fills, carry)
     }
 
     /// Inserts a batch of entries with software prefetching: before
     /// probing entry `i`, the home slot of entry `i + PREFETCH_AHEAD`
     /// is prefetched (see [`crate::batch`]), keeping several cache
-    /// misses in flight instead of serializing them. The scan kernels
-    /// are bound once for the whole batch. Semantically identical to
-    /// inserting the entries one by one in slice order — and for the
+    /// misses in flight instead of serializing them. Semantically
+    /// identical to inserting the entries one by one in slice order — and for the
     /// history-independent tables, to *any* insertion of the same set.
     pub fn insert_batch(&self, entries: &[E]) {
         let n = entries.len();
@@ -414,22 +423,27 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         let r = key.to_repr();
         debug_assert_ne!(r, E::EMPTY);
         let probe = self.policy.stored(r);
-        simd::bind(self, FindOne { probe }).map(|c| E::from_repr(self.policy.recover(r, c)))
+        P::find_with(self.probe(), probe).map(|c| E::from_repr(self.policy.recover(r, c)))
     }
 
     /// The batch lookup loop — the one kernel behind every batched find
     /// of this table and of the growable wrapper, the read analogue of
     /// [`insert_run`](Self::insert_run): writes `self.find(keys[i])` to
-    /// `out[i]`, **every** slot, with upcoming home slots prefetched and
-    /// the scan kernels bound once. Panics unless `out` is as long as
-    /// `keys`.
+    /// `out[i]`, **every** slot, with upcoming home slots prefetched.
+    /// Panics unless `out` is as long as `keys`.
     pub(crate) fn find_run(&self, keys: &[E], out: &mut [MaybeUninit<Option<E>>]) {
         let n = keys.len();
         assert_eq!(n, out.len());
         if n == 0 {
             return;
         }
-        simd::bind(self, FindBatch { keys, out });
+        let t = self.probe();
+        // One length for both slices: no bounds check per store.
+        let out = &mut out[..n];
+        t.pipelined(keys, |i, r, stored| {
+            out[i].write(P::find_with(t, stored).map(|c| E::from_repr(t.policy().recover(r, c))));
+            true
+        });
         phc_obs::probe!(count PrefetchBatches);
         phc_obs::probe!(hist BatchSize, n);
     }
@@ -548,14 +562,13 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// a fresh `Vec` each time. The appended suffix is identical to
     /// what `elements()` returns.
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        // Mask-based pack: the count pass popcounts wide-scan occupancy
-        // masks instead of testing cells one by one, and only the
-        // surviving cells are decoded. The offsets come from the same
-        // deterministic prefix sum at every dispatch tier.
+        // Mask-based pack: the count pass popcounts per-window occupancy
+        // masks, and only the surviving cells are decoded. The offsets
+        // come from a deterministic prefix sum.
         let base = out.len();
         phc_parutil::pack_with_mask_into(
             &self.cells,
-            |win| simd::scan_nonempty_mask(win, E::EMPTY),
+            |win| crate::stats::occupied_mask(win, E::EMPTY),
             |c| E::from_repr(self.policy.unstored(c.load(Ordering::Acquire))),
             out,
         );
@@ -580,7 +593,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
 
     /// Number of occupied cells (exact at quiescence).
     pub fn len(&self) -> usize {
-        crate::stats::occupied_len::<E>(&self.cells)
+        crate::stats::occupied_len(&self.cells, E::EMPTY)
     }
 
     /// Whether the table is empty.
@@ -667,202 +680,60 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         prefetch_slot(self.cells, self.home(stored));
     }
 
-    /// The key mask the wide bodies run under, or `None` to take the
-    /// scalar body: at the scalar tier, and for entry types without a
-    /// maskable key (pointer entries), which only the scalar probe
-    /// understands.
-    #[inline(always)]
-    fn wide_mask<K: Kernel>(self) -> Option<u64> {
-        if K::WIDE {
-            let mask = self.policy().key_mask();
-            if mask.is_none() {
-                phc_obs::probe!(count SimdFallbacks);
-            }
-            mask
-        } else {
-            None
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn prioritized_insert<K: Kernel>(self, k: K, v: u64) -> Result<bool, u64> {
-        match self.wide_mask::<K>() {
-            Some(key_mask) => self.insert_wide(k, key_mask, v),
-            None => self.insert_scalar(v),
-        }
-    }
-
     /// Figure 1 `INSERT`: walk past the cells that outrank `v`, swap
     /// into the first that does not, and carry the displaced entry
-    /// onward.
+    /// onward. A failed CAS hands back the cell's current value, which
+    /// the loop re-examines without re-loading the cell.
     #[inline]
-    fn insert_scalar(self, mut v: u64) -> Result<bool, u64> {
+    pub(crate) fn prioritized_insert(self, mut v: u64) -> Result<bool, u64> {
         let p = self.policy();
         let n = self.cells.len();
         let mut i = self.home(v);
+        let mut c = self.cells[i].load(Ordering::Acquire);
         let mut t = InsertTally::default();
         let result = loop {
-            let c = self.cells[i].load(Ordering::Acquire);
             if p.same_key(c, v) {
                 // Duplicate key: converge on the combined value.
                 let merged = E::combine(c, v);
-                if merged == c
-                    || self.cells[i]
-                        .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
+                if merged == c {
                     break Ok(false);
                 }
-                t.cas_fails += 1;
-                continue; // cell changed under us; re-read
+                match self.cells[i].compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
+                {
+                    Ok(_) => break Ok(false),
+                    Err(cur) => {
+                        t.cas_fails += 1;
+                        c = cur; // cell changed under us; re-check
+                        continue;
+                    }
+                }
             }
-            if p.outranks(c, v) {
-                i = (i + 1) & self.mask;
-                t.steps += 1;
-                if t.steps > n {
-                    break Err(v);
-                }
-            } else if self.cells[i]
-                .compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // `c` has strictly lower priority than `v` (possibly
-                // ⊥): the cell is ours and `c` is carried onward.
-                if c == E::EMPTY {
-                    break Ok(true);
-                }
-                t.swaps += 1;
-                v = c;
-                i = (i + 1) & self.mask;
-                t.steps += 1;
-                if t.steps > n {
-                    break Err(v);
-                }
-            } else {
-                // On CAS failure, retry the same cell: its priority can
-                // only have increased, so the comparison re-runs.
-                t.cas_fails += 1;
-            }
-        };
-        t.record(P::SWAPS, false);
-        result
-    }
-
-    /// Wide insert: a speculative `scan_le` skips the cells that
-    /// outrank `v` in one compare per lane, then the candidate is
-    /// confirmed with the exact per-cell atomic loop of the scalar
-    /// body. Skipping on a racy wide load is sound because cell
-    /// priorities only *rise* while inserts run (an insert CAS replaces
-    /// a cell with a higher-priority key; `combine` keeps the key), so
-    /// "this lane outranks `v`" can never be invalidated (deletes, which
-    /// lower cells, run in a phase of their own). The converse can
-    /// happen: a candidate whose priority rose after the
-    /// scan sampled it is a counted misspeculation that re-scans one
-    /// cell further on — which is also what the scalar loop would do on
-    /// its next look at that cell.
-    #[inline(always)]
-    fn insert_wide<K: Kernel>(self, k: K, key_mask: u64, mut v: u64) -> Result<bool, u64> {
-        let p = self.policy();
-        let n = self.cells.len();
-        let mut i = self.home(v);
-        let mut t = InsertTally::default();
-        let result = 'outer: loop {
-            let thr = v & key_mask;
-            // Fast path: at moderate loads the cell under the cursor
-            // usually decides the insert by itself (empty, same key, or
-            // lower priority), so peek it scalar before paying for the
-            // wide-scan setup. The peek is also what makes the
-            // post-displacement `continue 'outer` cheap.
-            let peek = self.cells[i].load(Ordering::Acquire);
-            let (j, mut c) = if peek & key_mask <= thr {
-                t.lanes += 1;
-                (i, peek)
-            } else {
-                // SAFETY: `i < n == cells.len()`.
-                let (hit, lanes) = unsafe { k.scan_le(self.cells, i, n, key_mask, thr) };
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        // SAFETY: as above.
-                        let (wrapped, more) = unsafe { k.scan_le(self.cells, 0, i, key_mask, thr) };
-                        (wrapped, lanes + more)
-                    }
-                };
-                t.lanes += lanes;
-                match hit {
-                    Some(h) => h,
-                    None => {
-                        // Every cell outranks `v`: the table is full of
-                        // higher-priority keys.
-                        t.steps = n + 1;
-                        break 'outer Err(v);
-                    }
-                }
-            };
-            t.steps += self.dist(i, j);
-            if t.steps > n {
-                break 'outer Err(v);
-            }
-            i = j;
-            // Per-cell atomic confirm — the scalar probe body pinned at
-            // the candidate cell, seeded with the value the scan already
-            // observed there: the first CAS attempt reuses the loaded
-            // window instead of re-loading the cell, and a failed CAS
-            // hands back the current value, so the loop never issues a
-            // separate re-load either.
-            loop {
-                if p.same_key(c, v) {
-                    let merged = E::combine(c, v);
-                    if merged == c {
-                        break 'outer Ok(false);
-                    }
-                    match self.cells[i].compare_exchange(
-                        c,
-                        merged,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break 'outer Ok(false),
-                        Err(cur) => {
-                            t.cas_fails += 1;
-                            c = cur; // cell changed under us; re-check
-                            continue;
-                        }
-                    }
-                }
-                if p.outranks(c, v) {
-                    // Misspeculation: a concurrent insert raised this
-                    // cell above `v` after the wide scan sampled it.
-                    t.misspecs += 1;
-                    i = (i + 1) & self.mask;
-                    t.steps += 1;
-                    if t.steps > n {
-                        break 'outer Err(v);
-                    }
-                    continue 'outer;
-                }
+            if !p.outranks(c, v) {
                 match self.cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) if c == E::EMPTY => break Ok(true),
+                    // `c` has strictly lower priority than `v`: the cell
+                    // is ours and `c` is carried onward.
                     Ok(_) => {
-                        if c == E::EMPTY {
-                            break 'outer Ok(true);
-                        }
                         t.swaps += 1;
                         v = c;
-                        i = (i + 1) & self.mask;
-                        t.steps += 1;
-                        if t.steps > n {
-                            break 'outer Err(v);
-                        }
-                        continue 'outer;
                     }
+                    // The cell's priority can only have risen: re-run
+                    // the comparison on the value the CAS saw.
                     Err(cur) => {
                         t.cas_fails += 1;
                         c = cur;
+                        continue;
                     }
                 }
             }
+            i = (i + 1) & self.mask;
+            t.steps += 1;
+            if t.steps > n {
+                break Err(v);
+            }
+            c = self.cells[i].load(Ordering::Acquire);
         };
-        t.record(P::SWAPS, true);
+        t.record(P::SWAPS);
         result
     }
 
@@ -870,9 +741,7 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
     /// home slot of item `i + PREFETCH_AHEAD` is prefetched (see
     /// [`crate::batch`]), keeping that many cache misses in flight
     /// instead of serializing them. `op` gets the item's index, repr and
-    /// stored word and returns `false` to stop the batch. Callers inside
-    /// a bound tier frame mark their closure `#[inline(always)]`, so the
-    /// probe it runs compiles in that frame.
+    /// stored word and returns `false` to stop the batch.
     #[inline(always)]
     fn pipelined<I: AsRepr<E>>(self, items: &[I], mut op: impl FnMut(usize, u64, u64) -> bool) {
         let p = self.policy();
@@ -890,89 +759,28 @@ impl<'a, E: HashEntry, P: ProbePolicy<E>> Probe<'a, E, P> {
         }
     }
 
-    /// One probe for `probe`, wide or scalar.
-    #[inline(always)]
-    pub(crate) fn prioritized_find<K: Kernel>(self, k: K, probe: u64) -> Option<u64> {
-        match self.wide_mask::<K>() {
-            Some(key_mask) => self.find_wide(k, key_mask, probe),
-            None => self.find_scalar(probe),
-        }
-    }
-
-    /// Figure 1 `FIND`: walk the probe path until the key, ⊥, or the
-    /// first cell of lower priority — keys on the path are
-    /// priority-sorted, so `probe` cannot be further on.
+    /// Figure 1 `FIND`: walk past the cells that outrank `probe` — ⊥
+    /// outranks nothing, and keys on the path are priority-sorted — and
+    /// report whether the cell the walk stops at holds the key.
     #[inline]
-    fn find_scalar(self, probe: u64) -> Option<u64> {
-        let p = self.policy();
-        let mut i = self.home(probe);
-        let mut steps = 0usize;
-        let result = 'scan: {
-            // Guard against a (mis-used) full table of higher-priority
-            // keys.
-            for _ in 0..=self.cells.len() {
-                let c = self.cells[i].load(Ordering::Acquire);
-                if c == E::EMPTY {
-                    break 'scan None;
-                }
-                if p.same_key(c, probe) {
-                    break 'scan Some(c);
-                }
-                if !p.outranks(c, probe) {
-                    break 'scan None;
-                }
-                i = (i + 1) & self.mask;
-                steps += 1;
-            }
-            None
-        };
-        phc_obs::probe!(count FindProbeSteps, steps);
-        result
-    }
-
-    /// Wide find. Under the
-    /// [`SIMD_KEY_MASK`](HashEntry::SIMD_KEY_MASK) contract the whole
-    /// prioritized stop condition collapses to one unsigned compare:
-    /// the first cell whose masked word is `<=` the probe's is either an
-    /// exact key match (equal) or proof of absence (empty or lower
-    /// priority) — exactly where the scalar loop stops.
-    ///
-    /// The stop lane's value is taken from the kernel's already-loaded
-    /// window: lookups run in a read phase, where no cell changes, so it
-    /// equals what a re-load would return and the result is
-    /// byte-identical to the scalar path.
-    #[inline(always)]
-    fn find_wide<K: Kernel>(self, k: K, key_mask: u64, probe: u64) -> Option<u64> {
+    pub(crate) fn prioritized_find(self, probe: u64) -> Option<u64> {
         let p = self.policy();
         let n = self.cells.len();
-        let home = self.home(probe);
-        let thr = probe & key_mask;
-        let mut lanes = 0usize;
-        let mut stop = None;
-        // The probe path is `[home, n)` and then, wrapped, `[0, home)`.
-        // Running off both is a (mis-used) full table of
-        // higher-priority keys, the scalar guard case.
-        for (s, e) in [(home, n), (0, home)] {
-            if s < e {
-                // SAFETY: `s < e <= n == cells.len()`.
-                let (hit, more) = unsafe { k.scan_le(self.cells, s, e, key_mask, thr) };
-                lanes += more;
-                stop = hit;
-                if stop.is_some() {
-                    break;
-                }
+        let mut i = self.home(probe);
+        let mut c = self.cells[i].load(Ordering::Acquire);
+        let mut steps = 0usize;
+        while p.outranks(c, probe) {
+            // Guard against a (mis-used) full table of higher-priority
+            // keys.
+            if steps == n {
+                break;
             }
+            i = (i + 1) & self.mask;
+            steps += 1;
+            c = self.cells[i].load(Ordering::Acquire);
         }
-        phc_obs::probe!(count SimdLanesScanned, lanes);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes);
-        phc_obs::probe!(
-            count FindProbeSteps,
-            stop.map_or(n + 1, |(j, _)| self.dist(home, j))
-        );
-        match stop {
-            Some((_, c)) if p.same_key(c, probe) => Some(c),
-            _ => None,
-        }
+        phc_obs::probe!(count FindProbeSteps, steps);
+        p.same_key(c, probe).then_some(c)
     }
 
     /// Figure 1 `DELETE`, lines 27-29, then the chase.
@@ -1090,140 +898,18 @@ struct InsertTally {
     cas_fails: usize,
     /// Entries displaced and carried onward.
     swaps: usize,
-    /// Cell lanes examined by peeks and wide scans.
-    lanes: usize,
-    /// Wide-scan candidates that rose before the confirm.
-    misspecs: usize,
 }
 
 impl InsertTally {
     /// Reports the tallies, displacement swaps under `swaps` (the
-    /// policy's `SWAPS`); `wide` says whether the wide body ran.
+    /// policy's `SWAPS`).
     #[inline(always)]
-    fn record(&self, swaps: phc_obs::Counter, wide: bool) {
+    fn record(&self, swaps: phc_obs::Counter) {
         phc_obs::probe!(count ProbeSteps, self.steps);
         phc_obs::probe!(count InsertCasFail, self.cas_fails);
         phc_obs::Recorder::global().count(swaps, self.swaps as u64);
         phc_obs::probe!(hist ProbeLen, self.steps);
         phc_obs::probe!(hist CasRetries, self.cas_fails);
-        if wide {
-            phc_obs::probe!(count SimdLanesScanned, self.lanes);
-            phc_obs::probe!(count SimdMisspeculations, self.misspecs);
-            phc_obs::probe!(hist SimdLanesPerProbe, self.lanes);
-        }
-    }
-}
-
-// The bodies handed to `simd::bind`, each run on the table it is bound
-// with. A body holds only the operation's operands and builds its
-// `Probe` inside `run`, in the bound frame: handed in ready-made, the
-// four-word `Probe` would cross the call in memory, and an AVX2 frame
-// copies it out with one 32-byte load — which cannot forward from the
-// four 8-byte stores the caller just made, a ~13-tick stall per call
-// (measured on the per-op insert, EXPERIMENTS.md PR 12).
-
-/// One insert of a stored word, awaiting its kernels.
-struct InsertOne {
-    v: u64,
-}
-
-impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for InsertOne {
-    type Out = Result<bool, u64>;
-    #[inline(always)]
-    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
-        P::insert_with(table.probe(), k, self.v)
-    }
-}
-
-/// One lookup of a stored word, awaiting its kernels.
-struct FindOne {
-    probe: u64,
-}
-
-impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for FindOne {
-    type Out = Option<u64>;
-    #[inline(always)]
-    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
-        P::find_with(table.probe(), k, self.probe)
-    }
-}
-
-/// A whole prefetching insert loop ([`ProbeTable::insert_run`]),
-/// awaiting its kernels.
-struct InsertRun<'a, I> {
-    carry: Option<u64>,
-    items: &'a [I],
-    fill_budget: usize,
-}
-
-impl<E: HashEntry, P: ProbePolicy<E>, I: AsRepr<E>> TierBody<ProbeTable<E, P>>
-    for InsertRun<'_, I>
-{
-    type Out = (usize, usize, Option<u64>);
-    #[inline(always)]
-    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) -> Self::Out {
-        let (t, budget) = (table.probe(), self.fill_budget);
-        let p = t.policy();
-        let mut fills = 0usize;
-        if let Some(c) = self.carry {
-            if budget == 0 {
-                return (0, 0, self.carry);
-            }
-            match P::insert_with(t, k, p.stored(c)) {
-                Ok(filled) => fills += filled as usize,
-                Err(homeless) => return (0, 0, Some(p.unstored(homeless))),
-            }
-        }
-        let (mut consumed, mut carry) = (0usize, None);
-        t.pipelined(
-            self.items,
-            #[inline(always)]
-            |_, r, stored| {
-                debug_assert_ne!(r, E::EMPTY);
-                if fills >= budget {
-                    return false;
-                }
-                consumed += 1;
-                match P::insert_with(t, k, stored) {
-                    Ok(filled) => {
-                        fills += filled as usize;
-                        true
-                    }
-                    Err(homeless) => {
-                        carry = Some(p.unstored(homeless));
-                        false
-                    }
-                }
-            },
-        );
-        (consumed, fills, carry)
-    }
-}
-
-/// A whole prefetching lookup loop ([`ProbeTable::find_run`]), awaiting
-/// its kernels: `keys[i]`'s result goes to `out[i]`.
-struct FindBatch<'a, E> {
-    keys: &'a [E],
-    out: &'a mut [MaybeUninit<Option<E>>],
-}
-
-impl<E: HashEntry, P: ProbePolicy<E>> TierBody<ProbeTable<E, P>> for FindBatch<'_, E> {
-    type Out = ();
-    #[inline(always)]
-    fn run<K: Kernel>(self, table: &ProbeTable<E, P>, k: K) {
-        let t = table.probe();
-        // One length for both slices: no bounds check per store.
-        let out = &mut self.out[..self.keys.len()];
-        t.pipelined(
-            self.keys,
-            #[inline(always)]
-            |i, r, stored| {
-                out[i].write(
-                    P::find_with(t, k, stored).map(|c| E::from_repr(t.policy().recover(r, c))),
-                );
-                true
-            },
-        );
     }
 }
 

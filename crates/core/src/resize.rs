@@ -1233,6 +1233,29 @@ mod tests {
     }
 
     #[test]
+    fn migrated_contents_equal_the_key_set() {
+        use rayon::prelude::*;
+        // From 2^8 cells, 20,000 parallel inserts cross several doublings.
+        fn grown<T: FlatTableCore<U64Key>>(keys: &[u64]) -> Vec<u64> {
+            let mut t = ResizableTable::<U64Key, T>::new_pow2(8);
+            t.insert_phase(|t| keys.par_iter().for_each(|&k| t.insert(U64Key::new(k))));
+            let mut got: Vec<u64> = t.elements().iter().map(|e| e.to_repr()).collect();
+            assert_eq!(t.len(), got.len());
+            got.sort_unstable();
+            got
+        }
+        let keys: Vec<u64> = (0..20_000u64)
+            .map(|i| 1 + (phc_parutil::hash64(i ^ 0x617) & ((1 << 40) - 1)))
+            .collect();
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(grown::<DetHashTable<U64Key>>(&keys), expect, "det");
+        let rh = grown::<crate::robinhood::RobinHoodHashTable<U64Key>>(&keys);
+        assert_eq!(rh, expect, "robinhood");
+    }
+
+    #[test]
     fn drain_range_reads_every_entry_and_stores_nothing() {
         fn run<T: FlatTableCore<U64Key>>() {
             let table = T::new_pow2(6);

@@ -1,4 +1,4 @@
-//! `robinHood`: a phase-concurrent, SIMD-native Robin Hood hash table.
+//! `robinHood`: a phase-concurrent, masked-compare Robin Hood hash table.
 //!
 //! Robin Hood hashing orders each probe cluster by home bucket: an
 //! inserting key steals the slot of any entry closer to its own home
@@ -6,7 +6,7 @@
 //! formulation compares *displacements*; this table reaches the same
 //! layout through a priority trick that makes the displacement rule
 //! coincide with the deterministic table's ordering invariant — and
-//! therefore with the one-compare-per-lane [`scan_le`] stop condition:
+//! therefore with one masked unsigned compare per cell:
 //!
 //! * Every stored repr has its key field passed through a **bijective,
 //!   zero-fixing mixer** (an invertible xorshift-multiply chain on the
@@ -29,9 +29,8 @@
 //!
 //! The payoff is that the displacement-ordered stop condition — "stop
 //! at the first entry no richer than me, or an empty cell, or my own
-//! key" — is exactly `masked(cell) <= masked(probe)`, i.e. one
-//! [`scan_le`](crate::simd::scan_le) per window at every tier, the same
-//! kernel the deterministic table uses. There is no per-cell
+//! key" — is exactly `masked(cell) <= masked(probe)`, the stop the
+//! deterministic table's probe loop takes. There is no per-cell
 //! displacement arithmetic anywhere on the hot path.
 //!
 //! ## Entry-type requirements
@@ -277,11 +276,6 @@ impl<E: HashEntry> ProbePolicy<E> for RhPolicy {
     fn outranks(&self, c: u64, v: u64) -> bool {
         c & self.key_mask > v & self.key_mask
     }
-
-    #[inline(always)]
-    fn key_mask(&self) -> Option<u64> {
-        Some(self.key_mask)
-    }
 }
 
 impl<E: HashEntry> Growable<E> for RhPolicy {
@@ -445,17 +439,31 @@ mod tests {
 
     #[test]
     fn membership_agrees_with_det_table() {
-        let det: crate::det::DetHashTable<U64Key> = crate::det::DetHashTable::new_pow2(12);
-        let rh: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(12);
-        for i in 1..=3000u64 {
-            let k = U64Key::new(phc_parutil::hash64(i) | 1);
-            det.insert(k);
-            rh.insert(k);
+        use rayon::prelude::*;
+        let key = |i: u64| U64Key::new(phc_parutil::hash64(i) | 1);
+        let sorted = |v: Vec<U64Key>| {
+            let mut r: Vec<u64> = v.into_iter().map(|e| e.to_repr()).collect();
+            r.sort_unstable();
+            r
+        };
+        // 3000 serial inserts, then load 3/4 (3072 of 4096) in parallel.
+        for (n, parallel) in [(3000u64, false), (3072, true)] {
+            let det: crate::det::DetHashTable<U64Key> = crate::det::DetHashTable::new_pow2(12);
+            let rh: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(12);
+            let insert = |i: u64| {
+                det.insert(key(i));
+                rh.insert(key(i));
+            };
+            if parallel {
+                (1..=n).into_par_iter().for_each(insert);
+            } else {
+                (1..=n).for_each(insert);
+            }
+            for i in 1..=2 * n {
+                assert_eq!(det.find(key(i)), rh.find(key(i)), "n {n}, probe {i}");
+            }
+            assert_eq!(det.len(), rh.len());
+            assert_eq!(sorted(det.elements()), sorted(rh.elements()), "n {n}");
         }
-        for i in 1..=6000u64 {
-            let k = U64Key::new(phc_parutil::hash64(i) | 1);
-            assert_eq!(det.find(k), rh.find(k), "probe {i}");
-        }
-        assert_eq!(det.len(), rh.len());
     }
 }

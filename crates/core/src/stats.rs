@@ -8,43 +8,39 @@
 //! tests and ablation benches can assert the mechanism, not just the
 //! wall-clock symptom.
 
-use crate::cell::AtomOf;
+use std::sync::atomic::Ordering;
+
+use crate::cell::CellAtomic;
 use crate::entry::HashEntry;
 
 /// Number of occupied cells in a live cell array: the single occupancy
-/// counter behind every open-addressing table's `len()`. Parallel over
-/// blocks; each block popcounts the wide-scan occupancy masks of its
-/// 64-cell windows ([`crate::simd::scan_nonempty_mask`]), so at the
-/// SSE2/AVX2 tiers the count never materializes per-cell booleans.
-/// Cell width follows the entry type's `Repr`. Quiescent use only
-/// (like `len()` always was).
-pub fn occupied_len<E: HashEntry>(cells: &[AtomOf<E::Repr>]) -> usize {
+/// counter behind every open-addressing table's `len()`, at either cell
+/// width. Parallel over blocks; each block popcounts the
+/// occupancy mask of its 64-cell windows. Quiescent use only (like
+/// `len()` always was).
+pub fn occupied_len<A: CellAtomic>(cells: &[A], empty: u64) -> usize {
     use rayon::prelude::*;
     cells
         .par_chunks(4096)
         .map(|block| {
             block
                 .chunks(64)
-                .map(|w| crate::simd::scan_nonempty_mask(w, E::EMPTY).count_ones() as usize)
+                .map(|w| occupied_mask(w, empty).count_ones() as usize)
                 .sum::<usize>()
         })
         .sum()
 }
 
-/// [`occupied_len`] pinned to 64-bit cells regardless of the entry's
-/// `Repr` — for tables whose storage is always full-word (cuckoo,
-/// hopscotch) even when the entry would fit a narrower cell.
-pub fn occupied_len_u64<E: HashEntry>(cells: &[std::sync::atomic::AtomicU64]) -> usize {
-    use rayon::prelude::*;
-    cells
-        .par_chunks(4096)
-        .map(|block| {
-            block
-                .chunks(64)
-                .map(|w| crate::simd::scan_nonempty_mask(w, E::EMPTY).count_ones() as usize)
-                .sum::<usize>()
-        })
-        .sum()
+/// Occupancy bitmask of a window of at most 64 cells: bit `j` is set
+/// iff `window[j] != empty`. The count/pack primitive behind
+/// [`occupied_len`] and every `elements()`; each cell's bit is a compare
+/// result shifted into place, so no occupancy branch can mispredict.
+#[inline]
+pub(crate) fn occupied_mask<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
+    debug_assert!(window.len() <= 64);
+    window.iter().enumerate().fold(0, |mask, (j, c)| {
+        mask | (u64::from(c.load(Ordering::Acquire) != empty) << j)
+    })
 }
 
 /// Whether a raw cell holds an entry. This is the single definition of
@@ -174,6 +170,48 @@ mod tests {
     use crate::det::DetHashTable;
     use crate::entry::U64Key;
     use crate::nd::NdHashTable;
+
+    /// The mask against a plain per-cell fold, over partial windows at
+    /// both cell widths, with a zero and a nonzero empty sentinel.
+    #[test]
+    fn occupied_mask_matches_per_cell_fold() {
+        use std::sync::atomic::{AtomicU32, AtomicU64};
+        fn check<A: CellAtomic>(raw: &[u64], empty: u64) {
+            let cells: Vec<A> = raw.iter().map(|&v| A::new_cell(v)).collect();
+            for len in [0, 1, 3, 4, 7, 8, 31, 63, 64] {
+                let mut expect = 0u64;
+                for (j, &v) in raw[..len].iter().enumerate() {
+                    if v != empty {
+                        expect |= 1 << j;
+                    }
+                }
+                assert_eq!(occupied_mask(&cells[..len], empty), expect, "len {len}");
+            }
+        }
+        let empty32 = u64::from(u32::MAX);
+        for (i, empty) in [0, empty32, u64::MAX].into_iter().enumerate() {
+            let raw: Vec<u64> = (0..64u64)
+                .map(|j| match phc_parutil::hash64(j ^ i as u64) % 3 {
+                    0 => empty,
+                    1 => j + 1,
+                    _ => phc_parutil::hash64(j),
+                })
+                .collect();
+            check::<AtomicU64>(&raw, empty);
+            if empty != u64::MAX {
+                let raw32: Vec<u64> = raw.iter().map(|&v| v & empty32).collect();
+                check::<AtomicU32>(&raw32, empty);
+            }
+        }
+    }
+
+    #[test]
+    fn occupied_mask_nonzero_empty_sentinel() {
+        use std::sync::atomic::AtomicU64;
+        let e = u64::MAX;
+        let cells = [e, 5, e, 9, 1, e].map(AtomicU64::new);
+        assert_eq!(occupied_mask(&cells, e), 0b011010);
+    }
 
     /// Fixed key-stream seed. The test keys are
     /// `hash64(SEED + k) | 1` for `k = 1..`, so the whole distribution

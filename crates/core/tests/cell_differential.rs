@@ -6,40 +6,21 @@
 //! * **Width differential** — a table of packed [`KvPair32`] entries
 //!   (`Repr = u32`, `AtomicU32` cells) must decode to exactly the same
 //!   key/value sets as the 64-bit [`KvPair`] reference built from the
-//!   same logical operations, at loads 1/3, 1/2, and 3/4 and under
-//!   every SIMD dispatch tier. The 64-bit table runs the layer that
-//!   PRs 5–8 validated; these tests extend that trust to the narrow
-//!   cells and the doubled-lane kernels.
+//!   same logical operations, at loads 1/3, 1/2, and 3/4. The 64-bit
+//!   table runs the layer that PRs 5–8 validated; these tests extend
+//!   that trust to the narrow cells.
 //! * **Shrink determinism** — grow→delete→shrink→regrow cycles must
 //!   land on the same capacity and byte-identical quiescent snapshots
 //!   whether driven by 1, 2, or 8 threads, because the canonical
 //!   capacity is a pure function of the phase history (see the
 //!   shrinking notes in `phc_core::resize`).
 
-use std::sync::{Mutex, MutexGuard};
-
-use phc_core::simd::{set_tier, SimdTier};
 use phc_core::{
     AutoPhaseGrowTable, DetHashTable, FcAutoGrowTable, FcHashTable, FlatTableCore, HashEntry,
     KvPair, KvPair32, NdHashTable, ResizableTable, RobinHoodHashTable, U64Key,
 };
 use phc_parutil::{hash64, run_with_threads};
 use rayon::prelude::*;
-
-static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2];
-
-fn with_tier<R>(t: SimdTier, f: impl FnOnce() -> R) -> R {
-    set_tier(Some(t));
-    let r = f();
-    set_tier(None);
-    r
-}
 
 /// Cell counts for a 2^12 table at loads 1/3, 1/2, and 3/4.
 const LOG2: u32 = 12;
@@ -121,157 +102,145 @@ fn run_core<E: HashEntry>(
     }
 }
 
-fn assert_widths_agree(label: &str, narrow: &Observed, wide: &Observed, tier: SimdTier) {
+fn assert_widths_agree(label: &str, narrow: &Observed, wide: &Observed) {
     assert_eq!(
         narrow, wide,
-        "{label}: 32-bit cells diverged from the 64-bit reference at {tier:?}"
+        "{label}: 32-bit cells diverged from the 64-bit reference"
     );
 }
 
 #[test]
-fn det_32bit_matches_64bit_reference_at_all_loads_and_tiers() {
-    let _g = lock();
+fn det_32bit_matches_64bit_reference_at_all_loads() {
     for &n in &LOADS {
         let pairs = kv_logical(n, 0xD32);
-        for tier in TIERS {
-            let (narrow, wide) = with_tier(tier, || {
-                let t32 = DetHashTable::<KvPair32>::new_pow2(LOG2);
-                let t64 = DetHashTable::<KvPair>::new_pow2(LOG2);
-                let narrow = run_core(
-                    &pairs,
-                    |es| es.par_iter().for_each(|&e| t32.insert(e)),
-                    |ps| t32.find_batch(ps),
-                    |ds| ds.par_iter().for_each(|&d| t32.delete(d)),
-                    || t32.elements(),
-                    || t32.len(),
-                    KvPair32::new,
-                    kv32,
-                );
-                let wide = run_core(
-                    &pairs,
-                    |es| es.par_iter().for_each(|&e| t64.insert(e)),
-                    |ps| t64.find_batch(ps),
-                    |ds| ds.par_iter().for_each(|&d| t64.delete(d)),
-                    || t64.elements(),
-                    || t64.len(),
-                    |k, v| KvPair::new(k as u32, v as u32),
-                    kv64,
-                );
-                (narrow, wide)
-            });
-            assert_widths_agree("det", &narrow, &wide, tier);
-        }
+        let (narrow, wide) = {
+            let t32 = DetHashTable::<KvPair32>::new_pow2(LOG2);
+            let t64 = DetHashTable::<KvPair>::new_pow2(LOG2);
+            let narrow = run_core(
+                &pairs,
+                |es| es.par_iter().for_each(|&e| t32.insert(e)),
+                |ps| t32.find_batch(ps),
+                |ds| ds.par_iter().for_each(|&d| t32.delete(d)),
+                || t32.elements(),
+                || t32.len(),
+                KvPair32::new,
+                kv32,
+            );
+            let wide = run_core(
+                &pairs,
+                |es| es.par_iter().for_each(|&e| t64.insert(e)),
+                |ps| t64.find_batch(ps),
+                |ds| ds.par_iter().for_each(|&d| t64.delete(d)),
+                || t64.elements(),
+                || t64.len(),
+                |k, v| KvPair::new(k as u32, v as u32),
+                kv64,
+            );
+            (narrow, wide)
+        };
+        assert_widths_agree("det", &narrow, &wide);
     }
 }
 
 #[test]
-fn nd_32bit_matches_64bit_reference_at_all_loads_and_tiers() {
-    let _g = lock();
+fn nd_32bit_matches_64bit_reference_at_all_loads() {
     for &n in &LOADS {
         let pairs = kv_logical(n, 0x5332);
-        for tier in TIERS {
-            let (narrow, wide) = with_tier(tier, || {
-                let t32 = NdHashTable::<KvPair32>::new_pow2(LOG2);
-                let t64 = NdHashTable::<KvPair>::new_pow2(LOG2);
-                // Sequential drive: ND layouts are history-dependent,
-                // so a fixed op order keeps even raw layouts (and
-                // therefore the decoded sets) deterministic.
-                let narrow = run_core(
-                    &pairs,
-                    |es| es.iter().for_each(|&e| t32.insert(e)),
-                    |ps| t32.find_batch(ps),
-                    |ds| ds.iter().for_each(|&d| t32.delete(d)),
-                    || t32.elements(),
-                    || t32.len(),
-                    KvPair32::new,
-                    kv32,
-                );
-                let wide = run_core(
-                    &pairs,
-                    |es| es.iter().for_each(|&e| t64.insert(e)),
-                    |ps| t64.find_batch(ps),
-                    |ds| ds.iter().for_each(|&d| t64.delete(d)),
-                    || t64.elements(),
-                    || t64.len(),
-                    |k, v| KvPair::new(k as u32, v as u32),
-                    kv64,
-                );
-                (narrow, wide)
-            });
-            assert_widths_agree("nd", &narrow, &wide, tier);
-        }
+        let (narrow, wide) = {
+            let t32 = NdHashTable::<KvPair32>::new_pow2(LOG2);
+            let t64 = NdHashTable::<KvPair>::new_pow2(LOG2);
+            // Sequential drive: ND layouts are history-dependent,
+            // so a fixed op order keeps even raw layouts (and
+            // therefore the decoded sets) deterministic.
+            let narrow = run_core(
+                &pairs,
+                |es| es.iter().for_each(|&e| t32.insert(e)),
+                |ps| t32.find_batch(ps),
+                |ds| ds.iter().for_each(|&d| t32.delete(d)),
+                || t32.elements(),
+                || t32.len(),
+                KvPair32::new,
+                kv32,
+            );
+            let wide = run_core(
+                &pairs,
+                |es| es.iter().for_each(|&e| t64.insert(e)),
+                |ps| t64.find_batch(ps),
+                |ds| ds.iter().for_each(|&d| t64.delete(d)),
+                || t64.elements(),
+                || t64.len(),
+                |k, v| KvPair::new(k as u32, v as u32),
+                kv64,
+            );
+            (narrow, wide)
+        };
+        assert_widths_agree("nd", &narrow, &wide);
     }
 }
 
 #[test]
-fn rh_32bit_matches_64bit_reference_at_all_loads_and_tiers() {
-    let _g = lock();
+fn rh_32bit_matches_64bit_reference_at_all_loads() {
     for &n in &LOADS {
         let pairs = kv_logical(n, 0x4232);
-        for tier in TIERS {
-            let (narrow, wide) = with_tier(tier, || {
-                let t32 = RobinHoodHashTable::<KvPair32>::new_pow2(LOG2);
-                let t64 = RobinHoodHashTable::<KvPair>::new_pow2(LOG2);
-                let narrow = run_core(
-                    &pairs,
-                    |es| es.par_iter().for_each(|&e| t32.insert(e)),
-                    |ps| t32.find_batch(ps),
-                    |ds| ds.par_iter().for_each(|&d| t32.delete(d)),
-                    || t32.elements(),
-                    || t32.len(),
-                    KvPair32::new,
-                    kv32,
-                );
-                let wide = run_core(
-                    &pairs,
-                    |es| es.par_iter().for_each(|&e| t64.insert(e)),
-                    |ps| t64.find_batch(ps),
-                    |ds| ds.par_iter().for_each(|&d| t64.delete(d)),
-                    || t64.elements(),
-                    || t64.len(),
-                    |k, v| KvPair::new(k as u32, v as u32),
-                    kv64,
-                );
-                (narrow, wide)
-            });
-            assert_widths_agree("rh", &narrow, &wide, tier);
-        }
+        let (narrow, wide) = {
+            let t32 = RobinHoodHashTable::<KvPair32>::new_pow2(LOG2);
+            let t64 = RobinHoodHashTable::<KvPair>::new_pow2(LOG2);
+            let narrow = run_core(
+                &pairs,
+                |es| es.par_iter().for_each(|&e| t32.insert(e)),
+                |ps| t32.find_batch(ps),
+                |ds| ds.par_iter().for_each(|&d| t32.delete(d)),
+                || t32.elements(),
+                || t32.len(),
+                KvPair32::new,
+                kv32,
+            );
+            let wide = run_core(
+                &pairs,
+                |es| es.par_iter().for_each(|&e| t64.insert(e)),
+                |ps| t64.find_batch(ps),
+                |ds| ds.par_iter().for_each(|&d| t64.delete(d)),
+                || t64.elements(),
+                || t64.len(),
+                |k, v| KvPair::new(k as u32, v as u32),
+                kv64,
+            );
+            (narrow, wide)
+        };
+        assert_widths_agree("rh", &narrow, &wide);
     }
 }
 
 #[test]
-fn fc_32bit_matches_64bit_reference_at_all_loads_and_tiers() {
-    let _g = lock();
+fn fc_32bit_matches_64bit_reference_at_all_loads() {
     for &n in &LOADS {
         let pairs = kv_logical(n, 0xFC32);
-        for tier in TIERS {
-            let (narrow, wide) = with_tier(tier, || {
-                let t32 = FcHashTable::<KvPair32>::new_pow2(LOG2);
-                let t64 = FcHashTable::<KvPair>::new_pow2(LOG2);
-                let narrow = run_core(
-                    &pairs,
-                    |es| es.par_iter().for_each(|&e| t32.insert(e)),
-                    |ps| t32.find_batch(ps),
-                    |ds| ds.par_iter().for_each(|&d| t32.delete(d)),
-                    || t32.elements(),
-                    || t32.len(),
-                    KvPair32::new,
-                    kv32,
-                );
-                let wide = run_core(
-                    &pairs,
-                    |es| es.par_iter().for_each(|&e| t64.insert(e)),
-                    |ps| t64.find_batch(ps),
-                    |ds| ds.par_iter().for_each(|&d| t64.delete(d)),
-                    || t64.elements(),
-                    || t64.len(),
-                    |k, v| KvPair::new(k as u32, v as u32),
-                    kv64,
-                );
-                (narrow, wide)
-            });
-            assert_widths_agree("fc", &narrow, &wide, tier);
-        }
+        let (narrow, wide) = {
+            let t32 = FcHashTable::<KvPair32>::new_pow2(LOG2);
+            let t64 = FcHashTable::<KvPair>::new_pow2(LOG2);
+            let narrow = run_core(
+                &pairs,
+                |es| es.par_iter().for_each(|&e| t32.insert(e)),
+                |ps| t32.find_batch(ps),
+                |ds| ds.par_iter().for_each(|&d| t32.delete(d)),
+                || t32.elements(),
+                || t32.len(),
+                KvPair32::new,
+                kv32,
+            );
+            let wide = run_core(
+                &pairs,
+                |es| es.par_iter().for_each(|&e| t64.insert(e)),
+                |ps| t64.find_batch(ps),
+                |ds| ds.par_iter().for_each(|&d| t64.delete(d)),
+                || t64.elements(),
+                || t64.len(),
+                |k, v| KvPair::new(k as u32, v as u32),
+                kv64,
+            );
+            (narrow, wide)
+        };
+        assert_widths_agree("fc", &narrow, &wide);
     }
 }
 
@@ -281,7 +250,6 @@ fn fc_32bit_matches_64bit_reference_at_all_loads_and_tiers() {
 /// really are half-width.
 #[test]
 fn kvpair32_layout_is_history_independent_and_half_width() {
-    let _g = lock();
     let pairs = kv_logical(4096 / 2, 0x4132);
     let entries: Vec<KvPair32> = pairs.iter().map(|&(k, v)| KvPair32::new(k, v)).collect();
     let forward = DetHashTable::<KvPair32>::new_pow2(LOG2);
@@ -482,7 +450,6 @@ fn check_drain<E: HashEntry, T: FlatTableCore<E>>(
     label: &str,
     pairs: &[(u16, u16)],
     mk: impl Fn(u16, u16) -> E,
-    tier: SimdTier,
 ) {
     const DRAIN_LOG2: u32 = 11;
     let table = T::new_pow2(DRAIN_LOG2);
@@ -497,40 +464,35 @@ fn check_drain<E: HashEntry, T: FlatTableCore<E>>(
         let n = t.drain_range(lo..lo + 64, &mut buf);
         drained.extend(buf[..n].iter().map(|&r| E::from_repr(r)));
     }
-    assert_eq!(drained.len(), pairs.len(), "{label} at {tier:?}");
+    assert_eq!(drained.len(), pairs.len(), "{label}");
     assert_eq!(
         drained,
         t.elements(),
-        "{label}: the sweep must return the content in cell order at {tier:?}"
+        "{label}: the sweep must return the content in cell order"
     );
     assert_eq!(
         t.snapshot(),
         before,
-        "{label}: the sweep must not store to the source at {tier:?}"
+        "{label}: the sweep must not store to the source"
     );
     for &e in &entries {
-        assert_eq!(t.find(e), Some(e), "{label} at {tier:?}");
+        assert_eq!(t.find(e), Some(e), "{label}");
     }
 }
 
 #[test]
 fn drain_sweep_returns_cell_order_content_and_leaves_source_untouched() {
-    let _g = lock();
     // Includes the top of both packed domains: the all-ones cell word
     // is an ordinary entry.
     let mut pairs = kv_logical(1024, 0x10F0);
     pairs.push((u16::MAX, u16::MAX));
     let kv = |k: u16, v: u16| -> KvPair { KvPair::new(k as u32 * 0x1_0001, v as u32 * 0x1_0001) };
-    for tier in TIERS {
-        with_tier(tier, || {
-            check_drain::<_, DetHashTable<KvPair32>>("det32", &pairs, KvPair32::new, tier);
-            check_drain::<_, DetHashTable<KvPair>>("det64", &pairs, kv, tier);
-            check_drain::<_, RobinHoodHashTable<KvPair32>>("rh32", &pairs, KvPair32::new, tier);
-            check_drain::<_, RobinHoodHashTable<KvPair>>("rh64", &pairs, kv, tier);
-            check_drain::<_, FcHashTable<KvPair32>>("fc32", &pairs, KvPair32::new, tier);
-            check_drain::<_, FcHashTable<KvPair>>("fc64", &pairs, kv, tier);
-        });
-    }
+    check_drain::<_, DetHashTable<KvPair32>>("det32", &pairs, KvPair32::new);
+    check_drain::<_, DetHashTable<KvPair>>("det64", &pairs, kv);
+    check_drain::<_, RobinHoodHashTable<KvPair32>>("rh32", &pairs, KvPair32::new);
+    check_drain::<_, RobinHoodHashTable<KvPair>>("rh64", &pairs, kv);
+    check_drain::<_, FcHashTable<KvPair32>>("fc32", &pairs, KvPair32::new);
+    check_drain::<_, FcHashTable<KvPair>>("fc64", &pairs, kv);
 }
 
 /// The all-ones cell word is an ordinary key on every growable core, at
@@ -541,48 +503,42 @@ fn check_all_ones_key<E: HashEntry, T: FlatTableCore<E>>(
     label: &str,
     top: E,
     mk: impl Fn(u16) -> E,
-    tier: SimdTier,
 ) {
     assert_eq!(top.to_repr(), <E::Repr as phc_core::CellWord>::MAX_REPR);
     let t: ResizableTable<E, T> = ResizableTable::new_pow2(4);
     t.insert(top);
-    assert_eq!(t.find(top), Some(top), "{label} at {tier:?}");
+    assert_eq!(t.find(top), Some(top), "{label}");
     let others: Vec<E> = (1..=40).map(mk).collect();
     t.insert_batch(&others);
-    assert_eq!(t.capacity(), 64, "{label}: two doublings at {tier:?}");
-    assert_eq!(t.len(), 41, "{label} at {tier:?}");
-    assert_eq!(t.find(top), Some(top), "{label} at {tier:?}");
-    assert!(t.elements().contains(&top), "{label} at {tier:?}");
+    assert_eq!(t.capacity(), 64, "{label}: two doublings");
+    assert_eq!(t.len(), 41, "{label}");
+    assert_eq!(t.find(top), Some(top), "{label}");
+    assert!(t.elements().contains(&top), "{label}");
     t.delete(top);
-    assert_eq!(t.find(top), None, "{label} at {tier:?}");
-    assert_eq!(t.len(), 40, "{label} at {tier:?}");
+    assert_eq!(t.find(top), None, "{label}");
+    assert_eq!(t.len(), 40, "{label}");
     for &e in &others {
-        assert_eq!(t.find(e), Some(e), "{label} at {tier:?}");
+        assert_eq!(t.find(e), Some(e), "{label}");
     }
 }
 
 #[test]
 fn all_ones_key_is_an_ordinary_key_on_every_growable_core() {
-    let _g = lock();
     let top32: KvPair32 = KvPair32::new(u16::MAX, u16::MAX);
     let top64: KvPair = KvPair::new(u32::MAX, u32::MAX);
     let topk = U64Key::new(u64::MAX);
     let kv32 = |k: u16| -> KvPair32 { KvPair32::new(k, k) };
     let kv64 = |k: u16| -> KvPair { KvPair::new(k as u32, 7) };
     let key = |k: u16| U64Key::new(hash64(k as u64) | 1);
-    for tier in TIERS {
-        with_tier(tier, || {
-            check_all_ones_key::<_, DetHashTable<_>>("det32", top32, kv32, tier);
-            check_all_ones_key::<_, DetHashTable<_>>("det64", top64, kv64, tier);
-            check_all_ones_key::<_, DetHashTable<_>>("det-u64", topk, key, tier);
-            check_all_ones_key::<_, RobinHoodHashTable<_>>("rh32", top32, kv32, tier);
-            check_all_ones_key::<_, RobinHoodHashTable<_>>("rh64", top64, kv64, tier);
-            check_all_ones_key::<_, RobinHoodHashTable<_>>("rh-u64", topk, key, tier);
-            check_all_ones_key::<_, FcHashTable<_>>("fc32", top32, kv32, tier);
-            check_all_ones_key::<_, FcHashTable<_>>("fc64", top64, kv64, tier);
-            check_all_ones_key::<_, FcHashTable<_>>("fc-u64", topk, key, tier);
-        });
-    }
+    check_all_ones_key::<_, DetHashTable<_>>("det32", top32, kv32);
+    check_all_ones_key::<_, DetHashTable<_>>("det64", top64, kv64);
+    check_all_ones_key::<_, DetHashTable<_>>("det-u64", topk, key);
+    check_all_ones_key::<_, RobinHoodHashTable<_>>("rh32", top32, kv32);
+    check_all_ones_key::<_, RobinHoodHashTable<_>>("rh64", top64, kv64);
+    check_all_ones_key::<_, RobinHoodHashTable<_>>("rh-u64", topk, key);
+    check_all_ones_key::<_, FcHashTable<_>>("fc32", top32, kv32);
+    check_all_ones_key::<_, FcHashTable<_>>("fc64", top64, kv64);
+    check_all_ones_key::<_, FcHashTable<_>>("fc-u64", topk, key);
 }
 
 /// Per-op insert / delete / re-insert waves on the growable wrapper
@@ -617,41 +573,29 @@ fn storm_observables<E: HashEntry>(
 }
 
 #[test]
-fn interleaved_grow_shrink_storm_identical_across_threads_tiers_and_widths() {
-    let _g = lock();
+fn interleaved_grow_shrink_storm_identical_across_threads_and_widths() {
     let pairs = kv_logical(3000, 0x57A3);
     let mut reference32: Option<StormObserved> = None;
-    for tier in TIERS {
-        with_tier(tier, || {
-            for threads in [1usize, 2, 8] {
-                let got32 = run_with_threads(threads, || {
-                    storm_observables::<KvPair32>(&pairs, KvPair32::new, kv32)
-                });
-                let got64 = run_with_threads(threads, || {
-                    storm_observables::<KvPair>(
-                        &pairs,
-                        |k, v| KvPair::new(k as u32, v as u32),
-                        kv64,
-                    )
-                });
-                // Cell widths agree on the logical outcome...
-                assert_eq!(
-                    got32.3, got64.3,
-                    "storm contents diverged across widths at {tier:?}, T={threads}"
-                );
-                assert_eq!(got32.0, got64.0, "storm capacities diverged across widths");
-                // ...and within a width, every (threads, tier) run
-                // lands on the same canonical capacity and
-                // byte-identical quiescent snapshot.
-                match &reference32 {
-                    None => reference32 = Some(got32),
-                    Some(r) => assert_eq!(
-                        &got32, r,
-                        "storm quiescent state diverged at {tier:?}, T={threads}"
-                    ),
-                }
-            }
+    for threads in [1usize, 2, 8] {
+        let got32 = run_with_threads(threads, || {
+            storm_observables::<KvPair32>(&pairs, KvPair32::new, kv32)
         });
+        let got64 = run_with_threads(threads, || {
+            storm_observables::<KvPair>(&pairs, |k, v| KvPair::new(k as u32, v as u32), kv64)
+        });
+        // Cell widths agree on the logical outcome...
+        assert_eq!(
+            got32.3, got64.3,
+            "storm contents diverged across widths at T={threads}"
+        );
+        assert_eq!(got32.0, got64.0, "storm capacities diverged across widths");
+        // ...and within a width, every thread count
+        // lands on the same canonical capacity and
+        // byte-identical quiescent snapshot.
+        match &reference32 {
+            None => reference32 = Some(got32),
+            Some(r) => assert_eq!(&got32, r, "storm quiescent state diverged at T={threads}"),
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 #![cfg(feature = "obs")]
 
 use phc_core::phase::{ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable};
-use phc_core::{AutoPhaseGrowTable, DetHashTable, KvPair32, U64Key};
+use phc_core::{AutoPhaseGrowTable, DetHashTable, KvPair32, RobinHoodHashTable, U64Key};
 use phc_obs::{Counter, Gauge, Histogram, PhaseEvent, Recorder};
 
 /// True iff `needle` occurs as an (ordered, not necessarily
@@ -83,10 +83,7 @@ fn det_workload_emits_counters_histogram_and_timeline_cycle() {
 
 /// A grow→delete→shrink cycle on packed 32-bit cells must leave
 /// nonzero traces of every PR 9 instrument: shrink epochs and
-/// migrated-entry counts, a bytes-per-key gauge level, and 32-bit
-/// SIMD lanes scanned (on hosts with at least the SSE2 tier; the
-/// scalar fallback legitimately scans no wide lanes, so that counter
-/// is asserted only when a wide tier is active).
+/// migrated-entry counts, and a bytes-per-key gauge level.
 #[test]
 fn shrink_cycle_emits_shrink_counters_and_memory_gauge() {
     let rec = Recorder::global();
@@ -118,12 +115,29 @@ fn shrink_cycle_emits_shrink_counters_and_memory_gauge() {
         rec.snapshot().gauge(Gauge::BytesPerKeyMilli) > 0,
         "bytes-per-key gauge never set"
     );
-    if phc_core::simd::tier() != phc_core::simd::SimdTier::Scalar {
-        assert!(
-            delta.counter(Counter::Simd32LanesScanned) >= 1,
-            "no 32-bit lanes counted despite a wide tier"
-        );
-    }
+}
+
+/// Robin Hood inserts at load 3/4 displace entries, and the quiescent
+/// displacement scan fills its histogram.
+#[test]
+fn robinhood_inserts_count_shifts_and_displacements() {
+    let rec = Recorder::global();
+    let before = rec.snapshot();
+    let t: RobinHoodHashTable<U64Key> = RobinHoodHashTable::new_pow2(13);
+    let keys: Vec<U64Key> = (1..=6144u64)
+        .map(|i| U64Key::new(phc_parutil::hash64(i) | 1))
+        .collect();
+    t.insert_batch(&keys);
+    t.record_displacement_histogram();
+    let delta = rec.snapshot().since(&before);
+    assert!(
+        delta.counter(Counter::RobinHoodShifts) > 0,
+        "RH inserts must displace at 3/4 load"
+    );
+    assert!(
+        delta.samples(Histogram::RhDisplacement) > 0,
+        "RH displacement histogram empty"
+    );
 }
 
 /// Incremental migration: a forced growth workload must pay help
@@ -204,64 +218,4 @@ fn pack_sizes_recorded_by_elements() {
     assert_eq!(t.elements().len(), 300);
     let delta = rec.snapshot().since(&before);
     assert!(delta.samples(Histogram::PackSize) >= 1);
-}
-
-/// The growable table binds the scan tier once per insert *window*,
-/// not once per entry: a batch that fits one window into a table with
-/// room for it costs one `SimdRedispatches`, and a forced migration
-/// costs one per window of re-inserts.
-///
-/// The recorder is process-global and the sibling tests bind tiers of
-/// their own while this one runs, so each measurement is repeated on a
-/// fresh table and the smallest delta taken — noise only ever adds.
-#[test]
-fn growable_insert_binds_the_tier_once_per_window() {
-    use phc_core::{KvPair, ResizableTable};
-    if phc_core::simd::tier() == phc_core::simd::SimdTier::Scalar {
-        return; // only wide tiers are counted
-    }
-    let rec = Recorder::global();
-    let keys = |range: std::ops::RangeInclusive<u32>| -> Vec<KvPair> {
-        range.map(|k| KvPair::new(k, k)).collect()
-    };
-    let quietest = |measure: &dyn Fn() -> u64, floor: u64| {
-        let mut min = u64::MAX;
-        for _ in 0..10_000 {
-            min = min.min(measure());
-            if min <= floor {
-                break;
-            }
-        }
-        min
-    };
-
-    // 256 fresh keys (one `WINDOW_CHUNK`) into 1024 cells: one window.
-    let fresh = keys(1..=256);
-    let one_window = || {
-        let t = ResizableTable::<KvPair>::new_pow2(10);
-        let before = rec.snapshot();
-        t.insert_batch(&fresh);
-        let delta = rec.snapshot().since(&before);
-        assert_eq!(t.len(), 256);
-        delta.counter(Counter::SimdRedispatches)
-    };
-    assert_eq!(quietest(&one_window, 1), 1);
-
-    // 700 keys sit below the 768-key threshold of 1024 cells; 100 more
-    // cross it after 68 fills (one window), then pay a help quota that
-    // claims both 512-cell blocks — 768 entries re-inserted through
-    // `claim_blocks` in windows of at most 256 — and follow into the
-    // successor (one window). Per entry that was 68 + 768 + 32 binds.
-    let (resident, crossing) = (keys(1..=700), keys(701..=800));
-    let forced_migration = || {
-        let t = ResizableTable::<KvPair>::new_pow2(10);
-        t.insert_batch(&resident);
-        let before = rec.snapshot();
-        t.insert_batch(&crossing);
-        let delta = rec.snapshot().since(&before);
-        assert_eq!((t.len(), t.capacity()), (800, 2048));
-        delta.counter(Counter::SimdRedispatches)
-    };
-    let binds = quietest(&forced_migration, 6);
-    assert!((4..=8).contains(&binds), "{binds} binds for 8 windows");
 }

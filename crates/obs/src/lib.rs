@@ -102,23 +102,6 @@ define_ids! {
         SchedStealAttempts => "sched_steal_attempts",
         /// Prefetched batches processed by the batched table paths.
         PrefetchBatches => "prefetch_batches",
-        /// Cell lanes examined by the wide-scan (SIMD) insert and find
-        /// probes — the operations `SimdLanesPerProbe` samples. The
-        /// delete chase scans cell by cell and counts under
-        /// `DeleteProbeSteps`, not here.
-        SimdLanesScanned => "simd_lanes_scanned",
-        /// Operations that declined the wide path (entry type without a
-        /// SIMD key mask, or a forced tier unavailable on this CPU).
-        SimdFallbacks => "simd_fallbacks",
-        /// Speculative wide-scan candidates invalidated by a concurrent
-        /// writer before the per-cell atomic confirm.
-        SimdMisspeculations => "simd_misspeculations",
-        /// Runtime kernel-dispatch resolutions on probe scans. Each
-        /// per-window `scan_le`/`scan_for_key` wrapper call counts one;
-        /// the batch paths count one per bound batch instead, so the
-        /// redispatches-per-operation ratio measures how well kernel
-        /// binding is hoisted out of the probe loop.
-        SimdRedispatches => "simd_redispatches",
         /// Robin Hood displacement swaps: occupied cells whose entry
         /// was evicted and carried forward by a richer (higher
         /// priority) insert.
@@ -144,10 +127,6 @@ define_ids! {
         /// Entries migrated out of frozen epochs during shrink
         /// (downward) migrations.
         ShrinkMigrations => "shrink_migrations",
-        /// Cell lanes examined by the 32-bit-cell wide-scan kernels
-        /// (subset of `simd_lanes_scanned`'s role, counted separately
-        /// so the sub-word paths are visible on their own).
-        Simd32LanesScanned => "simd32_lanes_scanned",
         /// Help-along quanta performed by operations that found a
         /// migration pending: each count is one bounded block quota
         /// claimed and migrated before the operation proceeded against
@@ -196,8 +175,6 @@ define_ids! {
         SchedChunksPerWorker => "sched_chunks_per_worker",
         /// Batch sizes fed to the prefetching insert/find paths.
         BatchSize => "batch_size",
-        /// Cell lanes examined per wide-scan probe (find or insert).
-        SimdLanesPerProbe => "simd_lanes_per_probe",
         /// Robin Hood displacement (cells past home) per stored entry,
         /// mirrored from quiescent snapshots.
         RhDisplacement => "rh_displacement",

@@ -77,8 +77,7 @@ static GRAIN_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::Atomi
 /// (`None` restores the `PHC_GRAIN`/default behavior). The env knob
 /// is read once and latched — setting `PHC_GRAIN` after the first
 /// [`grain`] call silently does nothing — so this is the supported
-/// way to change the grain after startup (mirroring
-/// `phc_core::simd::set_tier`).
+/// way to change the grain after startup.
 pub fn set_grain_for_test(grain: Option<usize>) {
     GRAIN_OVERRIDE.store(grain.unwrap_or(0), std::sync::atomic::Ordering::SeqCst);
 }

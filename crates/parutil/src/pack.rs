@@ -130,11 +130,11 @@ where
 /// Packs `decode(x)` for every element whose bit is set in the
 /// occupancy masks produced by `mask_of`, preserving index order.
 ///
-/// This is the wide-scan (SIMD) counterpart of [`pack_with`]: instead
-/// of evaluating a per-element predicate, the count pass asks `mask_of`
-/// for a **bitmask per window of up to 64 elements** (bit `j` set ⇔
-/// `window[j]` survives) — the shape produced by
-/// `phc_core::simd::scan_nonempty_mask` — and popcounts it. The masks
+/// This is the mask counterpart of [`pack_with`]: instead of evaluating
+/// a per-element predicate, the count pass asks `mask_of` for a
+/// **bitmask per window of up to 64 elements** (bit `j` set ⇔
+/// `window[j]` survives) — the shape of a hash table's occupancy mask —
+/// and popcounts it. The masks
 /// are computed once, kept per block, and the write pass decodes just
 /// the set bits into each block's disjoint output range, so `decode`
 /// runs exactly once per survivor and never on a dropped element.
