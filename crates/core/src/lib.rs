@@ -64,7 +64,5 @@ pub use priority_write::{
 };
 pub use resize::{FlatTableCore, ResizableTable};
 pub use robinhood::RobinHoodHashTable;
-pub use rooms::{
-    AutoGrowTable, AutoPhaseGrowTable, AutoPhaseTable, FcAutoGrowTable, FcAutoTable, Room, RoomSync,
-};
+pub use rooms::{AutoPhaseGrowTable, AutoPhaseTable, FcAutoGrowTable, FcAutoTable, Room, RoomSync};
 pub use serial::{SerialHashHD, SerialHashHI};

@@ -253,14 +253,6 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
         }
     }
 
-    /// Creates a table with at least `n_items / max_load` cells
-    /// (rounded up to a power of two).
-    pub fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
-        assert!(max_load > 0.0 && max_load < 1.0);
-        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
-        Self::new_pow2(want.next_power_of_two().trailing_zeros())
-    }
-
     /// Number of cells.
     #[inline]
     pub fn capacity(&self) -> usize {

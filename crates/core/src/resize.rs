@@ -31,9 +31,9 @@
 //! registers on the epoch for the length of one *window*: at most
 //! `WINDOW_CHUNK` inserts (`fill_window`) or deletes (`delete_batch`),
 //! or one read call (`open_window`: a `find`, at most one grain of a
-//! `find_batch`, one array pass of `elements*` / `snapshot` /
-//! `with_raw_cells`). The one exception is a read through a read-phase
-//! handle, which needs no registration (see "Release on drain").
+//! `find_batch`, one array pass of `elements*` / `snapshot`). The one
+//! exception is a read through a read-phase handle, which needs no
+//! registration (see "Release on drain").
 //! Registering is `state.fetch_add(ACTIVE_ONE)`, then
 //! a re-read of `next`. A thread that finds a successor un-registers
 //! without having touched a cell and re-routes; otherwise it runs its
@@ -67,13 +67,11 @@
 //! The gate wait is bounded by one window per thread — for a reader
 //! that is one grain of finds or one pass over the array — and nobody
 //! waits while registered (helping and publishing happen outside the
-//! registration), so there is no cycle. The one way to build one is a
-//! [`with_raw_cells`](ResizableTable::with_raw_cells) closure that calls
-//! back into the table: it would wait on its own registration. An insert
-//! that meets a pending migration still goes straight to the tail and
-//! still pays only its block quota. A window on a table that is not
-//! resizing costs the two registration RMWs; an insert window's first
-//! returns the item count the fill budget needs.
+//! registration), so there is no cycle. An insert that meets a pending
+//! migration still goes straight to the tail and still pays only its
+//! block quota. A window on a table that is not resizing costs the two
+//! registration RMWs; an insert window's first returns the item count
+//! the fill budget needs.
 //!
 //! ## Release on drain
 //!
@@ -153,7 +151,6 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::cell::AtomOf;
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
@@ -820,14 +817,6 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         self.open_window().core().snapshot()
     }
 
-    /// Raw view of the live cell array (for invariant checkers). `f`
-    /// runs inside a read window and **must not call back into this
-    /// table**: an operation that then met a pending migration would
-    /// wait at the drain gate for `f`'s own registration.
-    pub fn with_raw_cells<R>(&self, f: impl FnOnce(&[AtomOf<E::Repr>]) -> R) -> R {
-        f(self.open_window().core().raw_cells())
-    }
-
     /// The live core for the [`Reader`] methods below, reached without a
     /// registration — the third way an epoch's cells are reachable (see
     /// "Release on drain"): `begin_read` left a chain of one epoch, and
@@ -1047,10 +1036,8 @@ impl<E: HashEntry, T: FlatTableCore<E>> TableOps<E> for ResizableTable<E, T> {
     fn new_pow2(log2_size: u32) -> Self {
         ResizableTable::new_pow2(log2_size)
     }
-    /// Cells of the oldest live epoch; unlike the inherent
-    /// [`capacity`](ResizableTable::capacity), drains no migration.
     fn capacity(&self) -> usize {
-        self.current_epoch().capacity()
+        ResizableTable::capacity(self)
     }
     fn insert(&self, e: E) {
         ResizableTable::insert(self, e)

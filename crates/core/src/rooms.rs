@@ -20,11 +20,11 @@
 //! count up if the room matches or the table is idle, otherwise spins
 //! (with exponential backoff parking) until the room drains.
 //!
-//! Every core a wrapper can hold is phase-concurrent, so both wrappers
-//! here ([`AutoPhaseTable`], fixed; [`AutoGrowTable`], growable) carry
-//! one [`RoomSync`] whatever the core: det, Robin Hood and
-//! `linearHash-FC` alike. There is no synchronizer-free variant, so a
-//! drop-in table whose phases can overlap cannot be built.
+//! Every phase-concurrent table — det, nd, Robin Hood, `linearHash-FC`,
+//! cuckoo, hopscotch, chained, or a growable [`ResizableTable`] over any
+//! of the flat cores — fits the one wrapper here, [`AutoPhaseTable`]: the
+//! table plus one [`RoomSync`]. There is no synchronizer-free variant, so
+//! a drop-in table whose phases can overlap cannot be built.
 //!
 //! Rooms are for callers that cannot separate phases themselves. A
 //! caller that can — the KV server in `phc-server`, whose batch lock
@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
 use crate::fc::FcHashTable;
+use crate::phase::TableOps;
 use crate::resize::{FlatTableCore, ResizableTable};
 
 /// The three rooms of a phase-concurrent hash table.
@@ -168,19 +169,21 @@ impl RoomSync {
     }
 }
 
-/// A deterministic hash table with automatic phase separation: any
+/// A phase-concurrent hash table with automatic phase separation: any
 /// thread may call any operation at any time; a [`RoomSync`]
 /// serializes *operation types*, not operations.
 ///
-/// Note the weaker guarantee versus the phased API: the table layout
-/// is always a valid history-independent layout of its contents, but
-/// *which* inserts land before which deletes depends on the room
-/// schedule (timing). Use the phased API when you need end-to-end
-/// determinism; use this when you need drop-in concurrency.
-/// Generic over the fixed-capacity core `T` (default: the
-/// deterministic linear-probing table); `AutoPhaseTable<E,
-/// RobinHoodHashTable<E>>` is the room-synchronized Robin Hood table.
-pub struct AutoPhaseTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
+/// Note the weaker guarantee versus the phased API: a history-independent
+/// table's layout is always a valid layout of its contents, but *which*
+/// inserts land before which deletes depends on the room schedule
+/// (timing). Use the phased API when you need end-to-end determinism;
+/// use this when you need drop-in concurrency.
+///
+/// Generic over any [`TableOps`] table `T` (default: the deterministic
+/// linear-probing table): `AutoPhaseTable<E, CuckooHashTable<E>>` is the
+/// room-synchronized cuckoo table, and [`AutoPhaseGrowTable`] the
+/// growable one.
+pub struct AutoPhaseTable<E: HashEntry, T: TableOps<E> = DetHashTable<E>> {
     table: T,
     rooms: RoomSync,
     _entry: PhantomData<E>,
@@ -190,8 +193,17 @@ pub struct AutoPhaseTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
 /// same room synchronizer as over det.
 pub type FcAutoTable<E> = AutoPhaseTable<E, FcHashTable<E>>;
 
-impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
-    /// Creates a table with `2^log2_size` cells.
+/// [`AutoPhaseTable`] over a [`ResizableTable`]: the room-synchronized
+/// table that grows and shrinks, with the batched calls of the block
+/// below.
+pub type AutoPhaseGrowTable<E, C = DetHashTable<E>> = AutoPhaseTable<E, ResizableTable<E, C>>;
+
+/// [`AutoPhaseGrowTable`] over `ResizableTable<E, FcHashTable<E>>`.
+pub type FcAutoGrowTable<E> = AutoPhaseGrowTable<E, FcHashTable<E>>;
+
+impl<E: HashEntry, T: TableOps<E>> AutoPhaseTable<E, T> {
+    /// Creates a table with `2^log2_size` cells (the seed capacity of a
+    /// growable table).
     pub fn new_pow2(log2_size: u32) -> Self {
         AutoPhaseTable {
             table: T::new_pow2(log2_size),
@@ -200,97 +212,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
         }
     }
 
-    /// Number of cells.
-    pub fn capacity(&self) -> usize {
-        self.table.engine().capacity()
-    }
-
-    /// Inserts an entry (enters the insert room).
-    pub fn insert(&self, e: E) {
-        self.rooms
-            .with(Room::Insert, || self.table.engine().insert(e));
-    }
-
-    /// Deletes by key (enters the delete room).
-    pub fn delete(&self, key: E) {
-        self.rooms
-            .with(Room::Delete, || self.table.engine().delete(key));
-    }
-
-    /// Looks up a key (enters the read room).
-    pub fn find(&self, key: E) -> Option<E> {
-        self.rooms
-            .with(Room::Read, || self.table.engine().find(key))
-    }
-
-    /// Packs the contents (enters the read room).
-    pub fn elements(&self) -> Vec<E> {
-        self.rooms
-            .with(Room::Read, || self.table.engine().elements())
-    }
-
-    /// Packs the contents into a caller-supplied buffer (enters the
-    /// read room; appends without allocating a fresh `Vec`).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.rooms
-            .with(Room::Read, || self.table.engine().elements_into(out));
-    }
-
-    /// Grants direct phased access when the caller has `&mut`
-    /// (no synchronization needed — the borrow is exclusive).
-    pub fn raw_mut(&mut self) -> &mut T {
-        &mut self.table
-    }
-}
-
-/// [`AutoPhaseTable`]'s growable sibling: a [`RoomSync`] over a
-/// [`ResizableTable`], named through its aliases [`AutoPhaseGrowTable`]
-/// and [`FcAutoGrowTable`].
-///
-/// Migration composes with room synchronization directly: a room
-/// switch needs **no migration quiescence at all**. Migration work is
-/// plain reads of a retiring array that the drain gate has made
-/// immutable, plus re-inserts with the ordinary insert primitive, so
-/// inside the insert room a pending migration is just more concurrent
-/// insert work, paid in bounded quotas by whichever operations happen
-/// to pass by. The delete and
-/// read rooms still observe fully migrated tables — not because the
-/// room grant waits, but because every `ResizableTable` delete window
-/// and read call registers behind a full drain. No extra "resize room" is needed, and
-/// a room hand-off never inherits a table-sized stall from a migration
-/// that happened to be in flight.
-pub struct AutoGrowTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
-    table: ResizableTable<E, T>,
-    rooms: RoomSync,
-}
-
-/// The growable room-synchronized table (see [`AutoGrowTable`]).
-pub type AutoPhaseGrowTable<E, T = DetHashTable<E>> = AutoGrowTable<E, T>;
-
-/// The growable room-synchronized table over
-/// `ResizableTable<E, FcHashTable<E>>` (see [`AutoGrowTable`]).
-pub type FcAutoGrowTable<E> = AutoGrowTable<E, FcHashTable<E>>;
-
-impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
-    /// Creates a table seeded with `2^log2_size` cells; it grows as
-    /// needed.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        AutoGrowTable {
-            table: ResizableTable::new_pow2(log2_size),
-            rooms: RoomSync::new(),
-        }
-    }
-
-    /// Current number of cells. Grows under insert load and shrinks
-    /// back toward the seed capacity when deletes empty the table out
-    /// (see the shrinking notes in [`crate::resize`]).
+    /// Number of cells (enters the read room). A growable table grows
+    /// under insert load and shrinks back toward its seed when deletes
+    /// empty it out (see the shrinking notes in [`crate::resize`]).
     pub fn capacity(&self) -> usize {
         self.rooms.with(Room::Read, || self.table.capacity())
     }
 
-    /// Inserts an entry (enters the insert room; may publish a
-    /// successor epoch or pay a bounded migration help quota, never a
-    /// table-sized stall).
+    /// Inserts an entry (enters the insert room).
     pub fn insert(&self, e: E) {
         self.rooms.with(Room::Insert, || self.table.insert(e));
     }
@@ -305,36 +234,32 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
         self.rooms.with(Room::Read, || self.table.find(key))
     }
 
-    /// Packs the contents (enters the read room; deterministic at
-    /// quiescence).
+    /// Packs the contents (enters the read room).
     pub fn elements(&self) -> Vec<E> {
         self.rooms.with(Room::Read, || self.table.elements())
     }
 
-    /// Packs the contents into a caller-supplied buffer (enters the
-    /// read room; appends without allocating a fresh `Vec`).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.rooms
-            .with(Room::Read, || self.table.elements_into(out));
+    /// Grants direct phased access when the caller has `&mut`
+    /// (no synchronization needed — the borrow is exclusive).
+    pub fn raw_mut(&mut self) -> &mut T {
+        &mut self.table
     }
+}
 
-    /// Batched parallel insert: enters the insert room **once** for the
-    /// whole batch (per-op calls pay a room CAS pair per entry), drives
-    /// the resize layer's windowed batch path, and normalizes the
-    /// capacity before leaving the room.
-    ///
-    /// Normalizing inside the room is what makes the batch boundary a
-    /// deterministic cut: when this call returns, the capacity is the
-    /// canonical one for the current key set and the layout is a pure
-    /// function of the contents — so a server shard driven exclusively
-    /// through the batched calls has schedule-independent quiescent
-    /// snapshots at every batch boundary, which the per-op room calls
-    /// (that never normalize) cannot promise.
-    ///
-    /// The rayon workers that execute the inner chunks do not enter the
-    /// room themselves: they act on behalf of this caller, which blocks
-    /// inside the room until the parallel call completes, so every
-    /// worker access is ordered before the room exit.
+/// What only the growable table has. A room switch needs **no migration
+/// quiescence**: inside the insert room a pending migration is just more
+/// insert work, paid in bounded quotas by the operations that pass by,
+/// and the delete and read rooms see fully migrated tables because every
+/// `ResizableTable` delete window and read call registers behind a full
+/// drain, not because the room grant waits.
+impl<E: HashEntry, C: FlatTableCore<E>> AutoPhaseGrowTable<E, C> {
+    /// Batched parallel insert: one insert-room entry for the whole batch
+    /// (per-op calls pay a room CAS pair per entry), normalized before
+    /// leaving the room. That makes the batch boundary a deterministic
+    /// cut — the capacity is canonical for the key set and the layout a
+    /// pure function of the contents — which the per-op calls, that never
+    /// normalize, cannot promise. The pool workers that run the inner
+    /// chunks act for this caller, which stays in the room until they end.
     pub fn par_insert_batched(&self, entries: &[E]) {
         self.rooms.with(Room::Insert, || {
             self.table.par_insert_batched(entries);
@@ -342,12 +267,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
         });
     }
 
-    /// Batched parallel delete: one delete-room entry for the batch.
-    /// Normalizes before leaving the room so a batch that empties the
-    /// table out lands on the canonical (possibly shrunk) capacity —
-    /// the delete-side mirror of
-    /// [`par_insert_batched`](Self::par_insert_batched)'s determinism
-    /// cut.
+    /// Batched parallel delete: one delete-room entry for the batch,
+    /// normalized before leaving the room so a batch that empties the
+    /// table out lands on the canonical (possibly shrunk) capacity.
     pub fn par_delete_batched(&self, keys: &[E]) {
         self.rooms.with(Room::Delete, || {
             self.table.par_delete_batched(keys);
@@ -369,6 +291,13 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     pub fn par_find_batched_into(&self, keys: &[E], out: &mut Vec<Option<E>>) {
         self.rooms
             .with(Room::Read, || self.table.par_find_batched_into(keys, out))
+    }
+
+    /// Packs the contents into a caller-supplied buffer (enters the
+    /// read room; appends without allocating a fresh `Vec`).
+    pub fn elements_into(&self, out: &mut Vec<E>) {
+        self.rooms
+            .with(Room::Read, || self.table.elements_into(out));
     }
 
     /// Drains any pending migration to completion and grows to the
@@ -397,12 +326,6 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoGrowTable<E, T> {
     /// Raw snapshot of the live backing array (enters the read room).
     pub fn snapshot(&self) -> Vec<u64> {
         self.rooms.with(Room::Read, || self.table.snapshot())
-    }
-
-    /// Grants direct phased access when the caller has `&mut`
-    /// (no synchronization needed — the borrow is exclusive).
-    pub fn raw_mut(&mut self) -> &mut ResizableTable<E, T> {
-        &mut self.table
     }
 }
 
@@ -472,44 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_mixed_calls_stay_a_set() {
-        // Threads freely mix inserts/deletes/finds; the auto-phased
-        // table must end in a consistent state: final contents ⊆ all
-        // inserted, and every key that was inserted but never deleted
-        // must be present.
-        let mut t: AutoPhaseTable<U64Key> = AutoPhaseTable::new_pow2(12);
-        let never_deleted: Vec<u64> = (1000..1100).collect();
-        std::thread::scope(|s| {
-            for tid in 0..4u64 {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..500u64 {
-                        let k = tid * 1000 + 2000 + i;
-                        t.insert(U64Key::new(k));
-                        if i % 3 == 0 {
-                            t.delete(U64Key::new(k));
-                        }
-                        let _ = t.find(U64Key::new(k));
-                    }
-                });
-            }
-            let t = &t;
-            s.spawn(move || {
-                for &k in &(1000..1100).collect::<Vec<u64>>() {
-                    t.insert(U64Key::new(k));
-                }
-            });
-        });
-        let contents: BTreeSet<u64> = t.elements().iter().map(|k| k.0).collect();
-        for &k in &never_deleted {
-            assert!(contents.contains(&k), "lost never-deleted key {k}");
-        }
-        // Layout is still a valid history-independent layout.
-        let snap: Vec<u64> = t.raw_mut().snapshot();
-        crate::invariant::check_ordering_invariant::<U64Key>(&snap).unwrap();
-    }
-
-    #[test]
     fn reentrant_same_room_is_fine_across_threads() {
         let sync = RoomSync::new();
         let peak = AtomicUsize::new(0);
@@ -534,131 +419,128 @@ mod tests {
         assert!(peak.load(Ordering::SeqCst) >= 1);
     }
 
-    #[test]
-    fn grow_table_mixed_calls_from_tiny_seed() {
-        // Threads freely mix inserts/deletes/finds against a 16-cell
-        // seed, forcing many cooperative migrations inside the insert
-        // room interleaved with quiescing read/delete rooms.
-        let mut t: AutoPhaseGrowTable<U64Key> = AutoPhaseGrowTable::new_pow2(4);
+    /// Four threads freely mix inserts, deletes and finds on one
+    /// wrapper: each inserts 800 keys of its own, deletes every fourth
+    /// right after inserting it and finds the rest. Returns the table
+    /// once it is checked to hold exactly the 2,400 never-deleted keys.
+    fn mixed_calls_stay_a_set<T: TableOps<U64Key>>(log2_size: u32) -> AutoPhaseTable<U64Key, T> {
+        let t = AutoPhaseTable::<U64Key, T>::new_pow2(log2_size);
+        let key = |tid: u64, i: u64| tid * 10_000 + i + 1;
         std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = &t;
                 s.spawn(move || {
                     for i in 0..800u64 {
-                        let k = tid * 10_000 + i + 1;
-                        t.insert(U64Key::new(k));
+                        t.insert(U64Key::new(key(tid, i)));
                         if i % 4 == 0 {
-                            t.delete(U64Key::new(k));
+                            t.delete(U64Key::new(key(tid, i)));
                         } else {
-                            assert!(t.find(U64Key::new(k)).is_some());
+                            assert!(t.find(U64Key::new(key(tid, i))).is_some());
                         }
                     }
                 });
             }
         });
-        // 800 per thread, every 4th deleted: 600 survivors per thread.
         let elems = t.elements();
         assert_eq!(elems.len(), 4 * 600);
-        assert!(t.capacity() > 16, "table must have grown");
-        let snap: Vec<u64> = t.raw_mut().snapshot();
-        crate::invariant::check_ordering_invariant::<U64Key>(&snap).unwrap();
-        crate::invariant::check_no_duplicate_keys::<U64Key>(&snap).unwrap();
+        let contents: BTreeSet<u64> = elems.iter().map(|k| k.0).collect();
+        let survivors: BTreeSet<u64> = (0..4u64)
+            .flat_map(|tid| (0..800u64).filter(|i| i % 4 != 0).map(move |i| key(tid, i)))
+            .collect();
+        assert_eq!(contents, survivors);
+        t
+    }
+
+    /// The layout of a history-independent table is a valid one for its
+    /// contents, however the rooms were scheduled.
+    fn history_independent(snap: &[u64]) {
+        crate::invariant::check_ordering_invariant::<U64Key>(snap).unwrap();
+        crate::invariant::check_no_duplicate_keys::<U64Key>(snap).unwrap();
     }
 
     #[test]
-    fn fc_auto_mixed_calls_stay_a_set() {
-        // The fc migration path under the same mixed workload as
-        // `concurrent_mixed_calls_stay_a_set` — no rooms, so inserts,
-        // deletes, and finds genuinely overlap.
-        let mut t: FcAutoTable<U64Key> = FcAutoTable::new_pow2(12);
-        let never_deleted: Vec<u64> = (1000..1100).collect();
-        std::thread::scope(|s| {
-            for tid in 0..4u64 {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..500u64 {
-                        let k = tid * 1000 + 2000 + i;
-                        t.insert(U64Key::new(k));
-                        if i % 3 == 0 {
-                            t.delete(U64Key::new(k));
-                        }
-                        let _ = t.find(U64Key::new(k));
-                    }
-                });
-            }
-            let t = &t;
-            s.spawn(move || {
-                for &k in &(1000..1100).collect::<Vec<u64>>() {
-                    t.insert(U64Key::new(k));
-                }
-            });
-        });
-        let contents: BTreeSet<u64> = t.elements().iter().map(|k| k.0).collect();
-        for &k in &never_deleted {
-            assert!(contents.contains(&k), "lost never-deleted key {k}");
-        }
-        let snap: Vec<u64> = t.raw_mut().snapshot();
-        crate::invariant::check_ordering_invariant::<U64Key>(&snap).unwrap();
-        crate::invariant::check_no_duplicate_keys::<U64Key>(&snap).unwrap();
+    fn mixed_calls_det() {
+        history_independent(
+            &mixed_calls_stay_a_set::<DetHashTable<U64Key>>(13)
+                .raw_mut()
+                .snapshot(),
+        );
     }
 
     #[test]
-    fn fc_grow_table_mixed_calls_from_tiny_seed() {
-        // Mixed calls against a 16-cell seed force cooperative
-        // migrations to interleave with fully-concurrent mutation. No
-        // concurrent find assertions: a lookup racing a displacement or
-        // a migration of its key may transiently miss (see fc docs) —
-        // all assertions are quiescent.
-        let mut t: FcAutoGrowTable<U64Key> = FcAutoGrowTable::new_pow2(4);
-        std::thread::scope(|s| {
-            for tid in 0..4u64 {
-                let t = &t;
-                s.spawn(move || {
-                    for i in 0..800u64 {
-                        let k = tid * 10_000 + i + 1;
-                        t.insert(U64Key::new(k));
-                        if i % 4 == 0 {
-                            t.delete(U64Key::new(k));
-                        } else {
-                            let _ = t.find(U64Key::new(k));
-                        }
-                    }
-                });
-            }
-        });
-        t.normalize();
-        let elems = t.elements();
-        assert_eq!(elems.len(), 4 * 600);
+    fn mixed_calls_fc() {
+        history_independent(
+            &mixed_calls_stay_a_set::<FcHashTable<U64Key>>(13)
+                .raw_mut()
+                .snapshot(),
+        );
+    }
+
+    #[test]
+    fn mixed_calls_robinhood() {
+        mixed_calls_stay_a_set::<crate::RobinHoodHashTable<U64Key>>(13);
+    }
+
+    #[test]
+    fn mixed_calls_nd() {
+        mixed_calls_stay_a_set::<crate::NdHashTable<U64Key>>(13);
+    }
+
+    #[test]
+    fn mixed_calls_cuckoo() {
+        mixed_calls_stay_a_set::<crate::CuckooHashTable<U64Key>>(13);
+    }
+
+    #[test]
+    fn mixed_calls_hopscotch() {
+        mixed_calls_stay_a_set::<crate::HopscotchHashTable<U64Key>>(13);
+    }
+
+    #[test]
+    fn mixed_calls_chained() {
+        mixed_calls_stay_a_set::<crate::ChainedHashTable<U64Key>>(13);
+    }
+
+    /// From a 16-cell seed: many cooperative migrations inside the insert
+    /// room, interleaved with the read and delete rooms.
+    #[test]
+    fn mixed_calls_grow_det_from_tiny_seed() {
+        let t = mixed_calls_stay_a_set::<ResizableTable<U64Key>>(4);
         assert!(t.capacity() > 16, "table must have grown");
-        let snap: Vec<u64> = t.raw_mut().snapshot();
-        crate::invariant::check_ordering_invariant::<U64Key>(&snap).unwrap();
-        crate::invariant::check_no_duplicate_keys::<U64Key>(&snap).unwrap();
+        history_independent(&t.snapshot());
+    }
+
+    #[test]
+    fn mixed_calls_grow_fc_from_tiny_seed() {
+        let t = mixed_calls_stay_a_set::<ResizableTable<U64Key, FcHashTable<U64Key>>>(4);
+        assert!(t.capacity() > 16, "table must have grown");
+        history_independent(&t.snapshot());
     }
 
     #[test]
     fn fc_wrappers_carry_the_same_room_sync_as_det() {
-        // One synchronizer for every core: each wrapper is its table
-        // plus one `RoomSync`, over fc exactly as over det.
+        // One wrapper for every table: the table plus one `RoomSync`,
+        // over fc exactly as over det, fixed or growable.
         use std::mem::size_of;
+        fn sync_bytes<T: TableOps<U64Key>>() -> usize {
+            size_of::<AutoPhaseTable<U64Key, T>>() - size_of::<T>()
+        }
+        assert_eq!(sync_bytes::<DetHashTable<U64Key>>(), size_of::<RoomSync>());
+        assert_eq!(sync_bytes::<FcHashTable<U64Key>>(), size_of::<RoomSync>());
         assert_eq!(
-            size_of::<FcAutoGrowTable<U64Key>>(),
-            size_of::<AutoPhaseGrowTable<U64Key>>()
+            sync_bytes::<ResizableTable<U64Key>>(),
+            sync_bytes::<ResizableTable<U64Key, FcHashTable<U64Key>>>()
         );
         assert_eq!(
-            size_of::<FcAutoTable<U64Key>>(),
-            size_of::<AutoPhaseTable<U64Key>>()
+            sync_bytes::<ResizableTable<U64Key>>(),
+            size_of::<RoomSync>()
         );
-        assert_eq!(
-            size_of::<FcAutoTable<U64Key>>(),
-            size_of::<FcHashTable<U64Key>>() + size_of::<RoomSync>()
-        );
-        assert!(size_of::<AutoPhaseGrowTable<U64Key>>() > size_of::<ResizableTable<U64Key>>());
     }
 
     #[test]
     fn fc_auto_quiescent_snapshot_matches_room_table() {
-        // Phase-separated usage: both wrappers must produce the same
-        // canonical layout.
+        // Phase-separated usage: the wrapper over det and over fc must
+        // produce the same canonical layout.
         let rooms: AutoPhaseTable<U64Key> = AutoPhaseTable::new_pow2(10);
         let mut fc: FcAutoTable<U64Key> = FcAutoTable::new_pow2(10);
         for k in 1..=500u64 {

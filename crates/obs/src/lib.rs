@@ -132,12 +132,6 @@ define_ids! {
         /// claimed and migrated before the operation proceeded against
         /// the successor epoch.
         MigrationHelps => "migration_helps",
-        /// Probes that met a migration marker in a retiring epoch. **Zero
-        /// by construction** since migration became a read behind the
-        /// drain gate (there is no marker, and nothing increments this);
-        /// the id stays exported because the repo benchmark reads
-        /// `forwarded_probes` by name.
-        ForwardedProbes => "forwarded_probes",
         /// Cell arrays of drained epochs handed back to the allocator by
         /// the cooperative resizer: one per retired epoch, counted by
         /// the helper that drained its last block. Equals
