@@ -1,9 +1,9 @@
 //! Cell-width benchmark: packed 32-bit cells vs the 64-bit baseline.
 //!
-//! The PR 9 ablation behind `BENCH_PR9.json`: the same logical
-//! key/value workload runs through `DetHashTable<KvPair>` (one
-//! `AtomicU64` per cell) and `DetHashTable<KvPair32>` (one `AtomicU32`
-//! per cell, 16-bit key / 16-bit value packed). Halving the cell width
+//! The same logical key/value workload runs through
+//! `DetHashTable<KvPair>` (one `AtomicU64` per cell) and
+//! `DetHashTable<KvPair32>` (one `AtomicU32` per cell, 16-bit key /
+//! 16-bit value packed). Halving the cell width
 //! doubles both the cells per cache line and the lanes per SIMD vector
 //! (8 × u32 per AVX2 register vs 4 × u64), so probe-bound phases get
 //! faster while the table's footprint halves.
@@ -23,11 +23,10 @@
 //! keys, delete down to a sliver, delete to empty — recording the
 //! deterministic capacity walk-down and the process RSS at each stage.
 //!
-//! Run with `--json FILE` to dump the report envelope; CI and
-//! `BENCH_PR9.json` use `--json BENCH_PR9.json`. With `--features obs`
-//! the envelope's obs snapshot carries the PR 9 counters
-//! (`shrink_epochs`, `shrink_migrations`) and
-//! the `bytes_per_key_milli` gauge.
+//! Run with `--json FILE` to dump the report envelope. With
+//! `--features obs` the envelope's obs snapshot carries the shrink
+//! counters (`shrink_epochs`, `shrink_migrations`) and the
+//! `bytes_per_key_milli` gauge.
 
 use phc_bench::{arg_or_env, report, Report};
 use phc_core::entry::{KeepMin, KvPair};
@@ -280,11 +279,10 @@ fn main() {
     println!("(u32/u64 = u64 seconds / u32 seconds — higher favors packed cells)\n");
 
     if let Some(pos) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_PR9.json");
-        report::write_json(path, &[find, insert, memory, shrink]).expect("failed to write JSON");
-        println!("wrote {path}");
+        if let Some(path) = args.get(pos + 1) {
+            report::write_json(path, &[find, insert, memory, shrink])
+                .expect("failed to write JSON");
+            println!("wrote {path}");
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! Growth-path benchmark: freeze-free incremental migration vs the
 //! stop-the-world rebuild, end-to-end and per-op.
 //!
-//! The PR 10 ablation behind `BENCH_PR10.json`. Two measurements over
-//! the same from-16-cells growth workload (`hash64(i) | 1` keys):
+//! Two measurements over the same from-16-cells growth workload (`hash64(i) | 1` keys):
 //!
 //! * **End-to-end growth time** — total milliseconds to insert N keys
 //!   into a table seeded at 2^4 cells, for the freeze-free
@@ -44,8 +43,7 @@
 //! gap between a bounded quota and a table-sized stall (on real
 //! hardware every other thread would stall too).
 //!
-//! Run with `--json FILE` to dump the report envelope; CI and
-//! `BENCH_PR10.json` use `--json BENCH_PR10.json`.
+//! Run with `--json FILE` to dump the report envelope.
 
 use phc_bench::{arg_or_env, report, Report, StwResizableTable};
 use phc_core::{DetHashTable, ResizableTable, U64Key};
@@ -295,12 +293,10 @@ fn main() {
     );
 
     if let Some(pos) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_PR10.json");
-        report::write_json(path, &[total, latency, stall, find, held])
-            .expect("failed to write JSON");
-        println!("wrote {path}");
+        if let Some(path) = args.get(pos + 1) {
+            report::write_json(path, &[total, latency, stall, find, held])
+                .expect("failed to write JSON");
+            println!("wrote {path}");
+        }
     }
 }

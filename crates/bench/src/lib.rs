@@ -1,7 +1,8 @@
 //! Benchmark harnesses regenerating every table and figure of the
 //! paper's evaluation (§6).
 //!
-//! Each binary in `src/bin/` reproduces one artifact:
+//! Each paper binary in `src/bin/` reproduces one artifact; the rest
+//! measure design choices beyond the paper:
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -15,12 +16,16 @@
 //! | `table8` | Table 8 (spanning forest) |
 //! | `fig4`   | Figure 4 (speedup vs threads) |
 //! | `fig5`   | Figure 5 (time per op vs load factor) |
+//! | `growth` | Resizing ablation: stop-the-world vs freeze-free vs preallocated, end-to-end and per-op stalls (not a paper artifact) |
+//! | `ablation` | Priority vs first-fit insert, deterministic pack vs racy collect, strong vs weak hash (not a paper artifact) |
+//! | `cells`  | Cell width: packed 32-bit vs 64-bit cells, bytes per key, shrink-cycle memory (not a paper artifact) |
 //! | `sched`  | Scheduler ablation: per-call spawn vs persistent pool vs pool + batched prefetching (PR 4, not a paper artifact) |
 //! | `server` | Sharded KV server: batch-size and shard sweeps vs the per-op baseline (PR 7, not a paper artifact) |
 //!
 //! Sizes are scaled from the paper's `n = 10^8` to laptop scale; set
-//! `--n` (or env `PHC_N`) to push them up. Output is aligned text; add
-//! `--json FILE` to also dump machine-readable results.
+//! `--n` (or env `PHC_N`) to push them up; `ablation` takes no flags.
+//! Output is aligned text; bins that take `--json FILE` also dump
+//! machine-readable results there.
 
 #![warn(missing_docs)]
 

@@ -3,9 +3,9 @@
 //! Every flat table in this crate stores entries in a contiguous array
 //! of atomic cells. Historically that cell was hard-coded to
 //! `AtomicU64`; this module makes the width a *parameter*, so an entry
-//! type whose key+value pack into 32 bits ([`KvPair32`]
-//! (crate::entry::KvPair32)) can halve its bytes-per-cell, and so the
-//! memory traffic of every probe step.
+//! type whose key+value pack into 32 bits
+//! ([`KvPair32`](crate::entry::KvPair32)) can halve its bytes-per-cell,
+//! and so the memory traffic of every probe step.
 //!
 //! ## Design: widened logic over narrow storage
 //!

@@ -115,8 +115,8 @@ impl<E: HashEntry> CuckooHashTable<E> {
     /// Inserts an entry; duplicates resolve via [`HashEntry::combine`].
     ///
     /// # Panics
-    /// Panics if an eviction chain exceeds [`MAX_EVICTIONS`] (table too
-    /// full).
+    /// Panics if an eviction chain exceeds `MAX_EVICTIONS` (500) moves
+    /// (table too full).
     pub fn insert(&self, e: E) {
         let mut v = e.to_repr();
         debug_assert_ne!(v, E::EMPTY);

@@ -419,6 +419,117 @@ mod tests {
         assert!(peak.load(Ordering::SeqCst) >= 1);
     }
 
+    /// A [`TableOps`] double over [`DetHashTable`] that logs every call
+    /// reaching it. The first `insert` after a receiver is put in `hold`
+    /// raises `inside` and parks until the test sends on (or drops) the
+    /// channel; later inserts pass straight through.
+    struct HeldInsert {
+        inner: DetHashTable<U64Key>,
+        hold: std::sync::Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+        inside: std::sync::atomic::AtomicBool,
+        reached: std::sync::Mutex<Vec<&'static str>>,
+    }
+
+    impl HeldInsert {
+        fn reach(&self, call: &'static str) {
+            self.reached.lock().unwrap().push(call);
+        }
+
+        fn reached(&self, call: &str) -> usize {
+            self.reached
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|c| **c == call)
+                .count()
+        }
+    }
+
+    impl TableOps<U64Key> for HeldInsert {
+        const NAME: &'static str = "held-insert";
+
+        fn new_pow2(log2_size: u32) -> Self {
+            HeldInsert {
+                inner: DetHashTable::new_pow2(log2_size),
+                hold: Default::default(),
+                inside: Default::default(),
+                reached: Default::default(),
+            }
+        }
+
+        fn capacity(&self) -> usize {
+            self.inner.capacity()
+        }
+
+        fn insert(&self, e: U64Key) {
+            self.reach("insert");
+            let held = self.hold.lock().unwrap().take();
+            if let Some(release) = held {
+                self.inside.store(true, Ordering::SeqCst);
+                let _ = release.recv();
+                self.inside.store(false, Ordering::SeqCst);
+            }
+            self.inner.insert(e);
+        }
+
+        fn delete(&self, key: U64Key) {
+            self.reach("delete");
+            self.inner.delete(key);
+        }
+
+        fn find(&self, key: U64Key) -> Option<U64Key> {
+            self.reach("find");
+            self.inner.find(key)
+        }
+
+        fn elements(&self) -> Vec<U64Key> {
+            self.inner.elements()
+        }
+    }
+
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// The wrapper, not the table, keeps the rooms apart: while one
+    /// insert is held inside the table, a delete and a find wait at the
+    /// wrapper and a second insert goes through.
+    #[test]
+    fn held_insert_excludes_delete_and_find() {
+        let mut t = AutoPhaseTable::<U64Key, HeldInsert>::new_pow2(8);
+        let (release, held) = std::sync::mpsc::channel();
+        *t.raw_mut().hold.get_mut().unwrap() = Some(held);
+        let (t, table) = (&t, &t.table);
+        std::thread::scope(|s| {
+            // Owned by this closure, so a failed assertion below drops it
+            // and unparks the held insert instead of hanging the scope.
+            let release = release;
+            s.spawn(|| t.insert(U64Key::new(1)));
+            wait_until("the held insert", || table.inside.load(Ordering::SeqCst));
+            s.spawn(|| t.delete(U64Key::new(1)));
+            let found = s.spawn(|| t.find(U64Key::new(2)));
+            s.spawn(|| t.insert(U64Key::new(2)));
+            wait_until("the second insert", || table.reached("insert") == 2);
+            // The channel forces the overlap; the pause only gives a
+            // wrapper that lets them in time to show it. No delay lets a
+            // delete or find through a correct one.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert_eq!(table.reached("delete"), 0, "a delete ran beside an insert");
+            assert_eq!(table.reached("find"), 0, "a find ran beside an insert");
+            release.send(()).unwrap();
+            assert_eq!(found.join().unwrap(), Some(U64Key::new(2)));
+        });
+        assert_eq!((table.reached("delete"), table.reached("find")), (1, 1));
+        assert_eq!(t.elements(), [U64Key::new(2)]);
+    }
+
     /// Four threads freely mix inserts, deletes and finds on one
     /// wrapper: each inserts 800 keys of its own, deletes every fourth
     /// right after inserting it and finds the rest. Returns the table

@@ -17,7 +17,7 @@
 //! * [`mesh`] — triangle-soup mesh with adjacency and Bowyer–Watson
 //!   point insertion;
 //! * [`delaunay`] — incremental Delaunay triangulation of a point set;
-//! * [`refine`] — the parallel deterministic refinement loop.
+//! * [`refine`](mod@refine) — the parallel deterministic refinement loop.
 
 #![warn(missing_docs)]
 

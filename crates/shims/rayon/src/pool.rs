@@ -5,7 +5,7 @@
 //!
 //! Workers are OS threads spawned **once** (lazily, on the first
 //! parallel call) and parked on a condvar when idle. A parallel call
-//! does not spawn anything: it publishes a [`Job`] — a descriptor
+//! does not spawn anything: it publishes a `Job` — a descriptor
 //! living on the submitting thread's stack — in a global registry,
 //! wakes some workers, and then participates in its own job.
 //!

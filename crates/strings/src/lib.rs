@@ -9,7 +9,7 @@
 //!
 //! Pipeline, all built here from scratch:
 //!
-//! * [`suffix_array`] — prefix-doubling suffix array plus Kasai LCP;
+//! * [`suffix_array`](mod@suffix_array) — prefix-doubling suffix array plus Kasai LCP;
 //! * [`suffix_tree`] — tree skeleton from SA+LCP (stack construction),
 //!   child edges inserted **in parallel** into a phase-concurrent hash
 //!   table keyed by `(node, first byte)`; searches walk the tree with

@@ -23,7 +23,7 @@ const NO_PARENT: u32 = u32::MAX;
 /// One suffix-tree node.
 #[derive(Clone, Copy, Debug)]
 pub struct Node {
-    /// Parent node id ([`NO_PARENT`] for the root).
+    /// Parent node id (`u32::MAX` for the root).
     pub parent: u32,
     /// String depth: length of the path label from the root.
     pub depth: u32,
