@@ -5,8 +5,11 @@
 //!   work over first-fit probing is the priority comparison + swap
 //!   chain; measured head-to-head at rising duplicate rates (the paper
 //!   attributes its D-vs-ND gap to exactly this);
-//! * **cost of determinism in elements()** — deterministic pack vs a
-//!   thread-racy collect of the same cells;
+//! * **elements()** — deterministic pack vs a thread-racy
+//!   filter-and-collect of the same cells. The racy arm is the slower
+//!   one: a sequential filter-and-collect costs about as much, so the
+//!   gap is the branchy filter into a growing `Vec`, not a cost of
+//!   determinism (EXPERIMENTS.md, Ablations);
 //! * **hash quality** — the table with the production mixer vs a
 //!   deliberately weak multiplicative hash (cluster blowup).
 //!

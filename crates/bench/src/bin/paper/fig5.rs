@@ -1,4 +1,4 @@
-//! Regenerates **Figure 5**: nanoseconds per operation on
+//! **Figure 5**: nanoseconds per operation on
 //! `linearHash-D` as the load factor grows — insert and delete costs
 //! must climb steeply as the table approaches full, while finds of
 //! random keys stay flat longer (the history-independent layout makes
@@ -13,8 +13,8 @@
 //!   power-of-two probe-length histogram taken from snapshot deltas
 //!   around each timed insert phase.
 //!
-//! `--json FILE` dumps every table plus run provenance and (with
-//! `obs`) the full metrics snapshot, timeline included.
+//! With `--json FILE` the envelope carries (with `obs`) the full
+//! metrics snapshot, timeline included.
 
 use phc_bench::{arg_or_env, default_threads, time_in_pool, Report};
 use phc_core::phase::{ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable};
@@ -22,11 +22,10 @@ use phc_core::{DetHashTable, U64Key};
 use phc_obs::{Histogram, MetricsSnapshot, Recorder};
 use rayon::prelude::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let log2 = arg_or_env(&args, "--log2", "PHC_LOG2", 20) as u32;
-    let threads = arg_or_env(&args, "--threads", "PHC_THREADS", default_threads());
-    let ops = arg_or_env(&args, "--ops", "PHC_OPS", 100_000);
+pub fn run(args: &[String]) -> Vec<Report> {
+    let log2 = arg_or_env(args, "--log2", "PHC_LOG2", 20) as u32;
+    let threads = arg_or_env(args, "--threads", "PHC_THREADS", default_threads());
+    let ops = arg_or_env(args, "--ops", "PHC_OPS", 100_000);
     let size = 1usize << log2;
     println!(
         "# Figure 5 reproduction: table = 2^{log2} cells, {ops} timed ops per point, P = {threads}"
@@ -68,19 +67,13 @@ fn main() {
     let mut insert_deltas: Vec<MetricsSnapshot> = Vec::new();
     let mut ops_per_load: Vec<usize> = Vec::new();
     for (load, label) in loads.iter().zip(&labels) {
-        // Distinct keys via a permutation-free trick: hash64 is not a
-        // permutation, so draw extra and dedup to the exact fill count.
+        // Keys 1..=fill_n fill the table; the timed ops use the next ones.
         let fill_n = (size as f64 * load) as usize;
-        let mut fill: Vec<u64> = Vec::with_capacity(fill_n);
-        let mut k = 1u64;
-        while fill.len() < fill_n {
-            fill.push(k);
-            k += 1;
-        }
         let table: DetHashTable<U64Key> = DetHashTable::new_pow2(log2);
-        fill.par_iter()
+        (1..=fill_n as u64)
+            .into_par_iter()
             .with_min_len(1024)
-            .for_each(|&k| table.insert(U64Key::new(k)));
+            .for_each(|k| table.insert(U64Key::new(k)));
         let mut table = table;
 
         // Mechanism companion: displacement stats of the quiescent
@@ -99,7 +92,7 @@ fn main() {
         // exceeds ~99% full even at the highest measured load.
         let headroom = (size - fill_n).saturating_sub(size / 100).max(16);
         let n_fresh = ops.min(headroom);
-        let fresh: Vec<u64> = (0..n_fresh as u64).map(|i| k + i).collect();
+        let fresh: Vec<u64> = (1..=n_fresh as u64).map(|i| fill_n as u64 + i).collect();
         let ops = n_fresh;
         let before = Recorder::global().snapshot();
         let (ti, ()) = time_in_pool(threads, || {
@@ -152,12 +145,7 @@ fn main() {
             r.print();
         }
     }
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(pos + 1) {
-            phc_bench::report::write_json(path, &reports).expect("write json");
-            eprintln!("wrote {path}");
-        }
-    }
+    reports
 }
 
 /// Live per-insert counters from the obs deltas: the Figure 5 curve's

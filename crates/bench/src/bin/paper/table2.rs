@@ -1,6 +1,5 @@
-//! Regenerates **Table 2**: random writes (scatter) vs conditional
-//! random writes vs hash table insertion. The paper's headline: at
-//! load 1/3, a deterministic hash insert costs only ≈ 1.3× a raw
+//! **Table 2**: random writes (scatter) vs conditional random writes
+//! vs hash table insertion. The paper's headline: at load 1/3, a deterministic hash insert costs only ≈ 1.3× a raw
 //! random write, because both are dominated by one cache miss.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,10 +8,9 @@ use phc_bench::{arg_or_env, default_threads, time_in_pool, time_once, Report};
 use phc_core::{DetHashTable, U64Key};
 use rayon::prelude::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let n = arg_or_env(&args, "--n", "PHC_N", 1_000_000);
-    let threads = arg_or_env(&args, "--threads", "PHC_THREADS", default_threads());
+pub fn run(args: &[String]) -> Vec<Report> {
+    let n = arg_or_env(args, "--n", "PHC_N", 1_000_000);
+    let threads = arg_or_env(args, "--threads", "PHC_THREADS", default_threads());
     let log2 = (2 * n).next_power_of_two().trailing_zeros().max(4);
     let size = 1usize << log2;
     println!("# Table 2 reproduction: n = {n} operations, array/table = 2^{log2}, P = {threads}\n");
@@ -92,4 +90,5 @@ fn main() {
         ins_1 / scatter_1,
         ins_p / scatter_p
     );
+    vec![report]
 }

@@ -233,9 +233,8 @@ pub fn run_table1_rows<E: HashEntry>(
     log2: u32,
     par_threads: usize,
 ) -> Vec<TableRow> {
-    use phc_core::{
-        ChainedHashTable, CuckooHashTable, DetHashTable, HopscotchHashTable, NdHashTable,
-    };
+    use crate::roster::{cuckoo, ChainedHashTable, DetHashTable, NdHashTable};
+    use phc_core::HopscotchHashTable;
     let mut rows = Vec::new();
     rows.push(TableRow {
         name: "serialHash-HI",
@@ -258,8 +257,7 @@ pub fn run_table1_rows<E: HashEntry>(
     }
     row!("linearHash-D", DetHashTable::<E>::new_pow2);
     row!("linearHash-ND", NdHashTable::<E>::new_pow2);
-    // Cuckoo gets one extra bit so its two-choice load stays below 1/2.
-    row!("cuckooHash", |l| CuckooHashTable::<E>::new_pow2(l + 1));
+    row!("cuckooHash", cuckoo::<E>);
     row!("chainedHash", ChainedHashTable::<E>::new_pow2);
     row!("chainedHash-CR", ChainedHashTable::<E>::new_pow2_cr);
     row!("hopscotchHash", HopscotchHashTable::<E>::new_pow2);

@@ -80,6 +80,44 @@ impl Report {
     }
 }
 
+/// Rows whose cells arrive one input at a time: the builder behind
+/// every table with a `{input}(1)` / `{input}(P)` column pair per input.
+#[derive(Default)]
+pub struct Grid {
+    rows: Vec<Row>,
+}
+
+impl Grid {
+    /// Appends a "(1)" / "(P)" pair to row `label`, adding the row after
+    /// the existing ones on first use (`None` renders as `-`).
+    pub fn add(&mut self, label: &str, one: f64, par: Option<f64>) {
+        match self.rows.iter_mut().find(|r| r.label == label) {
+            Some(row) => row.values.extend([Some(one), par]),
+            None => self.rows.push(Row {
+                label: label.to_string(),
+                values: vec![Some(one), par],
+            }),
+        }
+    }
+
+    /// The report: columns `{input}(1)`, `{input}(P)` for each input in
+    /// order; every row must have a pair for every input.
+    pub fn report(self, title: impl Into<String>, inputs: &[&str]) -> Report {
+        let mut report = Report {
+            title: title.into(),
+            columns: inputs
+                .iter()
+                .flat_map(|i| [format!("{i}(1)"), format!("{i}(P)")])
+                .collect(),
+            rows: Vec::new(),
+        };
+        for row in self.rows {
+            report.push(row.label, row.values);
+        }
+        report
+    }
+}
+
 /// Formats seconds with sensible precision across µs–minutes.
 pub fn format_time(secs: f64) -> String {
     if secs >= 100.0 {
@@ -275,6 +313,23 @@ mod tests {
         let lines: Vec<&str> = text.lines().skip(1).collect();
         assert_eq!(lines[0].len(), lines[1].len());
         assert_eq!(lines[1].len(), lines[2].len());
+    }
+
+    #[test]
+    fn grid_pairs_columns_per_input() {
+        let mut g = Grid::default();
+        for _ in ["a", "b"] {
+            g.add("serial", 1.0, None);
+            g.add("linearHash-D", 2.0, Some(0.5));
+        }
+        let r = g.report("T", &["a", "b"]);
+        assert_eq!(r.columns, ["a(1)", "a(P)", "b(1)", "b(P)"]);
+        assert_eq!(r.rows[0].label, "serial");
+        assert_eq!(r.rows[0].values, [Some(1.0), None, Some(1.0), None]);
+        assert_eq!(
+            r.rows[1].values,
+            [Some(2.0), Some(0.5), Some(2.0), Some(0.5)]
+        );
     }
 
     #[test]

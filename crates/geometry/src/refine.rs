@@ -83,24 +83,7 @@ where
         final_bad: 0,
     };
 
-    // Seed the table with the initial bad triangles. Table size: twice
-    // the number of bad triangles, rounded up to a power of two
-    // (paper §6, Table 4 setup).
-    let initial_bad: Vec<u32> = (0..mesh.tris.len() as u32)
-        .into_par_iter()
-        .filter(|&t| is_bad(mesh, t, min_angle))
-        .collect();
-    let mut bad: Vec<u32> = {
-        let log2 = table_log2(initial_bad.len());
-        let mut table = make_table(log2);
-        {
-            let ins = table.begin_insert();
-            initial_bad
-                .par_iter()
-                .for_each(|&t| ins.insert(U64Key::new(t as u64 + 1)));
-        }
-        table.elements().iter().map(|k| (k.0 - 1) as u32).collect()
-    };
+    let mut bad = rank_bad_triangles(&bad_triangles(mesh, min_angle), &mut make_table);
 
     while !bad.is_empty() && stats.points_added < max_points {
         stats.rounds += 1;
@@ -206,22 +189,40 @@ where
             bad = next;
             break;
         }
-        let log2 = table_log2(next.len());
-        let mut table = make_table(log2);
-        {
-            let ins = table.begin_insert();
-            next.par_iter()
-                .with_min_len(64)
-                .for_each(|&t| ins.insert(U64Key::new(t as u64 + 1)));
-        }
-        bad = table.elements().iter().map(|k| (k.0 - 1) as u32).collect();
+        bad = rank_bad_triangles(&next, &mut make_table);
     }
     stats.final_bad = bad.len();
     stats
 }
 
-fn table_log2(n_items: usize) -> u32 {
-    (2 * n_items.max(2)).next_power_of_two().trailing_zeros()
+/// The ids of every triangle of `mesh` that needs refinement: the scan
+/// that seeds the first round.
+pub fn bad_triangles(mesh: &Mesh, min_angle: f64) -> Vec<u32> {
+    (0..mesh.tris.len() as u32)
+        .into_par_iter()
+        .filter(|&t| is_bad(mesh, t, min_angle))
+        .collect()
+}
+
+/// The hash-table portion of a round (the part Table 4 times): inserts
+/// `bad` into a fresh table of twice as many cells, rounded up to a
+/// power of two (paper §6), and reads it back with `elements()`. The
+/// returned order is the round's priority order, deterministic iff the
+/// table is.
+pub fn rank_bad_triangles<T, F>(bad: &[u32], make_table: F) -> Vec<u32>
+where
+    T: PhaseHashTable<U64Key>,
+    F: FnOnce(u32) -> T,
+{
+    let log2 = (2 * bad.len().max(2)).next_power_of_two().trailing_zeros();
+    let mut table = make_table(log2);
+    {
+        let ins = table.begin_insert();
+        bad.par_iter()
+            .with_min_len(64)
+            .for_each(|&t| ins.insert(U64Key::new(t as u64 + 1)));
+    }
+    table.elements().iter().map(|k| (k.0 - 1) as u32).collect()
 }
 
 #[cfg(test)]

@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
 # Regenerates every table/figure of the paper on this machine and
-# captures the outputs under experiments/out/.
+# captures the output in experiments/out/paper.txt.
 #
-#   ./experiments/run_all.sh [--n N] [--scale S]
+#   ./experiments/run_all.sh [ARTIFACT...] [--n N] [--scale S] [--json FILE]
 #
-# Pass-through args go to every binary (e.g. --threads 80 on a big box).
+# Arguments go to `--bin paper` (e.g. --threads 80 on a big box, or
+# `table3 fig5` to run just those two).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p experiments/out
 
-for b in table1 table2 table3 table4 table5 table6 table7 table8 fig4 fig5; do
-  echo "=== $b ==="
-  cargo run --release -q -p phc-bench --bin "$b" -- "$@" \
-    | tee "experiments/out/$b.txt"
-done
-echo "all outputs in experiments/out/"
+cargo run --release -q -p phc-bench --bin paper -- "$@" \
+  | tee experiments/out/paper.txt
+echo "output in experiments/out/paper.txt"
