@@ -25,7 +25,23 @@
 //! against `&[W::Atomic]` reads exactly like the concrete code it
 //! replaced, and the `u64` instantiation compiles to the identical
 //! instructions.
+//!
+//! ## Allocation: cell arrays at TLB reach
+//!
+//! Every flat table — det, nd, fc, Robin Hood (growable or not),
+//! cuckoo and hopscotch — gets its cells from [`new_cells`], as a
+//! [`CellArray`]. An array of 2 MiB (`HUGE_PAGE`) or more is
+//! allocated on a 2 MiB boundary and advised `MADV_HUGEPAGE` before its
+//! first byte is written, so where the kernel offers transparent huge
+//! pages the fill maps 2 MiB pages: a 64 MiB table is 32 page faults
+//! and 32 TLB entries instead of 16,384 of each. Where THP is `never`
+//! the advice does nothing and only the alignment differs from a
+//! `Box<[_]>`. There is no switch: the layout of a table never depends
+//! on where its cells sit (DESIGN.md §5.11).
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::ops::Deref;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// The value side of a cell width: `u64` (full-word cells) or `u32`
@@ -192,8 +208,129 @@ impl CellAtomic for AtomicU32 {
 }
 
 /// The atomic cell type of a width — shorthand for table fields:
-/// `Box<[AtomOf<E::Repr>]>`.
+/// `CellArray<AtomOf<E::Repr>>`.
 pub type AtomOf<W> = <W as CellWord>::Atomic;
+
+/// The size of a huge page, and the array size from which
+/// [`new_cells`] asks for them.
+pub(crate) const HUGE_PAGE: usize = 2 << 20;
+
+/// An owned, fixed-length array of cells: what [`new_cells`] returns
+/// and every flat table keeps its cells in. It reads as a slice
+/// (`Deref<Target = [A]>`); only its allocation differs from a
+/// `Box<[A]>`: an array of 2 MiB or more starts on a huge-page
+/// boundary and is advised to be backed by huge pages.
+pub struct CellArray<A> {
+    ptr: NonNull<A>,
+    len: usize,
+}
+
+// SAFETY: `ptr` is the one owner of its `len` cells (`len` is plain
+// data), exactly as a `Box<[A]>` owns its slice: sending the array
+// sends the cells, and the thread that drops it drops them.
+unsafe impl<A: Send> Send for CellArray<A> {}
+// SAFETY: `&CellArray` hands out only `&[A]` (`Deref`); nothing mutates
+// `ptr` or `len` after `build`.
+unsafe impl<A: Sync> Sync for CellArray<A> {}
+
+impl<A> CellArray<A> {
+    /// The layout of an array of `len` cells: huge-page aligned from
+    /// [`HUGE_PAGE`] bytes on, naturally aligned below.
+    fn layout(len: usize) -> Layout {
+        let natural = Layout::array::<A>(len).expect("cell array size overflows");
+        if natural.size() >= HUGE_PAGE {
+            natural
+                .align_to(HUGE_PAGE)
+                .expect("cell array size overflows")
+        } else {
+            natural
+        }
+    }
+
+    /// Allocates `len` cells and writes `init()` into each, after the
+    /// huge-page advice and before anything else touches them.
+    fn build(len: usize, init: impl Fn() -> A) -> Self {
+        let layout = Self::layout(len);
+        if layout.size() == 0 {
+            return CellArray {
+                ptr: NonNull::dangling(),
+                len,
+            };
+        }
+        // Plain `alloc`, not `alloc_zeroed`: for an over-aligned layout
+        // std's zeroing allocation writes the block before returning,
+        // so advice given after it finds the pages already faulted in
+        // at 4 KiB.
+        // SAFETY: the layout has a nonzero size.
+        let raw = unsafe { alloc(layout) } as *mut A;
+        let Some(ptr) = NonNull::new(raw) else {
+            handle_alloc_error(layout)
+        };
+        if layout.align() == HUGE_PAGE {
+            advise_huge_pages(raw as *mut u8, layout.size());
+        }
+        for i in 0..len {
+            // SAFETY: `i < len`, inside the block just allocated.
+            unsafe { raw.add(i).write(init()) };
+        }
+        CellArray { ptr, len }
+    }
+}
+
+impl<A> Deref for CellArray<A> {
+    type Target = [A];
+
+    #[inline(always)]
+    fn deref(&self) -> &[A] {
+        // SAFETY: `ptr` holds `len` initialised cells (or is dangling
+        // with `len * size_of::<A>() == 0`) for as long as `self` lives.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl<A> Drop for CellArray<A> {
+    fn drop(&mut self) {
+        let layout = Self::layout(self.len);
+        // SAFETY: the cells were initialised by `build`, are dropped
+        // once, and the block was allocated with this same layout.
+        unsafe {
+            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
+                self.ptr.as_ptr(),
+                self.len,
+            ));
+            if layout.size() != 0 {
+                dealloc(self.ptr.as_ptr() as *mut u8, layout);
+            }
+        }
+    }
+}
+
+/// Asks the kernel to back `[addr, addr + len)` with transparent huge
+/// pages. Advice only: where THP is `never` (or the call fails) the
+/// pages stay 4 KiB, so the result is ignored.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+))]
+fn advise_huge_pages(addr: *mut u8, len: usize) {
+    // `MADV_HUGEPAGE` in the kernel's generic `mman-common.h`, which
+    // both architectures use.
+    const MADV_HUGEPAGE: i32 = 14;
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    // SAFETY: the range is one live allocation of ours, page-aligned;
+    // `MADV_HUGEPAGE` changes how it is backed, never its contents.
+    unsafe { madvise(addr.cast(), len, MADV_HUGEPAGE) };
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+)))]
+fn advise_huge_pages(_addr: *mut u8, _len: usize) {}
 
 /// Allocates `cap` cells initialized to `empty`, every one of them
 /// **written** before this returns: a fresh table's pages are resident.
@@ -206,9 +343,16 @@ pub type AtomOf<W> = <W as CellWord>::Atomic;
 /// `throughput_mops` (EXPERIMENTS.md PR 18). A store of a value the
 /// optimiser cannot know is not a zero fill it can fold, which pins the
 /// eager arrangement; `tests::fresh_cells_are_resident` holds it.
-pub fn new_cells<W: CellWord>(cap: usize, empty: u64) -> Box<[W::Atomic]> {
+///
+/// An array of 2 MiB or more is allocated huge-page
+/// aligned and advised (`madvise(MADV_HUGEPAGE)`, on Linux) **before**
+/// the fill, so the fill's faults map 2 MiB pages where the kernel's
+/// THP setting allows: 512× fewer faults, and one TLB entry covers 512×
+/// the cells (DESIGN.md §5.11). Smaller arrays are allocated as a
+/// `Box<[_]>` would be.
+pub fn new_cells<W: CellWord>(cap: usize, empty: u64) -> CellArray<W::Atomic> {
     let empty = std::hint::black_box(empty);
-    (0..cap).map(|_| W::Atomic::new_cell(empty)).collect()
+    CellArray::build(cap, || W::Atomic::new_cell(empty))
 }
 
 /// Bytes occupied by one cell of width `W`.
@@ -292,8 +436,89 @@ mod tests {
         assert!(resident, "32 MiB of fresh cells left VmRSS where it was");
     }
 
+    /// The address of an array's first cell.
+    fn addr<A>(cells: &CellArray<A>) -> usize {
+        cells.as_ptr() as usize
+    }
+
+    #[test]
+    fn huge_arrays_start_on_a_huge_page() {
+        fn check<W: CellWord>() {
+            let width = cell_bytes::<W>();
+            for bytes in [HUGE_PAGE, 4 * HUGE_PAGE] {
+                let cells = new_cells::<W>(bytes / width, 7);
+                assert_eq!(
+                    addr(&cells) % HUGE_PAGE,
+                    0,
+                    "{bytes} B of {width}-byte cells"
+                );
+                assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 7));
+            }
+            // One cell short of the threshold: a plain array.
+            let cells = new_cells::<W>((HUGE_PAGE - 8) / width, 7);
+            assert_eq!(CellArray::<W::Atomic>::layout(cells.len()).align(), width);
+            assert_eq!(addr(&cells) % width, 0);
+            assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 7));
+        }
+        check::<u64>();
+        check::<u32>();
+    }
+
+    /// `AnonHugePages` of the `/proc/self/smaps` mapping holding `addr`.
+    #[cfg(target_os = "linux")]
+    fn anon_huge_kib(addr: usize) -> usize {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line.split_whitespace().next().unwrap_or("");
+            if let Some((lo, hi)) = range.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    inside = (lo..hi).contains(&addr);
+                    continue;
+                }
+            }
+            if inside && line.starts_with("AnonHugePages:") {
+                return line.split_whitespace().nth(1).unwrap().parse().unwrap();
+            }
+        }
+        0
+    }
+
+    /// Where the kernel offers transparent huge pages to advised memory,
+    /// a fresh large array gets some: the advice came before the fill.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn huge_arrays_are_backed_by_huge_pages() {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .unwrap_or_default();
+        let offered = thp.contains("[always]") || thp.contains("[madvise]");
+        const BYTES: usize = 32 << 20;
+        // Huge pages are handed out only while the kernel has free 2 MiB
+        // blocks: a few attempts.
+        let backed = (0..3).any(|_| {
+            let cells = new_cells::<u64>(BYTES / 8, 0);
+            assert_eq!(addr(&cells) % HUGE_PAGE, 0);
+            offered && anon_huge_kib(addr(&cells)) > 0
+        });
+        if offered {
+            assert!(
+                backed,
+                "32 MiB of fresh cells got no huge page (THP: {})",
+                thp.trim()
+            );
+        } else {
+            println!(
+                "skip: THP is not offered to advised memory ({}); alignment only",
+                thp.trim()
+            );
+        }
+    }
+
     #[test]
     fn new_cells_initializes_to_empty() {
+        assert!(new_cells::<u64>(0, 0).is_empty());
         let cells = new_cells::<u32>(16, 0);
         assert_eq!(cells.len(), 16);
         assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 0));

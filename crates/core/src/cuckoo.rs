@@ -12,6 +12,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use crate::cell::{new_cells, CellArray};
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
 
@@ -32,7 +33,7 @@ const MAX_EVICTIONS: usize = 500;
 /// assert!(t.find(U64Key::new(25)).is_some());
 /// ```
 pub struct CuckooHashTable<E: HashEntry> {
-    cells: Box<[AtomicU64]>,
+    cells: CellArray<AtomicU64>,
     /// One spinlock per cell (the paper notes per-entry locks inflate
     /// the memory footprint; we keep them in a side array).
     locks: Box<[AtomicBool]>,
@@ -48,7 +49,7 @@ impl<E: HashEntry> CuckooHashTable<E> {
     pub fn new_pow2(log2_size: u32) -> Self {
         let n = 1usize << log2_size;
         CuckooHashTable {
-            cells: (0..n).map(|_| AtomicU64::new(E::EMPTY)).collect(),
+            cells: new_cells::<u64>(n, E::EMPTY),
             locks: (0..n).map(|_| AtomicBool::new(false)).collect(),
             mask: n - 1,
             _entry: PhantomData,

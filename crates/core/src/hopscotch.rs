@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use std::sync::Mutex;
 
+use crate::cell::{new_cells, CellArray};
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
 
@@ -45,11 +46,11 @@ const SEG_SIZE: usize = 256;
 /// assert_eq!(t.len(), 1);
 /// ```
 pub struct HopscotchHashTable<E: HashEntry> {
-    cells: Box<[AtomicU64]>,
-    hop_info: Box<[AtomicU32]>,
+    cells: CellArray<AtomicU64>,
+    hop_info: CellArray<AtomicU32>,
     /// Per-bucket timestamps for the fully concurrent find protocol
     /// (unused when `timestamps` is false).
-    stamps: Box<[AtomicU64]>,
+    stamps: CellArray<AtomicU64>,
     segments: Box<[Mutex<()>]>,
     timestamps: bool,
     mask: usize,
@@ -76,9 +77,9 @@ impl<E: HashEntry> HopscotchHashTable<E> {
         let n = 1usize << log2_size;
         let nsegs = (n / SEG_SIZE).max(1);
         HopscotchHashTable {
-            cells: (0..n).map(|_| AtomicU64::new(E::EMPTY)).collect(),
-            hop_info: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            stamps: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            cells: new_cells::<u64>(n, E::EMPTY),
+            hop_info: new_cells::<u32>(n, 0),
+            stamps: new_cells::<u64>(n, 0),
             segments: (0..nsegs).map(|_| Mutex::new(())).collect(),
             timestamps,
             mask: n - 1,

@@ -57,7 +57,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 
 use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-use crate::cell::{AtomOf, CellAtomic};
+use crate::cell::{AtomOf, CellArray, CellAtomic};
 use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader, TableOps};
 
@@ -229,7 +229,7 @@ mod policy {
 /// loads up to 1/3 by default), or wrap it in
 /// [`crate::resize::ResizableTable`].
 pub struct ProbeTable<E: HashEntry, P: ProbePolicy<E>> {
-    pub(crate) cells: Box<[AtomOf<E::Repr>]>,
+    pub(crate) cells: CellArray<AtomOf<E::Repr>>,
     pub(crate) mask: usize,
     pub(crate) policy: P,
     _entry: PhantomData<E>,

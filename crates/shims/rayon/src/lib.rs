@@ -721,6 +721,11 @@ pub trait FromParallelIterator<T: Send>: Sized {
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
         let pieces = iter.drive(&seq::<T, _, _>(|it| it.collect::<Vec<T>>()));
+        // One piece (always so at width 1) is already the result.
+        let pieces = match <[Vec<T>; 1]>::try_from(pieces) {
+            Ok([one]) => return one,
+            Err(pieces) => pieces,
+        };
         let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
         for p in pieces {
             out.extend(p);
@@ -1366,6 +1371,20 @@ mod tests {
         pool.install(|| a.par_sort_unstable());
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn filter_map_collect_matches_sequential_at_widths_1_and_2() {
+        let v: Vec<u64> = (0..100_000u64)
+            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
+            .collect();
+        let keep = |&x: &u64| (x % 3 == 0).then_some(x >> 1);
+        let expect: Vec<u64> = v.iter().filter_map(keep).collect();
+        for t in [1, 2] {
+            let pool = ThreadPoolBuilder::new().num_threads(t).build().unwrap();
+            let got: Vec<u64> = pool.install(|| v.par_iter().filter_map(keep).collect());
+            assert_eq!(got, expect, "width {t}");
+        }
     }
 
     #[test]
