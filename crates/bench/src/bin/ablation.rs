@@ -7,9 +7,9 @@
 //!   attributes its D-vs-ND gap to exactly this);
 //! * **elements()** — deterministic pack vs a thread-racy
 //!   filter-and-collect of the same cells. The racy arm is the slower
-//!   one: a sequential filter-and-collect costs about as much, so the
-//!   gap is the branchy filter into a growing `Vec`, not a cost of
-//!   determinism (EXPERIMENTS.md, Ablations);
+//!   one at every width: at width 1 it costs what the same chain costs
+//!   run sequentially, so the gap is the branchy filter into a growing
+//!   `Vec`, not a cost of determinism (EXPERIMENTS.md, Ablations);
 //! * **hash quality** — the table with the production mixer vs a
 //!   deliberately weak multiplicative hash (cluster blowup).
 //!

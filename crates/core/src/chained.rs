@@ -107,11 +107,6 @@ impl<E: HashEntry> ChainedHashTable<E> {
         self.buckets.len()
     }
 
-    /// Whether this table runs in contention-reducing mode.
-    pub fn is_contention_reducing(&self) -> bool {
-        self.contention_reducing
-    }
-
     #[inline]
     fn bucket(&self, repr: u64) -> usize {
         (E::hash(repr) as usize) & self.mask

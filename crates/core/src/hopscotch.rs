@@ -93,12 +93,6 @@ impl<E: HashEntry> HopscotchHashTable<E> {
         self.cells.len()
     }
 
-    /// Whether this instance keeps timestamps (the fully concurrent
-    /// protocol) or not (the `-PC` variant).
-    pub fn has_timestamps(&self) -> bool {
-        self.timestamps
-    }
-
     #[inline]
     fn slot(&self, hash: u64) -> usize {
         (hash as usize) & self.mask

@@ -36,30 +36,6 @@ pub use pool::{run_with_threads, with_pool};
 pub use rng::{hash64, hash64_pair, IndexRng};
 pub use scan::{scan_exclusive, scan_inclusive, scan_inplace_exclusive};
 
-#[cfg(test)]
-mod grain_tests {
-    // One test covers the latch *and* the override because they share
-    // process-global state: asserting the default, the stale env read,
-    // and the live override in sequence avoids ordering races with a
-    // concurrently running sibling test.
-    #[test]
-    fn grain_env_is_latched_but_override_is_live() {
-        // PHC_GRAIN is unset in the test environment, so the once-read
-        // value must be the compiled default.
-        assert_eq!(super::grain(), super::DEFAULT_GRAIN);
-        // The documented footgun: writing the env var *after* the
-        // first read has no effect — the value is latched.
-        std::env::set_var("PHC_GRAIN", "7");
-        assert_eq!(super::grain(), super::DEFAULT_GRAIN);
-        std::env::remove_var("PHC_GRAIN");
-        // The in-process override takes effect immediately.
-        super::set_grain_for_test(Some(7));
-        assert_eq!(super::grain(), 7);
-        super::set_grain_for_test(None);
-        assert_eq!(super::grain(), super::DEFAULT_GRAIN);
-    }
-}
-
 /// Default grain size for blocked parallel loops.
 ///
 /// Chosen so that per-block scheduling overhead is negligible relative to
@@ -67,40 +43,11 @@ mod grain_tests {
 /// of ≥ 2^20 cells.
 pub const DEFAULT_GRAIN: usize = 2048;
 
-/// In-process override for [`grain`] (0 = no override). Unlike the
-/// env knob, which is latched at first use, this is read on every
-/// call, so tests and long-lived servers can retune without a
-/// re-exec.
-static GRAIN_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Overrides the grain returned by [`grain`] for the current process
-/// (`None` restores the `PHC_GRAIN`/default behavior). The env knob
-/// is read once and latched — setting `PHC_GRAIN` after the first
-/// [`grain`] call silently does nothing — so this is the supported
-/// way to change the grain after startup.
-pub fn set_grain_for_test(grain: Option<usize>) {
-    GRAIN_OVERRIDE.store(grain.unwrap_or(0), std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Grain size for blocked parallel loops: the in-process override
-/// ([`set_grain_for_test`]) if one is set, else the `PHC_GRAIN`
-/// environment variable (read **once**, at first use), else
-/// [`DEFAULT_GRAIN`]. Lets benchmarks sweep grain sizes without
-/// rebuilding; every blocked primitive in this crate (and the batched
-/// table paths) uses it.
+/// Grain size for blocked parallel loops: [`DEFAULT_GRAIN`]. Every
+/// blocked primitive in this crate (and the batched table paths) uses
+/// it.
 pub fn grain() -> usize {
-    let o = GRAIN_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed);
-    if o > 0 {
-        return o;
-    }
-    static GRAIN: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *GRAIN.get_or_init(|| {
-        std::env::var("PHC_GRAIN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&g: &usize| g > 0)
-            .unwrap_or(DEFAULT_GRAIN)
-    })
+    DEFAULT_GRAIN
 }
 
 /// Runs `f` on each [`grain`]-sized chunk of `items`: on the calling

@@ -2,33 +2,40 @@
 //!
 //! This workspace builds in environments with no access to crates.io,
 //! so the subset of rayon's API the workspace actually uses is
-//! reimplemented here on top of `std::thread::scope`. The model is a
-//! simplified version of rayon's producer/consumer architecture:
+//! reimplemented here. The model is a simplified version of rayon's
+//! producer/consumer architecture:
 //!
 //! * a [`Producer`] is an indexed, splittable source (slice, range,
 //!   `Vec`, chunks, zip, enumerate, …);
-//! * [`ParIter`] wraps a producer and executes by cutting it into at
-//!   most `current_num_threads()` contiguous pieces (respecting
-//!   `with_min_len`) and running each piece's sequential iterator on a
-//!   scoped thread;
-//! * adapters ([`Map`], [`Filter`], …) compose per-piece sequential
-//!   iterator logic, so piece results come back in piece order and
-//!   order-sensitive terminals (`collect`) behave exactly like rayon's
-//!   indexed counterparts.
+//! * an [`Adapter`] is the chain of per-item adaptors (`map`, `filter`,
+//!   `filter_map`, `flat_map_iter`, `flatten`, `copied`, `cloned`); it
+//!   turns one piece's sequential iterator into the matching
+//!   `std::iter` adaptor over its borrowed closures;
+//! * [`ParIter`] pairs the two. A terminal (`for_each`, `sum`,
+//!   `collect`, …) cuts the producer into at most
+//!   `current_num_threads() * 4` contiguous pieces (respecting
+//!   `with_min_len`) and runs each adapted piece as one monomorphic
+//!   loop. Results come back in piece order, so order-sensitive
+//!   terminals (`collect`) behave exactly like rayon's indexed
+//!   counterparts. A lone piece — always so at width 1 — runs on the
+//!   calling thread and allocates nothing.
 //!
-//! Execution happens on a **persistent work-stealing worker pool**
-//! (see [`pool`]): workers are spawned once (lazily) and parked when
-//! idle; a parallel call publishes a job descriptor and participants
-//! claim over-partitioned chunks from a shared atomic cursor, so load
-//! imbalance is absorbed by stealing instead of blocking behind the
-//! slowest fixed share. Chunks write results by index, which keeps
-//! every order-sensitive terminal deterministic under stealing. The
-//! pool width defaults to the machine's parallelism and can be pinned
-//! once per process with the `PHC_THREADS` environment variable.
+//! Pieces run on a **persistent work-stealing worker pool** (see
+//! [`pool`]): workers are spawned once (lazily) and parked when idle; a
+//! parallel call publishes a job descriptor and participants claim
+//! pieces from a shared atomic cursor, so load imbalance is absorbed by
+//! stealing instead of blocking behind the slowest fixed share. Pieces
+//! write results by index, and piece boundaries depend only on (len,
+//! min_len, width), which keeps every order-sensitive terminal
+//! deterministic under stealing. The pool width defaults to the
+//! machine's parallelism and can be pinned once per process with the
+//! `PHC_THREADS` environment variable.
 //!
 //! Differences from real rayon, none observable by this workspace:
-//! stealing is cursor-based rather than deque-based, and reductions do
-//! not short-circuit across pieces.
+//! stealing is cursor-based rather than deque-based, reductions do not
+//! short-circuit across pieces, and adaptors that change the item count
+//! end the indexed part of a chain (`zip`, `enumerate` and `rev` apply
+//! to the source only).
 
 use std::cell::Cell;
 
@@ -444,111 +451,229 @@ where
     }
 }
 
-/// Coerces a closure to the higher-ranked consumer signature used by
-/// [`ParallelIterator::drive`]. Closures written with an annotated
-/// `&mut dyn Iterator` argument infer one fixed lifetime and fail the
-/// `for<'i>` bound; routing them through this identity function makes
-/// inference adopt the higher-ranked signature.
-fn seq<T, R, F>(f: F) -> F
+// ---------------------------------------------------------------------------
+// Per-piece adapter chains.
+// ---------------------------------------------------------------------------
+
+/// A chain of sequential adaptors applied to each piece: `adapt` turns
+/// a piece's iterator `I` into the matching `std::iter` adaptor over the
+/// chain's borrowed closures, so every piece runs as one monomorphic
+/// loop.
+pub trait Adapter<I: Iterator>: Sync + Send {
+    /// Item the adapted piece yields.
+    type Item: Send;
+    /// The adapted piece iterator.
+    type Out<'a>: Iterator<Item = Self::Item>
+    where
+        Self: 'a;
+    /// Wraps one piece's iterator.
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a>;
+}
+
+/// The empty chain: a piece's items as its producer yields them.
+pub struct Id;
+
+impl<I: Iterator<Item: Send>> Adapter<I> for Id {
+    type Item = I::Item;
+    type Out<'a> = I;
+    fn adapt(&self, it: I) -> I {
+        it
+    }
+}
+
+/// See [`ParallelIterator::map`].
+pub struct Map<A, F>(A, F);
+
+impl<I: Iterator, A: Adapter<I>, F, T: Send> Adapter<I> for Map<A, F>
 where
-    F: for<'i> Fn(&mut (dyn Iterator<Item = T> + 'i)) -> R + Sync,
+    F: Fn(A::Item) -> T + Sync + Send,
 {
-    f
+    type Item = T;
+    type Out<'a>
+        = std::iter::Map<A::Out<'a>, &'a F>
+    where
+        Self: 'a;
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a> {
+        self.0.adapt(it).map(&self.1)
+    }
+}
+
+/// See [`ParallelIterator::filter`].
+pub struct Filter<A, F>(A, F);
+
+impl<I: Iterator, A: Adapter<I>, F> Adapter<I> for Filter<A, F>
+where
+    F: Fn(&A::Item) -> bool + Sync + Send,
+{
+    type Item = A::Item;
+    type Out<'a>
+        = std::iter::Filter<A::Out<'a>, &'a F>
+    where
+        Self: 'a;
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a> {
+        self.0.adapt(it).filter(&self.1)
+    }
+}
+
+/// See [`ParallelIterator::filter_map`].
+pub struct FilterMap<A, F>(A, F);
+
+impl<I: Iterator, A: Adapter<I>, F, T: Send> Adapter<I> for FilterMap<A, F>
+where
+    F: Fn(A::Item) -> Option<T> + Sync + Send,
+{
+    type Item = T;
+    type Out<'a>
+        = std::iter::FilterMap<A::Out<'a>, &'a F>
+    where
+        Self: 'a;
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a> {
+        self.0.adapt(it).filter_map(&self.1)
+    }
+}
+
+/// See [`ParallelIterator::flat_map_iter`].
+pub struct FlatMapIter<A, F>(A, F);
+
+impl<I: Iterator, A: Adapter<I>, F, U> Adapter<I> for FlatMapIter<A, F>
+where
+    F: Fn(A::Item) -> U + Sync + Send,
+    U: IntoIterator<Item: Send>,
+{
+    type Item = U::Item;
+    type Out<'a>
+        = std::iter::FlatMap<A::Out<'a>, U, &'a F>
+    where
+        Self: 'a;
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a> {
+        self.0.adapt(it).flat_map(&self.1)
+    }
+}
+
+/// See [`ParallelIterator::flatten`].
+pub struct Flatten<A>(A);
+
+impl<I: Iterator, A: Adapter<I, Item: IntoIterator<Item: Send>>> Adapter<I> for Flatten<A> {
+    type Item = <A::Item as IntoIterator>::Item;
+    type Out<'a>
+        = std::iter::Flatten<A::Out<'a>>
+    where
+        Self: 'a;
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a> {
+        self.0.adapt(it).flatten()
+    }
+}
+
+/// See [`ParallelIterator::copied`].
+pub struct Copied<A>(A);
+
+impl<'t, I: Iterator, A: Adapter<I, Item = &'t T>, T: Copy + Send + Sync + 't> Adapter<I>
+    for Copied<A>
+{
+    type Item = T;
+    type Out<'a>
+        = std::iter::Copied<A::Out<'a>>
+    where
+        Self: 'a;
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a> {
+        self.0.adapt(it).copied()
+    }
+}
+
+/// See [`ParallelIterator::cloned`].
+pub struct Cloned<A>(A);
+
+impl<'t, I: Iterator, A: Adapter<I, Item = &'t T>, T: Clone + Send + Sync + 't> Adapter<I>
+    for Cloned<A>
+{
+    type Item = T;
+    type Out<'a>
+        = std::iter::Cloned<A::Out<'a>>
+    where
+        Self: 'a;
+    fn adapt<'a>(&'a self, it: I) -> Self::Out<'a> {
+        self.0.adapt(it).cloned()
+    }
 }
 
 // ---------------------------------------------------------------------------
-// The parallel iterator trait and its executor.
+// The parallel iterator and its executor.
 // ---------------------------------------------------------------------------
 
-/// A parallel iterator: drives a consumer over ordered pieces.
+/// A parallel iterator: a [`Producer`] cut into ordered pieces, with an
+/// [`Adapter`] chain applied to each piece. [`ParIter`] is the one
+/// implementation; the trait carries the rayon-shaped methods.
 pub trait ParallelIterator: Sized + Send {
     /// Item type.
     type Item: Send;
+    /// The indexed source.
+    type Base: Producer;
+    /// The adaptors applied to each piece of the source.
+    type Chain: Adapter<<Self::Base as Producer>::IntoIter, Item = Self::Item>;
 
-    /// Splits the underlying source into ordered pieces, runs
-    /// `consumer` over each piece's sequential iterator (in parallel),
-    /// and returns the per-piece results in piece order.
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = Self::Item> + 'i)) -> R + Sync;
-
-    /// Propagates a minimum piece length to the source.
-    fn set_min_len(&mut self, _n: usize) {}
-
-    /// Requires pieces of at least `n` items (bounds thread overhead).
-    fn with_min_len(mut self, n: usize) -> Self {
-        self.set_min_len(n.max(1));
-        self
-    }
-
-    /// Accepted for rayon compatibility; pieces are already maximal.
-    fn with_max_len(self, _n: usize) -> Self {
-        self
-    }
+    /// The source, its minimum piece length and the adapter chain.
+    fn into_parts(self) -> (Self::Base, usize, Self::Chain);
 
     /// Maps each item.
-    fn map<T, F>(self, f: F) -> Map<Self, F>
+    fn map<T, F>(self, f: F) -> ParIter<Self::Base, Map<Self::Chain, F>>
     where
         T: Send,
-        F: Fn(Self::Item) -> T + Sync,
+        F: Fn(Self::Item) -> T + Sync + Send,
     {
-        Map { base: self, f }
+        then(self, |a| Map(a, f))
     }
 
     /// Keeps items matching the predicate.
-    fn filter<F>(self, f: F) -> Filter<Self, F>
+    fn filter<F>(self, f: F) -> ParIter<Self::Base, Filter<Self::Chain, F>>
     where
-        F: Fn(&Self::Item) -> bool + Sync,
+        F: Fn(&Self::Item) -> bool + Sync + Send,
     {
-        Filter { base: self, f }
+        then(self, |a| Filter(a, f))
     }
 
     /// Maps and filters in one pass.
-    fn filter_map<T, F>(self, f: F) -> FilterMap<Self, F>
+    fn filter_map<T, F>(self, f: F) -> ParIter<Self::Base, FilterMap<Self::Chain, F>>
     where
         T: Send,
-        F: Fn(Self::Item) -> Option<T> + Sync,
+        F: Fn(Self::Item) -> Option<T> + Sync + Send,
     {
-        FilterMap { base: self, f }
+        then(self, |a| FilterMap(a, f))
     }
 
     /// Flattens nested iterables (sequentially within each piece).
-    fn flatten(self) -> Flatten<Self>
+    fn flatten(self) -> ParIter<Self::Base, Flatten<Self::Chain>>
     where
-        Self::Item: IntoIterator,
-        <Self::Item as IntoIterator>::Item: Send,
+        Self::Item: IntoIterator<Item: Send>,
     {
-        Flatten { base: self }
+        then(self, Flatten)
     }
 
     /// Maps each item to an iterable and flattens (the iterable is
     /// consumed sequentially within each piece, as in rayon).
-    fn flat_map_iter<T, U, F>(self, f: F) -> FlatMapIter<Self, F>
+    fn flat_map_iter<U, F>(self, f: F) -> ParIter<Self::Base, FlatMapIter<Self::Chain, F>>
     where
-        U: IntoIterator<Item = T>,
-        T: Send,
-        F: Fn(Self::Item) -> U + Sync,
+        U: IntoIterator<Item: Send>,
+        F: Fn(Self::Item) -> U + Sync + Send,
     {
-        FlatMapIter { base: self, f }
+        then(self, |a| FlatMapIter(a, f))
     }
 
     /// Copies referenced items.
-    fn copied<'a, T>(self) -> Copied<Self>
+    fn copied<'a, T>(self) -> ParIter<Self::Base, Copied<Self::Chain>>
     where
         T: Copy + Send + Sync + 'a,
         Self: ParallelIterator<Item = &'a T>,
     {
-        Copied { base: self }
+        then(self, Copied)
     }
 
     /// Clones referenced items.
-    fn cloned<'a, T>(self) -> Cloned<Self>
+    fn cloned<'a, T>(self) -> ParIter<Self::Base, Cloned<Self::Chain>>
     where
         T: Clone + Send + Sync + 'a,
         Self: ParallelIterator<Item = &'a T>,
     {
-        Cloned { base: self }
+        then(self, Cloned)
     }
 
     /// Applies `op` to every item.
@@ -556,18 +681,14 @@ pub trait ParallelIterator: Sized + Send {
     where
         F: Fn(Self::Item) + Sync,
     {
-        self.drive(&seq::<Self::Item, _, _>(|it| {
-            for x in it {
-                op(x);
-            }
-        }));
+        let (base, min_len, chain) = self.into_parts();
+        run(base, min_len, &chain, |it| it.for_each(&op)).for_each(drop);
     }
 
     /// Number of items.
     fn count(self) -> usize {
-        self.drive(&seq::<Self::Item, _, _>(|it| it.count()))
-            .into_iter()
-            .sum()
+        let (base, min_len, chain) = self.into_parts();
+        run(base, min_len, &chain, |it| it.count()).sum()
     }
 
     /// Sums the items.
@@ -575,9 +696,8 @@ pub trait ParallelIterator: Sized + Send {
     where
         S: std::iter::Sum<Self::Item> + std::iter::Sum<S> + Send,
     {
-        self.drive(&seq::<Self::Item, _, _>(|it| it.sum::<S>()))
-            .into_iter()
-            .sum()
+        let (base, min_len, chain) = self.into_parts();
+        run(base, min_len, &chain, |it| it.sum::<S>()).sum()
     }
 
     /// Minimum item (first one on ties, like rayon's indexed min).
@@ -585,15 +705,8 @@ pub trait ParallelIterator: Sized + Send {
     where
         Self::Item: Ord,
     {
-        self.drive(&seq::<Self::Item, _, _>(|it| {
-            it.fold(None::<Self::Item>, |best, x| match best {
-                Some(b) if b <= x => Some(b),
-                _ => Some(x),
-            })
-        }))
-        .into_iter()
-        .flatten()
-        .reduce(|a, b| if a <= b { a } else { b })
+        let (base, min_len, chain) = self.into_parts();
+        run(base, min_len, &chain, |it| it.min()).flatten().min()
     }
 
     /// Maximum item (last one on ties, like rayon's indexed max).
@@ -601,10 +714,8 @@ pub trait ParallelIterator: Sized + Send {
     where
         Self::Item: Ord,
     {
-        self.drive(&seq::<Self::Item, _, _>(|it| it.max()))
-            .into_iter()
-            .flatten()
-            .reduce(|a, b| if b >= a { b } else { a })
+        let (base, min_len, chain) = self.into_parts();
+        run(base, min_len, &chain, |it| it.max()).flatten().max()
     }
 
     /// Whether all items satisfy the predicate (no cross-piece
@@ -613,16 +724,8 @@ pub trait ParallelIterator: Sized + Send {
     where
         F: Fn(Self::Item) -> bool + Sync,
     {
-        self.drive(&seq::<Self::Item, _, _>(|it| {
-            for x in it {
-                if !f(x) {
-                    return false;
-                }
-            }
-            true
-        }))
-        .into_iter()
-        .all(|b| b)
+        let (base, min_len, chain) = self.into_parts();
+        run(base, min_len, &chain, |mut it| it.all(&f)).all(|b| b)
     }
 
     /// Whether any item satisfies the predicate.
@@ -630,27 +733,8 @@ pub trait ParallelIterator: Sized + Send {
     where
         F: Fn(Self::Item) -> bool + Sync,
     {
-        self.drive(&seq::<Self::Item, _, _>(|it| {
-            for x in it {
-                if f(x) {
-                    return true;
-                }
-            }
-            false
-        }))
-        .into_iter()
-        .any(|b| b)
-    }
-
-    /// Reduces with an identity and an associative operation.
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
-    {
-        self.drive(&seq::<Self::Item, _, _>(|it| it.fold(identity(), &op)))
-            .into_iter()
-            .fold(identity(), op)
+        let (base, min_len, chain) = self.into_parts();
+        run(base, min_len, &chain, |mut it| it.any(&f)).any(|b| b)
     }
 
     /// Collects into a container.
@@ -659,6 +743,144 @@ pub trait ParallelIterator: Sized + Send {
         C: FromParallelIterator<Self::Item>,
     {
         C::from_par_iter(self)
+    }
+}
+
+/// Appends one adaptor to `iter`'s chain.
+fn then<I: ParallelIterator, B>(iter: I, link: impl FnOnce(I::Chain) -> B) -> ParIter<I::Base, B> {
+    let (producer, min_len, chain) = iter.into_parts();
+    ParIter {
+        producer,
+        min_len,
+        adapt: link(chain),
+    }
+}
+
+/// Per-piece results in piece order: the lone piece's result, or else
+/// every piece's.
+type Pieces<R> = std::iter::Chain<std::option::IntoIter<R>, std::vec::IntoIter<R>>;
+
+/// Runs `f` over each piece of `producer`, adapted by `adapt`, and
+/// returns the results in piece order. A lone piece (always so at width
+/// 1) runs on the caller and allocates nothing.
+fn run<'a, P, A, R, F>(producer: P, min_len: usize, adapt: &'a A, f: F) -> Pieces<R>
+where
+    P: Producer,
+    A: Adapter<P::IntoIter>,
+    R: Send,
+    F: Fn(A::Out<'a>) -> R + Sync,
+{
+    let len = producer.len();
+    let width = current_num_threads();
+    // Over-partition so participants that finish early steal the tail
+    // instead of idling. Piece boundaries depend only on (len, min_len,
+    // width) — never on scheduling — so per-piece results are
+    // reproducible across runs and pool states.
+    let pieces = if width <= 1 {
+        1
+    } else {
+        (width * pool::OVERPARTITION).min(len.div_ceil(min_len).max(1))
+    };
+    if pieces <= 1 {
+        return Some(f(adapt.adapt(producer.into_iter())))
+            .into_iter()
+            .chain(Vec::new());
+    }
+    // Cut into `pieces` contiguous parts of near-equal size.
+    let mut parts = Vec::with_capacity(pieces);
+    let mut rest = producer;
+    let mut remaining = len;
+    for i in (1..pieces).rev() {
+        let take = remaining.div_ceil(i + 1);
+        let (l, r) = rest.split_at(take);
+        parts.push(pool::SyncCell::new(Some(l)));
+        rest = r;
+        remaining -= take;
+    }
+    parts.push(pool::SyncCell::new(Some(rest)));
+    let results: Vec<pool::SyncCell<Option<R>>> =
+        (0..pieces).map(|_| pool::SyncCell::new(None)).collect();
+    let chunk = |i: usize| {
+        // SAFETY: the pool's cursor hands each chunk index to exactly
+        // one participant, so cell `i` is touched by one thread only;
+        // results land by index, making the output independent of
+        // which worker ran the chunk.
+        let part = unsafe { (*parts[i].get()).take().expect("piece ran twice") };
+        let r = f(adapt.adapt(part.into_iter()));
+        unsafe { *results[i].get() = Some(r) };
+    };
+    pool::run_job(pieces, width, &chunk);
+    let results: Vec<R> = results
+        .into_iter()
+        .map(|c| c.into_inner().expect("piece did not run"))
+        .collect();
+    None.into_iter().chain(results)
+}
+
+/// A parallel iterator over a [`Producer`], with an [`Adapter`] chain
+/// applied to each piece. Index-preserving adaptors (`zip`,
+/// `enumerate`, `rev`) apply to the source, before any chain.
+pub struct ParIter<P, A = Id> {
+    producer: P,
+    min_len: usize,
+    adapt: A,
+}
+
+impl<P: Producer, A: Adapter<P::IntoIter>> ParallelIterator for ParIter<P, A> {
+    type Item = A::Item;
+    type Base = P;
+    type Chain = A;
+
+    fn into_parts(self) -> (P, usize, A) {
+        (self.producer, self.min_len, self.adapt)
+    }
+}
+
+impl<P, A> ParIter<P, A> {
+    /// Requires pieces of at least `n` items (bounds thread overhead).
+    pub fn with_min_len(mut self, n: usize) -> Self {
+        self.min_len = n.max(1);
+        self
+    }
+}
+
+impl<P: Producer> ParIter<P> {
+    fn new(producer: P) -> Self {
+        ParIter {
+            producer,
+            min_len: 1,
+            adapt: Id,
+        }
+    }
+
+    /// Pairs items positionally with another indexed iterator.
+    pub fn zip<Z, Q>(self, other: Z) -> ParIter<ZipProducer<P, Q>>
+    where
+        Q: Producer,
+        Z: IntoParallelIterator<Iter = ParIter<Q>>,
+    {
+        self.map_source(|p| ZipProducer(p, other.into_par_iter().producer))
+    }
+
+    /// Pairs items with their index.
+    pub fn enumerate(self) -> ParIter<EnumerateProducer<P>> {
+        self.map_source(|base| EnumerateProducer { base, offset: 0 })
+    }
+
+    /// Reverses the iteration order.
+    pub fn rev(self) -> ParIter<RevProducer<P>>
+    where
+        P::IntoIter: DoubleEndedIterator,
+    {
+        self.map_source(RevProducer)
+    }
+
+    fn map_source<Q: Producer>(self, f: impl FnOnce(P) -> Q) -> ParIter<Q> {
+        ParIter {
+            producer: f(self.producer),
+            min_len: self.min_len,
+            adapt: Id,
+        }
     }
 }
 
@@ -704,8 +926,8 @@ impl<'a, T: Send + 'a> IntoParallelIterator for &'a mut [T] {
     }
 }
 
-impl<P: Producer> IntoParallelIterator for ParIter<P> {
-    type Item = P::Item;
+impl<P: Producer, A: Adapter<P::IntoIter>> IntoParallelIterator for ParIter<P, A> {
+    type Item = A::Item;
     type Iter = Self;
     fn into_par_iter(self) -> Self {
         self
@@ -720,371 +942,16 @@ pub trait FromParallelIterator<T: Send>: Sized {
 
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
-        let pieces = iter.drive(&seq::<T, _, _>(|it| it.collect::<Vec<T>>()));
-        // One piece (always so at width 1) is already the result.
-        let pieces = match <[Vec<T>; 1]>::try_from(pieces) {
-            Ok([one]) => return one,
-            Err(pieces) => pieces,
-        };
-        let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
-        for p in pieces {
+        let (base, min_len, chain) = iter.into_parts();
+        let mut pieces = run(base, min_len, &chain, |it| it.collect::<Vec<T>>());
+        // The first piece (the only one at width 1) becomes the result.
+        let mut out = pieces.next().unwrap_or_default();
+        let rest: Vec<Vec<T>> = pieces.collect();
+        out.reserve_exact(rest.iter().map(Vec::len).sum());
+        for p in rest {
             out.extend(p);
         }
         out
-    }
-}
-
-impl<T: Send> FromParallelIterator<T> for String
-where
-    String: Extend<T> + FromIterator<T>,
-{
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
-        let pieces = iter.drive(&seq::<T, _, _>(|it| it.collect::<String>()));
-        pieces.concat()
-    }
-}
-
-impl<T, S> FromParallelIterator<T> for std::collections::HashSet<T, S>
-where
-    T: Send + Eq + std::hash::Hash,
-    S: std::hash::BuildHasher + Default,
-{
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
-        let pieces = iter.drive(&seq::<T, _, _>(|it| it.collect::<Vec<T>>()));
-        pieces.into_iter().flatten().collect()
-    }
-}
-
-impl<K, V, S> FromParallelIterator<(K, V)> for std::collections::HashMap<K, V, S>
-where
-    K: Send + Eq + std::hash::Hash,
-    V: Send,
-    S: std::hash::BuildHasher + Default,
-{
-    fn from_par_iter<I: ParallelIterator<Item = (K, V)>>(iter: I) -> Self {
-        let pieces = iter.drive(&seq::<(K, V), _, _>(|it| it.collect::<Vec<(K, V)>>()));
-        pieces.into_iter().flatten().collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The source iterator and its executor.
-// ---------------------------------------------------------------------------
-
-/// A parallel iterator directly over a [`Producer`]; the only type
-/// supporting index-preserving adapters (`zip`, `enumerate`, `rev`).
-pub struct ParIter<P: Producer> {
-    producer: P,
-    min_len: usize,
-}
-
-impl<P: Producer> ParIter<P> {
-    fn new(producer: P) -> Self {
-        ParIter {
-            producer,
-            min_len: 1,
-        }
-    }
-
-    /// Pairs items positionally with another indexed iterator.
-    pub fn zip<Z, Q>(self, other: Z) -> ParIter<ZipProducer<P, Q>>
-    where
-        Q: Producer,
-        Z: IntoParallelIterator<Iter = ParIter<Q>>,
-    {
-        ParIter {
-            producer: ZipProducer(self.producer, other.into_par_iter().producer),
-            min_len: self.min_len,
-        }
-    }
-
-    /// Pairs items with their index.
-    pub fn enumerate(self) -> ParIter<EnumerateProducer<P>> {
-        ParIter {
-            producer: EnumerateProducer {
-                base: self.producer,
-                offset: 0,
-            },
-            min_len: self.min_len,
-        }
-    }
-
-    /// Reverses the iteration order.
-    pub fn rev(self) -> ParIter<RevProducer<P>>
-    where
-        P::IntoIter: DoubleEndedIterator,
-    {
-        ParIter {
-            producer: RevProducer(self.producer),
-            min_len: self.min_len,
-        }
-    }
-}
-
-impl<P: Producer> ParallelIterator for ParIter<P> {
-    type Item = P::Item;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = Self::Item> + 'i)) -> R + Sync,
-    {
-        let len = self.producer.len();
-        let width = current_num_threads();
-        // Over-partition so participants that finish early steal the
-        // tail instead of idling. Piece boundaries depend only on
-        // (len, min_len, width) — never on scheduling — so per-piece
-        // results are reproducible across runs and pool states.
-        let max_pieces = len.div_ceil(self.min_len.max(1)).max(1);
-        let pieces = if width <= 1 {
-            1
-        } else {
-            (width * pool::OVERPARTITION).min(max_pieces)
-        };
-        if pieces <= 1 {
-            return vec![consumer(&mut self.producer.into_iter())];
-        }
-        // Cut into `pieces` contiguous parts of near-equal size.
-        let mut parts = Vec::with_capacity(pieces);
-        let mut rest = self.producer;
-        let mut remaining = len;
-        for i in (1..pieces).rev() {
-            let take = remaining.div_ceil(i + 1);
-            let (l, r) = rest.split_at(take);
-            parts.push(l);
-            rest = r;
-            remaining -= take;
-        }
-        parts.push(rest);
-        let parts: Vec<pool::SyncCell<Option<P>>> = parts
-            .into_iter()
-            .map(|p| pool::SyncCell::new(Some(p)))
-            .collect();
-        let results: Vec<pool::SyncCell<Option<R>>> =
-            (0..pieces).map(|_| pool::SyncCell::new(None)).collect();
-        let chunk = |i: usize| {
-            // SAFETY: the pool's cursor hands each chunk index to
-            // exactly one participant, so cell `i` is touched by one
-            // thread only; results land by index, making the output
-            // independent of which worker ran the chunk.
-            let part = unsafe { (*parts[i].get()).take().expect("piece ran twice") };
-            let r = consumer(&mut part.into_iter());
-            unsafe { *results[i].get() = Some(r) };
-        };
-        pool::run_job(pieces, width, &chunk);
-        results
-            .into_iter()
-            .map(|c| c.into_inner().expect("piece did not run"))
-            .collect()
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.min_len = n;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Adapters.
-// ---------------------------------------------------------------------------
-
-/// See [`ParallelIterator::map`].
-pub struct Map<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, F, T> ParallelIterator for Map<I, F>
-where
-    I: ParallelIterator,
-    F: Fn(I::Item) -> T + Sync + Send,
-    T: Send,
-{
-    type Item = T;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = T> + 'i)) -> R + Sync,
-    {
-        let Map { base, f } = self;
-        let f = &f;
-        base.drive(&seq::<I::Item, _, _>(move |it| consumer(&mut it.map(f))))
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.base.set_min_len(n);
-    }
-}
-
-/// See [`ParallelIterator::filter`].
-pub struct Filter<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, F> ParallelIterator for Filter<I, F>
-where
-    I: ParallelIterator,
-    F: Fn(&I::Item) -> bool + Sync + Send,
-{
-    type Item = I::Item;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = I::Item> + 'i)) -> R + Sync,
-    {
-        let Filter { base, f } = self;
-        let f = &f;
-        base.drive(&seq::<I::Item, _, _>(move |it| {
-            consumer(&mut it.filter(|x| f(x)))
-        }))
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.base.set_min_len(n);
-    }
-}
-
-/// See [`ParallelIterator::filter_map`].
-pub struct FilterMap<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, F, T> ParallelIterator for FilterMap<I, F>
-where
-    I: ParallelIterator,
-    F: Fn(I::Item) -> Option<T> + Sync + Send,
-    T: Send,
-{
-    type Item = T;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = T> + 'i)) -> R + Sync,
-    {
-        let FilterMap { base, f } = self;
-        let f = &f;
-        base.drive(&seq::<I::Item, _, _>(move |it| {
-            consumer(&mut it.filter_map(f))
-        }))
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.base.set_min_len(n);
-    }
-}
-
-/// See [`ParallelIterator::flatten`].
-pub struct Flatten<I> {
-    base: I,
-}
-
-impl<I> ParallelIterator for Flatten<I>
-where
-    I: ParallelIterator,
-    I::Item: IntoIterator,
-    <I::Item as IntoIterator>::Item: Send,
-{
-    type Item = <I::Item as IntoIterator>::Item;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = Self::Item> + 'i)) -> R + Sync,
-    {
-        self.base
-            .drive(&seq::<I::Item, _, _>(move |it| consumer(&mut it.flatten())))
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.base.set_min_len(n);
-    }
-}
-
-/// See [`ParallelIterator::flat_map_iter`].
-pub struct FlatMapIter<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, F, U, T> ParallelIterator for FlatMapIter<I, F>
-where
-    I: ParallelIterator,
-    U: IntoIterator<Item = T>,
-    T: Send,
-    F: Fn(I::Item) -> U + Sync + Send,
-{
-    type Item = T;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = T> + 'i)) -> R + Sync,
-    {
-        let FlatMapIter { base, f } = self;
-        let f = &f;
-        base.drive(&seq::<I::Item, _, _>(move |it| {
-            consumer(&mut it.flat_map(f))
-        }))
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.base.set_min_len(n);
-    }
-}
-
-/// See [`ParallelIterator::copied`].
-pub struct Copied<I> {
-    base: I,
-}
-
-impl<'a, I, T> ParallelIterator for Copied<I>
-where
-    I: ParallelIterator<Item = &'a T>,
-    T: Copy + Send + Sync + 'a,
-{
-    type Item = T;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = T> + 'i)) -> R + Sync,
-    {
-        self.base
-            .drive(&seq::<&'a T, _, _>(move |it| consumer(&mut it.copied())))
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.base.set_min_len(n);
-    }
-}
-
-/// See [`ParallelIterator::cloned`].
-pub struct Cloned<I> {
-    base: I,
-}
-
-impl<'a, I, T> ParallelIterator for Cloned<I>
-where
-    I: ParallelIterator<Item = &'a T>,
-    T: Clone + Send + Sync + 'a,
-{
-    type Item = T;
-
-    fn drive<R, C>(self, consumer: &C) -> Vec<R>
-    where
-        R: Send,
-        C: for<'i> Fn(&mut (dyn Iterator<Item = T> + 'i)) -> R + Sync,
-    {
-        self.base
-            .drive(&seq::<&'a T, _, _>(move |it| consumer(&mut it.cloned())))
-    }
-
-    fn set_min_len(&mut self, n: usize) {
-        self.base.set_min_len(n);
     }
 }
 
