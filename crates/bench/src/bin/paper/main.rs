@@ -12,7 +12,8 @@
 //! when the flag is absent):
 //!
 //! * `--n`, `PHC_N`: keys, points or text bytes (Tables 1–5, Fig. 4);
-//! * `--scale`, `PHC_SCALE`: graph size (Tables 6–8);
+//! * `--scale`, `PHC_SCALE`: graph size (Tables 6–8), linear in the
+//!   vertex count of every input (see [`grid_side`]);
 //! * `--threads`, `PHC_THREADS`: the "(P)" width, or Fig. 4's largest;
 //! * `--queries`, `PHC_QUERIES`: searches (Table 5);
 //! * `--log2`, `PHC_LOG2` and `--ops`, `PHC_OPS`: Fig. 5's table and
@@ -62,6 +63,13 @@ const VALUE_FLAGS: [&str; 7] = [
     "--json",
 ];
 
+/// The side of Tables 6–8's `3D-grid` at `--scale`: `base · scale^(1/3)`,
+/// rounded, so its `side³` vertices grow linearly with the scale as the
+/// `random` and `rMat` inputs do.
+fn grid_side(base: usize, scale: usize) -> usize {
+    (base as f64 * (scale as f64).cbrt()).round() as usize
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut selected = Vec::new();
@@ -95,6 +103,27 @@ fn main() {
         if let Some(path) = args.get(pos + 1) {
             phc_bench::report::write_json(path, &reports).expect("write json");
             eprintln!("wrote {path}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::grid_side;
+
+    #[test]
+    fn grid_vertices_grow_linearly_with_scale() {
+        for base in [32, 40] {
+            assert_eq!(grid_side(base, 1), base);
+            let one = base.pow(3) as f64;
+            for scale in [1, 2, 3, 8, 10] {
+                let n = grid_side(base, scale).pow(3) as f64;
+                let ratio = n / (scale as f64 * one);
+                assert!(
+                    (0.75..=1.25).contains(&ratio),
+                    "base {base}, scale {scale}: {ratio}"
+                );
+            }
         }
     }
 }

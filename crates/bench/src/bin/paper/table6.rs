@@ -16,7 +16,10 @@ pub fn run(args: &[String]) -> Vec<Report> {
     println!("# (paper: 10^7-vertex graphs; defaults here are ~100x smaller)\n");
 
     let inputs: Vec<(&str, EdgeList)> = vec![
-        ("3D-grid", phc_workloads::grid3d(32 * scale.min(8))),
+        (
+            "3D-grid",
+            phc_workloads::grid3d(crate::grid_side(32, scale)),
+        ),
         ("random", phc_workloads::random_graph(100_000 * scale, 5, 1)),
         ("rMat", phc_workloads::rmat(17, 500_000 * scale, 2)),
     ];

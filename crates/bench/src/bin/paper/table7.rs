@@ -17,7 +17,7 @@ pub fn run(args: &[String]) -> Vec<Report> {
     let inputs: Vec<(&str, Graph)> = vec![
         (
             "3D-grid",
-            Graph::from_edges(&phc_workloads::grid3d(40 * scale.min(5))),
+            Graph::from_edges(&phc_workloads::grid3d(crate::grid_side(40, scale))),
         ),
         (
             "random",

@@ -160,12 +160,10 @@ impl<E: HashEntry> ChainedHashTable<E> {
             // CR: lock-free find first; only lock to link a new node.
             if let Some(node) = self.find_node(b, v) {
                 Self::combine_into(node, v);
-                phc_obs::probe!(count ChainedCrFastPath);
                 return;
             }
         }
         let _guard = self.stripe(b).lock().expect("stripe lock poisoned");
-        phc_obs::probe!(count ChainedLockAcquires);
         // (Re-)check under the lock — another insert may have linked
         // the key meanwhile.
         if let Some(node) = self.find_node(b, v) {
@@ -194,11 +192,9 @@ impl<E: HashEntry> ChainedHashTable<E> {
         let b = self.bucket(probe);
         if self.contention_reducing && self.find_node(b, probe).is_none() {
             // CR: skip the lock entirely when the key is absent.
-            phc_obs::probe!(count ChainedCrFastPath);
             return;
         }
         let _guard = self.stripe(b).lock().expect("stripe lock poisoned");
-        phc_obs::probe!(count ChainedLockAcquires);
         // Unlink under the lock. Readers racing with this are safe: the
         // unlinked node stays allocated and still points into the list.
         let mut prev: Option<&Node> = None;
@@ -281,12 +277,10 @@ impl<E: HashEntry> ChainedHashTable<E> {
         if mismatch.load(Ordering::Relaxed) {
             // A chain changed length between the passes — someone broke
             // the phase discipline (an insert or delete raced this read
-            // phase). Count it so the cliff shows up in obs snapshots,
-            // and fail loudly in debug builds: in release the fallback
-            // silently costs an extra allocation per non-empty bucket,
-            // which is exactly the kind of perf regression that should
-            // surface as a test failure instead.
-            phc_obs::probe!(count ChainedElementsFallbacks);
+            // phase). Fail loudly in debug builds: in release the
+            // fallback silently costs an extra allocation per non-empty
+            // bucket, which is exactly the kind of perf regression that
+            // should surface as a test failure instead.
             debug_assert!(
                 false,
                 "chained elements(): bucket chains changed between the count and copy \

@@ -172,7 +172,6 @@ impl<E: HashEntry> CuckooHashTable<E> {
                 "CuckooHashTable::insert: eviction chain exceeded {MAX_EVICTIONS}; table too full"
             );
         }
-        phc_obs::probe!(count CuckooEvictions, evictions);
         phc_obs::probe!(hist ProbeLen, evictions);
     }
 

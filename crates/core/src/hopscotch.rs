@@ -245,7 +245,6 @@ impl<E: HashEntry> HopscotchHashTable<E> {
                         HopResult::Done => return,
                         HopResult::FreeLost => continue 'outer,
                         HopResult::Moved(new_free_virtual) => {
-                            phc_obs::probe!(count HopscotchHops);
                             // The hole moved backwards to src.
                             fv = new_free_virtual;
                             fd = self.dist(home, fv & self.mask);

@@ -34,18 +34,6 @@ use crate::entry::HashEntry;
 use crate::phase::{Deleter, Inserter, Reader};
 use crate::probe::{Probe, ProbePolicy, ProbeTable};
 
-/// Debug-build phase-discipline check shared by every ND operation:
-/// asserts the probe is a real entry (matching the deterministic
-/// table's checks) and, with `obs` on, counts the check so debug runs
-/// can confirm the assertions actually executed.
-macro_rules! nd_phase_check {
-    ($probe:expr) => {
-        debug_assert_ne!($probe, E::EMPTY);
-        #[cfg(debug_assertions)]
-        phc_obs::probe!(count NdPhaseChecks);
-    };
-}
-
 /// The first-fit table's probe policy: the engine's default layout
 /// (identity encoding, `E::hash & mask` homes) under its own insert,
 /// find and delete-walk bodies.
@@ -60,13 +48,13 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
 
     #[inline(always)]
     fn insert_with(t: Probe<'_, E, Self>, v: u64) -> Result<bool, u64> {
-        nd_phase_check!(v);
+        debug_assert_ne!(v, E::EMPTY);
         first_fit_insert(t, v)
     }
 
     #[inline(always)]
     fn find_with(t: Probe<'_, E, Self>, probe: u64) -> Option<u64> {
-        nd_phase_check!(probe);
+        debug_assert_ne!(probe, E::EMPTY);
         first_fit_find(t, probe)
     }
 
@@ -76,7 +64,7 @@ impl<E: HashEntry> ProbePolicy<E> for NdPolicy {
     /// copy-chasing loop, whose copy-counting proof carries over.
     #[inline]
     fn delete_in(t: Probe<'_, E, Self>, probe: u64) -> bool {
-        nd_phase_check!(probe);
+        debug_assert_ne!(probe, E::EMPTY);
         let m = t.cells.len();
         // Walk to the end of the cluster (the first empty cell, or the
         // whole wrap if there is none) so the downward scan starts
@@ -154,7 +142,6 @@ fn first_fit_insert<E: HashEntry>(t: Probe<'_, E, NdPolicy>, v: u64) -> Result<b
     phc_obs::probe!(count ProbeSteps, steps);
     phc_obs::probe!(count InsertCasFail, cas_fails);
     phc_obs::probe!(hist ProbeLen, steps);
-    phc_obs::probe!(hist CasRetries, cas_fails);
     result
 }
 
@@ -220,7 +207,7 @@ impl<E: HashEntry> ProbeTable<E, NdPolicy> {
             "entry type has no value field to accumulate"
         );
         let v = e.to_repr();
-        nd_phase_check!(v);
+        debug_assert_ne!(v, E::EMPTY);
         let mut i = self.probe().home(v);
         let mut steps = 0usize;
         'done: loop {

@@ -389,16 +389,10 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// identical to inserting the entries one by one in slice order — and for the
     /// history-independent tables, to *any* insertion of the same set.
     pub fn insert_batch(&self, entries: &[E]) {
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
         let (_, _, carry) = self.insert_run(None, entries, usize::MAX);
         if carry.is_some() {
             self.full();
         }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
     }
 
     /// Inserts a slice in parallel through the batched prefetching
@@ -436,8 +430,6 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
             out[i].write(P::find_with(t, stored).map(|c| E::from_repr(t.policy().recover(r, c))));
             true
         });
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
     }
 
     /// Looks up a batch of keys with software prefetching (the read
@@ -518,13 +510,7 @@ impl<E: HashEntry, P: ProbePolicy<E>> ProbeTable<E, P> {
     /// [`find_batch`](Self::find_batch). Semantically identical to
     /// deleting the keys one by one in slice order.
     pub fn delete_batch(&self, keys: &[E]) {
-        let n = keys.len();
-        if n == 0 {
-            return;
-        }
         self.delete_run(keys);
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
     }
 
     /// Deletes a slice in parallel through the batched prefetching
@@ -901,7 +887,6 @@ impl InsertTally {
         phc_obs::probe!(count InsertCasFail, self.cas_fails);
         phc_obs::Recorder::global().count(swaps, self.swaps as u64);
         phc_obs::probe!(hist ProbeLen, self.steps);
-        phc_obs::probe!(hist CasRetries, self.cas_fails);
     }
 }
 

@@ -4,8 +4,8 @@
 //! `b ≥ 1` holds values in `[2^(b-1), 2^b)`; everything at or above
 //! `2^(BUCKETS-2)` lands in the last bucket. 32 buckets therefore
 //! cover every value a table of < 2^31 cells can produce (probe
-//! lengths, CAS retries, pack sizes) with a fixed-size array that fits
-//! in a thread shard.
+//! lengths, pack sizes) with a fixed-size array that fits in a thread
+//! shard.
 
 /// Number of buckets per histogram.
 pub const BUCKETS: usize = 32;

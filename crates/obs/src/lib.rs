@@ -7,12 +7,14 @@
 //! that instrumentation layer in three pieces:
 //!
 //! * **Sharded counters** ([`shard::Registry`]): each thread owns a
-//!   cache-line-aligned [`shard::Shard`] of per-event counters,
-//!   registered once in a global registry and aggregated on read, so a
-//!   hot-path increment is one uncontended atomic add.
+//!   cache-line-aligned shard of per-event counters, registered once
+//!   in a global registry and aggregated on read. The thread caches
+//!   its [`shard::ShardWriter`] in a thread-local and is the shard's
+//!   only writer, so a hot-path increment is a load and a store to
+//!   memory no other thread writes.
 //! * **Power-of-two-bucket histograms** ([`hist`]): built on the same
 //!   shards; bucket `b` covers `[2^(b-1), 2^b)` so a 32-slot array
-//!   captures any probe length, CAS retry count, or pack size.
+//!   captures any probe length or pack size.
 //! * **Phase timeline** ([`ring::Ring`]): a bounded lock-free ring of
 //!   `(thread, event, monotonic ns)` records emitted at phase
 //!   begin/end and resize epoch publish/freeze/finish.
@@ -35,7 +37,7 @@ pub mod ring;
 pub mod shard;
 
 pub use ring::{Ring, TimelineRecord};
-pub use shard::{Registry, Shard};
+pub use shard::{Registry, ShardWriter};
 
 /// Defines the counter enum plus its name table in one place.
 macro_rules! define_ids {
@@ -80,37 +82,16 @@ define_ids! {
         MigrationBlocksClaimed => "migration_blocks_claimed",
         /// Successor epochs published by the cooperative resizer.
         EpochsPublished => "epochs_published",
-        /// Cuckoo eviction steps (entries displaced to their other cell).
-        CuckooEvictions => "cuckoo_evictions",
-        /// Hopscotch hole hops (entries displaced toward the home bucket).
-        HopscotchHops => "hopscotch_hops",
-        /// Stripe-lock acquisitions in the chained table.
-        ChainedLockAcquires => "chained_lock_acquires",
-        /// Chained `-CR` operations resolved without taking the lock.
-        ChainedCrFastPath => "chained_cr_fast_path",
         /// Room-synchronizer entries that had to wait for another room.
         RoomWaits => "room_waits",
-        /// Debug-build phase-discipline checks executed by `NdHashTable`.
-        NdPhaseChecks => "nd_phase_checks",
         /// Jobs submitted to the persistent work-stealing scheduler.
         SchedJobs => "sched_jobs",
-        /// Chunks claimed from job cursors (by any participant).
-        SchedChunksClaimed => "sched_chunks_claimed",
         /// Chunks executed by a pool worker other than the submitter.
         SchedSteals => "sched_steals",
-        /// Cursor claim attempts that found the job already exhausted.
-        SchedStealAttempts => "sched_steal_attempts",
-        /// Prefetched batches processed by the batched table paths.
-        PrefetchBatches => "prefetch_batches",
         /// Robin Hood displacement swaps: occupied cells whose entry
         /// was evicted and carried forward by a richer (higher
         /// priority) insert.
         RobinHoodShifts => "robinhood_shifts",
-        /// Chained `elements()` diverted to the allocation-heavy
-        /// race-tolerant fallback: a bucket chain changed length
-        /// between the count and copy passes, i.e. a write phase raced
-        /// a read phase. Nonzero means a phase violation somewhere.
-        ChainedElementsFallbacks => "chained_elements_fallbacks",
         /// Request batches applied by the sharded KV server.
         ServerBatches => "server_batches",
         /// Operations routed to shards by the KV server's partitioner.
@@ -161,14 +142,8 @@ define_ids! {
     pub enum Histogram {
         /// Probe length per insert (displacement steps past home).
         ProbeLen => "probe_len",
-        /// CAS retries per insert operation.
-        CasRetries => "cas_retries",
         /// `elements()` pack sizes (entries returned per call).
         PackSize => "pack_size",
-        /// Chunks a single participant claimed from one job.
-        SchedChunksPerWorker => "sched_chunks_per_worker",
-        /// Batch sizes fed to the prefetching insert/find paths.
-        BatchSize => "batch_size",
         /// Robin Hood displacement (cells past home) per stored entry,
         /// mirrored from quiescent snapshots.
         RhDisplacement => "rh_displacement",
@@ -343,19 +318,34 @@ impl MetricsSnapshot {
 #[cfg(feature = "obs")]
 mod enabled {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
 
     /// Timeline capacity (records). Power of two; old records are
     /// overwritten once the ring wraps.
     const TIMELINE_CAPACITY: usize = 8192;
 
+    static GLOBAL: Recorder = Recorder {
+        registry: Registry::new(),
+        ring: OnceLock::new(),
+        gauges: [const { AtomicU64::new(0) }; Gauge::COUNT],
+    };
+
+    thread_local! {
+        /// This thread's shard in the global registry, registered on
+        /// the thread's first bump or timeline push.
+        static SHARD: ShardWriter = GLOBAL.registry.register();
+    }
+
     /// The live recorder: a global shard registry plus the phase
     /// timeline. Obtain it with [`Recorder::global`]; hot paths go
-    /// through the [`probe!`](crate::probe) macro.
+    /// through the [`probe!`](crate::probe) macro. A counter or
+    /// histogram bump reaches the calling thread's shard through a
+    /// thread-local, not through the recorder.
     pub struct Recorder {
         registry: Registry,
-        ring: Ring,
-        gauges: [std::sync::atomic::AtomicU64; Gauge::COUNT],
+        ring: OnceLock<Ring>,
+        gauges: [AtomicU64; Gauge::COUNT],
     }
 
     impl Recorder {
@@ -363,69 +353,53 @@ mod enabled {
         pub const ENABLED: bool = true;
 
         /// The process-wide recorder.
+        #[inline(always)]
         pub fn global() -> &'static Recorder {
-            static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-            GLOBAL.get_or_init(|| Recorder {
-                registry: Registry::new(),
-                ring: Ring::new(TIMELINE_CAPACITY),
-                gauges: std::array::from_fn(|_| std::sync::atomic::AtomicU64::new(0)),
-            })
+            &GLOBAL
         }
 
-        #[inline]
-        fn shard(&self) -> &Shard {
-            thread_local! {
-                static SHARD: std::cell::OnceCell<std::sync::Arc<Shard>> =
-                    const { std::cell::OnceCell::new() };
-            }
-            let arc = SHARD.with(|s| {
-                std::sync::Arc::clone(s.get_or_init(|| Recorder::global().registry.register()))
-            });
-            // SAFETY: the registry keeps every registered shard alive
-            // for the life of the (static) global recorder, so the
-            // reference never dangles even after this thread exits.
-            unsafe { &*std::sync::Arc::as_ptr(&arc) }
+        fn ring(&self) -> &Ring {
+            self.ring.get_or_init(|| Ring::new(TIMELINE_CAPACITY))
         }
 
         /// The calling thread's shard index (stable for its lifetime).
         pub fn thread_id(&self) -> u64 {
-            self.shard().thread_id()
+            SHARD.with(ShardWriter::thread_id)
         }
 
         /// Adds `n` to a counter.
         #[inline]
         pub fn count(&self, c: Counter, n: u64) {
             if n != 0 {
-                self.shard().add(c, n);
+                SHARD.with(|s| s.add(c, n));
             }
         }
 
         /// Records one histogram sample.
         #[inline]
         pub fn record(&self, h: Histogram, value: u64) {
-            self.shard().record(h, value);
+            SHARD.with(|s| s.record(h, value));
         }
 
         /// Records `n` identical histogram samples.
         #[inline]
         pub fn record_many(&self, h: Histogram, value: u64, n: u64) {
             if n != 0 {
-                self.shard().record_many(h, value, n);
+                SHARD.with(|s| s.record_many(h, value, n));
             }
         }
 
         /// Sets a gauge to `v` (last writer wins).
         #[inline]
         pub fn set_gauge(&self, g: Gauge, v: u64) {
-            self.gauges[g as usize].store(v, std::sync::atomic::Ordering::Relaxed);
+            self.gauges[g as usize].store(v, Ordering::Relaxed);
         }
 
         /// Emits a phase-timeline record stamped with this thread and
         /// the current monotonic time.
         #[inline]
         pub fn phase(&self, e: PhaseEvent) {
-            let thread = self.shard().thread_id();
-            self.ring.push(thread, e, now_ns());
+            self.ring().push(self.thread_id(), e, now_ns());
         }
 
         /// Aggregates every shard and dumps the timeline. Counters are
@@ -437,10 +411,8 @@ mod enabled {
             MetricsSnapshot {
                 counters,
                 histograms,
-                gauges: std::array::from_fn(|i| {
-                    self.gauges[i].load(std::sync::atomic::Ordering::Relaxed)
-                }),
-                timeline: self.ring.dump(),
+                gauges: std::array::from_fn(|i| self.gauges[i].load(Ordering::Relaxed)),
+                timeline: self.ring().dump(),
             }
         }
     }
@@ -582,7 +554,7 @@ mod tests {
         assert!(json.contains("\"probe_len\": [5, 0, 0, 1]"), "{json}");
         assert!(json.contains("\"event\": \"insert_begin\""), "{json}");
         // Trailing all-zero buckets are trimmed.
-        assert!(json.contains("\"cas_retries\": []"), "{json}");
+        assert!(json.contains("\"pack_size\": []"), "{json}");
     }
 
     #[test]

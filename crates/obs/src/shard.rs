@@ -1,71 +1,79 @@
 //! Sharded counters: one cache-line-aligned slot block per thread,
 //! registered in a registry and aggregated on read.
 //!
-//! A counter increment is a `Relaxed` atomic add on memory only the
-//! owning thread writes, so shards never bounce cache lines between
-//! writers; readers pay the full scan, which is the right trade for
-//! metrics written millions of times and read once per report.
-//! Registration appends the shard's `Arc` to the registry, which keeps
-//! it alive after the thread exits — totals are never lost to
-//! teardown.
+//! [`Registry::register`] leaks the block, keeps a `&'static` to it so
+//! totals survive thread teardown, and returns a [`ShardWriter`] that
+//! cannot leave the registering thread. That thread is then the block's
+//! only writer, so a bump is a `Relaxed` load and store, not a locked
+//! read-modify-write, and no cache line bounces between writers;
+//! readers pay the full scan, the right trade for metrics written
+//! millions of times and read once per report.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 
 use crate::hist::{bucket, BUCKETS};
 use crate::{Counter, Histogram};
 
-/// One thread's private counter block. Aligned to two cache lines so
-/// adjacent shards never share a line (the registry's `Arc` control
-/// blocks are separate allocations).
+/// One thread's counter block. Aligned to two cache lines so adjacent
+/// blocks never share a line. Atomic so that a concurrent reader sees
+/// whole values.
 #[repr(align(128))]
-pub struct Shard {
+struct Shard {
     thread_id: u64,
     counters: [AtomicU64; Counter::COUNT],
     histograms: [[AtomicU64; BUCKETS]; Histogram::COUNT],
 }
 
-impl Shard {
-    fn new(thread_id: u64) -> Self {
-        Shard {
-            thread_id,
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            histograms: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-        }
-    }
+/// The owner's increment: no other thread writes `cell`, so a load and
+/// a store cannot lose an update.
+#[inline(always)]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
+}
 
+/// The registering thread's write handle to its shard, neither `Send`
+/// nor `Sync`, so the shard has one writer:
+///
+/// ```compile_fail
+/// let registry = phc_obs::Registry::new();
+/// let shard = registry.register();
+/// std::thread::spawn(move || shard.add(phc_obs::Counter::ProbeSteps, 1));
+/// ```
+pub struct ShardWriter {
+    shard: &'static Shard,
+    _owner: PhantomData<*const ()>,
+}
+
+impl ShardWriter {
     /// The registering thread's index (dense, in registration order).
     pub fn thread_id(&self) -> u64 {
-        self.thread_id
+        self.shard.thread_id
     }
 
     /// Adds `n` to a counter.
     #[inline]
     pub fn add(&self, c: Counter, n: u64) {
-        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+        bump(&self.shard.counters[c as usize], n);
     }
 
     /// Records one histogram sample.
     #[inline]
     pub fn record(&self, h: Histogram, value: u64) {
-        self.histograms[h as usize][bucket(value)].fetch_add(1, Ordering::Relaxed);
+        bump(&self.shard.histograms[h as usize][bucket(value)], 1);
     }
 
-    /// Records `n` identical histogram samples in one add.
+    /// Records `n` identical histogram samples in one bump.
     #[inline]
     pub fn record_many(&self, h: Histogram, value: u64, n: u64) {
-        self.histograms[h as usize][bucket(value)].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value of one counter (exact if the owner is quiescent).
-    pub fn get(&self, c: Counter) -> u64 {
-        self.counters[c as usize].load(Ordering::Relaxed)
+        bump(&self.shard.histograms[h as usize][bucket(value)], n);
     }
 }
 
 /// A set of registered shards, aggregated on read.
 pub struct Registry {
-    shards: Mutex<Vec<Arc<Shard>>>,
+    shards: Mutex<Vec<&'static Shard>>,
 }
 
 impl Default for Registry {
@@ -82,13 +90,21 @@ impl Registry {
         }
     }
 
-    /// Registers a new shard (typically one per thread). The registry
-    /// retains a reference, so the shard's totals survive the caller.
-    pub fn register(&self) -> Arc<Shard> {
+    /// Registers a new shard (typically one per thread) and returns
+    /// its write handle. The shard lives for the rest of the process,
+    /// so its totals survive the caller.
+    pub fn register(&self) -> ShardWriter {
         let mut shards = self.shards.lock().expect("shard registry poisoned");
-        let shard = Arc::new(Shard::new(shards.len() as u64));
-        shards.push(Arc::clone(&shard));
-        shard
+        let shard: &'static Shard = Box::leak(Box::new(Shard {
+            thread_id: shards.len() as u64,
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            histograms: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
+        }));
+        shards.push(shard);
+        ShardWriter {
+            shard,
+            _owner: PhantomData,
+        }
     }
 
     /// Number of shards ever registered.
@@ -105,11 +121,11 @@ impl Registry {
         let mut histograms = [[0u64; BUCKETS]; Histogram::COUNT];
         for shard in shards.iter() {
             for (total, cell) in counters.iter_mut().zip(shard.counters.iter()) {
-                *total += cell.load(Ordering::Relaxed);
+                *total += cell.load(Relaxed);
             }
             for (htotals, hcells) in histograms.iter_mut().zip(shard.histograms.iter()) {
                 for (total, cell) in htotals.iter_mut().zip(hcells.iter()) {
-                    *total += cell.load(Ordering::Relaxed);
+                    *total += cell.load(Relaxed);
                 }
             }
         }
@@ -176,9 +192,10 @@ mod tests {
     #[test]
     fn aggregate_is_stable_across_reads() {
         let reg = Registry::new();
-        let s = reg.register();
-        s.add(Counter::PrioritySwap, 3);
-        drop(s); // registry keeps the shard alive
+        {
+            let s = reg.register();
+            s.add(Counter::PrioritySwap, 3);
+        } // the handle is gone; the registry keeps the shard
         let a = reg.aggregate();
         let b = reg.aggregate();
         assert_eq!(a.0, b.0);

@@ -279,7 +279,6 @@ fn execute_chunks(job: &Job) -> usize {
     loop {
         let i = job.cursor.fetch_add(1, Ordering::Relaxed);
         if i >= job.n_chunks {
-            phc_obs::probe!(count SchedStealAttempts);
             break;
         }
         claimed += 1;
@@ -292,8 +291,6 @@ fn execute_chunks(job: &Job) -> usize {
         job.remaining.fetch_sub(1, Ordering::Release);
     }
     POOL_THREADS.with(|c| c.set(prev_width));
-    phc_obs::probe!(count SchedChunksClaimed, claimed);
-    phc_obs::probe!(hist SchedChunksPerWorker, claimed);
     claimed
 }
 
